@@ -133,6 +133,16 @@ class _BaseFamily:
             self._cache["twisted"] = t
         return t
 
+    def tilde_shifted(self, u: int = 1) -> "_BaseFamily":
+        """The family at lambda + u delta-tilde, built once per u so that its
+        phi0_sq memo is shared by every caller."""
+        key = ("tilde_shifted", u)
+        t = self._cache.get(key)
+        if t is None:
+            t = self._tilde_shifted(u)
+            self._cache[key] = t
+        return t
+
     def Bprime(self, x):
         """B(x) at twisted parameters."""
         return self.twisted().B(x)
@@ -223,7 +233,7 @@ class Meixner(_BaseFamily):
     def shifted(self, u: int = 1) -> "Meixner":
         return Meixner(self.beta + u, self.c, validate=False)
 
-    def tilde_shifted(self, u: int = 1) -> "Meixner":
+    def _tilde_shifted(self, u: int) -> "Meixner":
         return self.shifted(u)
 
     def _twisted(self) -> "Meixner":
@@ -368,7 +378,7 @@ class LittleQJacobi(_QFamily):
     def shifted(self, u: int = 1) -> "LittleQJacobi":
         return LittleQJacobi(self.a * self.q**u, self.b * self.q**u, self.q, validate=False)
 
-    def tilde_shifted(self, u: int = 1) -> "LittleQJacobi":
+    def _tilde_shifted(self, u: int) -> "LittleQJacobi":
         return LittleQJacobi(self.a * self.q**-u, self.b * self.q**u, self.q, validate=False)
 
     def _twisted(self) -> "LittleQJacobi":
@@ -448,7 +458,7 @@ class LittleQLaguerre(_QFamily):
     def shifted(self, u: int = 1) -> "LittleQLaguerre":
         return LittleQLaguerre(self.a * self.q**u, self.q, validate=False)
 
-    def tilde_shifted(self, u: int = 1) -> "LittleQLaguerre":
+    def _tilde_shifted(self, u: int) -> "LittleQLaguerre":
         return LittleQLaguerre(self.a * self.q**-u, self.q, validate=False)
 
     def _twisted(self) -> "LittleQLaguerre":

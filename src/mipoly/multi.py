@@ -32,7 +32,6 @@ from typing import Sequence
 from .casoratian import LatticeFunction, casoratian
 from .families import LittleQJacobi, Meixner, _BaseFamily
 from .polynomials import Polynomial, interpolate
-from .ratfunc import _poly_divmod, polynomial_gcd
 from .report import Report
 from .series import Interval, _iroot_floor, as_interval, DEFAULT_EPS
 from .virtual import alpha, virtual_energy, v_max, xi_poly
@@ -491,6 +490,27 @@ def verify_special_identities(p: _BaseFamily, labels: Sequence[int], n_max: int)
 # -- certified orthogonality ---------------------------------------------------------------
 
 
+# Terms summed past the tail start before the certificate gives up.
+_TERM_CAP = 2000
+
+
+def _sci(v: Fraction) -> str:
+    """v formatted like '%.3e'; below the float range the mantissa and the
+    exponent are computed exactly instead of underflowing to 0.000e+00."""
+    f = float(v)
+    if f or not v:
+        return f"{f:.3e}"
+    mag = abs(v)
+    e = len(str(mag.numerator)) - len(str(mag.denominator))
+    if mag < Fraction(10) ** e:
+        e -= 1  # now 10^e <= mag < 10^(e+1)
+    digits = round(mag / Fraction(10) ** e * 1000)
+    if digits == 10000:
+        digits, e = 1000, e + 1
+    sign = "-" if v < 0 else ""
+    return f"{sign}{digits // 1000}.{digits % 1000:03d}e{e:+03d}"
+
+
 @dataclass
 class OrthogonalityResult:
     n: int
@@ -503,12 +523,14 @@ class OrthogonalityResult:
     ratio_bound: Fraction
     tolerance: Fraction
     passed: bool
+    capped: bool  # the sum stopped at _TERM_CAP terms past ratio_start
 
     def describe(self) -> str:
         status = "ok" if self.passed else "FAIL"
+        cap = f"term cap {_TERM_CAP} reached, " if self.capped else ""
         return (
-            f"[{status}] (n,m)=({self.n},{self.m}): sum of {self.terms} terms, "
-            f"tail <= {float(self.tail_bound):.3e}, target in "
+            f"[{status}] (n,m)=({self.n},{self.m}): {cap}sum of {self.terms} terms, "
+            f"tail <= {_sci(self.tail_bound)}, target in "
             f"[{float(self.target.lo):.18g}, {float(self.target.hi):.18g}]"
         )
 
@@ -618,10 +640,12 @@ def _ratio_certificate_q(sys: MultiIndexedSystem, n: int, m: int):
         * at_one_minus(pm, Fraction(1))
         * at_one_minus(xi, q * q)
     )
-    g = polynomial_gcd(num, den)
-    if g.degree > 0:
-        num, _ = _poly_divmod(num, g)
-        den, _ = _poly_divmod(den, g)
+    # A common factor g with g(0) != 0 leaves num(0)/den(0) unchanged and only
+    # shrinks z_star, so no gcd is taken.  A common power of z is the one
+    # factor that hides the limit at z = 0; z > 0 on the tail, so stripping
+    # it is exact.
+    while num.constant_term == 0 and den.constant_term == 0 and den:
+        num, den = Polynomial(num.coeffs[1:]), Polynomial(den.coeffs[1:])
     if den.constant_term == 0:
         raise ArithmeticError("cannot certify: ratio denominator vanishes at z=0")
     if den.constant_term < 0:
@@ -683,10 +707,11 @@ def orthogonality_sum(
         # x >= x_star, so |term(y)| <= r^(y-x) |t| for y > x: geometric tail.
         tail = abs(t) * r / (1 - r)
         x += 1
-        if tail + target.width <= budget or x > x_star + 2000:
+        converged = tail + target.width <= budget
+        if converged or x > x_star + _TERM_CAP:
             break
     enclosure = Interval(partial - tail, partial + tail)
-    passed = enclosure.overlaps(target) and (tail + target.width) <= budget
+    passed = enclosure.overlaps(target) and converged
     return OrthogonalityResult(
-        n, m, partial, tail, target, x, x_star, r, rel_tol, passed
+        n, m, partial, tail, target, x, x_star, r, rel_tol, passed, not converged
     )

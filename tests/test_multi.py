@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
 from mipoly.multi import (
     MultiIndexedSystem,
+    _ratio_certificate_q,
     count_sign_changes,
     deformed_potentials,
     denominator_poly,
@@ -26,6 +27,7 @@ from mipoly.multi import (
     weight,
 )
 from mipoly.polynomials import Polynomial
+from mipoly.virtual import v_max
 
 M = Meixner(1, F(1, 2))
 M2 = Meixner(F(5, 2), F(1, 3))
@@ -163,6 +165,60 @@ def test_orthogonality_off_diagonal():
 def test_orthogonality_diagonal_q():
     res = orthogonality_sum(QJ, (1,), 1, 1, rel_tol=F(1, 10**12))
     assert res.passed
+
+
+def test_orthogonality_witness_names_term_cap():
+    # rel_tol far below what 2000 tail terms reach: the tail bound (about
+    # 1e-608) underflows a float, so the witness must not print 0.000e+00
+    res = orthogonality_sum(M, (1,), 0, 0, rel_tol=F(1, 10**1000))
+    assert not res.passed and res.capped
+    assert res.terms == res.ratio_start + 2001 == 2031
+    text = res.describe()
+    assert text.startswith("[FAIL] (n,m)=(0,0): term cap 2000 reached, sum of 2031 terms, ")
+    assert "tail <= 1.237e-608," in text
+    # a passing result keeps the float rendering and mentions no cap
+    ok = orthogonality_sum(M, (1,), 0, 0)
+    assert ok.passed and not ok.capped
+    assert f"sum of {ok.terms} terms, tail <= {float(ok.tail_bound):.3e}," in ok.describe()
+
+
+def test_weights_cost_linear_in_x(monkeypatch):
+    # the tilde-shifted family is built once, so phi0_sq extends one memo
+    calls = [0]
+    original = Meixner.B
+
+    def counting_B(self, x):
+        calls[0] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(Meixner, "B", counting_B)
+    s = MultiIndexedSystem(Meixner(1, F(1, 2)), (2, 4, 6))
+    for x in range(301):
+        assert s.weight(x) > 0
+    assert calls[0] < 2 * 301 + 50
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        LittleQJacobi(F(1, 1048576), F(1, 3), F(1, 2)),
+        LittleQLaguerre(F(1, 1048576), F(1, 2)),
+        LittleQJacobi(F(1, 32), F(-1, 2), F(1, 2)),
+    ],
+    ids=repr,
+)
+def test_q_ratio_certificate_bounds_term_ratio(p):
+    # brute force |t(x+1)/t(x)| <= r past x_star, t(x) = w_D(x) P_D,n(x) P_D,m(x)
+    for labels in ((1,), (1, 3), (1, 3, 5), (1, 3, 5, 7), (1, 3, 5, 7, 9)):
+        if max(labels) > v_max(p):
+            continue
+        s = system(p, labels)
+        for n, m in ((0, 0), (1, 1), (0, 1)):
+            x_star, r = _ratio_certificate_q(s, n, m)
+            assert 0 < r < 1
+            t = lambda x: s.weight(x) * s.multi_poly_at(n, x) * s.multi_poly_at(m, x)
+            for x in range(x_star, x_star + 41):
+                assert abs(t(x + 1)) <= r * abs(t(x)), (labels, n, m, x)
 
 
 def test_weight_positive_and_summable():
