@@ -1,5 +1,6 @@
 """Exact determinants and Casoratians of lattice functions."""
 
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -7,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipoly.casoratian import LatticeFunction, casoratian, exact_det, verify_identities
+from mipoly.ratfunc import RationalFunction
 
-rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+# Half the entries are zero, so pivots vanish (row swaps) and whole matrices go singular;
+# ints and Fractions mix within one matrix.
+entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
 
 
 def _cofactor_det(rows):
@@ -25,11 +34,39 @@ def _cofactor_det(rows):
     return total
 
 
-@given(st.integers(min_value=0, max_value=5), st.data())
-@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=7), st.data())
+@settings(max_examples=60, deadline=None)
 def test_det_matches_cofactor_expansion(n, data):
-    rows = [[data.draw(rationals) for _ in range(n)] for _ in range(n)]
+    rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
     assert exact_det(rows) == _cofactor_det(rows)
+
+
+def test_det_of_integer_matrix_is_an_exact_int():
+    # both used to come back as floats from the size >= 5 elimination
+    perturbed = [[(i + 1) ** j + (i == j) for j in range(5)] for i in range(5)]
+    vandermonde = [[(i + 1) ** j for j in range(6)] for i in range(6)]
+    for rows, want in ((perturbed, 55000), (vandermonde, 34560)):
+        det = exact_det(rows)
+        assert type(det) is int and det == want
+    assert type(exact_det([[1, 2], [3, 4]])) is int
+
+
+def test_det_of_fraction_matrix_is_a_fraction():
+    rows = [[F((i + 1) ** j + (i == j), j + 1) for j in range(5)] for i in range(5)]
+    det = exact_det(rows)
+    assert type(det) is F and det == _cofactor_det(rows)
+    assert type(exact_det([[F(1), F(2)], [F(3), F(4)]])) is F
+    assert exact_det([[F(1, 2), 1], [3, F(2, 3)]]) == F(1, 3) - 3
+
+
+def test_det_with_rational_function_entries():
+    # symbolic c, as in the c -> 1 Meixner limits: the field path
+    c = RationalFunction.variable()
+    for n in (3, 5):
+        rows = [[(c + i) ** j + F(i * j, 2) * c for j in range(n)] for i in range(n)]
+        det = exact_det(rows)
+        assert isinstance(det, RationalFunction)
+        assert det == _cofactor_det(rows)
 
 
 def test_det_basics():
@@ -45,6 +82,26 @@ def test_lattice_function_memoizes():
     f = LatticeFunction(lambda x: calls.append(x) or x * x)
     assert f(3) == 9 and f(3) == 9
     assert calls == [3]
+
+
+def test_lattice_function_hit_is_one_lookup():
+    class CountingDict(dict):
+        lookups = 0
+
+        def __getitem__(self, key):
+            CountingDict.lookups += 1
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            CountingDict.lookups += 1
+            return super().__contains__(key)
+
+    f = LatticeFunction(lambda x: x + 1)
+    f.cache = CountingDict()
+    assert f(4) == 5
+    CountingDict.lookups = 0
+    assert f(4) == 5 and f(4) == 5
+    assert CountingDict.lookups == 2
 
 
 def test_casoratian_low_order_formulas():
@@ -84,3 +141,21 @@ def test_casoratian_linearity_in_one_slot():
 def test_identity_suite():
     rep = verify_identities(n_max=4, trials=25, seed=11)
     assert rep.passed, rep.failures()[:3]
+
+
+def test_identity_suite_defaults():
+    rep = verify_identities()
+    assert rep.passed and len(rep.checks) == 300
+
+
+def test_identity_suite_catches_a_wrong_determinant(monkeypatch):
+    # the package re-exports the function `casoratian` under the module's name
+    module = importlib.import_module("mipoly.casoratian")
+
+    def off_by_one(rows):
+        return exact_det(rows) + 1 if len(rows) >= 2 else exact_det(rows)
+
+    monkeypatch.setattr(module, "exact_det", off_by_one)
+    rep = verify_identities()
+    assert not rep.passed
+    assert len(rep.checks) == 300
