@@ -92,3 +92,98 @@ def test_polynomial_gcd_divides(a, b, m):
         xv = F(x)
         if m(xv) == 0:
             assert g(xv) == 0
+
+
+def test_constants_equal_and_hash_like_their_fractions():
+    for v in (0, 3, -7, F(1, 2), F(-5, 3)):
+        r = RationalFunction(v)
+        assert r == v and v == r
+        assert hash(r) == hash(v) == hash(F(v))
+    assert {F(3): 1}.get(RationalFunction(3)) == 1
+    assert {3: "a"}[(t + 3) - t] == "a"
+    assert {RationalFunction(F(1, 2)): 1}.get(F(1, 2)) == 1
+
+
+def test_equality_with_other_types_is_false_not_an_error():
+    assert (RationalFunction(3) == None) is False  # noqa: E711
+    assert RationalFunction(3) != "3"
+    assert t != object()
+
+
+nonzero_polys = polys.filter(bool)
+
+
+@given(polys, nonzero_polys, nonzero_polys)
+@settings(max_examples=60, deadline=None)
+def test_common_factor_cancels_to_the_same_canonical_form(n, d, m):
+    r = RationalFunction(n, d)
+    s = RationalFunction(n * m, d * m)
+    assert s.num.coeffs == r.num.coeffs
+    assert s.den.coeffs == r.den.coeffs
+    assert s == r and hash(s) == hash(r)
+
+
+@given(polys, nonzero_polys)
+@settings(max_examples=60, deadline=None)
+def test_canonical_form_is_reduced_with_monic_denominator(n, d):
+    r = RationalFunction(n, d)
+    assert r.den.leading_coefficient == 1
+    if r:
+        assert polynomial_gcd(r.num, r.den) == 1
+    else:
+        assert r.den == 1
+
+
+@given(polys, nonzero_polys, polys, nonzero_polys)
+@settings(max_examples=60, deadline=None)
+def test_equal_values_hash_equal(pn, pd, qn, qd):
+    a = RationalFunction(pn, pd)
+    b = RationalFunction(qn, qd)
+    for x, y in ((a, (a + b) - b), (a, (a * b) / b if b else a), (a * b, b * a), (a + 1, 1 + a)):
+        assert x == y
+        assert hash(x) == hash(y)
+        assert (x.num, x.den) == (y.num, y.den)
+
+
+@given(nonzero_polys, st.integers(min_value=2, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_limit_at_removable_singularity_of_high_order(p, k):
+    s = RationalFunction(p)
+    r = ((t - 1) ** k * s) / ((t - 1) ** k)
+    assert limit_at(r, F(1)) == p(F(1))
+    r = ((t - 1) ** k * (t + 2)) / ((t - 1) ** k)
+    assert r == t + 2
+    assert limit_at(r, 1) == 3
+
+
+@given(nonzero_polys)
+@settings(max_examples=40, deadline=None)
+def test_limit_at_pole_of_order_two(p):
+    if p(F(1)) == 0:
+        return
+    with pytest.raises(PoleError):
+        limit_at(RationalFunction(p) / ((t - 1) ** 2), F(1))
+    with pytest.raises(PoleError):
+        limit_at(RationalFunction(p) / ((t - 1) ** 2 * (t + 3)), F(1))
+
+
+def test_limits_suite_takes_few_polynomial_gcds(monkeypatch):
+    # The limits suite verify_meixner_limits(3/2) built 7 996 rational
+    # functions before the integer kernel, 2 266 of them with a non-constant
+    # denominator, and took a gcd for every build.  Constant denominators
+    # (and sums and products that cannot create a common factor) must not
+    # reach the polynomial gcd at all.
+    from mipoly import multi, ratfunc
+    from mipoly.limits import verify_meixner_limits
+
+    calls = [0]
+    original = ratfunc._zx_gcd
+
+    def counting_gcd(a, b):
+        calls[0] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(ratfunc, "_zx_gcd", counting_gcd)
+    monkeypatch.setattr(multi, "_SYSTEMS", {})  # cold: no cached symbolic systems
+    assert verify_meixner_limits(F(3, 2)).passed
+    assert 0 < calls[0] < 2266
