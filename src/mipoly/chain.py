@@ -28,7 +28,14 @@ identity the construction rests on:
   - the sign-factor recursion against its closed form,
   - at s = M, agreement with the closed-form multi-indexed system:
     potentials, squared eigenvectors (with the exact normalization
-    constant), and independence of the deletion order.
+    constant), and independence of the deletion order (Xi_D and P_{D,n}
+    compared with those of at most two other orders).
+
+Every lattice quantity lives in a memo table owned by one Chain: the grids,
+alpha B'(x) and alpha D'(x), the tilde-energies, and per level s the step
+potentials and the coefficients that the eigen-identity and contiguity
+checks of all companion columns share.  Each is computed once per (s, x);
+a check only combines table entries with its own column.
 """
 
 from __future__ import annotations
@@ -46,6 +53,10 @@ from .virtual import alpha, alpha_prime, index_set, virtual_energy, xi_poly
 __all__ = ["Chain", "ChainState", "chain_build", "chain_verify"]
 
 
+def _sgn(v) -> int:
+    return 1 if v > 0 else (-1 if v < 0 else 0)
+
+
 class Chain:
     """Casoratian data for one deletion order (a tuple of distinct labels)."""
 
@@ -55,19 +66,26 @@ class Chain:
         self.M = len(self.order)
         self.alpha = alpha(p)
         self.alpha_prime = alpha_prime(p)
+        a = self.alpha
+        self.aB = LatticeFunction(lambda x: a * p.Bprime(x))  # alpha B'(x)
+        self.aD = LatticeFunction(lambda x: a * p.Dprime(x))  # alpha D'(x)
+        self._te: dict[int, object] = {}
         self._xi: dict[int, LatticeFunction] = {}
         self._w: dict[int, LatticeFunction] = {}
         self._wp: dict[tuple[int, int], LatticeFunction] = {}
         self._wpp: dict[tuple[int, int], LatticeFunction] = {}
+        self._levels: dict[int, _Level] = {}
 
     def xi_grid(self, v: int) -> LatticeFunction:
         if v not in self._xi:
-            poly = xi_poly(self.p, v)
-            self._xi[v] = LatticeFunction(lambda x, poly=poly: poly(self.p.eta(x)))
+            p, poly = self.p, xi_poly(self.p, v)
+            self._xi[v] = LatticeFunction(lambda x: poly(p.eta(x)))
         return self._xi[v]
 
     def tilde_energy(self, v: int):
-        return virtual_energy(self.p, v)
+        if v not in self._te:
+            self._te[v] = virtual_energy(self.p, v)
+        return self._te[v]
 
     def w(self, s: int) -> LatticeFunction:
         if s not in self._w:
@@ -83,52 +101,46 @@ class Chain:
 
     def wpp(self, s: int, n: int) -> LatticeFunction:
         if (s, n) not in self._wpp:
-            poly_n = self.p.poly(n)
-            nu_p = LatticeFunction(lambda x: self.p.nu(x) * poly_n(self.p.eta(x)))
+            p, poly_n = self.p, self.p.poly(n)
+            nu_p = LatticeFunction(lambda x: p.nu(x) * poly_n(p.eta(x)))
             fs = [self.xi_grid(d) for d in self.order[:s]] + [nu_p]
             self._wpp[(s, n)] = LatticeFunction(lambda x, fs=fs: casoratian(fs, x))
         return self._wpp[(s, n)]
+
+    def _level(self, s: int) -> "_Level":
+        """The per-(s, x) tables of level s, built once per Chain."""
+        if s not in self._levels:
+            self._levels[s] = _Level(self, s)
+        return self._levels[s]
 
     # -- step potentials ----------------------------------------------------------
 
     def Bhat(self, s: int, x: int):
         if s < 1:
             raise ValueError("Bhat needs s >= 1")
-        w0, w1 = self.w(s - 1), self.w(s)
-        return (
-            self.alpha
-            * self.p.Bprime(x + s - 1)
-            * w0(x)
-            / w0(x + 1)
-            * w1(x + 1)
-            / w1(x)
-        )
+        return self._level(s).Bhat(x)
 
     def Dhat(self, s: int, x: int):
         if s < 1:
             raise ValueError("Dhat needs s >= 1")
-        w0, w1 = self.w(s - 1), self.w(s)
-        return self.alpha * self.p.Dprime(x) * w0(x + 1) / w0(x) * w1(x - 1) / w1(x)
+        return self._level(s).Dhat(x)
 
     def B_std(self, s: int, x: int):
-        w1, g = self.w(s), self.wpp(s, 0)
-        return self.alpha * self.p.Bprime(x + s) * w1(x) / w1(x + 1) * g(x + 1) / g(x)
+        return self._level(s).B_std(x)
 
     def D_std(self, s: int, x: int):
-        w1, g = self.w(s), self.wpp(s, 0)
-        return self.alpha * self.p.Dprime(x) * w1(x + 1) / w1(x) * g(x - 1) / g(x)
+        return self._level(s).D_std(x)
 
     # -- the sign factor -----------------------------------------------------------
 
-    def _sgn(self, v):
-        return 1 if v > 0 else (-1 if v < 0 else 0)
-
     def sign_closed(self, s: int) -> int:
+        """(-1)^s times the pair-inversion product of the first s removed
+        tilde-energies; the latter is the definite sign of w_s."""
         te = [self.tilde_energy(d) for d in self.order[:s]]
         out = -1 if s % 2 else 1
         for i in range(s):
             for j in range(i + 1, s):
-                out *= self._sgn(te[i] - te[j])
+                out *= _sgn(te[i] - te[j])
         return out
 
     def sign_recursive(self, s: int) -> int:
@@ -137,9 +149,53 @@ class Chain:
             step = -1
             et = self.tilde_energy(self.order[t])
             for i in range(t):
-                step *= self._sgn(self.tilde_energy(self.order[i]) - et)
+                step *= _sgn(self.tilde_energy(self.order[i]) - et)
             out *= step
         return out
+
+
+class _Level:
+    """Lattice tables of one level s of a Chain.
+
+    - `B_std`, `D_std` (every s) and `Bhat`, `Dhat` (s >= 1): the potentials.
+    - `eigen(x) = (A, C, P, Q)`: the level-s eigen-identity for a companion
+      column u of energy eps reads (A + (Et_{d_s} - eps) C) u(x)
+      = P u(x+1) + Q u(x-1) (Et_{d_0} = 0).
+    - `contiguity(x) = (aB'(x+s) w_s(x), aD'(x) w_s(x+1), w_{s+1}(x))`
+      (s < M): the three coefficients of the contiguity identity.
+    """
+
+    __slots__ = ("B_std", "D_std", "Bhat", "Dhat", "eigen", "contiguity")
+
+    def __init__(self, ch: Chain, s: int):
+        aB, aD, w1, g = ch.aB, ch.aD, ch.w(s), ch.wpp(s, 0)
+        self.B_std = LatticeFunction(lambda x: aB(x + s) * w1(x) / w1(x + 1) * g(x + 1) / g(x))
+        self.D_std = LatticeFunction(lambda x: aD(x) * w1(x + 1) / w1(x) * g(x - 1) / g(x))
+        if s == 0:
+            ap = ch.alpha_prime
+            self.Bhat = self.Dhat = None
+            self.eigen = LatticeFunction(lambda x: (aB(x) + aD(x) + ap, 1, aB(x), aD(x)))
+        else:
+            w0 = ch.w(s - 1)
+            self.Bhat = LatticeFunction(
+                lambda x: aB(x + s - 1) * w0(x) / w0(x + 1) * w1(x + 1) / w1(x)
+            )
+            self.Dhat = LatticeFunction(lambda x: aD(x) * w0(x + 1) / w0(x) * w1(x - 1) / w1(x))
+
+            def eigen(x):
+                w0x1, w1x, w1x1 = w0(x + 1), w1(x), w1(x + 1)
+                A = aB(x + s - 1) * w0(x) * w1x1**2 + aD(x + 1) * w0(x + 2) * w1x**2
+                C = w0x1 * w1x * w1x1
+                return A, C, aB(x + s) * w1x**2 * w0x1, aD(x) * w1x1**2 * w0x1
+
+            self.eigen = LatticeFunction(eigen)
+        if s < ch.M:
+            w2 = ch.w(s + 1)
+            self.contiguity = LatticeFunction(
+                lambda x: (aB(x + s) * w1(x), aD(x) * w1(x + 1), w2(x))
+            )
+        else:
+            self.contiguity = None
 
 
 @dataclass
@@ -149,7 +205,7 @@ class ChainState:
     step: int
     deleted: tuple
     removed_energy: object  # tilde-energy of the state deleted at this step; None at step 0
-    sign: int  # definite sign of w_step on the lattice
+    sign: int  # Chain.sign_closed(step): (-1)^step times the definite sign of w_step
     B: Callable[[int], object]
     D: Callable[[int], object]
 
@@ -158,8 +214,8 @@ def chain_build(p: _BaseFamily, order: Sequence[int]) -> list[ChainState]:
     """The ladder of intermediate systems for one deletion order.
 
     Entry s holds the standard-form potentials after deleting the first s
-    labels; entry 0 is the base system itself.  All entries share one grid
-    cache, so evaluating any of them is incremental work.
+    labels; entry 0 is the base system itself.  All entries share one
+    Chain's memo tables, so evaluating any of them is incremental work.
     """
     ch = Chain(p, order)
     states = []
@@ -170,51 +226,49 @@ def chain_build(p: _BaseFamily, order: Sequence[int]) -> list[ChainState]:
                 deleted=ch.order[:s],
                 removed_energy=None if s == 0 else ch.tilde_energy(ch.order[s - 1]),
                 sign=ch.sign_closed(s),
-                B=lambda x, s=s: ch.B_std(s, x),
-                D=lambda x, s=s: ch.D_std(s, x),
+                B=ch._level(s).B_std,
+                D=ch._level(s).D_std,
             )
         )
     return states
 
 
-def _cleared_eigen_identity(ch: Chain, s: int, u: LatticeFunction, eps_energy, x: int) -> bool:
-    """The level-s eigen-identity for a companion column u, cleared of all
-    Casoratian denominators so it can be tested at any integer x.
+def _check(rep: Report, name: str, xs, holds: Callable[[int], bool]) -> None:
+    """One check over the points xs; a failure names the first failing x."""
+    bad = next((x for x in xs if not holds(x)), None)
+    rep.add(name, bad is None, f"x={bad}")
 
-    For s >= 1 it reads
+
+def _eigen_identity(eigen: LatticeFunction, u: LatticeFunction, k) -> Callable[[int], bool]:
+    """(A + k C) u(x) == P u(x+1) + Q u(x-1) with k = Et_{d_s} - eps: the
+    level-s eigen-identity for the column u, cleared of all Casoratian
+    denominators so it holds at any integer x.  Multiplied out for s >= 1,
       [aB'(x+s-1) w_{s-1}(x) w_s(x+1)^2 + aD'(x+1) w_{s-1}(x+2) w_s(x)^2
         + (Et_{d_s} - eps) w_{s-1}(x+1) w_s(x) w_s(x+1)] * u(x)
-      = [aB'(x+s) w_s(x)^2 u(x+1) + aD'(x) w_s(x+1)^2 u(x-1)] * w_{s-1}(x+1)
-    and for s = 0 the bracket collapses to aB'(x) + aD'(x) + alpha' - eps.
-    """
-    a = ch.alpha
-    if s == 0:
-        lhs = (a * ch.p.Bprime(x) + a * ch.p.Dprime(x) + ch.alpha_prime - eps_energy) * u(x)
-        rhs = a * ch.p.Bprime(x) * u(x + 1) + a * ch.p.Dprime(x) * u(x - 1)
-        return lhs == rhs
-    w0, w1 = ch.w(s - 1), ch.w(s)
-    ets = ch.tilde_energy(ch.order[s - 1])
-    bracket = (
-        a * ch.p.Bprime(x + s - 1) * w0(x) * w1(x + 1) ** 2
-        + a * ch.p.Dprime(x + 1) * w0(x + 2) * w1(x) ** 2
-        + (ets - eps_energy) * w0(x + 1) * w1(x) * w1(x + 1)
-    )
-    rhs = (
-        a * ch.p.Bprime(x + s) * w1(x) ** 2 * u(x + 1)
-        + a * ch.p.Dprime(x) * w1(x + 1) ** 2 * u(x - 1)
-    ) * w0(x + 1)
-    return bracket * u(x) == rhs
+      = [aB'(x+s) w_s(x)^2 u(x+1) + aD'(x) w_s(x+1)^2 u(x-1)] * w_{s-1}(x+1);
+    for s = 0 the bracket collapses to aB'(x) + aD'(x) + alpha' - eps."""
+
+    def holds(x):
+        A, C, P, Q = eigen(x)
+        return (A + k * C) * u(x) == P * u(x + 1) + Q * u(x - 1)
+
+    return holds
 
 
-def _contiguity(ch: Chain, s: int, upper: LatticeFunction, lower: LatticeFunction, eps_energy, x: int) -> bool:
+def _contiguity(contiguity: LatticeFunction, upper, lower, k) -> Callable[[int], bool]:
     """aB'(x+s) w_s(x) upper(x) = aD'(x) w_s(x+1) upper(x-1)
-       + (Et_{d_{s+1}} - eps) w_{s+1}(x) lower(x)."""
-    a = ch.alpha
-    lhs = a * ch.p.Bprime(x + s) * ch.w(s)(x) * upper(x)
-    rhs = a * ch.p.Dprime(x) * ch.w(s)(x + 1) * upper(x - 1) + (
-        ch.tilde_energy(ch.order[s]) - eps_energy
-    ) * ch.w(s + 1)(x) * lower(x)
-    return lhs == rhs
+       + (Et_{d_{s+1}} - eps) w_{s+1}(x) lower(x), with k = Et_{d_{s+1}} - eps."""
+
+    def holds(x):
+        b, d, w2 = contiguity(x)
+        return b * upper(x) == d * upper(x - 1) + k * w2 * lower(x)
+
+    return holds
+
+
+def _nesting(ws, ws1, upper, lower) -> Callable[[int], bool]:
+    """w_s(x+1) upper(x) = w_{s+1}(x) lower(x+1) - w_{s+1}(x+1) lower(x)."""
+    return lambda x: ws(x + 1) * upper(x) == ws1(x) * lower(x + 1) - ws1(x + 1) * lower(x)
 
 
 def chain_verify(
@@ -224,7 +278,14 @@ def chain_verify(
     x_max: int = 12,
     extra_virtual: int = 2,
 ) -> Report:
-    """Exhaustive exact verification of one deletion chain; see module doc."""
+    """Exhaustive exact verification of one deletion chain; see module doc.
+
+    Every check is an exact comparison at each point of its range; what the
+    checks at one level s and point x share (the eigen-identity and
+    contiguity coefficients, the step potentials) is read from the Chain's
+    per-level tables, so it is computed once per (s, x), not once per
+    companion column.  A failing check names its first failing x.
+    """
     ch = Chain(p, order)
     M = len(ch.order)
     rep = Report(
@@ -235,126 +296,108 @@ def chain_verify(
     pool = index_set(p, cap)
     xs_any = range(-2, x_max + 1)  # cleared identities hold off the lattice too
     xs_lattice = range(0, x_max + 1)
+    energies = [p.energy(n) for n in range(n_max + 1)]
+    pB, pD = LatticeFunction(p.B), LatticeFunction(p.D)
 
     # eigen-identities at every level, for virtual companions and eigen companions
     for s in range(M + 1):
+        eigen = ch._level(s).eigen
+        ets = ch.tilde_energy(ch.order[s - 1]) if s else 0
         vs = [v for v in pool if v not in ch.order[:s]][: extra_virtual + 1]
         for v in vs:
-            ok = all(_cleared_eigen_identity(ch, s, ch.wp(s, v), ch.tilde_energy(v), x) for x in xs_any)
-            rep.add(f"virtual eigen-identity s={s},v={v}", ok)
+            holds = _eigen_identity(eigen, ch.wp(s, v), ets - ch.tilde_energy(v))
+            _check(rep, f"virtual eigen-identity s={s},v={v}", xs_any, holds)
         for n in range(n_max + 1):
-            ok = all(_cleared_eigen_identity(ch, s, ch.wpp(s, n), p.energy(n), x) for x in xs_any)
-            rep.add(f"eigen eigen-identity s={s},n={n}", ok)
+            holds = _eigen_identity(eigen, ch.wpp(s, n), ets - energies[n])
+            _check(rep, f"eigen eigen-identity s={s},n={n}", xs_any, holds)
 
     # nesting rule and contiguity identities between levels
     for s in range(M):
+        ws, ws1, contiguity = ch.w(s), ch.w(s + 1), ch._level(s).contiguity
+        et_next = ch.tilde_energy(ch.order[s])
         vs = [v for v in pool if v not in ch.order[: s + 1]][:extra_virtual]
         for n in range(n_max + 1):
-            ok = all(
-                ch.w(s)(x + 1) * ch.wpp(s + 1, n)(x)
-                == ch.w(s + 1)(x) * ch.wpp(s, n)(x + 1) - ch.w(s + 1)(x + 1) * ch.wpp(s, n)(x)
-                for x in xs_any
-            )
-            rep.add(f"nesting (eigen) s={s},n={n}", ok)
-            ok = all(
-                _contiguity(ch, s, ch.wpp(s + 1, n), ch.wpp(s, n), p.energy(n), x)
-                for x in xs_any
-            )
-            rep.add(f"contiguity (eigen) s={s},n={n}", ok)
+            upper, lower = ch.wpp(s + 1, n), ch.wpp(s, n)
+            _check(rep, f"nesting (eigen) s={s},n={n}", xs_any, _nesting(ws, ws1, upper, lower))
+            holds = _contiguity(contiguity, upper, lower, et_next - energies[n])
+            _check(rep, f"contiguity (eigen) s={s},n={n}", xs_any, holds)
         for v in vs:
-            ok = all(
-                ch.w(s)(x + 1) * ch.wp(s + 1, v)(x)
-                == ch.w(s + 1)(x) * ch.wp(s, v)(x + 1) - ch.w(s + 1)(x + 1) * ch.wp(s, v)(x)
-                for x in xs_any
-            )
-            rep.add(f"nesting (virtual) s={s},v={v}", ok)
-            ok = all(
-                _contiguity(ch, s, ch.wp(s + 1, v), ch.wp(s, v), ch.tilde_energy(v), x)
-                for x in xs_any
-            )
-            rep.add(f"contiguity (virtual) s={s},v={v}", ok)
+            upper, lower = ch.wp(s + 1, v), ch.wp(s, v)
+            _check(rep, f"nesting (virtual) s={s},v={v}", xs_any, _nesting(ws, ws1, upper, lower))
+            holds = _contiguity(contiguity, upper, lower, et_next - ch.tilde_energy(v))
+            _check(rep, f"contiguity (virtual) s={s},v={v}", xs_any, holds)
 
     # definite signs and potential positivity at every level
     for s in range(1, M + 1):
-        sigma = 1
-        te = [ch.tilde_energy(d) for d in ch.order[:s]]
-        for i in range(s):
-            for j in range(i + 1, s):
-                sigma *= ch._sgn(te[i] - te[j])
-        rep.add(f"w_{s} definite sign", all(sigma * ch.w(s)(x) > 0 for x in xs_lattice))
+        gsign = ch.sign_closed(s)  # the sign of w''_{s,0}
+        sigma = -gsign if s % 2 else gsign  # the sign of w_s
+        ws, g, lv = ch.w(s), ch.wpp(s, 0), ch._level(s)
+        _check(rep, f"w_{s} definite sign", xs_lattice, lambda x: sigma * ws(x) > 0)
         vs = [v for v in pool if v not in ch.order[:s]][:extra_virtual]
         for v in vs:
             tau = sigma
-            for i in range(s):
-                tau *= ch._sgn(te[i] - ch.tilde_energy(v))
-            rep.add(
-                f"w'_{s},{v} definite sign",
-                all(tau * ch.wp(s, v)(x) > 0 for x in xs_lattice),
-            )
-        gsign = sigma * (-1 if s % 2 else 1)
-        rep.add(
-            f"w''_{s},0 definite sign",
-            all(gsign * ch.wpp(s, 0)(x) > 0 for x in xs_lattice),
-        )
-        rep.add(f"Bhat_{s} > 0", all(ch.Bhat(s, x) > 0 for x in xs_lattice))
-        rep.add(
-            f"Dhat_{s} sign",
-            ch.Dhat(s, 0) == 0 and all(ch.Dhat(s, x) > 0 for x in range(1, x_max + 1)),
-        )
-        rep.add(f"B_std_{s} > 0", all(ch.B_std(s, x) > 0 for x in xs_lattice))
-        rep.add(
-            f"D_std_{s} sign",
-            ch.D_std(s, 0) == 0 and all(ch.D_std(s, x) > 0 for x in range(1, x_max + 1)),
-        )
+            for d in ch.order[:s]:
+                tau *= _sgn(ch.tilde_energy(d) - ch.tilde_energy(v))
+            wps = ch.wp(s, v)
+            _check(rep, f"w'_{s},{v} definite sign", xs_lattice, lambda x: tau * wps(x) > 0)
+        _check(rep, f"w''_{s},0 definite sign", xs_lattice, lambda x: gsign * g(x) > 0)
+        potentials = (("Bhat", "Dhat", lv.Bhat, lv.Dhat), ("B_std", "D_std", lv.B_std, lv.D_std))
+        for b, d, B, D in potentials:
+            _check(rep, f"{b}_{s} > 0", xs_lattice, lambda x: B(x) > 0)
+            _check(rep, f"{d}_{s} sign", xs_lattice, lambda x: D(x) > 0 if x else D(x) == 0)
 
     # re-factorization bookkeeping between consecutive levels
     if M >= 1:
-        e1 = ch.tilde_energy(ch.order[0])
-        rep.add(
+        e1, lv = ch.tilde_energy(ch.order[0]), ch._level(1)
+        _check(
+            rep,
             "re-factorization s=0 product",
-            all(ch.Bhat(1, x) * ch.Dhat(1, x + 1) == p.B(x) * p.D(x + 1) for x in xs_lattice),
+            xs_lattice,
+            lambda x: lv.Bhat(x) * lv.Dhat(x + 1) == pB(x) * pD(x + 1),
         )
-        rep.add(
+        _check(
+            rep,
             "re-factorization s=0 diagonal",
-            all(ch.Bhat(1, x) + ch.Dhat(1, x) + e1 == p.B(x) + p.D(x) for x in xs_lattice),
+            xs_lattice,
+            lambda x: lv.Bhat(x) + lv.Dhat(x) + e1 == pB(x) + pD(x),
         )
     for s in range(1, M):
         es, es1 = ch.tilde_energy(ch.order[s - 1]), ch.tilde_energy(ch.order[s])
-        rep.add(
+        lv, up = ch._level(s), ch._level(s + 1)
+        _check(
+            rep,
             f"re-factorization s={s} product",
-            all(
-                ch.Bhat(s + 1, x) * ch.Dhat(s + 1, x + 1) == ch.Bhat(s, x + 1) * ch.Dhat(s, x + 1)
-                for x in xs_lattice
-            ),
+            xs_lattice,
+            lambda x: up.Bhat(x) * up.Dhat(x + 1) == lv.Bhat(x + 1) * lv.Dhat(x + 1),
         )
-        rep.add(
+        _check(
+            rep,
             f"re-factorization s={s} diagonal",
-            all(
-                ch.Bhat(s + 1, x) + ch.Dhat(s + 1, x) + es1 == ch.Bhat(s, x) + ch.Dhat(s, x + 1) + es
-                for x in xs_lattice
-            ),
+            xs_lattice,
+            lambda x: up.Bhat(x) + up.Dhat(x) + es1 == lv.Bhat(x) + lv.Dhat(x + 1) + es,
         )
 
     # standard-form relations at each level, plus the s = 0 anchor
-    rep.add(
+    lv = ch._level(0)
+    _check(
+        rep,
         "standard form s=0 is the base system",
-        all(ch.B_std(0, x) == p.B(x) and ch.D_std(0, x) == p.D(x) for x in xs_lattice),
+        xs_lattice,
+        lambda x: lv.B_std(x) == pB(x) and lv.D_std(x) == pD(x),
     )
     for s in range(1, M + 1):
-        es = ch.tilde_energy(ch.order[s - 1])
-        rep.add(
+        es, lv = ch.tilde_energy(ch.order[s - 1]), ch._level(s)
+        _check(
+            rep,
             f"standard form s={s} product",
-            all(
-                ch.B_std(s, x) * ch.D_std(s, x + 1) == ch.Bhat(s, x + 1) * ch.Dhat(s, x + 1)
-                for x in xs_lattice
-            ),
+            xs_lattice,
+            lambda x: lv.B_std(x) * lv.D_std(x + 1) == lv.Bhat(x + 1) * lv.Dhat(x + 1),
         )
-        rep.add(
+        _check(
+            rep,
             f"standard form s={s} diagonal",
-            all(
-                ch.B_std(s, x) + ch.D_std(s, x) == ch.Bhat(s, x) + ch.Dhat(s, x + 1) + es
-                for x in xs_lattice
-            ),
+            xs_lattice,
+            lambda x: lv.B_std(x) + lv.D_std(x) == lv.Bhat(x) + lv.Dhat(x + 1) + es,
         )
 
     # sign factor: recursion vs closed form
@@ -363,37 +406,43 @@ def chain_verify(
 
     # final level: match the closed-form multi-indexed system
     sys = system(p, ch.order)
-    rep.add(
+    lv = ch._level(M)
+    _check(
+        rep,
         "final potentials match denominator form",
-        all(
-            ch.B_std(M, x) == sys.B_D(x) and ch.D_std(M, x) == sys.D_D(x)
-            for x in xs_lattice
-        ),
+        xs_lattice,
+        lambda x: lv.B_std(x) == sys.B_D(x) and lv.D_std(x) == sys.D_D(x),
     )
-    phi0p = p.twisted()
+    phi0p, wM, aB = p.twisted(), ch.w(M), ch.aB
     prod_b0 = 1
     for j in range(M):
         prod_b0 = prod_b0 * ch.alpha * p.tilde_shifted(j).Bprime(0)
     kappa_pow = p.kappa ** (M * (M - 1) // 2)
+
+    def eigenvector_factor(x):
+        # prod_j aB'(x+j) phi0'(x) / (w_M(x) w_M(x+1)), shared by every n
+        out = 1
+        for j in range(M):
+            out = out * aB(x + j)
+        return out * phi0p.phi0_sq(x) / (wM(x) * wM(x + 1))
+
+    factor = LatticeFunction(eigenvector_factor)
     for n in range(n_max + 1):
         const_sq = kappa_pow * (sys.C_Dn(n) / sys.C_D()) ** 2 * prod_b0
         norm_prod = sys.dt_sq(n)
         for d in ch.order:
-            norm_prod = norm_prod * (p.energy(n) - ch.tilde_energy(d))
+            norm_prod = norm_prod * (energies[n] - ch.tilde_energy(d))
         rep.add(f"norm bookkeeping n={n}", const_sq == norm_prod)
-        ok = True
-        for x in xs_lattice:
-            prod_bx = 1
-            for j in range(M):
-                prod_bx = prod_bx * ch.alpha * p.Bprime(x + j)
-            lhs = prod_bx * phi0p.phi0_sq(x) * ch.wpp(M, n)(x) ** 2 / (ch.w(M)(x) * ch.w(M)(x + 1))
-            rhs = const_sq * sys.weight(x) * sys.multi_poly_at(n, x) ** 2
-            if lhs != rhs:
-                ok = False
-                break
-        rep.add(f"squared eigenvector match n={n}", ok)
+        g = ch.wpp(M, n)
+        _check(
+            rep,
+            f"squared eigenvector match n={n}",
+            xs_lattice,
+            lambda x: factor(x) * g(x) ** 2
+            == const_sq * sys.weight(x) * sys.multi_poly_at(n, x) ** 2,
+        )
 
-    # order independence: every reordering yields the same final system
+    # order independence: the given order and at most two other permutations
     perms = list(permutations(ch.order))
     if len(perms) > 3:
         perms = [perms[0], perms[len(perms) // 2], perms[-1]]

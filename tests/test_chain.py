@@ -74,3 +74,56 @@ def test_chain_verify_reports():
     for p, order in ((M, (1, 2)), (M, (1, 3)), (QL, (1, 2)), (QJ, (1, 2, 3))):
         rep = chain_verify(p, order, n_max=2, x_max=8)
         assert rep.passed, rep.failures()[:3]
+
+
+def test_corrupted_casoratian_fails_exactly_the_checks_that_read_it(monkeypatch):
+    # w''_{1,1} off by one at x = 3 must break every identity that reads it,
+    # and only those; each failure names a lattice point
+    original = Chain.wpp
+
+    def corrupted(self, s, n):
+        grid = original(self, s, n)
+        if (s, n) == (1, 1) and 3 not in grid.cache:
+            grid.cache[3] = grid.fn(3) + 1
+        return grid
+
+    monkeypatch.setattr(Chain, "wpp", corrupted)
+    expected = [
+        "eigen eigen-identity s=1,n=1",
+        "nesting (eigen) s=0,n=1",
+        "contiguity (eigen) s=0,n=1",
+        "nesting (eigen) s=1,n=1",
+        "contiguity (eigen) s=1,n=1",
+    ]
+    for p in (M, QJ):
+        failures = chain_verify(p, (1, 2), n_max=2, x_max=8).failures()
+        assert [c.name for c in failures] == expected
+        assert all(c.witness.startswith("x=") for c in failures)
+
+
+def test_chain_verify_computes_shared_coefficients_once(monkeypatch):
+    # the level tables share B', D' and the tilde-energies across companion
+    # columns, checks and n; at most a few evaluations per (s, x) remain
+    import mipoly.chain as chain_mod
+    from mipoly import multi
+    from mipoly.families import _BaseFamily
+
+    calls = {"Bprime": 0, "Dprime": 0, "virtual_energy": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(_BaseFamily, "Bprime", counting("Bprime", _BaseFamily.Bprime))
+    monkeypatch.setattr(_BaseFamily, "Dprime", counting("Dprime", _BaseFamily.Dprime))
+    monkeypatch.setattr(
+        chain_mod, "virtual_energy", counting("virtual_energy", chain_mod.virtual_energy)
+    )
+    monkeypatch.setattr(multi, "_SYSTEMS", {})  # cold: the final match builds its system
+    assert chain_verify(Meixner(1, F(1, 2)), (1, 2, 3), n_max=3, x_max=12).passed
+    assert calls["Bprime"] < 200
+    assert calls["Dprime"] < 100
+    assert calls["virtual_energy"] < 20
