@@ -8,7 +8,7 @@ limits -- is computed and checked in exact rational arithmetic (with
 certified interval enclosures where a value is irrational).
 """
 
-from .casoratian import LatticeFunction, casoratian, exact_det, verify_identities
+from .casoratian import LatticeFunction, exact_det, verify_identities
 from .chain import Chain, ChainState, chain_build, chain_verify
 from .classical import binomial_general, jacobi, jacobi_at, laguerre, laguerre_at_zero
 from .families import (
@@ -119,7 +119,6 @@ __all__ = [
     "nu",
     "positivity_certificate",
     "verify_linear_relation",
-    "casoratian",
     "exact_det",
     "verify_identities",
     "varphi_M",

@@ -26,6 +26,7 @@ twist(lambda) + u*delta = twist(lambda + u*delta-tilde).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .polynomials import Polynomial, interpolate
@@ -152,6 +153,20 @@ class _BaseFamily:
         return self.twisted().D(x)
 
 
+def _memoised_dn_sq(fn):
+    """Keep dn_sq(n, eps) in the family's `_cache`; the infinite q-products
+    behind it would otherwise be recomputed for every orthogonality check."""
+
+    @functools.wraps(fn)
+    def dn_sq(self, n: int, eps: Fraction = DEFAULT_EPS):
+        key = ("dn_sq", n, eps)
+        if key not in self._cache:
+            self._cache[key] = fn(self, n, eps)
+        return self._cache[key]
+
+    return dn_sq
+
+
 def _one_like(scalar):
     # multiplicative unit in the scalar's field; ints stay int
     return scalar / scalar if isinstance(scalar, RationalFunction) else Fraction(1)
@@ -221,6 +236,7 @@ class Meixner(_BaseFamily):
     def leading_coefficient(self, n: int):
         return (1 - 1 / self.c) ** n / pochhammer(self.beta, n)
 
+    @_memoised_dn_sq
     def dn_sq(self, n: int, eps: Fraction = DEFAULT_EPS):
         """1 / (norm of P_n)^2; exact Fraction for integer beta, else Interval."""
         if isinstance(self.c, RationalFunction):
@@ -361,6 +377,7 @@ class LittleQJacobi(_QFamily):
             / q_pochhammer(b * q, q, n)
         )
 
+    @_memoised_dn_sq
     def dn_sq(self, n: int, eps: Fraction = DEFAULT_EPS) -> Interval:
         a, b, q = self.a, self.b, self.q
         pref = (
@@ -450,6 +467,7 @@ class LittleQLaguerre(_QFamily):
     def leading_coefficient(self, n: int):
         return (-self.a) ** -n * self.q ** (-n * n)
 
+    @_memoised_dn_sq
     def dn_sq(self, n: int, eps: Fraction = DEFAULT_EPS) -> Interval:
         a, q = self.a, self.q
         pref = a**n * q ** (n * n) / (q_pochhammer(q, q, n) * q_pochhammer(a * q, q, n))

@@ -17,6 +17,11 @@ The deformed potentials, weight function, shift operators, eigenvalue
 equation and orthogonality all live here, each as an exact verification
 routine.  Orthogonality sums over the infinite lattice are certified: a
 geometric term-ratio bound with exact rational certificates caps the tail.
+The certificate builds the term ratio on int polynomials (products and
+Taylor shifts) and takes its tail start from `sign_on_tail`: the least x0
+past which the ratio's bound polynomials are provably nonnegative, by the
+coefficient signs of p(x + x0) for M and by a lower bound at z = q^x0 for
+the q families.
 
 Everything runs over Fraction scalars and, for the M system, over rational
 functions of c (symbolically), which is what the exact limit module uses;
@@ -31,9 +36,9 @@ from typing import Sequence
 
 from .casoratian import LatticeFunction, casoratian
 from .families import LittleQJacobi, Meixner, _BaseFamily
-from .polynomials import Polynomial, interpolate
+from .polynomials import Polynomial, horner, interpolate
 from .report import Report
-from .series import Interval, _iroot_floor, as_interval, DEFAULT_EPS
+from .series import Interval, as_interval, DEFAULT_EPS
 from .virtual import alpha, virtual_energy, v_max, xi_poly
 
 __all__ = [
@@ -53,6 +58,7 @@ __all__ = [
     "verify_shape_invariance",
     "verify_special_identities",
     "orthogonality_sum",
+    "sign_on_tail",
 ]
 
 
@@ -535,32 +541,82 @@ class OrthogonalityResult:
         )
 
 
-def _root_bound(poly: Polynomial) -> int:
-    """Integer B with all real roots of poly in |x| < B (Fujiwara-type bound
-    2 max_k (|a_{d-k}|/|a_d|)^(1/k), exact via ceiling integer roots).
+def sign_on_tail(polys, q=None, start: int = 0, limit=None):
+    """Least lattice x0 >= start (and < limit, if given) at which the test
+    below certifies that, for every lattice x >= x0, each polynomial in
+    `polys` is >= 0 and the first is > 0; None if there is none.
 
-    Taking k-th roots keeps the bound tame when the leading coefficient is
-    tiny relative to the low-order ones, which is the normal situation here
-    (leading terms carry products of small closed-form constants)."""
-    lead = abs(Fraction(poly.leading_coefficient))
-    d = poly.degree
-    best = 1
-    for i, c in enumerate(poly.coeffs[:-1]):
-        if c == 0:
-            continue
-        k = d - i
-        ratio = abs(Fraction(c)) / lead
-        whole = -((-ratio.numerator) // ratio.denominator)  # ceil(ratio)
-        t = _iroot_floor(whole, k)
-        if t**k < whole:
-            t += 1
-        best = max(best, 2 * t)
-    return best + 1
+    The polynomials have int coefficients in the lattice's own variable:
+      - q is None (eta = x): every coefficient of p(x + x0) is >= 0, and the
+        constant term of the first is > 0 (Descartes' rule on the Taylor
+        shift, as in Collins-Akritas real-root isolation);
+      - q given (z = q^x in (0, q^x0]): the constant term plus every negative
+        term taken at z = q^x0 is >= 0, and > 0 for the first.
+    Both hold for x0 + 1 once they hold for x0, so the least x0 is found by
+    doubling and then bisection.
+    """
+    if q is None:
+        leads = [poly.coeffs[-1] if poly else 0 for poly in polys]
+        if leads[0] <= 0 or min(leads) < 0:
+            return None  # the property never holds
+
+        def holds(x0):
+            for i, poly in enumerate(polys):
+                shifted = poly.taylor_shift(x0)
+                if any(c < 0 for c in shifted.coeffs) or (i == 0 and shifted.constant_term == 0):
+                    return False
+            return True
+
+    else:
+        lower = [poly.coeffs[:1] + tuple(min(c, 0) for c in poly.coeffs[1:]) for poly in polys]
+
+        def holds(x0):
+            a, b = q.numerator**x0, q.denominator**x0
+            for i, cs in enumerate(lower):
+                v = horner(cs, a, b)
+                if v < 0 or (i == 0 and v == 0):
+                    return False
+            return True
+
+    if limit is not None and start >= limit:
+        return None
+    bad, good, step = start - 1, start, 1
+    while not holds(good):
+        if limit is not None and good >= limit - 1:
+            return None
+        bad, good, step = good, good + step, 2 * step
+        if limit is not None:
+            good = min(good, limit - 1)
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if holds(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
-def _shift_poly(poly: Polynomial, k: int) -> Polynomial:
-    """poly(x + k) for the M system, where eta(x) = x."""
-    return poly.compose(Polynomial((Fraction(k), Fraction(1))))
+# The ratio certificates carry each rational polynomial as a pair (P, d): an
+# int-coefficient Polynomial P and a positive int d standing for P / d.
+
+
+def _int_poly(poly: Polynomial) -> tuple:
+    nums, den, _ = poly.integer_form()
+    return Polynomial(nums), den
+
+
+def _product(*factors) -> tuple:
+    out, den = Polynomial((1,)), 1
+    for poly, d in factors:
+        out, den = out * poly, den * d
+    return out, den
+
+
+def _tail_polys(num: tuple, den: tuple, r: Fraction) -> list:
+    """[den, r*den - num, r*den + num], each times one positive constant."""
+    (a, da), (b, db) = num, den
+    rb, a = b * (r.numerator * da), a * (r.denominator * db)
+    return [b, rb - a, rb + a]
 
 
 def _ratio_certificate_meixner(sys: MultiIndexedSystem, n: int, m: int):
@@ -569,42 +625,44 @@ def _ratio_certificate_meixner(sys: MultiIndexedSystem, n: int, m: int):
 
     The ratio is the rational function
         c (x+beta') P_n(x+1) P_m(x+1) Xi(x) / ((x+1) P_n(x) P_m(x) Xi(x+2))
-    with beta' the M-shifted parameter.  Beyond the root bounds of the
-    denominator and of r*den -+ num, the denominator is positive and
-    |num| <= r*den, hence the certified geometric decay.
+    with beta' the M-shifted parameter, built on int polynomials by products
+    and Taylor shifts.  Past the tail start of den and r*den -+ num, the
+    denominator is positive and |num| <= r*den, hence the certified
+    geometric decay.
     """
     p = sys.p
-    beta_shift = p.tilde_shifted(sys.M).beta
-    pn, pm, xi = sys.multi_poly(n), sys.multi_poly(m), sys.Xi()
-    num = (
-        p.c
-        * Polynomial((beta_shift, Fraction(1)))
-        * _shift_poly(pn, 1)
-        * _shift_poly(pm, 1)
-        * xi
+    beta, c = p.tilde_shifted(sys.M).beta, p.c
+    pn, pm, xi = (_int_poly(f) for f in (sys.multi_poly(n), sys.multi_poly(m), sys.Xi()))
+    up = lambda f, k: (f[0].taylor_shift(k), f[1])
+    num = _product(
+        (Polynomial((c.numerator,)), c.denominator),
+        (Polynomial((beta.numerator, beta.denominator)), beta.denominator),
+        up(pn, 1),
+        up(pm, 1),
+        xi,
     )
-    den = Polynomial((Fraction(1), Fraction(1))) * pn * pm * _shift_poly(xi, 2)
-    if den.leading_coefficient < 0:
-        num, den = -num, -den
-    r = (1 + p.c) / 2
-    x_star = max(
-        _root_bound(den),
-        _root_bound(r * den - num),
-        _root_bound(r * den + num),
-    ) + 1
+    den = _product((Polynomial((1, 1)), 1), pn, pm, up(xi, 2))
+    if den[0].leading_coefficient < 0:
+        num, den = (-num[0], num[1]), (-den[0], den[1])
+    r = (1 + c) / 2
+    x_star = sign_on_tail(_tail_polys(num, den, r))
+    if x_star is None:
+        raise ArithmeticError("cannot certify: a ratio bound is not eventually positive")
     return x_star, r
 
 
-def _poly_lower_bound(poly: Polynomial, z_star: Fraction) -> Fraction:
-    """A lower bound for poly on [0, z_star]: constant term plus all negative
-    contributions taken at z_star (valid since z^k <= z_star^k)."""
-    lb = Fraction(poly.constant_term)
-    zk = Fraction(1)
-    for c in poly.coeffs[1:]:
-        zk *= z_star
-        if c < 0:
-            lb += c * zk
-    return lb
+# z-steps the q certificate searches before it gives up.
+_Q_TAIL_LIMIT = 400
+
+
+def _at_one_minus(poly: Polynomial, u) -> tuple:
+    """poly evaluated at eta = 1 - u z, as a polynomial in z: a Taylor shift
+    by 1, then z -> -u z with the powers of u's denominator cleared."""
+    shifted, den = _int_poly(poly)
+    cs = shifted.taylor_shift(1).coeffs
+    d = len(cs) - 1
+    a, b = -u.numerator, u.denominator
+    return Polynomial(c * a**k * b ** (d - k) for k, c in enumerate(cs)), den * b**d
 
 
 def _ratio_certificate_q(sys: MultiIndexedSystem, n: int, m: int):
@@ -613,32 +671,28 @@ def _ratio_certificate_q(sys: MultiIndexedSystem, n: int, m: int):
     t(x+1)/t(x) = a'q (1-b'qz) P_n(1-qz) P_m(1-qz) Xi(1-z)
                   / ((1-qz) P_n(1-z) P_m(1-z) Xi(1-q^2 z)),
     a rational function of z with value a'q < 1 at z = 0 (a', b' the
-    M-shifted parameters).  On a small enough (0, z_star] the bound
-    |num| <= r*den with den > 0 is certified by coefficient lower bounds.
+    M-shifted parameters), built on int polynomials.  On a small enough
+    (0, z_star] the bound |num| <= r*den with den > 0 is certified by
+    coefficient lower bounds (`sign_on_tail`).
     """
     p = sys.p
     shifted = p.tilde_shifted(sys.M)
     q = p.q
-    b_shift = shifted.b if isinstance(shifted, LittleQJacobi) else Fraction(0)
+    aq = shifted.a * q
+    bq = (shifted.b if isinstance(shifted, LittleQJacobi) else Fraction(0)) * q
     pn, pm, xi = sys.multi_poly(n), sys.multi_poly(m), sys.Xi()
-
-    def at_one_minus(poly: Polynomial, u: Fraction) -> Polynomial:
-        # poly evaluated at eta = 1 - u z, as a polynomial in z
-        return poly.compose(Polynomial((Fraction(1), -u)))
-
-    num = (
-        shifted.a
-        * q
-        * Polynomial((Fraction(1), -b_shift * q))
-        * at_one_minus(pn, q)
-        * at_one_minus(pm, q)
-        * at_one_minus(xi, Fraction(1))
+    num, da = _product(
+        (Polynomial((aq.numerator,)), aq.denominator),
+        (Polynomial((bq.denominator, -bq.numerator)), bq.denominator),
+        _at_one_minus(pn, q),
+        _at_one_minus(pm, q),
+        _at_one_minus(xi, 1),
     )
-    den = (
-        Polynomial((Fraction(1), -q))
-        * at_one_minus(pn, Fraction(1))
-        * at_one_minus(pm, Fraction(1))
-        * at_one_minus(xi, q * q)
+    den, db = _product(
+        (Polynomial((q.denominator, -q.numerator)), q.denominator),
+        _at_one_minus(pn, 1),
+        _at_one_minus(pm, 1),
+        _at_one_minus(xi, q * q),
     )
     # A common factor g with g(0) != 0 leaves num(0)/den(0) unchanged and only
     # shrinks z_star, so no gcd is taken.  A common power of z is the one
@@ -650,21 +704,16 @@ def _ratio_certificate_q(sys: MultiIndexedSystem, n: int, m: int):
         raise ArithmeticError("cannot certify: ratio denominator vanishes at z=0")
     if den.constant_term < 0:
         num, den = -num, -den
-    rho0 = abs(num.constant_term) / den.constant_term
+    rho0 = Fraction(abs(num.constant_term) * db, den.constant_term * da)
     if not rho0 < 1:
         raise ArithmeticError(f"cannot certify: limiting term ratio {rho0} >= 1")
     r = (1 + rho0) / 2
-    x_star = 1
-    while x_star < 400:
-        z_star = q**x_star
-        if (
-            _poly_lower_bound(den, z_star) > 0
-            and _poly_lower_bound(r * den - num, z_star) >= 0
-            and _poly_lower_bound(r * den + num, z_star) >= 0
-        ):
-            return x_star, r
-        x_star += 1
-    raise ArithmeticError("cannot certify a geometric tail within 400 lattice steps")
+    x_star = sign_on_tail(_tail_polys((num, da), (den, db), r), q, 1, _Q_TAIL_LIMIT)
+    if x_star is None:
+        raise ArithmeticError(
+            f"cannot certify a geometric tail within {_Q_TAIL_LIMIT} lattice steps"
+        )
+    return x_star, r
 
 
 def orthogonality_sum(

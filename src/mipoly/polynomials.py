@@ -8,13 +8,23 @@ Coefficient arithmetic is duck-typed: anything with exact +, -, *, / and
 ``== 0`` works.  In practice that means `fractions.Fraction` and
 `mipoly.ratfunc.RationalFunction`; mixing plain ints in is fine because both
 coerce them.  Nothing here ever calls float().
+
+A polynomial whose coefficients are all ints or Fractions also has an integer
+form: int numerators over one common denominator, computed on first use and
+kept in the instance.  Evaluation at an int or Fraction point runs Horner's
+rule on that form in Python ints and builds one Fraction at the end, instead
+of reducing a Fraction at every step; the module-level `horner` is that
+kernel on a bare int coefficient sequence.  `taylor_shift` computes p(X + k)
+by synthetic division, which on int coefficients is all int arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
-__all__ = ["Polynomial", "interpolate"]
+__all__ = ["Polynomial", "interpolate", "horner"]
 
 NEG_INF = float("-inf")
 
@@ -29,7 +39,7 @@ def _trim(coeffs: Iterable) -> tuple:
 class Polynomial:
     """Immutable dense polynomial; evaluation is Horner's rule."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_int")  # _int: integer_form(), set on first use
 
     def __init__(self, coeffs: Iterable = ()):
         object.__setattr__(self, "coeffs", _trim(coeffs))
@@ -117,11 +127,41 @@ class Polynomial:
 
     # -- evaluation / transformation --------------------------------------------
 
+    def integer_form(self):
+        """(numerators, denominator, all_int): the coefficients as int
+        numerators over one common positive denominator, and whether every
+        coefficient is an int.  None for the zero polynomial and when a
+        coefficient is neither an int nor a Fraction."""
+        try:
+            return self._int
+        except AttributeError:
+            pass
+        cs = self.coeffs
+        form = None
+        if cs and all(isinstance(c, (int, Fraction)) for c in cs):
+            den = lcm(*(c.denominator for c in cs))
+            nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+            form = (nums, den, all(isinstance(c, int) for c in cs))
+        object.__setattr__(self, "_int", form)
+        return form
+
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner's rule.  At an int or Fraction point over int/Fraction
+        coefficients it runs on the integer form; the value and its type
+        (an int when every coefficient and x are ints, else a Fraction) are
+        those of the plain Horner loop."""
+        form = self.integer_form() if isinstance(x, (int, Fraction)) else None
+        if form is None:
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        nums, den, all_int = form
+        b = x.denominator
+        acc = horner(nums, x.numerator, b)
+        if all_int and isinstance(x, int):
+            return acc
+        return Fraction(acc, den * b ** (len(nums) - 1))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(inner(X)) by Horner over polynomials."""
@@ -129,6 +169,15 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * inner + Polynomial((c,))
         return acc
+
+    def taylor_shift(self, k) -> "Polynomial":
+        """p(X + k) by repeated synthetic division by X - k: O(d^2)
+        additions and multiplications by k, no polynomial products."""
+        out = list(self.coeffs)
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] = out[j] + k * out[j + 1]
+        return Polynomial(out)
 
     def scale_argument(self, s) -> "Polynomial":
         """p(s*X): multiplies coeffs[k] by s**k."""
@@ -159,6 +208,23 @@ def _as_poly(v) -> Polynomial:
     return v if isinstance(v, Polynomial) else Polynomial((v,))
 
 
+def horner(cs: Sequence[int], a: int, b: int = 1) -> int:
+    """b^d p(a/b) for p with int coefficients cs and d = len(cs) - 1: the
+    homogeneous Horner rule, all in ints."""
+    if not cs:
+        return 0
+    acc = cs[-1]
+    if b == 1:
+        for c in cs[-2::-1]:
+            acc = acc * a + c
+        return acc
+    bk = 1
+    for c in cs[-2::-1]:
+        bk *= b
+        acc = acc * a + c * bk
+    return acc
+
+
 def interpolate(points: Sequence[tuple]) -> Polynomial:
     """Unique polynomial of degree < len(points) through (x_i, y_i).
 
@@ -166,8 +232,6 @@ def interpolate(points: Sequence[tuple]) -> Polynomial:
     pivoting questions.  Duplicate abscissae raise ValueError.  Plain ints
     are promoted to Fraction so division stays exact.
     """
-    from fractions import Fraction
-
     points = [
         (Fraction(x) if isinstance(x, int) else x, Fraction(y) if isinstance(y, int) else y)
         for x, y in points

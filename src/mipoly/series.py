@@ -43,7 +43,9 @@ def q_pochhammer(a, q, k: int | None, eps: Fraction = DEFAULT_EPS):
     0 < q < 1 and returns an Interval: with T = |a| q^N / (1-q) < 1 the tail
     prod_{j>=N}(1 - a q^j) lies in [1-T, 1/(1-T)] because
     prod(1-u_j) >= 1 - sum|u_j| and prod(1+|u_j|) <= exp(T) <= 1/(1-T),
-    so |(a;q)_inf - P_N| <= |P_N| T/(1-T), driven below eps.
+    so |(a;q)_inf - P_N| <= |P_N| T/(1-T), driven below eps.  P_N and
+    a q^N are kept as unreduced int numerators and denominators, so the
+    loop takes no gcd; the endpoints are the same reduced Fractions.
     """
     if k is not None:
         if k < 0:
@@ -56,17 +58,21 @@ def q_pochhammer(a, q, k: int | None, eps: Fraction = DEFAULT_EPS):
     a, q = Fraction(a), Fraction(q)
     if not 0 < q < 1:
         raise ValueError("infinite q-product needs 0 < q < 1")
-    partial, aq, n = Fraction(1), a, 0
+    eps = Fraction(eps)
+    pn, pd = 1, 1  # P_n = pn / pd
+    an, ad = a.numerator, a.denominator  # a q^n = an / ad
+    qn, qd = q.numerator, q.denominator
+    n = 0
     while True:
-        t = abs(aq) / (1 - q)
-        if t < 1:
-            bound = abs(partial) * t / (1 - t)
-            if 2 * t <= 1 and bound <= eps:
-                lo = partial * (1 - t)
-                hi = partial / (1 - t)
-                return Interval(min(lo, hi), max(lo, hi))
-        partial *= 1 - aq
-        aq *= q
+        tn, td = abs(an) * qd, ad * (qd - qn)  # T = |a q^n| / (1 - q) = tn / td
+        # T <= 1/2 and |P_n| T / (1 - T) <= eps
+        if 2 * tn <= td and abs(pn) * tn * eps.denominator <= eps.numerator * pd * (td - tn):
+            partial, t = Fraction(pn, pd), Fraction(tn, td)
+            lo = partial * (1 - t)
+            hi = partial / (1 - t)
+            return Interval(min(lo, hi), max(lo, hi))
+        pn, pd = pn * (ad - an), pd * ad
+        an, ad = an * qn, ad * qd
         n += 1
         if n > 100_000:
             raise ValueError("infinite q-product failed to converge")

@@ -159,3 +159,12 @@ def test_identity_suite_catches_a_wrong_determinant(monkeypatch):
     rep = verify_identities()
     assert not rep.passed
     assert len(rep.checks) == 300
+
+
+def test_package_attribute_is_the_module():
+    import mipoly
+    import mipoly.casoratian
+
+    assert mipoly.casoratian.exact_det is mipoly.exact_det
+    assert mipoly.casoratian.casoratian([], 0) == 1
+    assert "casoratian" not in mipoly.__all__

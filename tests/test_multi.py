@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
 from mipoly.multi import (
     MultiIndexedSystem,
+    _ratio_certificate_meixner,
     _ratio_certificate_q,
     count_sign_changes,
     deformed_potentials,
@@ -16,6 +17,7 @@ from mipoly.multi import (
     leading_coefficients,
     multi_poly,
     orthogonality_sum,
+    sign_on_tail,
     system,
     tilde_delta,
     varphi_M,
@@ -169,13 +171,13 @@ def test_orthogonality_diagonal_q():
 
 def test_orthogonality_witness_names_term_cap():
     # rel_tol far below what 2000 tail terms reach: the tail bound (about
-    # 1e-608) underflows a float, so the witness must not print 0.000e+00
+    # 1e-599) underflows a float, so the witness must not print 0.000e+00
     res = orthogonality_sum(M, (1,), 0, 0, rel_tol=F(1, 10**1000))
     assert not res.passed and res.capped
-    assert res.terms == res.ratio_start + 2001 == 2031
+    assert res.terms == res.ratio_start + 2001 == 2002
     text = res.describe()
-    assert text.startswith("[FAIL] (n,m)=(0,0): term cap 2000 reached, sum of 2031 terms, ")
-    assert "tail <= 1.237e-608," in text
+    assert text.startswith("[FAIL] (n,m)=(0,0): term cap 2000 reached, sum of 2002 terms, ")
+    assert "tail <= 6.549e-600," in text
     # a passing result keeps the float rendering and mentions no cap
     ok = orthogonality_sum(M, (1,), 0, 0)
     assert ok.passed and not ok.capped
@@ -219,6 +221,124 @@ def test_q_ratio_certificate_bounds_term_ratio(p):
             t = lambda x: s.weight(x) * s.multi_poly_at(n, x) * s.multi_poly_at(m, x)
             for x in range(x_star, x_star + 41):
                 assert abs(t(x + 1)) <= r * abs(t(x)), (labels, n, m, x)
+
+
+@pytest.mark.parametrize(
+    "p", [Meixner(1, F(1, 2)), Meixner(F(5, 2), F(1, 3)), Meixner(F(1, 2), F(9, 10))], ids=repr
+)
+def test_meixner_ratio_certificate_bounds_term_ratio(p):
+    # the mirror of the q test: brute force |t(x+1)| <= r |t(x)| past x_star
+    for labels in ((1,), (1, 3), (1, 3, 5), (1, 3, 5, 7)):
+        s = system(p, labels)
+        for n, m in ((0, 0), (1, 1), (0, 1)):
+            x_star, r = _ratio_certificate_meixner(s, n, m)
+            assert 0 < r < 1
+            t = lambda x: s.weight(x) * s.multi_poly_at(n, x) * s.multi_poly_at(m, x)
+            for x in range(x_star, x_star + 41):
+                assert abs(t(x + 1)) <= r * abs(t(x)), (labels, n, m, x)
+
+
+def test_meixner_tail_start_is_short():
+    # the Taylor-shift tail start; the Fujiwara root bound it replaced gave 478
+    res = orthogonality_sum(M, (2, 4, 6), 1, 1)
+    assert res.passed
+    assert res.ratio_start <= 20
+
+
+def test_sign_on_tail_exact_starts_and_limit():
+    assert sign_on_tail([Polynomial((-100, 1))]) == 101  # x - 100 > 0 from x = 101
+    assert sign_on_tail([Polynomial((1,)), Polynomial((-100, 1))]) == 100
+    assert sign_on_tail([Polynomial((1, -1))]) is None
+    # 1 - 2^k z > 0 at z = 2^-x exactly when x > k; the limit is exclusive
+    half = F(1, 2)
+    assert sign_on_tail([Polynomial((1, -(2**5)))], half, 1, 60) == 6
+    assert sign_on_tail([Polynomial((1, -(2**58)))], half, 1, 60) == 59
+    assert sign_on_tail([Polynomial((1, -(2**59)))], half, 1, 60) is None
+
+
+int_polys = st.lists(st.integers(min_value=-60, max_value=60), min_size=0, max_size=6)
+
+
+@given(
+    st.lists(int_polys, min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=9),
+)
+@settings(max_examples=80, deadline=None)
+def test_sign_on_tail_lattice_sound_and_minimal(polys, lead):
+    ps = [Polynomial(cs) for cs in [polys[0] + [lead]] + polys[1:]]  # ps[0] eventually > 0
+
+    def fails(x):  # the certificate at x: the coefficients of p(X + x)
+        shifted = [p.compose(Polynomial((x, 1))) for p in ps]
+        return shifted[0].constant_term == 0 or any(c < 0 for s in shifted for c in s.coeffs)
+
+    x0 = sign_on_tail(ps)
+    if x0 is None:
+        assert any(p and p.leading_coefficient < 0 for p in ps[1:])
+        return
+    for x in range(x0, x0 + 61):
+        assert ps[0](x) > 0 and all(p(x) >= 0 for p in ps[1:]), x
+    assert not fails(x0)
+    if x0 > 0:
+        assert fails(x0 - 1)
+
+
+@given(
+    st.lists(int_polys, min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=9),
+    st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9),
+)
+@settings(max_examples=80, deadline=None)
+def test_sign_on_tail_q_sound_and_minimal(polys, const, q):
+    ps = [Polynomial(cs) for cs in [[const] + polys[0]] + polys[1:]]  # ps[0](0) > 0
+
+    def fails(x):  # the certificate at z = q^x: constant term plus negative terms
+        z = q**x
+        low = [p.constant_term + sum(c * z**k for k, c in enumerate(p.coeffs) if k and c < 0) for p in ps]
+        return low[0] <= 0 or min(low) < 0
+
+    x0 = sign_on_tail(ps, q, 1, 60)
+    if x0 is None:
+        assert fails(59)
+        return
+    for x in range(x0, x0 + 61):
+        z = q**x
+        assert ps[0](z) > 0 and all(p(z) >= 0 for p in ps[1:]), x
+    assert not fails(x0)
+    if x0 > 1:
+        assert fails(x0 - 1)
+
+
+def fraction_reference_q_certificate(s, n, m):
+    # the certificate built on Fraction polynomials by composition, with the
+    # tail start searched one lattice step at a time
+    p, q = s.p, s.p.q
+    shifted = p.tilde_shifted(s.M)
+    b = shifted.b if isinstance(shifted, LittleQJacobi) else 0
+    at = lambda poly, u: poly.compose(Polynomial((F(1), -u)))
+    pn, pm, xi = s.multi_poly(n), s.multi_poly(m), s.Xi()
+    num = shifted.a * q * Polynomial((1, -b * q)) * at(pn, q) * at(pm, q) * at(xi, 1)
+    den = Polynomial((1, -q)) * at(pn, 1) * at(pm, 1) * at(xi, q * q)
+    while num.constant_term == 0 and den.constant_term == 0:
+        num, den = Polynomial(num.coeffs[1:]), Polynomial(den.coeffs[1:])
+    if den.constant_term < 0:
+        num, den = -num, -den
+    r = (1 + abs(num.constant_term) / den.constant_term) / 2
+
+    def lower(poly, z):
+        return poly.constant_term + sum(c * z**k for k, c in enumerate(poly.coeffs) if k and c < 0)
+
+    for x_star in range(1, 400):
+        z = q**x_star
+        if lower(den, z) > 0 and lower(r * den - num, z) >= 0 and lower(r * den + num, z) >= 0:
+            return x_star, r
+
+
+@pytest.mark.parametrize("p", [QJ, QL, LittleQJacobi(F(1, 32), F(-1, 2), F(1, 2))], ids=repr)
+def test_q_ratio_certificate_matches_fraction_reference(p):
+    for labels in ((1,), (2,), (1, 2), (1, 3), (2, 4)):
+        s = system(p, labels)
+        for n, m in ((0, 0), (1, 1), (0, 1), (2, 1)):
+            assert _ratio_certificate_q(s, n, m) == fraction_reference_q_certificate(s, n, m)
 
 
 def test_weight_positive_and_summable():

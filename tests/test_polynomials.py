@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mipoly.polynomials import Polynomial, interpolate
+from mipoly.polynomials import Polynomial, horner, interpolate
+from mipoly.ratfunc import RationalFunction
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -59,6 +60,52 @@ def test_degree_of_product(p, q):
 @settings(max_examples=40, deadline=None)
 def test_compose_pointwise(p, q, x):
     assert p.compose(q)(x) == p(q(x))
+
+
+def plain_horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+scalars = st.one_of(st.integers(min_value=-10**6, max_value=10**6), rationals)
+
+
+@given(st.lists(scalars, min_size=0, max_size=8), scalars)
+@settings(max_examples=200, deadline=None)
+def test_call_matches_plain_horner_in_value_and_type(coeffs, x):
+    p = Polynomial(coeffs)
+    want = plain_horner(p.coeffs, x)
+    for _ in range(2):  # the second call reads the stored integer form
+        got = p(x)
+        assert got == want and type(got) is type(want)
+
+
+def test_call_keeps_the_generic_loop_for_rational_functions():
+    c = RationalFunction.variable()
+    p = Polynomial((1, F(1, 2), 3))
+    assert p.integer_form() == ((2, 1, 6), 2, False)
+    assert p(c) == 1 + c / 2 + 3 * c * c
+    symbolic = Polynomial((c, 1))
+    assert symbolic.integer_form() is None
+    assert symbolic(F(1, 3)) == c + F(1, 3)
+
+
+@given(polys, rationals, st.integers(min_value=-9, max_value=9))
+@settings(max_examples=60, deadline=None)
+def test_taylor_shift_is_composition_with_a_translation(p, k, j):
+    assert p.taylor_shift(k) == p.compose(Polynomial((k, 1)))
+    ints = Polynomial(range(-3, 4))
+    assert ints.taylor_shift(j) == ints.compose(Polynomial((j, 1)))
+    assert all(type(c) is int for c in ints.taylor_shift(j).coeffs)
+
+
+@given(st.lists(st.integers(min_value=-99, max_value=99), max_size=7), rationals)
+@settings(max_examples=60, deadline=None)
+def test_homogeneous_horner(cs, x):
+    d = max(len(cs) - 1, 0)
+    assert horner(cs, x.numerator, x.denominator) == Polynomial(cs)(x) * x.denominator**d
 
 
 def test_pow_scale_scalar_div():

@@ -57,6 +57,29 @@ def test_q_pochhammer_tighter_eps_nests():
     assert loose.lo <= tight.lo <= tight.hi <= loose.hi
 
 
+def fraction_loop_q_product(a, q, eps):
+    # the infinite product on Fractions, reduced at every step
+    partial, aq = F(1), F(a)
+    while True:
+        t = abs(aq) / (1 - q)
+        if 2 * t <= 1 and abs(partial) * t / (1 - t) <= eps:
+            lo, hi = partial * (1 - t), partial / (1 - t)
+            return min(lo, hi), max(lo, hi)
+        partial *= 1 - aq
+        aq *= q
+
+
+@given(
+    st.fractions(min_value=-3, max_value=3, max_denominator=40),
+    st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9),
+    st.sampled_from([F(1, 2), F(1, 10**6), DEFAULT_EPS]),
+)
+@settings(max_examples=40, deadline=None)
+def test_q_pochhammer_infinite_matches_fraction_loop(a, q, eps):
+    iv = q_pochhammer(a, q, None, eps)
+    assert (iv.lo, iv.hi) == fraction_loop_q_product(a, q, eps)
+
+
 def test_interval_basics():
     iv = Interval(F(1, 3), F(1, 2))
     assert F(2, 5) in iv
