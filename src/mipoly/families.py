@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .polynomials import Polynomial, interpolate
+from .polynomials import Polynomial, newton_form
 from .ratfunc import RationalFunction
 from .report import Report
 from .series import Interval, pochhammer, q_pochhammer, rational_power, DEFAULT_EPS
@@ -103,21 +103,29 @@ class _BaseFamily:
         return vals[x]
 
     def poly(self, n: int) -> Polynomial:
-        """P_n as a polynomial in eta, by interpolation on x = 0..n.
+        """P_n as a polynomial in eta, from the series' own Newton form.
 
-        The result is revalidated against the defining series at five extra
-        lattice points, so interpolation and series evaluation stay two
-        genuinely independent routes to the same object.
+        Every term of the defining series carries the factor
+        prod_{j<k} (eta(j) - eta(x)), so P_n(eta) = sum_k t_k prod_{j<k}
+        (eta(j) - eta) with t_0 = 1 and t_{k+1} = t_k term_ratio(n, k), which
+        `newton_form` expands on the lattice nodes eta(0..n-1).  The result
+        is revalidated against `poly_value`, a separately written coding of
+        the series, at the five lattice points x = n+1..n+5.
         """
         cache = self._cache.setdefault("poly", {})
         if n not in cache:
-            pts = [(self.eta(x), self.poly_value(n, x)) for x in range(n + 1)]
-            p = interpolate(pts)
+            symbolic = any(isinstance(v, RationalFunction) for v in self._key())
+            t = RationalFunction(1) if symbolic else Fraction(1)
+            coeffs = [t]
+            for k in range(n):
+                t = -t * self.term_ratio(n, k)  # Newton form in (eta - eta(j))
+                coeffs.append(t)
+            p = newton_form([self.eta(j) for j in range(n)], coeffs)
             if p.degree != n:
                 raise ArithmeticError(f"P_{n} degenerated to degree {p.degree}")
             for x in range(n + 1, n + 6):
                 if p(self.eta(x)) != self.poly_value(n, x):
-                    raise ArithmeticError(f"interpolated P_{n} fails at x={x}")
+                    raise ArithmeticError(f"P_{n} Newton form fails the series at x={x}")
             cache[n] = p
         return cache[n]
 
@@ -226,6 +234,10 @@ class Meixner(_BaseFamily):
             term = term * (k - n) * (k - x) * z / ((self.beta + k) * (k + 1))
             total = total + term
         return total
+
+    def term_ratio(self, n: int, k: int):
+        """t_{k+1}/t_k of the series with its (k - x) factor taken out."""
+        return (k - n) * (1 - 1 / self.c) / ((self.beta + k) * (k + 1))
 
     def poly_value_dual(self, n: int, x: int):
         """Self-duality route: the sum is symmetric under n <-> x."""
@@ -351,6 +363,14 @@ class LittleQJacobi(_QFamily):
             total = total + term
         return total
 
+    def term_ratio(self, n: int, k: int):
+        """t_{k+1}/t_k of the series with (1 - q^k/w)(w/a) = (eta(k) - eta(x))/a
+        taken out."""
+        a, b, q = self.a, self.b, self.q
+        return -(1 - q ** (k - n)) * (1 - a * b * q ** (n + 1 + k)) / (
+            (1 - b * q ** (k + 1)) * (1 - q ** (k + 1)) * q**k * a
+        )
+
     def poly_value_alt(self, n: int, w):
         """Independent 2phi1-type route to the same value."""
         a, b, q = self.a, self.b, self.q
@@ -447,6 +467,11 @@ class LittleQLaguerre(_QFamily):
             )
             total = total + term
         return total
+
+    def term_ratio(self, n: int, k: int):
+        """lqJ's term ratio at b = 0."""
+        q = self.q
+        return -(1 - q ** (k - n)) / ((1 - q ** (k + 1)) * q**k * self.a)
 
     def poly_value_alt(self, n: int, w):
         """Independent 2phi1-type route (one upper parameter at zero)."""

@@ -16,15 +16,21 @@ rule on that form in Python ints and builds one Fraction at the end, instead
 of reducing a Fraction at every step; the module-level `horner` is that
 kernel on a bare int coefficient sequence.  `taylor_shift` computes p(X + k)
 by synthetic division, which on int coefficients is all int arithmetic.
+
+Interpolation follows the same split.  `interpolate` on int/Fraction nodes
+and values is Lagrange interpolation on a common denominator, all in ints up
+to one Fraction per coefficient; any other field (RationalFunction) takes
+Newton's divided differences, expanded by `newton_form`, which also expands
+the base polynomials' series (`families`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-__all__ = ["Polynomial", "interpolate", "horner"]
+__all__ = ["Polynomial", "interpolate", "newton_form", "horner"]
 
 NEG_INF = float("-inf")
 
@@ -225,29 +231,96 @@ def horner(cs: Sequence[int], a: int, b: int = 1) -> int:
     return acc
 
 
+def newton_form(nodes: Sequence, coeffs: Sequence) -> Polynomial:
+    """sum_k coeffs[k] prod_{j<k} (X - nodes[j]), expanded by Horner's rule
+    in the coefficients' own field; nodes[k] for k >= len(coeffs) - 1 are
+    not used."""
+    if not coeffs:
+        return Polynomial()
+    acc = [coeffs[-1]]
+    for k in range(len(coeffs) - 2, -1, -1):
+        _times_linear(acc, nodes[k], coeffs[k])
+    return Polynomial(acc)
+
+
+def _times_linear(acc: list, x, c) -> None:
+    """acc <- acc * (X - x) + c, in place, on ascending coefficients."""
+    acc.append(acc[-1])
+    for i in range(len(acc) - 2, 0, -1):
+        acc[i] = acc[i - 1] - x * acc[i]
+    acc[0] = c - x * acc[0]
+
+
+def _reject_duplicates(xs: Sequence) -> None:
+    for i, a in enumerate(xs):
+        if a in xs[i + 1 :]:
+            raise ValueError(f"duplicate interpolation node {a!r}")
+
+
 def interpolate(points: Sequence[tuple]) -> Polynomial:
     """Unique polynomial of degree < len(points) through (x_i, y_i).
 
-    Newton's divided differences over the coefficient field; exact, no
-    pivoting questions.  Duplicate abscissae raise ValueError.  Plain ints
-    are promoted to Fraction so division stays exact.
+    When every node and value is an int or a Fraction this is Lagrange
+    interpolation on a common denominator (Berrut-Trefethen, SIAM Rev. 46
+    (2004) 501): the nodes scaled to ints X_i = E x_i, N(t) = prod (t - X_j),
+    the weights y_i / prod_{j != i} (X_i - X_j) as int numerators over one
+    denominator L, each N(t) / (t - X_i) by int synthetic division, and one
+    Fraction(c_j E^j, L) per coefficient: O(m^2) int operations.  Any other
+    field (the RationalFunction values of the symbolic-c limits) takes
+    Newton's divided differences, with ints promoted to Fraction so division
+    stays exact.  Either way the coefficients are exact, and int/Fraction
+    data give Fraction coefficients.  Duplicate abscissae raise ValueError.
     """
-    points = [
-        (Fraction(x) if isinstance(x, int) else x, Fraction(y) if isinstance(y, int) else y)
-        for x, y in points
-    ]
-    xs = [p[0] for p in points]
-    for i, a in enumerate(xs):
-        for b in xs[i + 1 :]:
-            if a == b:
-                raise ValueError(f"duplicate interpolation node {a!r}")
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    if all(isinstance(v, (int, Fraction)) for v in (*xs, *ys)):
+        return _lagrange(xs, ys)
+    xs = [Fraction(x) if isinstance(x, int) else x for x in xs]
+    ys = [Fraction(y) if isinstance(y, int) else y for y in ys]
+    _reject_duplicates(xs)
     # divided-difference table, one diagonal kept
-    coeffs = [p[1] for p in points]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
+    coeffs = ys
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    # expand the Newton form prod (X - x_i)
-    poly = Polynomial()
-    for i in range(len(points) - 1, -1, -1):
-        poly = poly * Polynomial((-xs[i], 1)) + Polynomial((coeffs[i],))
-    return poly
+    return newton_form(xs, coeffs)
+
+
+def _lagrange(xs: Sequence, ys: Sequence) -> Polynomial:
+    e = lcm(*(x.denominator for x in xs))
+    big = [x.numerator * (e // x.denominator) for x in xs]
+    if len(set(big)) < len(big):
+        _reject_duplicates([Fraction(x) for x in xs])
+    m = len(big)
+    node = [1]  # N(t), ascending
+    for x in big:
+        _times_linear(node, x, 0)
+    # weight_i = y_i / prod_{j != i} (X_i - X_j), reduced, sign on the top
+    nums, dens = [], []
+    for i, (xi, y) in enumerate(zip(big, ys)):
+        d = y.denominator
+        for j, xj in enumerate(big):
+            if j != i:
+                d *= xi - xj
+        a = y.numerator
+        g = gcd(a, d)
+        if d < 0:
+            g = -g
+        nums.append(a // g)
+        dens.append(d // g)
+    den = lcm(*dens)
+    acc = [0] * m
+    for xi, a, d in zip(big, nums, dens):
+        if not a:
+            continue
+        u = a * (den // d)
+        quo = 1  # the quotient N(t) / (t - X_i), from the top down
+        acc[m - 1] += u
+        for k in range(m - 1, 0, -1):
+            quo = node[k] + xi * quo
+            acc[k - 1] += u * quo
+    out, ej = [], 1
+    for c in acc:
+        out.append(Fraction(c * ej, den))
+        ej *= e
+    return Polynomial(out)

@@ -149,7 +149,7 @@ def test_identity_suite_defaults():
 
 
 def test_identity_suite_catches_a_wrong_determinant(monkeypatch):
-    # the package re-exports the function `casoratian` under the module's name
+    # patch exact_det where the identity suite looks it up: in the module
     module = importlib.import_module("mipoly.casoratian")
 
     def off_by_one(rows):

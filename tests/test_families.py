@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mipoly.families import (
     FAMILIES,
+    _QFamily,
     LittleQJacobi,
     LittleQLaguerre,
     Meixner,
@@ -25,6 +26,8 @@ from mipoly.families import (
     verify_difference_equation,
     verify_shift_relations,
 )
+from mipoly.polynomials import interpolate
+from mipoly.ratfunc import RationalFunction
 
 M = Meixner(1, F(1, 2))
 M2 = Meixner(F(5, 2), F(1, 3))
@@ -170,3 +173,56 @@ def test_difference_equation_pointwise_hypothesis(n, x):
     # D(0) = 0, so the x = 0 case needs no boundary treatment
     lhs = p.B(x) * (pv(x) - pv(x + 1)) + p.D(x) * (pv(x) - pv(x - 1))
     assert lhs == p.energy(n) * pv(x)
+
+
+def interpolated_series(p, n):
+    # P_n through the series values at x = 0..n
+    return interpolate([(p.eta(x), p.poly_value(n, x)) for x in range(n + 1)])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        M,
+        M2,
+        Meixner(F(3, 2), RationalFunction.variable(), validate=False),  # symbolic c
+        QJ,
+        LittleQJacobi(F(1, 32), 0, F(1, 2)),
+        QJN,
+        QL,
+        LittleQJacobi(F(1, 1048576), F(1, 3), F(1, 2)),
+    ],
+    ids=repr,
+)
+def test_poly_newton_form_matches_interpolated_series(p):
+    # the base polynomials and, through the twist, the virtual-state xi_v
+    for fam in (p, p.twisted()):
+        for n in range(9):
+            got, want = fam.poly(n), interpolated_series(fam, n)
+            assert got == want, (fam, n)
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+def test_poly_checks_the_series_at_five_points(monkeypatch):
+    seen = []
+    for cls in (Meixner, _QFamily):
+        original = cls.__dict__["poly_value"]
+
+        def counting(self, n, x, original=original):
+            seen.append(x)
+            return original(self, n, x)
+
+        monkeypatch.setattr(cls, "poly_value", counting)
+    for make in (lambda: Meixner(1, F(1, 2)), lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2))):
+        for n in (0, 3, 8):
+            seen.clear()
+            make().poly(n)
+            assert seen == list(range(n + 1, n + 6))
+
+
+def test_poly_rejects_a_wrong_term_ratio(monkeypatch):
+    original = LittleQLaguerre.term_ratio
+    wrong = lambda self, n, k: original(self, n, k) * (F(1001, 1000) if k == 1 else 1)
+    monkeypatch.setattr(LittleQLaguerre, "term_ratio", wrong)
+    with pytest.raises(ArithmeticError, match="fails the series at x=4"):
+        LittleQLaguerre(F(1, 32), F(1, 2)).poly(3)

@@ -223,6 +223,34 @@ def test_q_ratio_certificate_bounds_term_ratio(p):
                 assert abs(t(x + 1)) <= r * abs(t(x)), (labels, n, m, x)
 
 
+class VanishingAtOne:
+    # a system stand-in with no labels (Xi = 1, weight phi0_sq) whose P_{D,n}
+    # carries the factor (1 - eta)^(1 + n % 2): num and den of the q term
+    # ratio then share a power of z = 1 - eta
+    M = 0
+
+    def __init__(self, p):
+        self.p = p
+
+    def Xi(self):
+        return Polynomial((1,))
+
+    def multi_poly(self, n):
+        return Polynomial((1, -1)) ** (1 + n % 2) * self.p.poly(n)
+
+
+@pytest.mark.parametrize("p", [QJ, QL, LittleQJacobi(F(1, 32), F(-1, 2), F(1, 2))], ids=repr)
+def test_q_ratio_certificate_strips_a_common_power_of_z(p):
+    s = VanishingAtOne(p)
+    for n, m in ((0, 0), (1, 1), (0, 1), (2, 1)):
+        x_star, r = _ratio_certificate_q(s, n, m)
+        assert 0 < r < 1
+        pn, pm = s.multi_poly(n), s.multi_poly(m)
+        t = lambda x: p.phi0_sq(x) * pn(p.eta(x)) * pm(p.eta(x))
+        for x in range(x_star, x_star + 41):
+            assert abs(t(x + 1)) <= r * abs(t(x)), (n, m, x)
+
+
 @pytest.mark.parametrize(
     "p", [Meixner(1, F(1, 2)), Meixner(F(5, 2), F(1, 3)), Meixner(F(1, 2), F(9, 10))], ids=repr
 )

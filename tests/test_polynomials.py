@@ -1,5 +1,6 @@
 """Dense exact polynomials: ring laws, evaluation, interpolation."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -137,3 +138,64 @@ def test_interpolate_recovers_polynomial():
     p = Polynomial((F(1, 7), -3, 0, F(2, 5)))
     pts = [(x, p(x)) for x in range(4)]
     assert interpolate(pts) == p
+
+
+def newton_reference(points):
+    # divided differences over the values' own field, expanded by products
+    xs = [F(x) if isinstance(x, int) else x for x, _ in points]
+    cs = [F(y) if isinstance(y, int) else y for _, y in points]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            cs[i] = (cs[i] - cs[i - 1]) / (xs[i] - xs[i - level])
+    poly = Polynomial()
+    for x, c in zip(reversed(xs), reversed(cs)):
+        poly = poly * Polynomial((-x, 1)) + Polynomial((c,))
+    return poly
+
+
+def q_lattice(q, exponents):
+    return [1 - q**x for x in exponents]
+
+
+node_lists = st.one_of(
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=9, unique=True),
+    st.lists(rationals.filter(lambda f: f.denominator > 1), min_size=1, max_size=9, unique=True),
+    st.builds(
+        q_lattice,
+        st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(9, 10), F(1, 1048576)]),
+        st.lists(st.integers(min_value=0, max_value=14), min_size=1, max_size=9, unique=True),
+    ),
+)
+values = st.one_of(st.just(0), st.integers(min_value=-10**9, max_value=10**9), rationals)
+
+
+@given(node_lists, st.data())
+@settings(max_examples=150, deadline=None)
+def test_interpolate_matches_newton_reference(xs, data):
+    pts = [(x, data.draw(values)) for x in xs]
+    p = interpolate(pts)
+    assert p == newton_reference(pts)
+    assert all(type(c) is F for c in p.coeffs)
+
+
+def test_interpolate_edge_cases():
+    message = re.escape("duplicate interpolation node Fraction(1, 1)")
+    with pytest.raises(ValueError, match=message):
+        interpolate([(1, 2), (F(1, 2), 0), (1, 5)])
+    c = RationalFunction.variable()
+    with pytest.raises(ValueError, match=message):
+        interpolate([(1, c), (F(1, 2), 0), (1, c)])
+    single = interpolate([(F(3, 2), 7)])
+    assert single.coeffs == (F(7),) and type(single.coeffs[0]) is F
+    assert interpolate([(x, 0) for x in range(5)]) == Polynomial()
+    assert interpolate([]) == Polynomial()
+
+
+def test_interpolate_keeps_newton_for_rational_functions():
+    c = RationalFunction.variable()
+    pts = [(x, (c**k + x) / (1 - c)) for k, x in enumerate((0, F(1, 2), 2, 5))]
+    p = interpolate(pts)
+    assert p == newton_reference(pts)
+    assert all(isinstance(co, RationalFunction) for co in p.coeffs)
+    for x, y in pts:
+        assert p(x) == y
