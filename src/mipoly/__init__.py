@@ -1,7 +1,8 @@
 """Exact construction and machine verification of multi-indexed orthogonal
 polynomials on semi-infinite integer lattices.
 
-Three exactly solvable base systems (M, lqJ, lqL) are deformed by deleting
+Exactly solvable base systems -- Meixner (M) and little q-Jacobi (lqJ),
+with little q-Laguerre (lqL) its b = 0 case -- are deformed by deleting
 virtual states through Casoratian determinants; everything -- polynomials,
 potentials, weights, norms, eigen-equations, orthogonality, and classical
 limits -- is computed and checked in exact rational arithmetic (with
@@ -17,17 +18,8 @@ from .families import (
     LittleQLaguerre,
     Meixner,
     backward_shift_apply,
-    dn_sq,
-    energy,
-    eta,
     forward_shift_apply,
-    phi0_sq,
-    polynomial_coeffs,
-    polynomial_value,
-    potential_B,
-    potential_D,
     rodrigues_vector,
-    varphi,
     verify_difference_equation,
     verify_shift_relations,
 )
@@ -41,32 +33,21 @@ from .limits import (
 from .multi import (
     MultiIndexedSystem,
     OrthogonalityResult,
-    denominator_poly,
-    deformed_potentials,
-    leading_coefficients,
-    multi_poly,
     orthogonality_sum,
     system,
     tilde_delta,
-    varphi_M,
     verify_eigen_equation,
     verify_multi_structure,
     verify_shape_invariance,
     verify_special_identities,
-    weight,
 )
 from .polynomials import Polynomial, interpolate
 from .ratfunc import PoleError, RationalFunction, limit_at
 from .report import Report
 from .series import Interval, DEFAULT_EPS, pochhammer, q_pochhammer, rational_power
 from .virtual import (
-    alpha_constants,
     index_set,
-    nu,
     positivity_certificate,
-    twist,
-    v_max,
-    virtual_energy,
     verify_linear_relation,
     xi_poly,
     xi_value,
@@ -95,40 +76,20 @@ __all__ = [
     "rational_power",
     "interpolate",
     "limit_at",
-    "potential_B",
-    "potential_D",
-    "energy",
-    "eta",
-    "varphi",
-    "phi0_sq",
-    "polynomial_value",
-    "polynomial_coeffs",
-    "dn_sq",
     "forward_shift_apply",
     "backward_shift_apply",
     "rodrigues_vector",
     "verify_difference_equation",
     "verify_shift_relations",
-    "twist",
-    "alpha_constants",
-    "virtual_energy",
-    "v_max",
     "index_set",
     "xi_value",
     "xi_poly",
-    "nu",
     "positivity_certificate",
     "verify_linear_relation",
     "exact_det",
     "verify_identities",
-    "varphi_M",
     "system",
     "tilde_delta",
-    "denominator_poly",
-    "multi_poly",
-    "leading_coefficients",
-    "deformed_potentials",
-    "weight",
     "verify_multi_structure",
     "verify_eigen_equation",
     "verify_shape_invariance",

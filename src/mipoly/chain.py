@@ -48,7 +48,7 @@ from .casoratian import LatticeFunction, casoratian
 from .families import _BaseFamily
 from .multi import _validate_labels, system
 from .report import Report
-from .virtual import alpha, alpha_prime, index_set, virtual_energy, xi_poly
+from .virtual import index_set, xi_poly
 
 __all__ = ["Chain", "ChainState", "chain_build", "chain_verify"]
 
@@ -64,8 +64,8 @@ class Chain:
         self.p = p
         self.order = _validate_labels(p, order)
         self.M = len(self.order)
-        self.alpha = alpha(p)
-        self.alpha_prime = alpha_prime(p)
+        self.alpha = p.alpha()
+        self.alpha_prime = p.alpha_prime()
         a = self.alpha
         self.aB = LatticeFunction(lambda x: a * p.Bprime(x))  # alpha B'(x)
         self.aD = LatticeFunction(lambda x: a * p.Dprime(x))  # alpha D'(x)
@@ -84,7 +84,7 @@ class Chain:
 
     def tilde_energy(self, v: int):
         if v not in self._te:
-            self._te[v] = virtual_energy(self.p, v)
+            self._te[v] = self.p.virtual_energy(v)
         return self._te[v]
 
     def w(self, s: int) -> LatticeFunction:

@@ -46,7 +46,12 @@ from .virtual import index_set, positivity_certificate, verify_linear_relation
 
 SUITES = ("base", "virtual", "casoratian", "chain", "multi", "limits")
 
-_PARAM_NAMES = {"M": ("beta", "c"), "lqJ": ("a", "b", "q"), "lqL": ("a", "q")}
+# Ceilings on the size of a run, checked before anything is built.  Every
+# configuration the README, the tests and the benchmark use lies below them
+# (the largest: --nmax 10 --xmax 40 and ell_D = 48 for M D = {3,6,...,18}).
+NMAX_CEILING = 20
+XMAX_CEILING = 200
+ELL_CEILING = 64
 
 
 class ConfigError(ValueError):
@@ -100,7 +105,7 @@ def build_config(args: argparse.Namespace) -> dict:
     family = args.family
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r} (choose from {', '.join(FAMILIES)})")
-    names = _PARAM_NAMES[family]
+    names = FAMILIES[family].param_names
     raw = [part for part in args.params.split(",") if part.strip()]
     if len(raw) != len(names):
         raise ConfigError(
@@ -116,6 +121,9 @@ def build_config(args: argparse.Namespace) -> dict:
         deletions = tuple(int(part) for part in deletions_text.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"invalid deletion list {args.deletions!r} (expected integers)") from None
+    ell = sum(deletions) - len(deletions) * (len(deletions) - 1) // 2
+    if ell > ELL_CEILING:
+        raise ConfigError(f"ell_D {ell} of labels {list(deletions)} exceeds the ceiling {ELL_CEILING}")
     try:
         deletions = _validate_labels(p, deletions)
         if any(d == 0 for d in deletions):
@@ -128,6 +136,10 @@ def build_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
     if args.nmax < 0 or args.xmax < 0:
         raise ConfigError("nmax and xmax must be nonnegative")
+    if args.nmax > NMAX_CEILING:
+        raise ConfigError(f"nmax {args.nmax} exceeds the ceiling {NMAX_CEILING}")
+    if args.xmax > XMAX_CEILING:
+        raise ConfigError(f"xmax {args.xmax} exceeds the ceiling {XMAX_CEILING}")
     rel_tol = _fraction(args.rtol)
     if not rel_tol > 0:
         raise ConfigError("rtol must be positive")

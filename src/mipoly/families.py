@@ -1,8 +1,11 @@
 """Base orthogonal polynomial systems on the semi-infinite integer lattice.
 
-Three exactly solvable birth-and-death type systems are implemented, tagged
-M (a two-parameter system with linear potentials, eta(x) = x), lqJ and lqL
-(q-lattice systems with eta(x) = 1 - q^x).  Each system consists of
+Two exactly solvable birth-and-death type systems are implemented: M (a
+two-parameter system with linear potentials, eta(x) = x) and lqJ, little
+q-Jacobi (a q-lattice system with eta(x) = 1 - q^x).  lqL, little
+q-Laguerre, is lqJ at b = 0 (Koekoek-Lesky-Swarttouw 2010, sections 14.12
+and 14.20) and is built as that subclass, with only its tag, repr, key and
+parameter names its own.  Each system consists of
 
   - potentials B(x) > 0 (x >= 0) and D(x) > 0 (x >= 1), D(0) = 0,
   - an increasing spectrum E_n with E_0 = 0,
@@ -21,7 +24,14 @@ no ordering comparisons happen outside validation for that reason.
 Parameter shifts: `shifted(u)` applies u steps of the forward-shift direction
 delta; `twisted()` applies the involution used to build virtual states;
 `tilde_shifted(u)` applies the companion direction delta-tilde satisfying
-twist(lambda) + u*delta = twist(lambda + u*delta-tilde).
+twist(lambda) + u*delta = twist(lambda + u*delta-tilde).  The class attribute
+`tilde_delta` gives delta-tilde per parameter, as steps of +1 (M) or as
+powers of q (lqJ, lqL).
+
+The closed forms the virtual-state and multi-indexed layers need are
+methods here as well: the twist constants alpha() and alpha_prime(), the
+virtual energies virtual_energy(v), the label bound v_max(), varphi_M(m, x)
+and the leading-coefficient factors leading_factors(labels, n).
 """
 
 from __future__ import annotations
@@ -39,15 +49,6 @@ __all__ = [
     "LittleQJacobi",
     "LittleQLaguerre",
     "FAMILIES",
-    "potential_B",
-    "potential_D",
-    "energy",
-    "eta",
-    "varphi",
-    "phi0_sq",
-    "polynomial_value",
-    "polynomial_coeffs",
-    "dn_sq",
     "rodrigues_vector",
     "forward_shift_apply",
     "backward_shift_apply",
@@ -163,7 +164,12 @@ class _BaseFamily:
 
 def _memoised_dn_sq(fn):
     """Keep dn_sq(n, eps) in the family's `_cache`; the infinite q-products
-    behind it would otherwise be recomputed for every orthogonality check."""
+    behind it would otherwise be recomputed for every orthogonality check.
+
+    LittleQLaguerre inherits lqJ's dn_sq but still binds it in its own class
+    `__dict__`: bench/tracer.py looks dn_sq up there, class by class, to span
+    it, and a name only inherited would stop the tracer at install.
+    """
 
     @functools.wraps(fn)
     def dn_sq(self, n: int, eps: Fraction = DEFAULT_EPS):
@@ -189,6 +195,8 @@ class Meixner(_BaseFamily):
 
     __slots__ = ("beta", "c")
     tag = "M"
+    param_names = ("beta", "c")
+    tilde_delta = (1, 0)
 
     def __init__(self, beta, c, validate: bool = True):
         object.__setattr__(self, "_cache", {})
@@ -223,6 +231,10 @@ class Meixner(_BaseFamily):
         return Fraction(x) if isinstance(x, int) else x
 
     def varphi(self, x):
+        return Fraction(1)
+
+    def varphi_M(self, m: int, x: int):
+        """prod_{1<=j<k<=m} varphi(x+j-1) in closed form."""
         return Fraction(1)
 
     def poly_value(self, n: int, x):
@@ -268,7 +280,35 @@ class Meixner(_BaseFamily):
         return Meixner(self.beta, 1 / self.c, validate=False)
 
     def nu(self, x: int):
+        """Gauge factor turning twisted eigenvectors into same-lattice
+        solutions: nu(x+1)/nu(x) = B(x) / (alpha B'(x))."""
         return self.c**x
+
+    def alpha(self):
+        """alpha > 0 of the linear relation between twisted and original
+        potentials (see `virtual`)."""
+        return self.c
+
+    def alpha_prime(self):
+        """alpha' < 0 of the same relation; equals tE_0."""
+        return -(1 - self.c) * self.beta
+
+    def virtual_energy(self, v: int):
+        """tE_v < 0; closed form, cross-checked against alpha E'_v + alpha'."""
+        return -(1 - self.c) * (v + self.beta)
+
+    def v_max(self):
+        """Largest admissible virtual-state label; None: every v >= 1 is."""
+        return None
+
+    def leading_factors(self, labels, n: int) -> tuple:
+        """(f_Xi, f_P): the leading coefficients of Xi_D and P_{D,n} are
+        c'' f_Xi and c'' f_Xi c_n f_P, with c'' = prod_j c'_{d_j} / c'_{j-1}
+        over the twisted leading coefficients c' and c_n the base one."""
+        f_p = 1
+        for j, d in enumerate(labels, start=1):
+            f_p = f_p * (self.beta + j - 1) / (self.beta + d + n)
+        return 1, f_p
 
 
 class _QFamily(_BaseFamily):
@@ -286,6 +326,9 @@ class _QFamily(_BaseFamily):
     def varphi(self, x: int):
         return self.q**x
 
+    def varphi_M(self, m: int, x: int):
+        return self.q ** (m * (m - 1) * x // 2 + m * (m - 1) * (m - 2) // 6)
+
     def B(self, x: int):
         return self.B_w(self.q**x)
 
@@ -301,17 +344,30 @@ class _QFamily(_BaseFamily):
     def nu(self, x: int):
         return self.a**x
 
+    def alpha(self):
+        return self.a
+
+    def v_max(self) -> int:
+        """The largest v with a < q^v; 0 when no label is admissible."""
+        v = 0
+        while self.a < self.q ** (v + 1):
+            v += 1
+        return v
+
 
 class LittleQJacobi(_QFamily):
     """System lqJ: B(x) = a (q^-x - b q), D(x) = q^-x - 1.
 
     Valid ranges 0 < q < 1, 0 < a < 1/q, b < 1/q, excluding the degenerate
     line a = b q^(m+1) (checked for m up to 64) where virtual-state degrees
-    collapse.  b = 0 reproduces lqL.
+    collapse.  b = 0 is lqL; the b factors are skipped there on the hot
+    paths (B_w, poly_value_w), which leaves the values unchanged.
     """
 
     __slots__ = ("a", "b", "q")
     tag = "lqJ"
+    param_names = ("a", "b", "q")
+    tilde_delta = (-1, 1)
 
     def __init__(self, a, b, q, validate: bool = True):
         object.__setattr__(self, "_cache", {})
@@ -338,29 +394,45 @@ class LittleQJacobi(_QFamily):
     def __repr__(self):
         return f"LittleQJacobi(a={self.a}, b={self.b}, q={self.q})"
 
+    def _at(self, a, b) -> "LittleQJacobi":
+        """This family's class at parameters (a, b) and the same q; every
+        parameter move goes through here."""
+        return LittleQJacobi(a, b, self.q, validate=False)
+
     def B_w(self, w):
+        if not self.b:
+            return self.a / w
         return self.a * (1 / w - self.b * self.q)
 
     def energy(self, n: int):
         return (self.q**-n - 1) * (1 - self.a * self.b * self.q ** (n + 1))
 
+    def alpha_prime(self):
+        return -(1 - self.a) * (1 - self.b * self.q)
+
+    def virtual_energy(self, v: int):
+        return -(1 - self.a * self.q**-v) * (1 - self.b * self.q ** (v + 1))
+
     def poly_value_w(self, n: int, w):
-        """Terminating 3phi1-type sum as a function of w = q^x."""
+        """Terminating 3phi1-type sum as a function of w = q^x.
+
+        The k-th step multiplies by (1 - q^(k-n)) (1 - ab q^(n+1+k))
+        (1 - q^k/w) / ((1 - b q^(k+1)) (1 - q^(k+1))) * (-q^-k w/a); q^k is
+        a running product, and at b = 0 the two b factors are 1.
+        """
         a, b, q = self.a, self.b, self.q
+        q_n, abq = q**-n, a * b * q ** (n + 1)
+        qk = 1
         term = _one_like(w)
         total = term
         for k in range(n):
-            term = (
-                term
-                * (1 - q ** (k - n))
-                * (1 - a * b * q ** (n + 1 + k))
-                * (1 - q**k / w)
-                / ((1 - b * q ** (k + 1)) * (1 - q ** (k + 1)))
-                * (-1)
-                * q**-k
-                * (w / a)
-            )
+            qk1 = qk * q
+            step = (qk * q_n - 1) * (w - qk) / ((1 - qk1) * qk * a)
+            if b:
+                step = step * (1 - abq * qk) / (1 - b * qk1)
+            term = term * step
             total = total + term
+            qk = qk1
         return total
 
     def term_ratio(self, n: int, k: int):
@@ -397,6 +469,17 @@ class LittleQJacobi(_QFamily):
             / q_pochhammer(b * q, q, n)
         )
 
+    def leading_factors(self, labels, n: int) -> tuple:
+        a, bq, q = self.a, self.b * self.q, self.q
+        f_xi = 1
+        for j in range(len(labels)):
+            for k in range(j + 1, len(labels)):
+                f_xi = f_xi * (a * q ** -(j + k) - bq) / (a * q ** -(labels[j] + labels[k]) - bq)
+        f_p = 1
+        for j, d in enumerate(labels, start=1):
+            f_p = f_p * (q ** -(j - 1) - bq) / (q ** -(d + n) - bq)
+        return f_xi, f_p
+
     @_memoised_dn_sq
     def dn_sq(self, n: int, eps: Fraction = DEFAULT_EPS) -> Interval:
         a, b, q = self.a, self.b, self.q
@@ -413,30 +496,32 @@ class LittleQJacobi(_QFamily):
         return pref * inf
 
     def shifted(self, u: int = 1) -> "LittleQJacobi":
-        return LittleQJacobi(self.a * self.q**u, self.b * self.q**u, self.q, validate=False)
+        return self._at(self.a * self.q**u, self.b * self.q**u)
 
     def _tilde_shifted(self, u: int) -> "LittleQJacobi":
-        return LittleQJacobi(self.a * self.q**-u, self.b * self.q**u, self.q, validate=False)
+        return self._at(self.a * self.q**-u, self.b * self.q**u)
 
     def _twisted(self) -> "LittleQJacobi":
-        return LittleQJacobi(1 / self.a, self.b, self.q, validate=False)
+        return self._at(1 / self.a, self.b)
 
 
-class LittleQLaguerre(_QFamily):
-    """System lqL: B(x) = a q^-x, D(x) = q^-x - 1; the b = 0 face of lqJ."""
+class LittleQLaguerre(LittleQJacobi):
+    """System lqL, little q-Laguerre: lqJ at b = 0 (Koekoek-Lesky-Swarttouw
+    2010, sections 14.12 and 14.20), so B(x) = a q^-x and D(x) = q^-x - 1.
 
-    __slots__ = ("a", "q")
+    Every closed form is lqJ's.  What is its own is its identity: the tag,
+    the repr, the key (a, q), and the parameter names with their tilde-delta
+    offsets.  Equality is type-strict, so it never equals the lqJ at b = 0
+    and keeps its own `system` cache entries.
+    """
+
+    __slots__ = ()
     tag = "lqL"
+    param_names = ("a", "q")
+    tilde_delta = (-1,)
 
     def __init__(self, a, q, validate: bool = True):
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "a", _exact(a))
-        object.__setattr__(self, "q", _exact(q))
-        if validate:
-            if not 0 < self.q < 1:
-                raise ValueError("requires 0 < q < 1")
-            if not 0 < self.a < 1 / self.q:
-                raise ValueError("requires 0 < a < 1/q")
+        super().__init__(a, 0, q, validate)
 
     def _key(self):
         return (self.a, self.q)
@@ -444,110 +529,13 @@ class LittleQLaguerre(_QFamily):
     def __repr__(self):
         return f"LittleQLaguerre(a={self.a}, q={self.q})"
 
-    def B_w(self, w):
-        return self.a / w
+    def _at(self, a, b) -> "LittleQLaguerre":
+        return LittleQLaguerre(a, self.q, validate=False)  # every move keeps b = 0
 
-    def energy(self, n: int):
-        return self.q**-n - 1
-
-    def poly_value_w(self, n: int, w):
-        """Terminating 2phi0-type sum as a function of w = q^x."""
-        a, q = self.a, self.q
-        term = _one_like(w)
-        total = term
-        for k in range(n):
-            term = (
-                term
-                * (1 - q ** (k - n))
-                * (1 - q**k / w)
-                / (1 - q ** (k + 1))
-                * (-1)
-                * q**-k
-                * (w / a)
-            )
-            total = total + term
-        return total
-
-    def term_ratio(self, n: int, k: int):
-        """lqJ's term ratio at b = 0."""
-        q = self.q
-        return -(1 - q ** (k - n)) / ((1 - q ** (k + 1)) * q**k * self.a)
-
-    def poly_value_alt(self, n: int, w):
-        """Independent 2phi1-type route (one upper parameter at zero)."""
-        a, q = self.a, self.q
-        pref = q_pochhammer(1 / (a * q**n), q, n)
-        term = _one_like(w)
-        total = term
-        for k in range(n):
-            term = (
-                term
-                * (1 - q ** (k - n))
-                / ((1 - a * q ** (k + 1)) * (1 - q ** (k + 1)))
-                * (q * w)
-            )
-            total = total + term
-        return pref * total
-
-    def leading_coefficient(self, n: int):
-        return (-self.a) ** -n * self.q ** (-n * n)
-
-    @_memoised_dn_sq
-    def dn_sq(self, n: int, eps: Fraction = DEFAULT_EPS) -> Interval:
-        a, q = self.a, self.q
-        pref = a**n * q ** (n * n) / (q_pochhammer(q, q, n) * q_pochhammer(a * q, q, n))
-        return pref * q_pochhammer(a * q, q, None, eps)
-
-    def shifted(self, u: int = 1) -> "LittleQLaguerre":
-        return LittleQLaguerre(self.a * self.q**u, self.q, validate=False)
-
-    def _tilde_shifted(self, u: int) -> "LittleQLaguerre":
-        return LittleQLaguerre(self.a * self.q**-u, self.q, validate=False)
-
-    def _twisted(self) -> "LittleQLaguerre":
-        return LittleQLaguerre(1 / self.a, self.q, validate=False)
+    dn_sq = LittleQJacobi.dn_sq  # a class-level name of its own: see _memoised_dn_sq
 
 
 FAMILIES = {"M": Meixner, "lqJ": LittleQJacobi, "lqL": LittleQLaguerre}
-
-
-# -- free-function views of the per-system data ---------------------------------------
-
-
-def potential_B(p: _BaseFamily, x):
-    return p.B(x)
-
-
-def potential_D(p: _BaseFamily, x):
-    return p.D(x)
-
-
-def energy(p: _BaseFamily, n: int):
-    return p.energy(n)
-
-
-def eta(p: _BaseFamily, x):
-    return p.eta(x)
-
-
-def varphi(p: _BaseFamily, x):
-    return p.varphi(x)
-
-
-def phi0_sq(p: _BaseFamily, x: int):
-    return p.phi0_sq(x)
-
-
-def polynomial_value(p: _BaseFamily, n: int, x):
-    return p.poly_value(n, x)
-
-
-def polynomial_coeffs(p: _BaseFamily, n: int) -> Polynomial:
-    return p.poly(n)
-
-
-def dn_sq(p: _BaseFamily, n: int, eps: Fraction = DEFAULT_EPS):
-    return p.dn_sq(n, eps)
 
 
 # -- shift operators and the product formula ---------------------------------------

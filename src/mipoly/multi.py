@@ -35,23 +35,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .casoratian import LatticeFunction, casoratian
-from .families import LittleQJacobi, Meixner, _BaseFamily
+from .families import Meixner, _BaseFamily
 from .polynomials import Polynomial, horner, interpolate
 from .report import Report
 from .series import Interval, as_interval, DEFAULT_EPS
-from .virtual import alpha, virtual_energy, v_max, xi_poly
+from .virtual import xi_poly
 
 __all__ = [
-    "varphi_M",
     "MultiIndexedSystem",
     "OrthogonalityResult",
     "system",
     "tilde_delta",
-    "denominator_poly",
-    "multi_poly",
-    "leading_coefficients",
-    "deformed_potentials",
-    "weight",
     "count_sign_changes",
     "verify_multi_structure",
     "verify_eigen_equation",
@@ -62,15 +56,9 @@ __all__ = [
 ]
 
 
-def varphi_M(p: _BaseFamily, m: int, x: int):
-    """prod_{1<=j<k<=m} varphi(x+j-1); closed form (1 for M, a q-power else)."""
-    if isinstance(p, Meixner):
-        return Fraction(1)
-    return p.q ** (m * (m - 1) * x // 2 + m * (m - 1) * (m - 2) // 6)
-
-
 def varphi_M_definition(p: _BaseFamily, m: int, x: int):
-    """Defining product over eta differences; independent route for tests."""
+    """prod_{1<=j<k<=m} varphi(x+j-1) by its defining product over eta
+    differences; independent route to the closed form p.varphi_M(m, x)."""
     out = Fraction(1)
     for j in range(1, m + 1):
         for k in range(j + 1, m + 1):
@@ -84,7 +72,7 @@ def _validate_labels(p: _BaseFamily, labels: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"labels must be mutually distinct, got {labels}")
     if any(d < 0 for d in labels):
         raise ValueError("labels must be nonnegative")
-    vm = v_max(p)
+    vm = p.v_max()
     if vm is not None:
         bad = [d for d in labels if d > vm]
         if bad:
@@ -122,9 +110,9 @@ class MultiIndexedSystem:
 
     def C_D(self):
         if "C_D" not in self._cache:
-            al = alpha(self.p)
-            te = [virtual_energy(self.p, d) for d in self.labels]
-            out = 1 / varphi_M(self.p, self.M, 0)
+            al = self.p.alpha()
+            te = [self.p.virtual_energy(d) for d in self.labels]
+            out = 1 / self.p.varphi_M(self.M, 0)
             for j in range(self.M):
                 for k in range(j + 1, self.M):
                     out = out * (te[j] - te[k]) / (al * self.p.Bprime(j))
@@ -133,11 +121,11 @@ class MultiIndexedSystem:
 
     def dt_sq(self, n: int):
         """tilde-d^2_{D,n}, the norm deformation factor; positive rational."""
-        al = alpha(self.p)
+        al = self.p.alpha()
         en = self.p.energy(n)
-        out = varphi_M(self.p, self.M, 0) / varphi_M(self.p, self.M + 1, 0)
+        out = self.p.varphi_M(self.M, 0) / self.p.varphi_M(self.M + 1, 0)
         for j, d in enumerate(self.labels):
-            out = out * (en - virtual_energy(self.p, d)) / (al * self.p.Bprime(j))
+            out = out * (en - self.p.virtual_energy(d)) / (al * self.p.Bprime(j))
         return out
 
     def C_Dn(self, n: int):
@@ -158,7 +146,7 @@ class MultiIndexedSystem:
         if "Xi" not in self._cache:
             cd = self.C_D()
             vals = [
-                self.w_value(x) / (cd * varphi_M(self.p, self.M, x))
+                self.w_value(x) / (cd * self.p.varphi_M(self.M, x))
                 for x in range(self.ell + 11)
             ]
             if vals[0] != 1:
@@ -199,7 +187,7 @@ class MultiIndexedSystem:
             wpp = self.wpp_grid(n)
             deg = self.ell + n
             vals = [
-                wpp(x) / (cdn * varphi_M(self.p, self.M + 1, x) * shifted.nu(x))
+                wpp(x) / (cdn * self.p.varphi_M(self.M + 1, x) * shifted.nu(x))
                 for x in range(deg + 11)
             ]
             if vals[0] != 1:
@@ -227,37 +215,14 @@ class MultiIndexedSystem:
     def leading_coefficients(self, n: int):
         """(c_n, c^Xi_D, c^P_{D,n}) closed forms; each must match the
         interpolated polynomials' top terms exactly (verified, not assumed)."""
-        p, labels, M = self.p, self.labels, self.M
-        tw = p.twisted()
+        p, tw = self.p, self.p.twisted()
         c_n = p.leading_coefficient(n)
         c_xi = 1
-        for j, d in enumerate(labels, start=1):
+        for j, d in enumerate(self.labels, start=1):
             c_xi = c_xi * tw.leading_coefficient(d) / tw.leading_coefficient(j - 1)
-        c_p = c_xi * c_n
-        if isinstance(p, Meixner):
-            for j, d in enumerate(labels, start=1):
-                c_p = c_p * (p.beta + j - 1) / (p.beta + d + n)
-        elif isinstance(p, LittleQJacobi):
-            a, b, q = p.a, p.b, p.q
-            for j in range(M):
-                for k in range(j + 1, M):
-                    c_xi = (
-                        c_xi
-                        * (a * q ** -(j + k) - b * q)
-                        / (a * q ** -(labels[j] + labels[k]) - b * q)
-                    )
-            c_p = c_xi * c_n
-            for j, d in enumerate(labels, start=1):
-                c_p = c_p * (q ** -(j - 1) - b * q) / (q ** -(d + n) - b * q)
-        else:
-            q = p.q
-            for j in range(M):
-                for k in range(j + 1, M):
-                    c_xi = c_xi * q ** (labels[j] + labels[k] - (j + k))
-            c_p = c_xi * c_n
-            for j, d in enumerate(labels, start=1):
-                c_p = c_p * q ** (d + n - (j - 1))
-        return c_n, c_xi, c_p
+        f_xi, f_p = p.leading_factors(self.labels, n)
+        c_xi = c_xi * f_xi
+        return c_n, c_xi, c_xi * c_n * f_p
 
     # -- deformed system -------------------------------------------------------------
 
@@ -366,39 +331,7 @@ def tilde_delta(p: _BaseFamily) -> tuple:
     for u in range(1, 4):
         if p.twisted().shifted(u) != p.tilde_shifted(u).twisted():
             raise ArithmeticError(f"companion shift property fails at u={u} for {p!r}")
-    if isinstance(p, Meixner):
-        return (1, 0)
-    if isinstance(p, LittleQJacobi):
-        return (-1, 1)
-    return (-1,)
-
-
-def denominator_poly(p: _BaseFamily, labels: Sequence[int]):
-    """(Xi_D, C_D): denominator polynomial and its Casoratian normalization."""
-    s = system(p, labels)
-    return s.Xi(), s.C_D()
-
-
-def multi_poly(p: _BaseFamily, labels: Sequence[int], n: int):
-    """(P_{D,n}, C_Dn, dt^2_{D,n}): the eigenpolynomial and its normalization data."""
-    s = system(p, labels)
-    return s.multi_poly(n), s.C_Dn(n), s.dt_sq(n)
-
-
-def leading_coefficients(p: _BaseFamily, labels: Sequence[int], n: int):
-    """(c_n, c^Xi_D, c^P_{D,n}) closed-form leading coefficients."""
-    return system(p, labels).leading_coefficients(n)
-
-
-def deformed_potentials(p: _BaseFamily, labels: Sequence[int]):
-    """(B_D, D_D) of the deformed system, as callables on the lattice."""
-    s = system(p, labels)
-    return s.B_D, s.D_D
-
-
-def weight(p: _BaseFamily, labels: Sequence[int], x: int):
-    """Orthogonality weight w_D(x), an exact positive rational."""
-    return system(p, labels).weight(x)
+    return p.tilde_delta
 
 
 # -- verification -----------------------------------------------------------------------
@@ -679,7 +612,7 @@ def _ratio_certificate_q(sys: MultiIndexedSystem, n: int, m: int):
     shifted = p.tilde_shifted(sys.M)
     q = p.q
     aq = shifted.a * q
-    bq = (shifted.b if isinstance(shifted, LittleQJacobi) else Fraction(0)) * q
+    bq = shifted.b * q
     pn, pm, xi = sys.multi_poly(n), sys.multi_poly(m), sys.Xi()
     num, da = _product(
         (Polynomial((aq.numerator,)), aq.denominator),

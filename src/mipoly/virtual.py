@@ -9,14 +9,15 @@ potentials satisfy, for constants alpha > 0 and alpha' < 0 and for all x,
 where B', D' are the potentials at twisted parameters.  Consequently the
 twisted eigenpolynomials xi_v(x) = P_v(x; twisted parameters) solve the
 original difference equation with negative energies tE_v = alpha E'_v +
-alpha', and -- on the valid parameter window -- are strictly positive on the
+alpha' (closed forms on the family: p.alpha(), p.alpha_prime(),
+p.virtual_energy(v)), and -- on the valid parameter window -- are strictly positive on the
 whole lattice.  Positivity is certified by rearranged series whose terms are
 individually nonnegative, evaluated term by term in exact arithmetic; the
 series value is required to coincide with the twisted-polynomial route, so
 the certificate is also an independent evaluation of xi_v.
 
 The label set: every v >= 1 for M; for the q systems only v with a < q^v
-keep the required factors positive, so the set is finite (possibly empty,
+keep the required factors positive, so the set (up to p.v_max()) is finite (possibly empty,
 with a warning).  v = 0 is admitted as the constant xi_0 = 1 where a caller
 explicitly needs it.
 """
@@ -26,77 +27,25 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .families import LittleQJacobi, Meixner, _BaseFamily
+from .families import Meixner, _BaseFamily
 from .polynomials import Polynomial
 from .ratfunc import RationalFunction
 from .report import Report
 from .series import pochhammer, q_pochhammer
 
 __all__ = [
-    "twist",
-    "alpha",
-    "alpha_prime",
-    "alpha_constants",
-    "virtual_energy",
     "index_set",
-    "v_max",
     "xi_value",
     "xi_poly",
     "xi_series_terms",
-    "nu",
     "positivity_certificate",
     "verify_linear_relation",
 ]
 
 
-def twist(p: _BaseFamily) -> _BaseFamily:
-    """The parameter involution whose eigenpolynomials are the xi_v."""
-    return p.twisted()
-
-
-def alpha(p: _BaseFamily):
-    """Multiplier relating the Hamiltonian at twisted parameters to the original."""
-    if isinstance(p, Meixner):
-        return p.c
-    return p.a
-
-
-def alpha_constants(p: _BaseFamily) -> tuple:
-    """(alpha, alpha') of the twisted-to-original linear relation."""
-    return alpha(p), alpha_prime(p)
-
-
-def alpha_prime(p: _BaseFamily):
-    """Additive constant of the same relation; equals tE_0 and is negative."""
-    if isinstance(p, Meixner):
-        return -(1 - p.c) * p.beta
-    if isinstance(p, LittleQJacobi):
-        return -(1 - p.a) * (1 - p.b * p.q)
-    return -(1 - p.a)
-
-
-def virtual_energy(p: _BaseFamily, v: int):
-    """tE_v < 0; closed form, cross-checked in tests against alpha E'_v + alpha'."""
-    if isinstance(p, Meixner):
-        return -(1 - p.c) * (v + p.beta)
-    if isinstance(p, LittleQJacobi):
-        return -(1 - p.a * p.q**-v) * (1 - p.b * p.q ** (v + 1))
-    return -(1 - p.a * p.q**-v)
-
-
-def v_max(p: _BaseFamily) -> int | None:
-    """Largest admissible label, or None when the set is unbounded (M)."""
-    if isinstance(p, Meixner):
-        return None
-    v = 0
-    while p.a < p.q ** (v + 1):
-        v += 1
-    return v
-
-
 def index_set(p: _BaseFamily, cap: int) -> list[int]:
     """Admissible labels v in 1..cap.  Empty for q systems with a >= q."""
-    vm = v_max(p)
+    vm = p.v_max()
     top = cap if vm is None else min(cap, vm)
     if vm == 0:
         warnings.warn(f"no admissible virtual states for {p!r} (a >= q)")
@@ -113,19 +62,13 @@ def xi_poly(p: _BaseFamily, v: int) -> Polynomial:
     return p.twisted().poly(v)
 
 
-def nu(p: _BaseFamily, x: int):
-    """Gauge factor turning twisted eigenvectors into same-lattice solutions;
-    satisfies nu(x+1)/nu(x) = B(x) / (alpha B'(x))."""
-    return p.nu(x)
-
-
 def xi_series_terms(p: _BaseFamily, v: int, x: int) -> list:
     """Terms of a rearranged series for xi_v(x), each provably nonnegative.
 
     For M every term is a product of rising factorials of positive numbers
-    times (1-c)^k.  For lqJ/lqL (handled uniformly, b = 0 for lqL) the k-th
-    term and the overall prefactor are products of factors (1 - u) with
-    u < 1 on the valid window a < q^v, b < 1/q.  The sum must reproduce
+    times (1-c)^k.  For lqJ (lqL is its b = 0 case) the k-th term and the
+    overall prefactor are products of factors (1 - u) with u < 1 on the
+    valid window a < q^v, b < 1/q.  The sum must reproduce
     xi_value exactly, so this doubles as an independent evaluation.
     """
     if isinstance(p, Meixner):
@@ -142,8 +85,7 @@ def xi_series_terms(p: _BaseFamily, v: int, x: int) -> list:
             )
             terms.append(t)
         return terms
-    a, q = p.a, p.q
-    b = p.b if isinstance(p, LittleQJacobi) else Fraction(0)
+    a, b, q = p.a, p.b, p.q
     pref = (
         q_pochhammer(a * q**-v, q, v)
         * q_pochhammer(b * q ** (x + 1), q, v)
@@ -170,7 +112,7 @@ def positivity_certificate(p: _BaseFamily, v: int, x_max: int) -> Report:
     """Certify xi_v(x) > 0 for 0 <= x <= x_max by the nonnegative-term series,
     and tE_v < 0.  Exact; no tolerance anywhere."""
     rep = Report(f"virtual.positivity[{p!r},v={v}]", "positivity of xi_v and negativity of tE_v")
-    rep.add(f"tE_{v} < 0", virtual_energy(p, v) < 0)
+    rep.add(f"tE_{v} < 0", p.virtual_energy(v) < 0)
     for x in range(x_max + 1):
         terms = xi_series_terms(p, v, x)
         val = xi_value(p, v, x)
@@ -187,11 +129,11 @@ def verify_linear_relation(p: _BaseFamily, x_max: int) -> Report:
     positivity of B', D', the nu gauge recurrence, and the virtual energy
     cross-route tE_v = alpha E'_v + alpha'."""
     rep = Report(f"virtual.linear-relation[{p!r}]", "linear relation between twisted and original potentials")
-    al, ap = alpha(p), alpha_prime(p)
+    al, ap = p.alpha(), p.alpha_prime()
     tw = p.twisted()
     rep.add("alpha > 0", al > 0)
     rep.add("alpha' < 0", ap < 0)
-    rep.add("alpha' = tE_0", ap == virtual_energy(p, 0))
+    rep.add("alpha' = tE_0", ap == p.virtual_energy(0))
     for x in range(x_max + 1):
         prod_ok = al**2 * tw.B(x) * tw.D(x + 1) == p.B(x) * p.D(x + 1)
         sum_ok = al * (tw.B(x) + tw.D(x)) + ap == p.B(x) + p.D(x)
@@ -215,6 +157,6 @@ def verify_linear_relation(p: _BaseFamily, x_max: int) -> Report:
             )
             rep.add(f"sum identity w={w}", al * (tw.B_w(w) + tw.D_w(w)) + ap == p.B_w(w) + p.D_w(w))
     for vv in index_set(p, 4):
-        cross = al * tw.energy(vv) + ap == virtual_energy(p, vv)
+        cross = al * tw.energy(vv) + ap == p.virtual_energy(vv)
         rep.add(f"energy cross-route v={vv}", cross)
     return rep

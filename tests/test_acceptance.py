@@ -26,14 +26,7 @@ from mipoly.multi import (
     verify_multi_structure,
     verify_special_identities,
 )
-from mipoly.virtual import (
-    alpha,
-    alpha_prime,
-    index_set,
-    positivity_certificate,
-    verify_linear_relation,
-    virtual_energy,
-)
+from mipoly.virtual import index_set, positivity_certificate, verify_linear_relation
 from mipoly.casoratian import verify_identities
 
 PARAMETER_SETS = (
@@ -78,7 +71,7 @@ def test_criterion_02_shifts_and_product_formula():
 def test_criterion_03_linear_relation():
     ok = True
     for p in PARAMETER_SETS:
-        ok = ok and alpha(p) > 0 and alpha_prime(p) < 0
+        ok = ok and p.alpha() > 0 and p.alpha_prime() < 0
         rep = verify_linear_relation(p, x_max=40)
         ok = ok and rep.passed
     _report("criterion 3: twisted-potential linear relation exact for x<=40", ok)
@@ -88,7 +81,7 @@ def test_criterion_04_virtual_state_positivity():
     ok = True
     for p in PARAMETER_SETS:
         for v in index_set(p, 8):
-            ok = ok and virtual_energy(p, v) < 0
+            ok = ok and p.virtual_energy(v) < 0
             rep = positivity_certificate(p, v, x_max=100)
             ok = ok and rep.passed
     _report("criterion 4: xi_v > 0 on x<=100 and negative virtual energies", ok)

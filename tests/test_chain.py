@@ -1,5 +1,6 @@
 """Step-by-step state deletion: intermediate systems, signs, final match."""
 
+import sys
 from fractions import Fraction as F
 
 from mipoly.chain import Chain, ChainState, chain_build, chain_verify
@@ -104,7 +105,6 @@ def test_corrupted_casoratian_fails_exactly_the_checks_that_read_it(monkeypatch)
 def test_chain_verify_computes_shared_coefficients_once(monkeypatch):
     # the level tables share B', D' and the tilde-energies across companion
     # columns, checks and n; at most a few evaluations per (s, x) remain
-    import mipoly.chain as chain_mod
     from mipoly import multi
     from mipoly.families import _BaseFamily
 
@@ -119,9 +119,15 @@ def test_chain_verify_computes_shared_coefficients_once(monkeypatch):
 
     monkeypatch.setattr(_BaseFamily, "Bprime", counting("Bprime", _BaseFamily.Bprime))
     monkeypatch.setattr(_BaseFamily, "Dprime", counting("Dprime", _BaseFamily.Dprime))
-    monkeypatch.setattr(
-        chain_mod, "virtual_energy", counting("virtual_energy", chain_mod.virtual_energy)
-    )
+    virtual_energy = Meixner.virtual_energy
+
+    def chain_virtual_energy(*args):
+        # the chain's own tilde-energies; the final match's system has its own
+        if sys._getframe(1).f_globals["__name__"] == "mipoly.chain":
+            calls["virtual_energy"] += 1
+        return virtual_energy(*args)
+
+    monkeypatch.setattr(Meixner, "virtual_energy", chain_virtual_energy)
     monkeypatch.setattr(multi, "_SYSTEMS", {})  # cold: the final match builds its system
     assert chain_verify(Meixner(1, F(1, 2)), (1, 2, 3), n_max=3, x_max=12).passed
     assert calls["Bprime"] < 200

@@ -1,9 +1,12 @@
 """Command-line interface: configuration, reports, tabulation, determinism."""
 
+import argparse
 import csv
 import io
 import json
 from fractions import Fraction as F
+
+import pytest
 
 from mipoly.cli import main
 
@@ -178,3 +181,55 @@ def test_verify_failure_exit_code_possible():
     assert doc["summary"]["status"] == "fail"
     assert doc["summary"]["failed_suites"] == 1
     assert doc["suites"][0]["witnesses"][0]["witness"] == "witness text"
+
+
+def _args(**flags):
+    args = dict(family="M", params="1,1/2", deletions="1", nmax=3, xmax=12,
+                rtol="1/100000000000000000000", suite="base", format="json", out=None)
+    args.update(flags)
+    return argparse.Namespace(**args)
+
+
+def _refused(capsys, monkeypatch, command, *argv):
+    # exit 2 from build_config: no suite and no table is started
+    import mipoly.cli as cli
+
+    monkeypatch.setattr(cli, "_suite_reports", lambda *a: pytest.fail("a suite started"))
+    monkeypatch.setattr(cli, "run_tabulate", lambda *a: pytest.fail("a table started"))
+    code, out, err = _run(capsys, command, "--family", "M", "--params", "1,1/2", *argv)
+    assert code == 2 and out == ""
+    return err
+
+
+def test_nmax_ceiling(capsys, monkeypatch):
+    import mipoly.cli as cli
+
+    err = _refused(capsys, monkeypatch, "verify", "--nmax", "1000000", "--suite", "base")
+    assert err == f"error: nmax 1000000 exceeds the ceiling {cli.NMAX_CEILING}\n"
+    assert "ceiling" in _refused(capsys, monkeypatch, "tabulate", "--nmax", str(cli.NMAX_CEILING + 1))
+    assert cli.build_config(_args(nmax=cli.NMAX_CEILING))["n_max"] == cli.NMAX_CEILING
+
+
+def test_xmax_ceiling(capsys, monkeypatch):
+    import mipoly.cli as cli
+
+    err = _refused(capsys, monkeypatch, "verify", "--xmax", "100000000", "--suite", "virtual")
+    assert err == f"error: xmax 100000000 exceeds the ceiling {cli.XMAX_CEILING}\n"
+    assert "ceiling" in _refused(capsys, monkeypatch, "tabulate", "--xmax", str(cli.XMAX_CEILING + 1))
+    assert cli.build_config(_args(xmax=cli.XMAX_CEILING))["x_max"] == cli.XMAX_CEILING
+
+
+def test_label_ceiling(capsys, monkeypatch):
+    import mipoly.cli as cli
+
+    err = _refused(capsys, monkeypatch, "verify", "--deletions", "100000", "--suite", "multi")
+    assert err == f"error: ell_D 100000 of labels [100000] exceeds the ceiling {cli.ELL_CEILING}\n"
+    many = ",".join(str(d) for d in range(1, cli.ELL_CEILING + 2))  # ell_D = number of labels
+    assert "ell_D 65 " in _refused(capsys, monkeypatch, "tabulate", "--deletions", many)
+    # the largest label sets in use: M D = {3,6,...,18} (ell_D 48) and the
+    # tabulate ladder's {2,4,...,12} at --nmax 10 --xmax 40
+    assert cli.build_config(_args(deletions="3,6,9,12,15,18"))["deletions"] == (3, 6, 9, 12, 15, 18)
+    assert cli.build_config(_args(deletions=str(cli.ELL_CEILING)))["deletions"] == (cli.ELL_CEILING,)
+    cfg = cli.build_config(_args(family="lqL", params="1/1048576,1/2", deletions="2,4,6,8,10,12",
+                                 nmax=10, xmax=40))
+    assert cfg["deletions"] == (2, 4, 6, 8, 10, 12)

@@ -13,21 +13,15 @@ from mipoly.families import (
     LittleQLaguerre,
     Meixner,
     backward_shift_apply,
-    dn_sq,
-    energy,
-    eta,
     forward_shift_apply,
-    phi0_sq,
-    polynomial_coeffs,
-    polynomial_value,
-    potential_B,
-    potential_D,
     rodrigues_vector,
     verify_difference_equation,
     verify_shift_relations,
 )
 from mipoly.polynomials import interpolate
 from mipoly.ratfunc import RationalFunction
+from mipoly.series import q_pochhammer
+from mipoly.virtual import xi_poly
 
 M = Meixner(1, F(1, 2))
 M2 = Meixner(F(5, 2), F(1, 3))
@@ -146,15 +140,49 @@ def test_validation_messages():
         LittleQJacobi(F(1, 4), F(1, 2), F(1, 2))  # a = b q
 
 
-def test_module_level_accessors_delegate():
-    assert potential_B(M, 3) == M.B(3)
-    assert potential_D(M, 3) == M.D(3)
-    assert energy(QJ, 1) == QJ.energy(1)
-    assert eta(QL, 2) == QL.eta(2)
-    assert phi0_sq(M, 2) == M.phi0_sq(2)
-    assert polynomial_value(M, 1, 2) == -1
-    assert polynomial_coeffs(M, 1) == M.poly(1)
-    assert dn_sq(M, 1) == F(1, 4)
+# lqL points of the acceptance matrix and the ladders
+FOLD_POINTS = [(F(1, 32), F(1, 2)), (F(1, 1048576), F(1, 2))]
+
+
+def little_q_laguerre_series(a, q, n, w):
+    # the 2phi0 series of little q-Laguerre in w = q^x, coded on its own
+    term = total = F(1)
+    for k in range(n):
+        term = term * (1 - q ** (k - n)) * (1 - q**k / w) / (1 - q ** (k + 1)) * (-1) * q**-k * (w / a)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("a, q", FOLD_POINTS, ids=str)
+def test_lqL_is_lqJ_at_b_zero(a, q):
+    ql, qj = LittleQLaguerre(a, q), LittleQJacobi(a, 0, q)
+    for n in range(5):
+        assert ql.poly(n) == qj.poly(n)
+        assert ql.energy(n) == qj.energy(n) == q**-n - 1
+        assert ql.leading_coefficient(n) == qj.leading_coefficient(n) == (-a) ** -n * q ** (-n * n)
+        lo_hi = lambda v: (v.lo, v.hi)
+        assert lo_hi(ql.dn_sq(n)) == lo_hi(qj.dn_sq(n))
+        pref = a**n * q ** (n * n) / (q_pochhammer(q, q, n) * q_pochhammer(a * q, q, n))
+        assert lo_hi(ql.dn_sq(n)) == lo_hi(pref * q_pochhammer(a * q, q, None))
+        for x in range(4):
+            assert ql.B(x) == qj.B(x) == a * q**-x
+            assert ql.poly_value(n, x) == little_q_laguerre_series(a, q, n, q**x)
+    for v in range(4):
+        assert xi_poly(ql, v) == xi_poly(qj, v)
+
+
+def test_lqL_parameter_moves_stay_lqL():
+    ql = LittleQLaguerre(F(1, 32), F(1, 2))
+    for moved, a in ((ql.shifted(1), F(1, 64)), (ql.twisted(), 32), (ql.tilde_shifted(2), F(1, 8))):
+        assert type(moved) is LittleQLaguerre
+        assert moved == LittleQLaguerre(a, F(1, 2), validate=False)
+        assert repr(moved) == f"LittleQLaguerre(a={a}, q=1/2)"
+
+
+def test_lqL_never_equals_lqJ():
+    ql, qj = LittleQLaguerre(F(1, 32), F(1, 2)), LittleQJacobi(F(1, 32), 0, F(1, 2))
+    assert ql != qj and qj != ql
+    assert ql == LittleQLaguerre(F(1, 32), F(1, 2))
 
 
 def test_difference_equation_and_shifts_reports():

@@ -12,24 +12,17 @@ from mipoly.multi import (
     _ratio_certificate_meixner,
     _ratio_certificate_q,
     count_sign_changes,
-    deformed_potentials,
-    denominator_poly,
-    leading_coefficients,
-    multi_poly,
     orthogonality_sum,
     sign_on_tail,
     system,
     tilde_delta,
-    varphi_M,
     varphi_M_definition,
     verify_eigen_equation,
     verify_multi_structure,
     verify_shape_invariance,
     verify_special_identities,
-    weight,
 )
 from mipoly.polynomials import Polynomial
-from mipoly.virtual import v_max
 
 M = Meixner(1, F(1, 2))
 M2 = Meixner(F(5, 2), F(1, 3))
@@ -50,22 +43,30 @@ def test_frozen_single_deletion_meixner():
     assert s.leading_coefficients(2) == (F(1, 2), F(1, 2), F(1, 16))
 
 
-def test_module_level_accessors_delegate():
-    xi, cd = denominator_poly(M, (1,))
-    assert xi == Polynomial((1, F(1, 2))) and cd == 1
-    p, cdn, dt = multi_poly(M, (1,), 0)
-    assert p == Polynomial((1, F(1, 4))) and cdn == -1 and dt == 1
-    assert leading_coefficients(M, (1,), 2) == (F(1, 2), F(1, 2), F(1, 16))
-    bd, dd = deformed_potentials(M, (1,))
-    assert bd(0) == F(5, 6) and dd(1) == F(16, 15)
-    assert weight(M, (1,), 0) == F(2, 3)
+def test_system_cache_keys():
     assert system(M, (1,)) is system(M, [1])  # memoized by (family, labels)
+    assert system(QL, (1,)) is system(LittleQLaguerre(F(1, 32), F(1, 2)), (1,))
+    # an lqL never equals the lqJ at b = 0, so their systems are kept apart
+    assert system(QL, (1,)) is not system(LittleQJacobi(F(1, 32), 0, F(1, 2)), (1,))
+
+
+@pytest.mark.parametrize("labels", [(1,), (1, 3)], ids=str)
+@pytest.mark.parametrize("a", [F(1, 32), F(1, 1048576)], ids=str)
+def test_lqL_systems_are_lqJ_systems_at_b_zero(a, labels):
+    sl, sj = system(LittleQLaguerre(a, F(1, 2)), labels), system(LittleQJacobi(a, 0, F(1, 2)), labels)
+    assert sl.Xi() == sj.Xi()
+    for n in range(4):
+        assert sl.multi_poly(n) == sj.multi_poly(n)
+        assert sl.dt_sq(n) == sj.dt_sq(n)
+    for x in range(13):
+        assert sl.weight(x) == sj.weight(x)
 
 
 def test_tilde_delta_families():
     assert tilde_delta(M) == (1, 0)
     assert tilde_delta(QJ) == (-1, 1)
     assert tilde_delta(QL) == (-1,)
+    assert tilde_delta(LittleQJacobi(F(1, 32), 0, F(1, 2))) == (-1, 1)
 
 
 def test_empty_label_set_reduces_to_base():
@@ -109,11 +110,11 @@ def test_degrees_and_normalization():
 
 
 def test_varphi_m_frozen_and_definition():
-    assert varphi_M(LittleQLaguerre(F(1, 32), F(1, 2)), 3, 1) == F(1, 16)
+    assert LittleQLaguerre(F(1, 32), F(1, 2)).varphi_M(3, 1) == F(1, 16)
     for p in (M, QJ, QL):
         for m in range(4):
             for x in range(5):
-                assert varphi_M(p, m, x) == varphi_M_definition(p, m, x)
+                assert p.varphi_M(m, x) == varphi_M_definition(p, m, x)
 
 
 def test_label_order_does_not_matter():
@@ -212,7 +213,7 @@ def test_weights_cost_linear_in_x(monkeypatch):
 def test_q_ratio_certificate_bounds_term_ratio(p):
     # brute force |t(x+1)/t(x)| <= r past x_star, t(x) = w_D(x) P_D,n(x) P_D,m(x)
     for labels in ((1,), (1, 3), (1, 3, 5), (1, 3, 5, 7), (1, 3, 5, 7, 9)):
-        if max(labels) > v_max(p):
+        if max(labels) > p.v_max():
             continue
         s = system(p, labels)
         for n, m in ((0, 0), (1, 1), (0, 1)):

@@ -6,16 +6,9 @@ import pytest
 
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
 from mipoly.virtual import (
-    alpha,
-    alpha_constants,
-    alpha_prime,
     index_set,
-    nu,
     positivity_certificate,
-    twist,
-    v_max,
     verify_linear_relation,
-    virtual_energy,
     xi_poly,
     xi_series_terms,
     xi_value,
@@ -29,41 +22,40 @@ ALL = (M, Meixner(F(5, 2), F(1, 3)), QJ, LittleQJacobi(F(1, 32), F(-1, 2), F(1, 
 
 def test_twist_is_an_involution_on_values():
     for p in ALL:
-        tw = twist(twist(p))
+        tw = p.twisted().twisted()
         for x in range(5):
             assert tw.B(x) == p.B(x)
             assert tw.D(x) == p.D(x)
 
 
 def test_frozen_virtual_energies():
-    assert virtual_energy(M, 1) == -1
-    assert virtual_energy(M, 2) == F(-3, 2)
-    assert virtual_energy(LittleQLaguerre(F(1, 8), F(1, 2)), 2) == F(-1, 2)
+    assert M.virtual_energy(1) == -1
+    assert M.virtual_energy(2) == F(-3, 2)
+    assert LittleQLaguerre(F(1, 8), F(1, 2)).virtual_energy(2) == F(-1, 2)
 
 
 def test_virtual_energies_negative():
     for p in ALL:
         for v in index_set(p, 8):
-            assert virtual_energy(p, v) < 0
+            assert p.virtual_energy(v) < 0
 
 
 def test_alpha_signs_and_energy_cross_route():
     for p in ALL:
-        a, ap = alpha_constants(p)
-        assert a == alpha(p) and ap == alpha_prime(p)
+        a, ap = p.alpha(), p.alpha_prime()
         assert a > 0 and ap < 0
-        assert ap == virtual_energy(p, 0)
+        assert ap == p.virtual_energy(0)
         # the closed-form virtual energies agree with the twisted-route energies
         for v in range(5):
-            assert virtual_energy(p, v) == a * twist(p).energy(v) + ap
+            assert p.virtual_energy(v) == a * p.twisted().energy(v) + ap
 
 
 def test_index_sets_and_v_max():
-    assert v_max(M) is None
+    assert M.v_max() is None
     assert index_set(M, 8) == list(range(1, 9))
-    assert v_max(QJ) == 4  # a = q^5: largest v with a < q^v
-    assert v_max(LittleQJacobi(F(1, 16), F(1, 3), F(1, 2))) == 3
-    assert v_max(LittleQLaguerre(F(1, 8), F(1, 2))) == 2
+    assert QJ.v_max() == 4  # a = q^5: largest v with a < q^v
+    assert LittleQJacobi(F(1, 16), F(1, 3), F(1, 2)).v_max() == 3
+    assert LittleQLaguerre(F(1, 8), F(1, 2)).v_max() == 2
     assert index_set(LittleQLaguerre(F(1, 8), F(1, 2)), 8) == [1, 2]
 
 
@@ -94,8 +86,8 @@ def test_xi_series_terms_certify_positivity():
 
 
 def test_nu_values():
-    assert nu(M, 3) == F(1, 8)  # c^x
-    assert nu(QL, 2) == F(1, 32) ** 2  # a^x
+    assert M.nu(3) == F(1, 8)  # c^x
+    assert QL.nu(2) == F(1, 32) ** 2  # a^x
 
 
 def test_positivity_certificates():
