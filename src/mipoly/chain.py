@@ -31,11 +31,15 @@ identity the construction rests on:
     constant), and independence of the deletion order (Xi_D and P_{D,n}
     compared with those of at most two other orders).
 
-Every lattice quantity lives in a memo table owned by one Chain: the grids,
-alpha B'(x) and alpha D'(x), the tilde-energies, and per level s the step
-potentials and the coefficients that the eigen-identity and contiguity
-checks of all companion columns share.  Each is computed once per (s, x);
-a check only combines table entries with its own column.
+After s deletions the intermediate Hamiltonian is the multi-indexed system
+of the label prefix d_1..d_s, so the grids are that system's: w_s and
+w''_{s,n} are the W grids of `system(p, order[:s])`, and w'_{s,v} is the W
+grid of `system(p, order[:s] + (v,))`, all from the shared `multi.system`
+store.  A Chain owns only the rest, each a memo table: alpha B'(x) and
+alpha D'(x), the tilde-energies, and per level s the step potentials and
+the coefficients that the eigen-identity and contiguity checks of all
+companion columns share.  Each is computed once per (s, x); a check only
+combines table entries with its own column.
 """
 
 from __future__ import annotations
@@ -44,11 +48,11 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .casoratian import LatticeFunction, casoratian
+from .casoratian import LatticeFunction
 from .families import _BaseFamily
 from .multi import _validate_labels, system
 from .report import Report
-from .virtual import index_set, xi_poly
+from .virtual import index_set
 
 __all__ = ["Chain", "ChainState", "chain_build", "chain_verify"]
 
@@ -58,7 +62,7 @@ def _sgn(v) -> int:
 
 
 class Chain:
-    """Casoratian data for one deletion order (a tuple of distinct labels)."""
+    """Level tables for one deletion order (a tuple of distinct labels)."""
 
     def __init__(self, p: _BaseFamily, order: Sequence[int]):
         self.p = p
@@ -70,66 +74,29 @@ class Chain:
         self.aB = LatticeFunction(lambda x: a * p.Bprime(x))  # alpha B'(x)
         self.aD = LatticeFunction(lambda x: a * p.Dprime(x))  # alpha D'(x)
         self._te: dict[int, object] = {}
-        self._xi: dict[int, LatticeFunction] = {}
-        self._w: dict[int, LatticeFunction] = {}
-        self._wp: dict[tuple[int, int], LatticeFunction] = {}
-        self._wpp: dict[tuple[int, int], LatticeFunction] = {}
         self._levels: dict[int, _Level] = {}
-
-    def xi_grid(self, v: int) -> LatticeFunction:
-        if v not in self._xi:
-            p, poly = self.p, xi_poly(self.p, v)
-            self._xi[v] = LatticeFunction(lambda x: poly(p.eta(x)))
-        return self._xi[v]
 
     def tilde_energy(self, v: int):
         if v not in self._te:
             self._te[v] = self.p.virtual_energy(v)
         return self._te[v]
 
+    # -- Casoratian grids, read from the label-prefix systems ---------------------
+
     def w(self, s: int) -> LatticeFunction:
-        if s not in self._w:
-            fs = [self.xi_grid(d) for d in self.order[:s]]
-            self._w[s] = LatticeFunction(lambda x, fs=fs: casoratian(fs, x))
-        return self._w[s]
+        return system(self.p, self.order[:s]).w_grid
 
     def wp(self, s: int, v: int) -> LatticeFunction:
-        if (s, v) not in self._wp:
-            fs = [self.xi_grid(d) for d in self.order[:s]] + [self.xi_grid(v)]
-            self._wp[(s, v)] = LatticeFunction(lambda x, fs=fs: casoratian(fs, x))
-        return self._wp[(s, v)]
+        return system(self.p, self.order[:s] + (v,)).w_grid
 
     def wpp(self, s: int, n: int) -> LatticeFunction:
-        if (s, n) not in self._wpp:
-            p, poly_n = self.p, self.p.poly(n)
-            nu_p = LatticeFunction(lambda x: p.nu(x) * poly_n(p.eta(x)))
-            fs = [self.xi_grid(d) for d in self.order[:s]] + [nu_p]
-            self._wpp[(s, n)] = LatticeFunction(lambda x, fs=fs: casoratian(fs, x))
-        return self._wpp[(s, n)]
+        return system(self.p, self.order[:s]).wpp_grid(n)
 
     def _level(self, s: int) -> "_Level":
         """The per-(s, x) tables of level s, built once per Chain."""
         if s not in self._levels:
             self._levels[s] = _Level(self, s)
         return self._levels[s]
-
-    # -- step potentials ----------------------------------------------------------
-
-    def Bhat(self, s: int, x: int):
-        if s < 1:
-            raise ValueError("Bhat needs s >= 1")
-        return self._level(s).Bhat(x)
-
-    def Dhat(self, s: int, x: int):
-        if s < 1:
-            raise ValueError("Dhat needs s >= 1")
-        return self._level(s).Dhat(x)
-
-    def B_std(self, s: int, x: int):
-        return self._level(s).B_std(x)
-
-    def D_std(self, s: int, x: int):
-        return self._level(s).D_std(x)
 
     # -- the sign factor -----------------------------------------------------------
 

@@ -38,7 +38,7 @@ from .casoratian import LatticeFunction, casoratian
 from .families import Meixner, _BaseFamily
 from .polynomials import Polynomial, horner, interpolate
 from .report import Report
-from .series import Interval, as_interval, DEFAULT_EPS
+from .series import Interval, as_interval
 from .virtual import xi_poly
 
 __all__ = [
@@ -96,11 +96,11 @@ class MultiIndexedSystem:
         self.labels = _validate_labels(p, labels)
         self.M = len(self.labels)
         self.ell = sum(self.labels) - self.M * (self.M - 1) // 2
-        self._xi_polys = [xi_poly(p, d) for d in self.labels]
         self._xi_grids = [
-            LatticeFunction(lambda x, poly=poly: poly(p.eta(x))) for poly in self._xi_polys
+            LatticeFunction(lambda x, poly=xi_poly(p, d): poly(p.eta(x))) for d in self.labels
         ]
-        self._w_grid = LatticeFunction(lambda x: casoratian(self._xi_grids, x))
+        # W[xi_{d_1}..xi_{d_M}], shared with the deletion chains whose prefix this is
+        self.w_grid = LatticeFunction(lambda x: casoratian(self._xi_grids, x))
         self._cache: dict = {}
 
     def __repr__(self):
@@ -121,12 +121,15 @@ class MultiIndexedSystem:
 
     def dt_sq(self, n: int):
         """tilde-d^2_{D,n}, the norm deformation factor; positive rational."""
-        al = self.p.alpha()
-        en = self.p.energy(n)
-        out = self.p.varphi_M(self.M, 0) / self.p.varphi_M(self.M + 1, 0)
-        for j, d in enumerate(self.labels):
-            out = out * (en - self.p.virtual_energy(d)) / (al * self.p.Bprime(j))
-        return out
+        key = ("dt_sq", n)
+        if key not in self._cache:
+            al = self.p.alpha()
+            en = self.p.energy(n)
+            out = self.p.varphi_M(self.M, 0) / self.p.varphi_M(self.M + 1, 0)
+            for j, d in enumerate(self.labels):
+                out = out * (en - self.p.virtual_energy(d)) / (al * self.p.Bprime(j))
+            self._cache[key] = out
+        return self._cache[key]
 
     def C_Dn(self, n: int):
         sign = -1 if self.M % 2 else 1
@@ -134,34 +137,34 @@ class MultiIndexedSystem:
 
     # -- the two polynomials ------------------------------------------------------
 
-    def xi_d_grid(self, j: int) -> LatticeFunction:
-        return self._xi_grids[j]
-
-    def w_value(self, x: int):
-        """W[xi_{d_1}..xi_{d_M}](x)."""
-        return self._w_grid(x)
+    def _normalised_poly(self, grid, norm, deg: int, mismatch: str, name: str, hint: str = ""):
+        """The degree-deg polynomial in eta through grid(x) / norm(x) at
+        x = 0..deg.  The quotient must be 1 at x = 0, where the closed-form
+        constant in norm meets the Casoratian grid, and the polynomial must
+        reproduce it at the ten points x = deg+1..deg+10."""
+        vals = [grid(x) / norm(x) for x in range(deg + 11)]
+        if vals[0] != 1:
+            raise ArithmeticError(f"normalization mismatch: {mismatch}")
+        poly = interpolate([(self.p.eta(x), vals[x]) for x in range(deg + 1)])
+        if poly.degree != deg:
+            raise ArithmeticError(f"{name} degree {poly.degree} != {deg}{hint}")
+        for x in range(deg + 1, deg + 11):
+            if poly(self.p.eta(x)) != vals[x]:
+                raise ArithmeticError(f"{name} interpolation fails at x={x}")
+        return poly
 
     def Xi(self) -> Polynomial:
         """Denominator polynomial Xi_D, degree ell_D, Xi_D(0) = 1."""
         if "Xi" not in self._cache:
-            cd = self.C_D()
-            vals = [
-                self.w_value(x) / (cd * self.p.varphi_M(self.M, x))
-                for x in range(self.ell + 11)
-            ]
-            if vals[0] != 1:
-                raise ArithmeticError(
-                    "normalization mismatch: closed-form C_D disagrees with W[xi...](0)"
-                )
-            poly = interpolate([(self.p.eta(x), vals[x]) for x in range(self.ell + 1)])
-            if poly.degree != self.ell:
-                raise ArithmeticError(
-                    f"denominator degree {poly.degree} != {self.ell} (degenerate labels?)"
-                )
-            for x in range(self.ell + 1, self.ell + 11):
-                if poly(self.p.eta(x)) != vals[x]:
-                    raise ArithmeticError(f"denominator interpolation fails at x={x}")
-            self._cache["Xi"] = poly
+            cd, p, M = self.C_D(), self.p, self.M
+            self._cache["Xi"] = self._normalised_poly(
+                self.w_grid,
+                lambda x: cd * p.varphi_M(M, x),
+                self.ell,
+                "closed-form C_D disagrees with W[xi...](0)",
+                "denominator",
+                " (degenerate labels?)",
+            )
         return self._cache["Xi"]
 
     def Xi_at(self, x: int):
@@ -182,25 +185,15 @@ class MultiIndexedSystem:
         """P_{D,n}, degree ell_D + n, P_{D,n}(0) = 1."""
         key = ("P", n)
         if key not in self._cache:
-            cdn = self.C_Dn(n)
-            shifted = self.p.tilde_shifted(self.M)
-            wpp = self.wpp_grid(n)
-            deg = self.ell + n
-            vals = [
-                wpp(x) / (cdn * self.p.varphi_M(self.M + 1, x) * shifted.nu(x))
-                for x in range(deg + 11)
-            ]
-            if vals[0] != 1:
-                raise ArithmeticError(
-                    "normalization mismatch: closed-form C_Dn disagrees with W[xi..,nu P_n](0)"
-                )
-            poly = interpolate([(self.p.eta(x), vals[x]) for x in range(deg + 1)])
-            if poly.degree != deg:
-                raise ArithmeticError(f"P_D,{n} degree {poly.degree} != {deg}")
-            for x in range(deg + 1, deg + 11):
-                if poly(self.p.eta(x)) != vals[x]:
-                    raise ArithmeticError(f"P_D,{n} interpolation fails at x={x}")
-            self._cache[key] = poly
+            cdn, p, M = self.C_Dn(n), self.p, self.M
+            shifted = p.tilde_shifted(M)
+            self._cache[key] = self._normalised_poly(
+                self.wpp_grid(n),
+                lambda x: cdn * p.varphi_M(M + 1, x) * shifted.nu(x),
+                self.ell + n,
+                "closed-form C_Dn disagrees with W[xi..,nu P_n](0)",
+                f"P_D,{n}",
+            )
         return self._cache[key]
 
     def multi_poly_at(self, n: int, x: int):
@@ -317,7 +310,12 @@ _SYSTEMS: dict = {}
 
 
 def system(p: _BaseFamily, labels: Sequence[int]) -> MultiIndexedSystem:
-    """Shared accessor: one cached MultiIndexedSystem per (parameters, labels)."""
+    """Shared accessor: one cached MultiIndexedSystem per (parameters, labels).
+
+    The store also serves the deletion chains: level s of a chain for the
+    order d_1..d_M is the system of the prefix (d_1..d_s), and its companion
+    grids are those of (d_1..d_s, v).  So a chain and the closed-form
+    construction share every Casoratian grid they both read."""
     key = (p, tuple(int(d) for d in labels))
     if key not in _SYSTEMS:
         _SYSTEMS[key] = MultiIndexedSystem(p, key[1])
@@ -655,7 +653,6 @@ def orthogonality_sum(
     n: int,
     m: int,
     rel_tol: Fraction = Fraction(1, 10**20),
-    eps: Fraction = DEFAULT_EPS,
 ) -> OrthogonalityResult:
     """Certified check of sum_x w_D(x) P_{D,n}(x) P_{D,m}(x) against
     delta_nm / (d_n^2 dt^2_{D,n}).
@@ -672,7 +669,7 @@ def orthogonality_sum(
         if isinstance(sys.p, Meixner)
         else _ratio_certificate_q(sys, n, m)
     )
-    diag = lambda k: 1 / (as_interval(sys.p.dn_sq(k, eps)) * sys.dt_sq(k))
+    diag = lambda k: 1 / (as_interval(sys.p.dn_sq(k)) * sys.dt_sq(k))
     if n == m:
         target = diag(n)
         scale = abs(target.midpoint)

@@ -35,9 +35,6 @@ class Report:
     def add(self, name: str, passed: bool, witness: str = "") -> None:
         self.checks.append(Check(name, bool(passed), witness if not passed else ""))
 
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from mipoly.chain import Chain, ChainState, chain_build, chain_verify
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
 from mipoly.multi import system
+from mipoly.virtual import index_set
 
 M = Meixner(1, F(1, 2))
 QL = LittleQLaguerre(F(1, 32), F(1, 2))
@@ -79,7 +80,12 @@ def test_chain_verify_reports():
 
 def test_corrupted_casoratian_fails_exactly_the_checks_that_read_it(monkeypatch):
     # w''_{1,1} off by one at x = 3 must break every identity that reads it,
-    # and only those; each failure names a lattice point
+    # and only those; each failure names a lattice point.  The grids live in
+    # the shared system store, so a fresh store keeps earlier tests from
+    # having filled x = 3 already, and keeps the corruption out of later ones.
+    from mipoly import multi
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
     original = Chain.wpp
 
     def corrupted(self, s, n):
@@ -128,8 +134,23 @@ def test_chain_verify_computes_shared_coefficients_once(monkeypatch):
         return virtual_energy(*args)
 
     monkeypatch.setattr(Meixner, "virtual_energy", chain_virtual_energy)
-    monkeypatch.setattr(multi, "_SYSTEMS", {})  # cold: the final match builds its system
+    monkeypatch.setattr(multi, "_SYSTEMS", {})  # cold: the chain builds its prefix systems
     assert chain_verify(Meixner(1, F(1, 2)), (1, 2, 3), n_max=3, x_max=12).passed
     assert calls["Bprime"] < 200
     assert calls["Dprime"] < 100
     assert calls["virtual_energy"] < 20
+
+
+def test_chain_grids_are_the_prefix_systems_grids():
+    # level s of a chain is the multi-indexed system of the first s labels:
+    # the chain holds no Casoratian grid of its own
+    for p in (M, QJ):
+        order = (1, 2, 3)
+        ch = Chain(p, order)
+        for s in range(len(order) + 1):
+            prefix = system(p, order[:s])
+            assert ch.w(s) is prefix.w_grid
+            for v in (v for v in index_set(p, 5) if v not in order[:s]):
+                assert ch.wp(s, v) is system(p, order[:s] + (v,)).w_grid
+            for n in range(3):
+                assert ch.wpp(s, n) is prefix.wpp_grid(n)

@@ -1,11 +1,13 @@
 """Multi-indexed systems: structure, constants, operators, orthogonality."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mipoly.casoratian import LatticeFunction
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
 from mipoly.multi import (
     MultiIndexedSystem,
@@ -48,6 +50,50 @@ def test_system_cache_keys():
     assert system(QL, (1,)) is system(LittleQLaguerre(F(1, 32), F(1, 2)), (1,))
     # an lqL never equals the lqJ at b = 0, so their systems are kept apart
     assert system(QL, (1,)) is not system(LittleQJacobi(F(1, 32), 0, F(1, 2)), (1,))
+
+
+def test_dt_sq_is_memoised(monkeypatch):
+    # multi_poly (through C_Dn) and the chain's norm bookkeeping read
+    # tilde-d^2_{D,n} again and again; after the first call it is a lookup
+    calls = []
+
+    def counting(name):
+        original = getattr(Meixner, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("virtual_energy", "Bprime"):
+        monkeypatch.setattr(Meixner, name, counting(name))
+    s = MultiIndexedSystem(M, (1, 2, 3))
+    first = [s.dt_sq(n) for n in range(3)]
+    assert "virtual_energy" in calls and "Bprime" in calls
+    calls.clear()
+    assert [s.dt_sq(n) for n in range(3)] == first
+    assert calls == []
+
+
+def test_construction_failures_name_their_route():
+    # Xi and P_{D,n} share one interpolation routine and keep their own
+    # diagnostics: unit normalization, full degree, ten validation points
+    def fails(build, spoil, message):
+        s = MultiIndexedSystem(M, (1, 2))  # ell_D = 2; uncached, so spoil lands
+        spoil(s)
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            build(s)
+
+    def flat_w(s):
+        s.w_grid = LatticeFunction(lambda x: s.C_D() * M.varphi_M(2, x))
+
+    def bump(grid, x):
+        grid.cache[x] = grid(x) + 1
+
+    Xi, P1 = MultiIndexedSystem.Xi, lambda s: s.multi_poly(1)
+    mismatch = "normalization mismatch: closed-form {} disagrees with {}(0)"
+    fails(Xi, lambda s: s._cache.update(C_D=2 * s.C_D()), mismatch.format("C_D", "W[xi...]"))
+    fails(Xi, flat_w, "denominator degree 0 != 2 (degenerate labels?)")
+    fails(Xi, lambda s: bump(s.w_grid, 4), "denominator interpolation fails at x=4")
+    spoil_cdn = lambda s: s._cache.update({("dt_sq", 1): 2 * s.dt_sq(1)})
+    fails(P1, spoil_cdn, mismatch.format("C_Dn", "W[xi..,nu P_n]"))
+    fails(P1, lambda s: bump(s.wpp_grid(1), 5), "P_D,1 interpolation fails at x=5")
 
 
 @pytest.mark.parametrize("labels", [(1,), (1, 3)], ids=str)
