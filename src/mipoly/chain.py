@@ -238,13 +238,11 @@ def _nesting(ws, ws1, upper, lower) -> Callable[[int], bool]:
     return lambda x: ws(x + 1) * upper(x) == ws1(x) * lower(x + 1) - ws1(x + 1) * lower(x)
 
 
-def chain_verify(
-    p: _BaseFamily,
-    order: Sequence[int],
-    n_max: int = 3,
-    x_max: int = 12,
-    extra_virtual: int = 2,
-) -> Report:
+# Virtual-state companions checked per level beyond the chain's own labels.
+_EXTRA_VIRTUAL = 2
+
+
+def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: int = 12) -> Report:
     """Exhaustive exact verification of one deletion chain; see module doc.
 
     Every check is an exact comparison at each point of its range; what the
@@ -259,7 +257,7 @@ def chain_verify(
         f"chain[{p!r}, order={list(ch.order)}]",
         "intermediate Hamiltonians, Casoratian identities, signs, final match",
     )
-    cap = max(ch.order, default=0) + 1 + extra_virtual
+    cap = max(ch.order, default=0) + 1 + _EXTRA_VIRTUAL
     pool = index_set(p, cap)
     xs_any = range(-2, x_max + 1)  # cleared identities hold off the lattice too
     xs_lattice = range(0, x_max + 1)
@@ -270,7 +268,7 @@ def chain_verify(
     for s in range(M + 1):
         eigen = ch._level(s).eigen
         ets = ch.tilde_energy(ch.order[s - 1]) if s else 0
-        vs = [v for v in pool if v not in ch.order[:s]][: extra_virtual + 1]
+        vs = [v for v in pool if v not in ch.order[:s]][: _EXTRA_VIRTUAL + 1]
         for v in vs:
             holds = _eigen_identity(eigen, ch.wp(s, v), ets - ch.tilde_energy(v))
             _check(rep, f"virtual eigen-identity s={s},v={v}", xs_any, holds)
@@ -282,7 +280,7 @@ def chain_verify(
     for s in range(M):
         ws, ws1, contiguity = ch.w(s), ch.w(s + 1), ch._level(s).contiguity
         et_next = ch.tilde_energy(ch.order[s])
-        vs = [v for v in pool if v not in ch.order[: s + 1]][:extra_virtual]
+        vs = [v for v in pool if v not in ch.order[: s + 1]][:_EXTRA_VIRTUAL]
         for n in range(n_max + 1):
             upper, lower = ch.wpp(s + 1, n), ch.wpp(s, n)
             _check(rep, f"nesting (eigen) s={s},n={n}", xs_any, _nesting(ws, ws1, upper, lower))
@@ -300,7 +298,7 @@ def chain_verify(
         sigma = -gsign if s % 2 else gsign  # the sign of w_s
         ws, g, lv = ch.w(s), ch.wpp(s, 0), ch._level(s)
         _check(rep, f"w_{s} definite sign", xs_lattice, lambda x: sigma * ws(x) > 0)
-        vs = [v for v in pool if v not in ch.order[:s]][:extra_virtual]
+        vs = [v for v in pool if v not in ch.order[:s]][:_EXTRA_VIRTUAL]
         for v in vs:
             tau = sigma
             for d in ch.order[:s]:

@@ -28,6 +28,13 @@ twist(lambda) + u*delta = twist(lambda + u*delta-tilde).  The class attribute
 `tilde_delta` gives delta-tilde per parameter, as steps of +1 (M) or as
 powers of q (lqJ, lqL).
 
+Each system has one lattice variable w, x for M and q^x for lqJ, in which
+`B_w`, `D_w` and `poly_value_w` are rational (M's are B, D and poly_value).
+The shift x -> x+k is affine in it: `eta_affine(k)` = (alpha_k, beta_k) with
+eta(x+k) = alpha_k + beta_k w, which gives `step_w(w, k)`, the w of x+k.
+`limit_end` is the end of a coefficient list in w that holds the value at
+the lattice's far end, and `tail_start(polys)` certifies signs from x0 on.
+
 The closed forms the virtual-state and multi-indexed layers need are
 methods here as well: the twist constants alpha() and alpha_prime(), the
 virtual energies virtual_energy(v), the label bound v_max(), varphi_M(m, x)
@@ -39,10 +46,10 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .polynomials import Polynomial, newton_form
+from .polynomials import Polynomial, newton_form, sign_on_tail
 from .ratfunc import RationalFunction
 from .report import Report
-from .series import Interval, pochhammer, q_pochhammer, rational_power, DEFAULT_EPS
+from .series import Interval, pochhammer, q_pochhammer, rational_power
 
 __all__ = [
     "Meixner",
@@ -83,10 +90,6 @@ class _BaseFamily:
 
     # -- derived lattice data ------------------------------------------------------
 
-    def varphi(self, x: int):
-        """(eta(x+1) - eta(x)) / eta(1); closed forms override for speed."""
-        return (self.eta(x + 1) - self.eta(x)) / self.eta(1)
-
     def phi0_sq(self, x: int):
         """Square of the ground-state amplitude, from the zero-mode recurrence.
 
@@ -102,6 +105,12 @@ class _BaseFamily:
             y = len(vals) - 1
             vals.append(vals[y] * self.B(y) / self.D(y + 1))
         return vals[x]
+
+    def nu(self, x: int):
+        """Gauge factor alpha^x turning twisted eigenvectors into same-lattice
+        solutions: nu(x+1)/nu(x) = alpha = B(x) / (alpha B'(x)), by the
+        product identity alpha^2 B'(x) D(x+1) = B(x) D(x+1)."""
+        return self.alpha() ** x
 
     def poly(self, n: int) -> Polynomial:
         """P_n as a polynomial in eta, from the series' own Newton form.
@@ -134,6 +143,14 @@ class _BaseFamily:
         """P_n at lattice point x (any integer), via the eta-polynomial."""
         return self.poly(n)(self.eta(x))
 
+    # -- the lattice variable ------------------------------------------------------
+
+    def step_w(self, w, k: int):
+        """The lattice variable at x + k, given its value w at x."""
+        a0, b0 = self.eta_affine(0)
+        ak, bk = self.eta_affine(k)
+        return (ak + bk * w - a0) / b0
+
     # -- parameter moves -----------------------------------------------------------
 
     def twisted(self) -> "_BaseFamily":
@@ -163,7 +180,7 @@ class _BaseFamily:
 
 
 def _memoised_dn_sq(fn):
-    """Keep dn_sq(n, eps) in the family's `_cache`; the infinite q-products
+    """Keep dn_sq(n) in the family's `_cache`; the infinite q-products
     behind it would otherwise be recomputed for every orthogonality check.
 
     LittleQLaguerre inherits lqJ's dn_sq but still binds it in its own class
@@ -172,10 +189,10 @@ def _memoised_dn_sq(fn):
     """
 
     @functools.wraps(fn)
-    def dn_sq(self, n: int, eps: Fraction = DEFAULT_EPS):
-        key = ("dn_sq", n, eps)
+    def dn_sq(self, n: int):
+        key = ("dn_sq", n)
         if key not in self._cache:
-            self._cache[key] = fn(self, n, eps)
+            self._cache[key] = fn(self, n)
         return self._cache[key]
 
     return dn_sq
@@ -197,6 +214,7 @@ class Meixner(_BaseFamily):
     tag = "M"
     param_names = ("beta", "c")
     tilde_delta = (1, 0)
+    limit_end = -1  # the lattice variable x -> infinity: the top coefficients
 
     def __init__(self, beta, c, validate: bool = True):
         object.__setattr__(self, "_cache", {})
@@ -230,6 +248,14 @@ class Meixner(_BaseFamily):
     def eta(self, x):
         return Fraction(x) if isinstance(x, int) else x
 
+    def eta_affine(self, k: int) -> tuple:
+        """(alpha_k, beta_k) with eta(x + k) = alpha_k + beta_k x."""
+        return k, 1
+
+    def tail_start(self, polys):
+        """Least x0 >= 0 past which `sign_on_tail` certifies polys in x."""
+        return sign_on_tail(polys)
+
     def varphi(self, x):
         return Fraction(1)
 
@@ -247,6 +273,10 @@ class Meixner(_BaseFamily):
             total = total + term
         return total
 
+    # The lattice variable is x itself.  B and D keep their own class-dict
+    # entries too: bench/tracer.py counts calls to them there, by name.
+    B_w, D_w, poly_value_w = B, D, poly_value
+
     def term_ratio(self, n: int, k: int):
         """t_{k+1}/t_k of the series with its (k - x) factor taken out."""
         return (k - n) * (1 - 1 / self.c) / ((self.beta + k) * (k + 1))
@@ -261,14 +291,14 @@ class Meixner(_BaseFamily):
         return (1 - 1 / self.c) ** n / pochhammer(self.beta, n)
 
     @_memoised_dn_sq
-    def dn_sq(self, n: int, eps: Fraction = DEFAULT_EPS):
+    def dn_sq(self, n: int):
         """1 / (norm of P_n)^2; exact Fraction for integer beta, else Interval."""
         if isinstance(self.c, RationalFunction):
             raise TypeError("dn_sq is not defined for symbolic parameters")
         pref = pochhammer(self.beta, n) * self.c**n / pochhammer(Fraction(1), n)
         if self.beta.denominator == 1:
             return pref * (1 - self.c) ** int(self.beta)
-        return pref * rational_power(1 - self.c, self.beta, eps)
+        return pref * rational_power(1 - self.c, self.beta)
 
     def shifted(self, u: int = 1) -> "Meixner":
         return Meixner(self.beta + u, self.c, validate=False)
@@ -278,11 +308,6 @@ class Meixner(_BaseFamily):
 
     def _twisted(self) -> "Meixner":
         return Meixner(self.beta, 1 / self.c, validate=False)
-
-    def nu(self, x: int):
-        """Gauge factor turning twisted eigenvectors into same-lattice
-        solutions: nu(x+1)/nu(x) = B(x) / (alpha B'(x))."""
-        return self.c**x
 
     def alpha(self):
         """alpha > 0 of the linear relation between twisted and original
@@ -315,6 +340,7 @@ class _QFamily(_BaseFamily):
     """Common q-lattice structure: eta(x) = 1 - q^x, kappa = 1/q."""
 
     __slots__ = ()
+    limit_end = 0  # the lattice variable q^x -> 0: the constant terms
 
     @property
     def kappa(self):
@@ -322,6 +348,15 @@ class _QFamily(_BaseFamily):
 
     def eta(self, x: int):
         return 1 - self.q**x
+
+    def eta_affine(self, k: int) -> tuple:
+        """(alpha_k, beta_k) with eta(x + k) = alpha_k + beta_k q^x."""
+        return 1, -self.q**k
+
+    def tail_start(self, polys):
+        """Least x0 in 1..399 past which `sign_on_tail` certifies polys in q^x;
+        the search gives up at 400 lattice steps."""
+        return sign_on_tail(polys, self.q, 1, 400)
 
     def varphi(self, x: int):
         return self.q**x
@@ -340,9 +375,6 @@ class _QFamily(_BaseFamily):
 
     def poly_value(self, n: int, x: int):
         return self.poly_value_w(n, self.q**x)
-
-    def nu(self, x: int):
-        return self.a**x
 
     def alpha(self):
         return self.a
@@ -481,7 +513,7 @@ class LittleQJacobi(_QFamily):
         return f_xi, f_p
 
     @_memoised_dn_sq
-    def dn_sq(self, n: int, eps: Fraction = DEFAULT_EPS) -> Interval:
+    def dn_sq(self, n: int) -> Interval:
         a, b, q = self.a, self.b, self.q
         pref = (
             q_pochhammer(b * q, q, n)
@@ -492,7 +524,7 @@ class LittleQJacobi(_QFamily):
             * (1 - a * b * q ** (2 * n + 1))
             / (1 - a * b * q)
         )
-        inf = q_pochhammer(a * q, q, None, eps) / q_pochhammer(a * b * q**2, q, None, eps)
+        inf = q_pochhammer(a * q, q, None) / q_pochhammer(a * b * q**2, q, None)
         return pref * inf
 
     def shifted(self, u: int = 1) -> "LittleQJacobi":
@@ -583,8 +615,8 @@ def verify_difference_equation(p: _BaseFamily, n_max: int, x_max: int) -> Report
 
     Exact on the lattice window 0..x_max, which already pins down the
     identity as rational functions (both sides have degree <= n+2 in the
-    lattice variable); off-lattice rational points are checked as well to
-    exercise the continuation directly.
+    lattice variable); three off-lattice values of the lattice variable w
+    are checked as well to exercise the continuation directly.
     """
     rep = Report(f"base.difference-equation[{p!r}]", "difference equation for P_n")
     for n in range(n_max + 1):
@@ -594,19 +626,10 @@ def verify_difference_equation(p: _BaseFamily, n_max: int, x_max: int) -> Report
             lhs = p.B(x) * (vals[x + 1] - vals[x + 2]) + p.D(x) * (vals[x + 1] - vals[x])
             ok = lhs == e * vals[x + 1]
             rep.add(f"n={n},x={x}", ok, "" if ok else f"residual={lhs - e * vals[x + 1]}")
-        if isinstance(p, Meixner):
-            for x in (Fraction(1, 3), Fraction(7, 2), Fraction(-5, 4)):
-                lhs = p.B(x) * (p.poly_value(n, x) - p.poly_value(n, x + 1)) + p.D(x) * (
-                    p.poly_value(n, x) - p.poly_value(n, x - 1)
-                )
-                rep.add(f"n={n},x={x}", lhs == e * p.poly_value(n, x))
-        else:
-            q = p.q
-            for w in (Fraction(2, 3), Fraction(5, 7), Fraction(3, 2)):
-                lhs = p.B_w(w) * (p.poly_value_w(n, w) - p.poly_value_w(n, q * w)) + p.D_w(w) * (
-                    p.poly_value_w(n, w) - p.poly_value_w(n, w / q)
-                )
-                rep.add(f"n={n},w={w}", lhs == e * p.poly_value_w(n, w))
+        for w in (Fraction(2, 3), Fraction(5, 7), Fraction(3, 2)):
+            val = lambda k: p.poly_value_w(n, p.step_w(w, k))
+            lhs = p.B_w(w) * (val(0) - val(1)) + p.D_w(w) * (val(0) - val(-1))
+            rep.add(f"n={n},w={w}", lhs == e * val(0))
     mono = all(p.energy(n) < p.energy(n + 1) for n in range(n_max + 1))
     rep.add("spectrum increasing, E_0 = 0", mono and p.energy(0) == 0)
     return rep

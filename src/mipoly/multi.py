@@ -17,11 +17,14 @@ The deformed potentials, weight function, shift operators, eigenvalue
 equation and orthogonality all live here, each as an exact verification
 routine.  Orthogonality sums over the infinite lattice are certified: a
 geometric term-ratio bound with exact rational certificates caps the tail.
-The certificate builds the term ratio on int polynomials (products and
-Taylor shifts) and takes its tail start from `sign_on_tail`: the least x0
-past which the ratio's bound polynomials are provably nonnegative, by the
-coefficient signs of p(x + x0) for M and by a lower bound at z = q^x0 for
-the q families.
+There is one certificate for every family.  It writes the term ratio in the
+family's lattice variable w (x for M, q^x for the q families), where
+eta(x + k) = alpha_k + beta_k w: each polynomial in eta becomes an int
+polynomial in w by a Taylor shift and a scaling, and the weight ratio
+B'(x)/D'(x+1) is the family's own B_w/D_w evaluated at a symbolic w.  The
+limit of the ratio at the lattice's far end gives the bound r, and the
+family's `tail_start` (`sign_on_tail`) the least x0 past which the bound is
+certified.
 
 Everything runs over Fraction scalars and, for the M system, over rational
 functions of c (symbolically), which is what the exact limit module uses;
@@ -35,8 +38,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .casoratian import LatticeFunction, casoratian
-from .families import Meixner, _BaseFamily
-from .polynomials import Polynomial, horner, interpolate
+from .families import _BaseFamily
+from .polynomials import Polynomial, interpolate, sign_on_tail
+from .ratfunc import RationalFunction
 from .report import Report
 from .series import Interval, as_interval
 from .virtual import xi_poly
@@ -101,6 +105,8 @@ class MultiIndexedSystem:
         ]
         # W[xi_{d_1}..xi_{d_M}], shared with the deletion chains whose prefix this is
         self.w_grid = LatticeFunction(lambda x: casoratian(self._xi_grids, x))
+        # Xi_D at lattice points; a grid, read like a method: Xi_at(x)
+        self.Xi_at = LatticeFunction(lambda x: self.Xi()(p.eta(x)))
         self._cache: dict = {}
 
     def __repr__(self):
@@ -167,10 +173,6 @@ class MultiIndexedSystem:
             )
         return self._cache["Xi"]
 
-    def Xi_at(self, x: int):
-        grid = self._cache.setdefault("Xi_at", LatticeFunction(lambda y: self.Xi()(self.p.eta(y))))
-        return grid(x)
-
     def wpp_grid(self, n: int) -> LatticeFunction:
         """W[xi_{d_1}..xi_{d_M}, nu P_n] as a cached grid function."""
         key = ("wpp", n)
@@ -198,9 +200,9 @@ class MultiIndexedSystem:
 
     def multi_poly_at(self, n: int, x: int):
         key = ("P_at", n)
-        grid = self._cache.setdefault(
-            key, LatticeFunction(lambda y, n=n: self.multi_poly(n)(self.p.eta(y)))
-        )
+        grid = self._cache.get(key)
+        if grid is None:
+            grid = self._cache[key] = LatticeFunction(lambda y: self.multi_poly(n)(self.p.eta(y)))
         return grid(x)
 
     # -- closed-form leading coefficients ------------------------------------------
@@ -244,13 +246,12 @@ class MultiIndexedSystem:
     def weight(self, x: int):
         """w_D(x) = phi0_sq(x; lambda + M tilde-delta) / (Xi_D(x) Xi_D(x+1));
         exact positive rational, the discrete orthogonality measure."""
-        grid = self._cache.setdefault(
-            "weight",
-            LatticeFunction(
+        grid = self._cache.get("weight")
+        if grid is None:
+            grid = self._cache["weight"] = LatticeFunction(
                 lambda y: self.p.tilde_shifted(self.M).phi0_sq(y)
                 / (self.Xi_at(y) * self.Xi_at(y + 1))
-            ),
-        )
+            )
         return grid(x)
 
     # -- operators ----------------------------------------------------------------------
@@ -472,62 +473,7 @@ class OrthogonalityResult:
         )
 
 
-def sign_on_tail(polys, q=None, start: int = 0, limit=None):
-    """Least lattice x0 >= start (and < limit, if given) at which the test
-    below certifies that, for every lattice x >= x0, each polynomial in
-    `polys` is >= 0 and the first is > 0; None if there is none.
-
-    The polynomials have int coefficients in the lattice's own variable:
-      - q is None (eta = x): every coefficient of p(x + x0) is >= 0, and the
-        constant term of the first is > 0 (Descartes' rule on the Taylor
-        shift, as in Collins-Akritas real-root isolation);
-      - q given (z = q^x in (0, q^x0]): the constant term plus every negative
-        term taken at z = q^x0 is >= 0, and > 0 for the first.
-    Both hold for x0 + 1 once they hold for x0, so the least x0 is found by
-    doubling and then bisection.
-    """
-    if q is None:
-        leads = [poly.coeffs[-1] if poly else 0 for poly in polys]
-        if leads[0] <= 0 or min(leads) < 0:
-            return None  # the property never holds
-
-        def holds(x0):
-            for i, poly in enumerate(polys):
-                shifted = poly.taylor_shift(x0)
-                if any(c < 0 for c in shifted.coeffs) or (i == 0 and shifted.constant_term == 0):
-                    return False
-            return True
-
-    else:
-        lower = [poly.coeffs[:1] + tuple(min(c, 0) for c in poly.coeffs[1:]) for poly in polys]
-
-        def holds(x0):
-            a, b = q.numerator**x0, q.denominator**x0
-            for i, cs in enumerate(lower):
-                v = horner(cs, a, b)
-                if v < 0 or (i == 0 and v == 0):
-                    return False
-            return True
-
-    if limit is not None and start >= limit:
-        return None
-    bad, good, step = start - 1, start, 1
-    while not holds(good):
-        if limit is not None and good >= limit - 1:
-            return None
-        bad, good, step = good, good + step, 2 * step
-        if limit is not None:
-            good = min(good, limit - 1)
-    while good - bad > 1:
-        mid = (bad + good) // 2
-        if holds(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
-# The ratio certificates carry each rational polynomial as a pair (P, d): an
+# The ratio certificate carries each rational polynomial as a pair (P, d): an
 # int-coefficient Polynomial P and a positive int d standing for P / d.
 
 
@@ -550,100 +496,57 @@ def _tail_polys(num: tuple, den: tuple, r: Fraction) -> list:
     return [b, rb - a, rb + a]
 
 
-def _ratio_certificate_meixner(sys: MultiIndexedSystem, n: int, m: int):
+def _lattice_form(p: _BaseFamily, poly: Polynomial, k: int) -> tuple:
+    """poly(eta(x + k)) as a polynomial in the lattice variable w of x: with
+    eta(x + k) = alpha_k + beta_k w, a Taylor shift by the int alpha_k, then
+    w -> beta_k w with the powers of beta_k's denominator cleared."""
+    alpha, beta = p.eta_affine(k)
+    shifted, den = _int_poly(poly)
+    cs = shifted.taylor_shift(alpha).coeffs
+    d = len(cs) - 1
+    a, b = beta.numerator, beta.denominator
+    return Polynomial(c * a**j * b ** (d - j) for j, c in enumerate(cs)), den * b**d
+
+
+def _ratio_certificate(sys: MultiIndexedSystem, n: int, m: int):
     """(x_star, r) with |t(x+1)/t(x)| <= r < 1 for all x >= x_star, where
     t(x) = w_D(x) P_{D,n}(x) P_{D,m}(x).
 
-    The ratio is the rational function
-        c (x+beta') P_n(x+1) P_m(x+1) Xi(x) / ((x+1) P_n(x) P_m(x) Xi(x+2))
-    with beta' the M-shifted parameter, built on int polynomials by products
-    and Taylor shifts.  Past the tail start of den and r*den -+ num, the
-    denominator is positive and |num| <= r*den, hence the certified
-    geometric decay.
-    """
-    p = sys.p
-    beta, c = p.tilde_shifted(sys.M).beta, p.c
-    pn, pm, xi = (_int_poly(f) for f in (sys.multi_poly(n), sys.multi_poly(m), sys.Xi()))
-    up = lambda f, k: (f[0].taylor_shift(k), f[1])
-    num = _product(
-        (Polynomial((c.numerator,)), c.denominator),
-        (Polynomial((beta.numerator, beta.denominator)), beta.denominator),
-        up(pn, 1),
-        up(pm, 1),
-        xi,
-    )
-    den = _product((Polynomial((1, 1)), 1), pn, pm, up(xi, 2))
-    if den[0].leading_coefficient < 0:
-        num, den = (-num[0], num[1]), (-den[0], den[1])
-    r = (1 + c) / 2
-    x_star = sign_on_tail(_tail_polys(num, den, r))
-    if x_star is None:
-        raise ArithmeticError("cannot certify: a ratio bound is not eventually positive")
-    return x_star, r
-
-
-# z-steps the q certificate searches before it gives up.
-_Q_TAIL_LIMIT = 400
-
-
-def _at_one_minus(poly: Polynomial, u) -> tuple:
-    """poly evaluated at eta = 1 - u z, as a polynomial in z: a Taylor shift
-    by 1, then z -> -u z with the powers of u's denominator cleared."""
-    shifted, den = _int_poly(poly)
-    cs = shifted.taylor_shift(1).coeffs
-    d = len(cs) - 1
-    a, b = -u.numerator, u.denominator
-    return Polynomial(c * a**k * b ** (d - k) for k, c in enumerate(cs)), den * b**d
-
-
-def _ratio_certificate_q(sys: MultiIndexedSystem, n: int, m: int):
-    """(x_star, r) for the q systems, working in z = q^x.
-
-    t(x+1)/t(x) = a'q (1-b'qz) P_n(1-qz) P_m(1-qz) Xi(1-z)
-                  / ((1-qz) P_n(1-z) P_m(1-z) Xi(1-q^2 z)),
-    a rational function of z with value a'q < 1 at z = 0 (a', b' the
-    M-shifted parameters), built on int polynomials.  On a small enough
-    (0, z_star] the bound |num| <= r*den with den > 0 is certified by
-    coefficient lower bounds (`sign_on_tail`).
+    In the lattice variable w of x the term ratio is the rational function
+        B'(w) P_n(x+1) P_m(x+1) Xi(x) / (D'(step_w(w, 1)) P_n(x) P_m(x) Xi(x+2))
+    with B', D' the potentials at the M-shifted parameters, built on int
+    polynomials (`_lattice_form`).  Its limit rho0 at the lattice's far end
+    (w -> infinity for M, w = q^x -> 0 for the q families) sits in the
+    coefficients at the family's `limit_end`; r = (1 + rho0) / 2.  From the
+    tail start (`tail_start`) of den and r*den -+ num on, the denominator is
+    positive and |num| <= r*den, hence the certified geometric decay.
     """
     p = sys.p
     shifted = p.tilde_shifted(sys.M)
-    q = p.q
-    aq = shifted.a * q
-    bq = shifted.b * q
-    pn, pm, xi = sys.multi_poly(n), sys.multi_poly(m), sys.Xi()
-    num, da = _product(
-        (Polynomial((aq.numerator,)), aq.denominator),
-        (Polynomial((bq.denominator, -bq.numerator)), bq.denominator),
-        _at_one_minus(pn, q),
-        _at_one_minus(pm, q),
-        _at_one_minus(xi, 1),
-    )
-    den, db = _product(
-        (Polynomial((q.denominator, -q.numerator)), q.denominator),
-        _at_one_minus(pn, 1),
-        _at_one_minus(pm, 1),
-        _at_one_minus(xi, q * q),
-    )
-    # A common factor g with g(0) != 0 leaves num(0)/den(0) unchanged and only
-    # shrinks z_star, so no gcd is taken.  A common power of z is the one
-    # factor that hides the limit at z = 0; z > 0 on the tail, so stripping
-    # it is exact.
-    while num.constant_term == 0 and den.constant_term == 0 and den:
+    w = RationalFunction.variable()
+    ratio = shifted.B_w(w) / shifted.D_w(shifted.step_w(w, 1))
+    polys = sys.multi_poly(n), sys.multi_poly(m), sys.Xi()
+    at = lambda *ks: (_lattice_form(p, f, k) for f, k in zip(polys, ks))  # P_n, P_m, Xi at x + k
+    num, da = _product(_int_poly(ratio.num), *at(1, 1, 0))
+    den, db = _product(_int_poly(ratio.den), *at(0, 0, 2))
+    end = p.limit_end
+    # A common factor g leaves the limit unchanged and only moves the tail
+    # start, so no gcd is taken.  A common power of w is the one factor that
+    # hides a limit at w = 0; w > 0 on the tail, so stripping it is exact.
+    while end == 0 and den and num.constant_term == 0 and den.constant_term == 0:
         num, den = Polynomial(num.coeffs[1:]), Polynomial(den.coeffs[1:])
-    if den.constant_term == 0:
-        raise ArithmeticError("cannot certify: ratio denominator vanishes at z=0")
-    if den.constant_term < 0:
+    if not den or den.coeffs[end] == 0:
+        raise ArithmeticError("cannot certify: ratio denominator vanishes at the lattice's end")
+    k = end % len(den.coeffs)  # the power of w whose coefficients hold the limit
+    if den.coeffs[k] < 0:
         num, den = -num, -den
-    rho0 = Fraction(abs(num.constant_term) * db, den.constant_term * da)
+    rho0 = Fraction(abs(num.coefficient(k)) * db, den.coeffs[k] * da)
     if not rho0 < 1:
         raise ArithmeticError(f"cannot certify: limiting term ratio {rho0} >= 1")
     r = (1 + rho0) / 2
-    x_star = sign_on_tail(_tail_polys((num, da), (den, db), r), q, 1, _Q_TAIL_LIMIT)
+    x_star = p.tail_start(_tail_polys((num, da), (den, db), r))
     if x_star is None:
-        raise ArithmeticError(
-            f"cannot certify a geometric tail within {_Q_TAIL_LIMIT} lattice steps"
-        )
+        raise ArithmeticError("cannot certify: no tail start for the term-ratio bound")
     return x_star, r
 
 
@@ -664,11 +567,7 @@ def orthogonality_sum(
     the larger of the two diagonal targets.
     """
     sys = system(p, labels)
-    x_star, r = (
-        _ratio_certificate_meixner(sys, n, m)
-        if isinstance(sys.p, Meixner)
-        else _ratio_certificate_q(sys, n, m)
-    )
+    x_star, r = _ratio_certificate(sys, n, m)
     diag = lambda k: 1 / (as_interval(sys.p.dn_sq(k)) * sys.dt_sq(k))
     if n == m:
         target = diag(n)

@@ -17,6 +17,10 @@ of reducing a Fraction at every step; the module-level `horner` is that
 kernel on a bare int coefficient sequence.  `taylor_shift` computes p(X + k)
 by synthetic division, which on int coefficients is all int arithmetic.
 
+`sign_on_tail` finds the least lattice point x0 from which int polynomials
+in a lattice variable (x, or q^x) are provably nonnegative on the whole tail
+x >= x0; each family's `tail_start` calls it with its own variable.
+
 Interpolation follows the same split.  `interpolate` on int/Fraction nodes
 and values is Lagrange interpolation on a common denominator, all in ints up
 to one Fraction per coefficient; any other field (RationalFunction) takes
@@ -30,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-__all__ = ["Polynomial", "interpolate", "newton_form", "horner"]
+__all__ = ["Polynomial", "interpolate", "newton_form", "horner", "sign_on_tail"]
 
 NEG_INF = float("-inf")
 
@@ -229,6 +233,61 @@ def horner(cs: Sequence[int], a: int, b: int = 1) -> int:
         bk *= b
         acc = acc * a + c * bk
     return acc
+
+
+def sign_on_tail(polys, q=None, start: int = 0, limit=None):
+    """Least lattice x0 >= start (and < limit, if given) at which the test
+    below certifies that, for every lattice x >= x0, each polynomial in
+    `polys` is >= 0 and the first is > 0; None if there is none.
+
+    The polynomials have int coefficients in the lattice's own variable:
+      - q is None (eta = x): every coefficient of p(x + x0) is >= 0, and the
+        constant term of the first is > 0 (Descartes' rule on the Taylor
+        shift, as in Collins-Akritas real-root isolation);
+      - q given (z = q^x in (0, q^x0]): the constant term plus every negative
+        term taken at z = q^x0 is >= 0, and > 0 for the first.
+    Both hold for x0 + 1 once they hold for x0, so the least x0 is found by
+    doubling and then bisection.
+    """
+    if q is None:
+        leads = [poly.coeffs[-1] if poly else 0 for poly in polys]
+        if leads[0] <= 0 or min(leads) < 0:
+            return None  # the property never holds
+
+        def holds(x0):
+            for i, poly in enumerate(polys):
+                shifted = poly.taylor_shift(x0)
+                if any(c < 0 for c in shifted.coeffs) or (i == 0 and shifted.constant_term == 0):
+                    return False
+            return True
+
+    else:
+        lower = [poly.coeffs[:1] + tuple(min(c, 0) for c in poly.coeffs[1:]) for poly in polys]
+
+        def holds(x0):
+            a, b = q.numerator**x0, q.denominator**x0
+            for i, cs in enumerate(lower):
+                v = horner(cs, a, b)
+                if v < 0 or (i == 0 and v == 0):
+                    return False
+            return True
+
+    if limit is not None and start >= limit:
+        return None
+    bad, good, step = start - 1, start, 1
+    while not holds(good):
+        if limit is not None and good >= limit - 1:
+            return None
+        bad, good, step = good, good + step, 2 * step
+        if limit is not None:
+            good = min(good, limit - 1)
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if holds(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def newton_form(nodes: Sequence, coeffs: Sequence) -> Polynomial:

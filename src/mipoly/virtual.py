@@ -142,20 +142,10 @@ def verify_linear_relation(p: _BaseFamily, x_max: int) -> Report:
         rep.add(f"B'(x) > 0 x={x}", tw.B(x) > 0)
         rep.add(f"D'(x) sign x={x}", tw.D(x) > 0 if x >= 1 else tw.D(x) == 0)
         rep.add(f"nu recurrence x={x}", p.nu(x + 1) * al * tw.B(x) == p.nu(x) * p.B(x))
-    if isinstance(p, Meixner):
-        for x in (Fraction(1, 2), Fraction(13, 7)):
-            rep.add(
-                f"product identity x={x}",
-                al**2 * tw.B(x) * tw.D(x + 1) == p.B(x) * p.D(x + 1),
-            )
-            rep.add(f"sum identity x={x}", al * (tw.B(x) + tw.D(x)) + ap == p.B(x) + p.D(x))
-    else:
-        for w in (Fraction(3, 5), Fraction(7, 4)):
-            rep.add(
-                f"product identity w={w}",
-                al**2 * tw.B_w(w) * tw.D_w(w * p.q) == p.B_w(w) * p.D_w(w * p.q),
-            )
-            rep.add(f"sum identity w={w}", al * (tw.B_w(w) + tw.D_w(w)) + ap == p.B_w(w) + p.D_w(w))
+    for w in (Fraction(3, 5), Fraction(7, 4)):
+        w1 = p.step_w(w, 1)
+        rep.add(f"product identity w={w}", al**2 * tw.B_w(w) * tw.D_w(w1) == p.B_w(w) * p.D_w(w1))
+        rep.add(f"sum identity w={w}", al * (tw.B_w(w) + tw.D_w(w)) + ap == p.B_w(w) + p.D_w(w))
     for vv in index_set(p, 4):
         cross = al * tw.energy(vv) + ap == p.virtual_energy(vv)
         rep.add(f"energy cross-route v={vv}", cross)

@@ -254,3 +254,26 @@ def test_poly_rejects_a_wrong_term_ratio(monkeypatch):
     monkeypatch.setattr(LittleQLaguerre, "term_ratio", wrong)
     with pytest.raises(ArithmeticError, match="fails the series at x=4"):
         LittleQLaguerre(F(1, 32), F(1, 2)).poly(3)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [*ALL, LittleQJacobi(F(1, 1048576), F(1, 3), F(1, 2)), LittleQLaguerre(F(1, 1048576), F(1, 2))],
+    ids=repr,
+)
+def test_lattice_variable(p):
+    # eta(x + k) = alpha_k + beta_k w(x) in the one lattice variable w, and
+    # B, D, P_n and the weight ratio read in w agree with the lattice values
+    a0, b0 = p.eta_affine(0)
+    w = lambda x: (p.eta(x) - a0) / b0
+    for x in range(-2, 11):
+        for k in range(-1, 3):
+            ak, bk = p.eta_affine(k)
+            assert p.eta(x + k) == ak + bk * w(x), (x, k)
+            assert p.step_w(w(x), k) == w(x + k), (x, k)
+        assert p.B_w(w(x)) == p.B(x) and p.D_w(w(x)) == p.D(x), x
+        for n in range(5):
+            assert p.poly_value_w(n, w(x)) == p.poly_value(n, x), (n, x)
+        if x >= 0:
+            ratio = p.B_w(w(x)) / p.D_w(p.step_w(w(x), 1))
+            assert ratio == p.phi0_sq(x + 1) / p.phi0_sq(x), x

@@ -11,8 +11,7 @@ from mipoly.casoratian import LatticeFunction
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
 from mipoly.multi import (
     MultiIndexedSystem,
-    _ratio_certificate_meixner,
-    _ratio_certificate_q,
+    _ratio_certificate,
     count_sign_changes,
     orthogonality_sum,
     sign_on_tail,
@@ -263,7 +262,7 @@ def test_q_ratio_certificate_bounds_term_ratio(p):
             continue
         s = system(p, labels)
         for n, m in ((0, 0), (1, 1), (0, 1)):
-            x_star, r = _ratio_certificate_q(s, n, m)
+            x_star, r = _ratio_certificate(s, n, m)
             assert 0 < r < 1
             t = lambda x: s.weight(x) * s.multi_poly_at(n, x) * s.multi_poly_at(m, x)
             for x in range(x_star, x_star + 41):
@@ -290,7 +289,7 @@ class VanishingAtOne:
 def test_q_ratio_certificate_strips_a_common_power_of_z(p):
     s = VanishingAtOne(p)
     for n, m in ((0, 0), (1, 1), (0, 1), (2, 1)):
-        x_star, r = _ratio_certificate_q(s, n, m)
+        x_star, r = _ratio_certificate(s, n, m)
         assert 0 < r < 1
         pn, pm = s.multi_poly(n), s.multi_poly(m)
         t = lambda x: p.phi0_sq(x) * pn(p.eta(x)) * pm(p.eta(x))
@@ -306,7 +305,7 @@ def test_meixner_ratio_certificate_bounds_term_ratio(p):
     for labels in ((1,), (1, 3), (1, 3, 5), (1, 3, 5, 7)):
         s = system(p, labels)
         for n, m in ((0, 0), (1, 1), (0, 1)):
-            x_star, r = _ratio_certificate_meixner(s, n, m)
+            x_star, r = _ratio_certificate(s, n, m)
             assert 0 < r < 1
             t = lambda x: s.weight(x) * s.multi_poly_at(n, x) * s.multi_poly_at(m, x)
             for x in range(x_star, x_star + 41):
@@ -413,7 +412,39 @@ def test_q_ratio_certificate_matches_fraction_reference(p):
     for labels in ((1,), (2,), (1, 2), (1, 3), (2, 4)):
         s = system(p, labels)
         for n, m in ((0, 0), (1, 1), (0, 1), (2, 1)):
-            assert _ratio_certificate_q(s, n, m) == fraction_reference_q_certificate(s, n, m)
+            assert _ratio_certificate(s, n, m) == fraction_reference_q_certificate(s, n, m)
+
+
+def fraction_reference_meixner_certificate(s, n, m):
+    # the mirror for M: Fraction polynomials in x by composition, with the
+    # tail start searched one lattice step at a time
+    shifted = s.p.tilde_shifted(s.M)
+    at = lambda poly, k: poly.compose(Polynomial((F(k), 1)))
+    pn, pm, xi = s.multi_poly(n), s.multi_poly(m), s.Xi()
+    num = shifted.c * Polynomial((shifted.beta, 1)) * at(pn, 1) * at(pm, 1) * xi
+    den = Polynomial((1, 1)) * pn * pm * at(xi, 2)
+    if den.leading_coefficient < 0:
+        num, den = -num, -den
+    r = (1 + abs(num.leading_coefficient) / den.leading_coefficient) / 2
+
+    def nonnegative_from(poly, x):  # every coefficient of poly(X + x) is >= 0
+        return all(c >= 0 for c in at(poly, x).coeffs)
+
+    for x_star in range(400):
+        if at(den, x_star).constant_term > 0 and all(
+            nonnegative_from(poly, x_star) for poly in (den, r * den - num, r * den + num)
+        ):
+            return x_star, r
+
+
+@pytest.mark.parametrize(
+    "p", [Meixner(1, F(1, 2)), Meixner(F(5, 2), F(1, 3)), Meixner(F(1, 2), F(9, 10))], ids=repr
+)
+def test_meixner_ratio_certificate_matches_fraction_reference(p):
+    for labels in ((1,), (2,), (1, 2), (1, 3), (2, 4)):
+        s = system(p, labels)
+        for n, m in ((0, 0), (1, 1), (0, 1), (2, 1)):
+            assert _ratio_certificate(s, n, m) == fraction_reference_meixner_certificate(s, n, m)
 
 
 def test_weight_positive_and_summable():
