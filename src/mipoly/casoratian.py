@@ -22,6 +22,7 @@ exact verifier here:
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from math import lcm
@@ -87,24 +88,25 @@ def exact_det(rows: Sequence[Sequence]):
     return Fraction(det, scale)
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Determinant of a square int matrix by Bareiss elimination (consumes m).
+def _bareiss(m: list[list], div=operator.floordiv):
+    """Determinant of a square matrix by Bareiss elimination (consumes m).
 
     Each step replaces the trailing block by 2x2 minors against the pivot
     divided by the previous pivot; by Sylvester's identity that division is
-    exact, so every intermediate is an int.
+    exact, so over the ints (floor division, the default) every intermediate
+    is an int, and over a field `div` is its division.
     """
     sign, prev = 1, 1
     while len(m) > 1:
         k = next((r for r, row in enumerate(m) if row[0]), None)
         if k is None:
-            return 0
+            return m[0][0]  # a zero column: the field's zero
         if k:
             m[0], m[k] = m[k], m[0]
             sign = -sign
         top = m[0]
         p, rest = top[0], top[1:]
-        m = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], rest)] for row in m[1:]]
+        m = [[div(x * p - row[0] * y, prev) for x, y in zip(row[1:], rest)] for row in m[1:]]
         prev = p
     return sign * m[0][0]
 
@@ -126,25 +128,7 @@ def _field_det(rows: Sequence[Sequence]):
                 term = -term
             total = term if total is None else total + term
         return total if total is not None else rows[0][0] - rows[0][0]
-    # Bareiss elimination with row pivoting and exact field divisions
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return m[i][i]  # zero column, zero determinant
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) / prev
-            m[r][i] = 0 * m[r][i]
-        prev = m[i][i]
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+    return _bareiss([list(r) for r in rows], operator.truediv)
 
 
 def casoratian(fs: Sequence[GridFunction], x: int):

@@ -35,11 +35,12 @@ After s deletions the intermediate Hamiltonian is the multi-indexed system
 of the label prefix d_1..d_s, so the grids are that system's: w_s and
 w''_{s,n} are the W grids of `system(p, order[:s])`, and w'_{s,v} is the W
 grid of `system(p, order[:s] + (v,))`, all from the shared `multi.system`
-store.  A Chain owns only the rest, each a memo table: alpha B'(x) and
-alpha D'(x), the tilde-energies, and per level s the step potentials and
-the coefficients that the eigen-identity and contiguity checks of all
-companion columns share.  Each is computed once per (s, x); a check only
-combines table entries with its own column.
+store.  A Chain owns only the rest: the lattice tables alpha B'(x) and
+alpha D'(x), the tilde-energies (a `memo`), and per level s (`_level`, a
+`memo`) the lattice tables of the step potentials and of the coefficients
+that the eigen-identity and contiguity checks of all companion columns
+share.  Each is computed once per (s, x); a check only combines table
+entries with its own column.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from itertools import permutations
 from typing import Callable, Sequence
 
 from .casoratian import LatticeFunction
-from .families import _BaseFamily
+from .families import _BaseFamily, memo
 from .multi import _validate_labels, system
 from .report import Report
 from .virtual import index_set
@@ -73,13 +74,11 @@ class Chain:
         a = self.alpha
         self.aB = LatticeFunction(lambda x: a * p.Bprime(x))  # alpha B'(x)
         self.aD = LatticeFunction(lambda x: a * p.Dprime(x))  # alpha D'(x)
-        self._te: dict[int, object] = {}
-        self._levels: dict[int, _Level] = {}
+        self._cache: dict = {}
 
+    @memo
     def tilde_energy(self, v: int):
-        if v not in self._te:
-            self._te[v] = self.p.virtual_energy(v)
-        return self._te[v]
+        return self.p.virtual_energy(v)
 
     # -- Casoratian grids, read from the label-prefix systems ---------------------
 
@@ -92,11 +91,10 @@ class Chain:
     def wpp(self, s: int, n: int) -> LatticeFunction:
         return system(self.p, self.order[:s]).wpp_grid(n)
 
+    @memo
     def _level(self, s: int) -> "_Level":
         """The per-(s, x) tables of level s, built once per Chain."""
-        if s not in self._levels:
-            self._levels[s] = _Level(self, s)
-        return self._levels[s]
+        return _Level(self, s)
 
     # -- the sign factor -----------------------------------------------------------
 

@@ -39,6 +39,16 @@ The closed forms the virtual-state and multi-indexed layers need are
 methods here as well: the twist constants alpha() and alpha_prime(), the
 virtual energies virtual_energy(v), the label bound v_max(), varphi_M(m, x)
 and the leading-coefficient factors leading_factors(labels, n).
+
+Caching follows one rule.  A derived value that an object computes from its
+own parameters -- here P_n, d_n^2 and the moved families, in `multi` C_D,
+Xi_D, P_{D,n} and the weight, in `chain` the tilde-energies and level
+tables -- is a method under `memo`, kept in the object's `_cache` under the
+method's name and positional arguments.  A lattice function that is handed
+around as an object of its own (a Casoratian grid, a chain level's
+potentials) is a `casoratian.LatticeFunction` instead.  `multi._SYSTEMS` is
+the one store across objects: it keys systems by value, so that equal
+families built apart share their constructions.
 """
 
 from __future__ import annotations
@@ -69,6 +79,26 @@ def _exact(v):
     if isinstance(v, RationalFunction):
         return v
     return Fraction(v)
+
+
+def memo(fn):
+    """Keep fn(self, *args) in self._cache under (fn.__name__, *args).
+
+    Positional arguments only; they and the result must not change.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def cached(self, *args):
+        key = (name, *args)
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        value = self._cache[key] = fn(self, *args)
+        return value
+
+    return cached
 
 
 class _BaseFamily:
@@ -112,6 +142,7 @@ class _BaseFamily:
         product identity alpha^2 B'(x) D(x+1) = B(x) D(x+1)."""
         return self.alpha() ** x
 
+    @memo
     def poly(self, n: int) -> Polynomial:
         """P_n as a polynomial in eta, from the series' own Newton form.
 
@@ -122,22 +153,19 @@ class _BaseFamily:
         is revalidated against `poly_value`, a separately written coding of
         the series, at the five lattice points x = n+1..n+5.
         """
-        cache = self._cache.setdefault("poly", {})
-        if n not in cache:
-            symbolic = any(isinstance(v, RationalFunction) for v in self._key())
-            t = RationalFunction(1) if symbolic else Fraction(1)
-            coeffs = [t]
-            for k in range(n):
-                t = -t * self.term_ratio(n, k)  # Newton form in (eta - eta(j))
-                coeffs.append(t)
-            p = newton_form([self.eta(j) for j in range(n)], coeffs)
-            if p.degree != n:
-                raise ArithmeticError(f"P_{n} degenerated to degree {p.degree}")
-            for x in range(n + 1, n + 6):
-                if p(self.eta(x)) != self.poly_value(n, x):
-                    raise ArithmeticError(f"P_{n} Newton form fails the series at x={x}")
-            cache[n] = p
-        return cache[n]
+        symbolic = any(isinstance(v, RationalFunction) for v in self._key())
+        t = RationalFunction(1) if symbolic else Fraction(1)
+        coeffs = [t]
+        for k in range(n):
+            t = -t * self.term_ratio(n, k)  # Newton form in (eta - eta(j))
+            coeffs.append(t)
+        p = newton_form([self.eta(j) for j in range(n)], coeffs)
+        if p.degree != n:
+            raise ArithmeticError(f"P_{n} degenerated to degree {p.degree}")
+        for x in range(n + 1, n + 6):
+            if p(self.eta(x)) != self.poly_value(n, x):
+                raise ArithmeticError(f"P_{n} Newton form fails the series at x={x}")
+        return p
 
     def poly_eval(self, n: int, x: int):
         """P_n at lattice point x (any integer), via the eta-polynomial."""
@@ -151,24 +179,8 @@ class _BaseFamily:
         ak, bk = self.eta_affine(k)
         return (ak + bk * w - a0) / b0
 
-    # -- parameter moves -----------------------------------------------------------
-
-    def twisted(self) -> "_BaseFamily":
-        t = self._cache.get("twisted")
-        if t is None:
-            t = self._twisted()
-            self._cache["twisted"] = t
-        return t
-
-    def tilde_shifted(self, u: int = 1) -> "_BaseFamily":
-        """The family at lambda + u delta-tilde, built once per u so that its
-        phi0_sq memo is shared by every caller."""
-        key = ("tilde_shifted", u)
-        t = self._cache.get(key)
-        if t is None:
-            t = self._tilde_shifted(u)
-            self._cache[key] = t
-        return t
+    # -- twisted potentials; each family defines the memoised moves twisted(),
+    # -- shifted(u) and tilde_shifted(u)
 
     def Bprime(self, x):
         """B(x) at twisted parameters."""
@@ -177,25 +189,6 @@ class _BaseFamily:
     def Dprime(self, x):
         """D(x) at twisted parameters (equals D for every system here)."""
         return self.twisted().D(x)
-
-
-def _memoised_dn_sq(fn):
-    """Keep dn_sq(n) in the family's `_cache`; the infinite q-products
-    behind it would otherwise be recomputed for every orthogonality check.
-
-    LittleQLaguerre inherits lqJ's dn_sq but still binds it in its own class
-    `__dict__`: bench/tracer.py looks dn_sq up there, class by class, to span
-    it, and a name only inherited would stop the tracer at install.
-    """
-
-    @functools.wraps(fn)
-    def dn_sq(self, n: int):
-        key = ("dn_sq", n)
-        if key not in self._cache:
-            self._cache[key] = fn(self, n)
-        return self._cache[key]
-
-    return dn_sq
 
 
 def _one_like(scalar):
@@ -290,7 +283,7 @@ class Meixner(_BaseFamily):
     def leading_coefficient(self, n: int):
         return (1 - 1 / self.c) ** n / pochhammer(self.beta, n)
 
-    @_memoised_dn_sq
+    @memo
     def dn_sq(self, n: int):
         """1 / (norm of P_n)^2; exact Fraction for integer beta, else Interval."""
         if isinstance(self.c, RationalFunction):
@@ -300,13 +293,14 @@ class Meixner(_BaseFamily):
             return pref * (1 - self.c) ** int(self.beta)
         return pref * rational_power(1 - self.c, self.beta)
 
-    def shifted(self, u: int = 1) -> "Meixner":
+    @memo
+    def shifted(self, u: int) -> "Meixner":
         return Meixner(self.beta + u, self.c, validate=False)
 
-    def _tilde_shifted(self, u: int) -> "Meixner":
-        return self.shifted(u)
+    tilde_shifted = shifted  # delta-tilde = delta for M
 
-    def _twisted(self) -> "Meixner":
+    @memo
+    def twisted(self) -> "Meixner":
         return Meixner(self.beta, 1 / self.c, validate=False)
 
     def alpha(self):
@@ -414,11 +408,15 @@ class LittleQJacobi(_QFamily):
             if not self.b < 1 / self.q:
                 raise ValueError("requires b < 1/q")
             if self.b > 0:
+                bq = self.b * self.q  # b q^(m+1), strictly decreasing in m
                 for m in range(65):
-                    if self.a == self.b * self.q ** (m + 1):
-                        raise ValueError(
-                            f"degenerate parameters: a = b q^{m + 1} collapses virtual-state degrees"
-                        )
+                    if bq <= self.a:
+                        if bq == self.a:
+                            raise ValueError(
+                                f"degenerate parameters: a = b q^{m + 1} collapses virtual-state degrees"
+                            )
+                        break
+                    bq *= self.q
 
     def _key(self):
         return (self.a, self.b, self.q)
@@ -512,7 +510,7 @@ class LittleQJacobi(_QFamily):
             f_p = f_p * (q ** -(j - 1) - bq) / (q ** -(d + n) - bq)
         return f_xi, f_p
 
-    @_memoised_dn_sq
+    @memo
     def dn_sq(self, n: int) -> Interval:
         a, b, q = self.a, self.b, self.q
         pref = (
@@ -527,13 +525,16 @@ class LittleQJacobi(_QFamily):
         inf = q_pochhammer(a * q, q, None) / q_pochhammer(a * b * q**2, q, None)
         return pref * inf
 
-    def shifted(self, u: int = 1) -> "LittleQJacobi":
+    @memo
+    def shifted(self, u: int) -> "LittleQJacobi":
         return self._at(self.a * self.q**u, self.b * self.q**u)
 
-    def _tilde_shifted(self, u: int) -> "LittleQJacobi":
+    @memo
+    def tilde_shifted(self, u: int) -> "LittleQJacobi":
         return self._at(self.a * self.q**-u, self.b * self.q**u)
 
-    def _twisted(self) -> "LittleQJacobi":
+    @memo
+    def twisted(self) -> "LittleQJacobi":
         return self._at(1 / self.a, self.b)
 
 
@@ -564,7 +565,9 @@ class LittleQLaguerre(LittleQJacobi):
     def _at(self, a, b) -> "LittleQLaguerre":
         return LittleQLaguerre(a, self.q, validate=False)  # every move keeps b = 0
 
-    dn_sq = LittleQJacobi.dn_sq  # a class-level name of its own: see _memoised_dn_sq
+    # Inherited, but bound in this class's own __dict__ as well: bench/tracer.py
+    # looks dn_sq up there, class by class, to span it.
+    dn_sq = LittleQJacobi.dn_sq
 
 
 FAMILIES = {"M": Meixner, "lqJ": LittleQJacobi, "lqL": LittleQLaguerre}

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .casoratian import LatticeFunction, casoratian
-from .families import _BaseFamily
+from .families import _BaseFamily, memo
 from .polynomials import Polynomial, interpolate, sign_on_tail
 from .ratfunc import RationalFunction
 from .report import Report
@@ -114,28 +114,25 @@ class MultiIndexedSystem:
 
     # -- normalization constants (closed forms) ---------------------------------
 
+    @memo
     def C_D(self):
-        if "C_D" not in self._cache:
-            al = self.p.alpha()
-            te = [self.p.virtual_energy(d) for d in self.labels]
-            out = 1 / self.p.varphi_M(self.M, 0)
-            for j in range(self.M):
-                for k in range(j + 1, self.M):
-                    out = out * (te[j] - te[k]) / (al * self.p.Bprime(j))
-            self._cache["C_D"] = out
-        return self._cache["C_D"]
+        al = self.p.alpha()
+        te = [self.p.virtual_energy(d) for d in self.labels]
+        out = 1 / self.p.varphi_M(self.M, 0)
+        for j in range(self.M):
+            for k in range(j + 1, self.M):
+                out = out * (te[j] - te[k]) / (al * self.p.Bprime(j))
+        return out
 
+    @memo
     def dt_sq(self, n: int):
         """tilde-d^2_{D,n}, the norm deformation factor; positive rational."""
-        key = ("dt_sq", n)
-        if key not in self._cache:
-            al = self.p.alpha()
-            en = self.p.energy(n)
-            out = self.p.varphi_M(self.M, 0) / self.p.varphi_M(self.M + 1, 0)
-            for j, d in enumerate(self.labels):
-                out = out * (en - self.p.virtual_energy(d)) / (al * self.p.Bprime(j))
-            self._cache[key] = out
-        return self._cache[key]
+        al = self.p.alpha()
+        en = self.p.energy(n)
+        out = self.p.varphi_M(self.M, 0) / self.p.varphi_M(self.M + 1, 0)
+        for j, d in enumerate(self.labels):
+            out = out * (en - self.p.virtual_energy(d)) / (al * self.p.Bprime(j))
+        return out
 
     def C_Dn(self, n: int):
         sign = -1 if self.M % 2 else 1
@@ -159,51 +156,43 @@ class MultiIndexedSystem:
                 raise ArithmeticError(f"{name} interpolation fails at x={x}")
         return poly
 
+    @memo
     def Xi(self) -> Polynomial:
         """Denominator polynomial Xi_D, degree ell_D, Xi_D(0) = 1."""
-        if "Xi" not in self._cache:
-            cd, p, M = self.C_D(), self.p, self.M
-            self._cache["Xi"] = self._normalised_poly(
-                self.w_grid,
-                lambda x: cd * p.varphi_M(M, x),
-                self.ell,
-                "closed-form C_D disagrees with W[xi...](0)",
-                "denominator",
-                " (degenerate labels?)",
-            )
-        return self._cache["Xi"]
+        cd, p, M = self.C_D(), self.p, self.M
+        return self._normalised_poly(
+            self.w_grid,
+            lambda x: cd * p.varphi_M(M, x),
+            self.ell,
+            "closed-form C_D disagrees with W[xi...](0)",
+            "denominator",
+            " (degenerate labels?)",
+        )
 
+    @memo
     def wpp_grid(self, n: int) -> LatticeFunction:
-        """W[xi_{d_1}..xi_{d_M}, nu P_n] as a cached grid function."""
-        key = ("wpp", n)
-        if key not in self._cache:
-            poly_n = self.p.poly(n)
-            nu_p = LatticeFunction(lambda x: self.p.nu(x) * poly_n(self.p.eta(x)))
-            fs = self._xi_grids + [nu_p]
-            self._cache[key] = LatticeFunction(lambda x: casoratian(fs, x))
-        return self._cache[key]
+        """W[xi_{d_1}..xi_{d_M}, nu P_n] as a grid function."""
+        poly_n = self.p.poly(n)
+        nu_p = LatticeFunction(lambda x: self.p.nu(x) * poly_n(self.p.eta(x)))
+        fs = self._xi_grids + [nu_p]
+        return LatticeFunction(lambda x: casoratian(fs, x))
 
+    @memo
     def multi_poly(self, n: int) -> Polynomial:
         """P_{D,n}, degree ell_D + n, P_{D,n}(0) = 1."""
-        key = ("P", n)
-        if key not in self._cache:
-            cdn, p, M = self.C_Dn(n), self.p, self.M
-            shifted = p.tilde_shifted(M)
-            self._cache[key] = self._normalised_poly(
-                self.wpp_grid(n),
-                lambda x: cdn * p.varphi_M(M + 1, x) * shifted.nu(x),
-                self.ell + n,
-                "closed-form C_Dn disagrees with W[xi..,nu P_n](0)",
-                f"P_D,{n}",
-            )
-        return self._cache[key]
+        cdn, p, M = self.C_Dn(n), self.p, self.M
+        shifted = p.tilde_shifted(M)
+        return self._normalised_poly(
+            self.wpp_grid(n),
+            lambda x: cdn * p.varphi_M(M + 1, x) * shifted.nu(x),
+            self.ell + n,
+            "closed-form C_Dn disagrees with W[xi..,nu P_n](0)",
+            f"P_D,{n}",
+        )
 
+    @memo
     def multi_poly_at(self, n: int, x: int):
-        key = ("P_at", n)
-        grid = self._cache.get(key)
-        if grid is None:
-            grid = self._cache[key] = LatticeFunction(lambda y: self.multi_poly(n)(self.p.eta(y)))
-        return grid(x)
+        return self.multi_poly(n)(self.p.eta(x))
 
     # -- closed-form leading coefficients ------------------------------------------
 
@@ -221,11 +210,10 @@ class MultiIndexedSystem:
 
     # -- deformed system -------------------------------------------------------------
 
+    @memo
     def shifted_system(self) -> "MultiIndexedSystem":
         """Same labels at parameters lambda + delta."""
-        if "shifted" not in self._cache:
-            self._cache["shifted"] = system(self.p.shifted(1), self.labels)
-        return self._cache["shifted"]
+        return system(self.p.shifted(1), self.labels)
 
     def B_D(self, x: int):
         up = self.shifted_system()
@@ -243,16 +231,11 @@ class MultiIndexedSystem:
             self.p.D(x) * self.Xi_at(x + 1) / self.Xi_at(x) * up.Xi_at(x - 1) / up.Xi_at(x)
         )
 
+    @memo
     def weight(self, x: int):
         """w_D(x) = phi0_sq(x; lambda + M tilde-delta) / (Xi_D(x) Xi_D(x+1));
         exact positive rational, the discrete orthogonality measure."""
-        grid = self._cache.get("weight")
-        if grid is None:
-            grid = self._cache["weight"] = LatticeFunction(
-                lambda y: self.p.tilde_shifted(self.M).phi0_sq(y)
-                / (self.Xi_at(y) * self.Xi_at(y + 1))
-            )
-        return grid(x)
+        return self.p.tilde_shifted(self.M).phi0_sq(x) / (self.Xi_at(x) * self.Xi_at(x + 1))
 
     # -- operators ----------------------------------------------------------------------
 
@@ -311,7 +294,12 @@ _SYSTEMS: dict = {}
 
 
 def system(p: _BaseFamily, labels: Sequence[int]) -> MultiIndexedSystem:
-    """Shared accessor: one cached MultiIndexedSystem per (parameters, labels).
+    """Shared accessor: one MultiIndexedSystem per (parameters, labels).
+
+    `_SYSTEMS` is the one store across objects; everything a system derives
+    stays in its own `_cache` (`memo`).  It keys by value, so equal families
+    built apart, as a long-lived session builds one per request, share every
+    construction.  It is never evicted: a bound would be one more setting.
 
     The store also serves the deletion chains: level s of a chain for the
     order d_1..d_M is the system of the prefix (d_1..d_s), and its companion
@@ -567,7 +555,6 @@ def orthogonality_sum(
     the larger of the two diagonal targets.
     """
     sys = system(p, labels)
-    x_star, r = _ratio_certificate(sys, n, m)
     diag = lambda k: 1 / (as_interval(sys.p.dn_sq(k)) * sys.dt_sq(k))
     if n == m:
         target = diag(n)
@@ -575,6 +562,7 @@ def orthogonality_sum(
     else:
         target = Interval.exact(0)
         scale = max(abs(diag(n).midpoint), abs(diag(m).midpoint))
+    x_star, r = _ratio_certificate(sys, n, m)
     term = lambda x: sys.weight(x) * sys.multi_poly_at(n, x) * sys.multi_poly_at(m, x)
     budget = rel_tol * scale
     partial = sum((term(x) for x in range(x_star)), Fraction(0))

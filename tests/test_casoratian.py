@@ -69,6 +69,17 @@ def test_det_with_rational_function_entries():
         assert det == _cofactor_det(rows)
 
 
+def test_det_of_singular_rational_function_matrix_is_zero():
+    # above size 4 the field path is Bareiss elimination; row 4 is the sum
+    # of rows 0 and 2, then a zero column stops the elimination at once
+    c = RationalFunction.variable()
+    rows = [[(c + i) ** j + F(i * j, 2) * c for j in range(5)] for i in range(4)]
+    rows.append([a + b for a, b in zip(rows[0], rows[2])])
+    assert exact_det(rows) == 0
+    det = exact_det([[0 * c] + row[1:] for row in rows[:4]] + [[0 * c] * 5])
+    assert isinstance(det, RationalFunction) and det == 0
+
+
 def test_det_basics():
     assert exact_det([]) == 1
     assert exact_det([[F(5)]]) == 5

@@ -140,6 +140,18 @@ def test_validation_messages():
         LittleQJacobi(F(1, 4), F(1, 2), F(1, 2))  # a = b q
 
 
+@pytest.mark.parametrize("m", [0, 7, 64])
+def test_lqJ_rejects_the_degenerate_line(m):
+    q = F(1, 2)
+    with pytest.raises(ValueError, match=f"a = b q\\^{m + 1} collapses"):
+        LittleQJacobi(q ** (m + 1), 1, q)
+
+
+def test_lqJ_degenerate_line_is_checked_to_m_64_only():
+    q = F(1, 2)
+    assert LittleQJacobi(q**66, 1, q).a == q**66
+
+
 # lqL points of the acceptance matrix and the ladders
 FOLD_POINTS = [(F(1, 32), F(1, 2)), (F(1, 1048576), F(1, 2))]
 
@@ -177,6 +189,15 @@ def test_lqL_parameter_moves_stay_lqL():
         assert type(moved) is LittleQLaguerre
         assert moved == LittleQLaguerre(a, F(1, 2), validate=False)
         assert repr(moved) == f"LittleQLaguerre(a={a}, q=1/2)"
+
+
+@pytest.mark.parametrize("p", [M, QJ, QL], ids=repr)
+def test_parameter_moves_are_built_once(p):
+    assert p.shifted(1) is p.shifted(1)
+    assert p.twisted() is p.twisted()
+    assert p.tilde_shifted(2) is p.tilde_shifted(2)
+    if isinstance(p, Meixner):
+        assert p.tilde_shifted(3) is p.shifted(3)  # delta-tilde = delta for M
 
 
 def test_lqL_never_equals_lqJ():

@@ -24,6 +24,7 @@ from mipoly.multi import (
     verify_special_identities,
 )
 from mipoly.polynomials import Polynomial
+from mipoly.ratfunc import RationalFunction
 
 M = Meixner(1, F(1, 2))
 M2 = Meixner(F(5, 2), F(1, 3))
@@ -87,7 +88,8 @@ def test_construction_failures_name_their_route():
 
     Xi, P1 = MultiIndexedSystem.Xi, lambda s: s.multi_poly(1)
     mismatch = "normalization mismatch: closed-form {} disagrees with {}(0)"
-    fails(Xi, lambda s: s._cache.update(C_D=2 * s.C_D()), mismatch.format("C_D", "W[xi...]"))
+    spoil_cd = lambda s: s._cache.update({("C_D",): 2 * s.C_D()})
+    fails(Xi, spoil_cd, mismatch.format("C_D", "W[xi...]"))
     fails(Xi, flat_w, "denominator degree 0 != 2 (degenerate labels?)")
     fails(Xi, lambda s: bump(s.w_grid, 4), "denominator interpolation fails at x=4")
     spoil_cdn = lambda s: s._cache.update({("dt_sq", 1): 2 * s.dt_sq(1)})
@@ -228,6 +230,14 @@ def test_orthogonality_witness_names_term_cap():
     ok = orthogonality_sum(M, (1,), 0, 0)
     assert ok.passed and not ok.capped
     assert f"sum of {ok.terms} terms, tail <= {float(ok.tail_bound):.3e}," in ok.describe()
+
+
+def test_orthogonality_on_symbolic_parameters_names_the_norm():
+    # the closed-form target is read before the certificate, so a symbolic c
+    # stops at dn_sq with its own message rather than inside the certificate
+    p = Meixner(F(3, 2), RationalFunction.variable(), validate=False)
+    with pytest.raises(TypeError, match="dn_sq is not defined for symbolic parameters"):
+        orthogonality_sum(p, (1,), 0, 0)
 
 
 def test_weights_cost_linear_in_x(monkeypatch):
