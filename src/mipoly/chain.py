@@ -14,8 +14,8 @@ the step potentials
     Dhat_s(x) = alpha D'(x)     w_{s-1}(x+1)/w_{s-1}(x) * w_s(x-1)/w_s(x)
 
 and their ground-state-adapted standard form (B'/D' are the base potentials
-at twisted parameters).  This module verifies, exactly over Fractions, every
-identity the construction rests on:
+at twisted parameters).  This module verifies, exactly, every identity the
+construction rests on:
 
   - the two eigen-identities for w'_{s,v} and w''_{s,n} (cleared of
     denominators, so they hold at negative lattice points too),
@@ -41,11 +41,19 @@ alpha D'(x), the tilde-energies (a `memo`), and per level s (`_level`, a
 that the eigen-identity and contiguity checks of all companion columns
 share.  Each is computed once per (s, x); a check only combines table
 entries with its own column.
+
+The arithmetic is fraction-free.  A grid value, an int or a Fraction, is
+read as its int numerator and positive denominator; the tables and each side
+of an identity are unreduced int numerators over positive int denominators,
+and the two sides are compared by cross-multiplying, ln * rd == rn * ld.  No
+Fraction is built and no gcd is taken per operation, and since every
+denominator is a product of positive ones, a sign check reads the numerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -60,6 +68,68 @@ __all__ = ["Chain", "ChainState", "chain_build", "chain_verify"]
 
 def _sgn(v) -> int:
     return 1 if v > 0 else (-1 if v < 0 else 0)
+
+
+# Fraction-free arithmetic: an int or Fraction value v is carried as the
+# pair (v.numerator, v.denominator), and products and sums of pairs are left
+# unreduced.  Every denominator is a product of Fraction denominators
+# (`_quotient` moves the sign of its divisor to the numerator), so it stays
+# positive and a numerator carries the sign of its value.  `_prod` reads
+# values and `_mul` pairs; the checks call both per lattice point.
+
+
+def _nd(v) -> tuple[int, int]:
+    return v.numerator, v.denominator
+
+
+def _prod(*factors) -> tuple[int, int]:
+    """The product of int or Fraction factors as one unreduced pair."""
+    n = d = 1
+    for f in factors:
+        n *= f.numerator
+        d *= f.denominator
+    return n, d
+
+
+def _quotient(top, bottom) -> tuple[int, int]:
+    """prod(top) / prod(bottom) of int or Fraction factors as one unreduced
+    pair, its denominator made positive."""
+    (tn, td), (bn, bd) = _prod(*top), _prod(*bottom)
+    if not bn:
+        raise ZeroDivisionError("chain table divides by a zero Casoratian")
+    return (tn * bd, td * bn) if bn > 0 else (-tn * bd, -td * bn)
+
+
+def _mul(*pairs) -> tuple[int, int]:
+    n = d = 1
+    for pn, pd in pairs:
+        n *= pn
+        d *= pd
+    return n, d
+
+
+def _sum(*pairs) -> tuple[int, int]:
+    n, d = 0, 1
+    for pn, pd in pairs:
+        n, d = n * pd + pn * d, d * pd
+    return n, d
+
+
+def _same(a, b) -> bool:
+    """Equality of two pairs, by one cross-multiplication."""
+    return a[0] * b[1] == b[0] * a[1]
+
+
+def _common(*pairs) -> list[int]:
+    """The numerators of the pairs over one common denominator, the product
+    of theirs."""
+    out = []
+    for i, (n, _) in enumerate(pairs):
+        for j, (_, d) in enumerate(pairs):
+            if j != i:
+                n *= d
+        out.append(n)
+    return out
 
 
 class Chain:
@@ -122,42 +192,63 @@ class Chain:
 class _Level:
     """Lattice tables of one level s of a Chain.
 
-    - `B_std`, `D_std` (every s) and `Bhat`, `Dhat` (s >= 1): the potentials.
+    - `B_std`, `D_std` (every s) and `Bhat`, `Dhat` (s >= 1): the potentials,
+      as unreduced pairs.
     - `eigen(x) = (A, C, P, Q)`: the level-s eigen-identity for a companion
       column u of energy eps reads (A + (Et_{d_s} - eps) C) u(x)
       = P u(x+1) + Q u(x-1) (Et_{d_0} = 0).
     - `contiguity(x) = (aB'(x+s) w_s(x), aD'(x) w_s(x+1), w_{s+1}(x))`
       (s < M): the three coefficients of the contiguity identity.
+
+    Both identities are homogeneous in their coefficients, so `eigen` and
+    `contiguity` hold the int numerators of their coefficients over one
+    common positive denominator, which is dropped.
     """
 
     __slots__ = ("B_std", "D_std", "Bhat", "Dhat", "eigen", "contiguity")
 
     def __init__(self, ch: Chain, s: int):
         aB, aD, w1, g = ch.aB, ch.aD, ch.w(s), ch.wpp(s, 0)
-        self.B_std = LatticeFunction(lambda x: aB(x + s) * w1(x) / w1(x + 1) * g(x + 1) / g(x))
-        self.D_std = LatticeFunction(lambda x: aD(x) * w1(x + 1) / w1(x) * g(x - 1) / g(x))
+        self.B_std = LatticeFunction(
+            lambda x: _quotient((aB(x + s), w1(x), g(x + 1)), (w1(x + 1), g(x)))
+        )
+        self.D_std = LatticeFunction(
+            lambda x: _quotient((aD(x), w1(x + 1), g(x - 1)), (w1(x), g(x)))
+        )
         if s == 0:
             ap = ch.alpha_prime
             self.Bhat = self.Dhat = None
-            self.eigen = LatticeFunction(lambda x: (aB(x) + aD(x) + ap, 1, aB(x), aD(x)))
+
+            def eigen(x):
+                b, d, a, c = _common(_nd(aB(x)), _nd(aD(x)), _nd(ap), (1, 1))
+                return b + d + a, c, b, d
+
+            self.eigen = LatticeFunction(eigen)
         else:
             w0 = ch.w(s - 1)
             self.Bhat = LatticeFunction(
-                lambda x: aB(x + s - 1) * w0(x) / w0(x + 1) * w1(x + 1) / w1(x)
+                lambda x: _quotient((aB(x + s - 1), w0(x), w1(x + 1)), (w0(x + 1), w1(x)))
             )
-            self.Dhat = LatticeFunction(lambda x: aD(x) * w0(x + 1) / w0(x) * w1(x - 1) / w1(x))
+            self.Dhat = LatticeFunction(
+                lambda x: _quotient((aD(x), w0(x + 1), w1(x - 1)), (w0(x), w1(x)))
+            )
 
             def eigen(x):
                 w0x1, w1x, w1x1 = w0(x + 1), w1(x), w1(x + 1)
-                A = aB(x + s - 1) * w0(x) * w1x1**2 + aD(x + 1) * w0(x + 2) * w1x**2
-                C = w0x1 * w1x * w1x1
-                return A, C, aB(x + s) * w1x**2 * w0x1, aD(x) * w1x1**2 * w0x1
+                a1, a2, c, p, q = _common(
+                    _prod(aB(x + s - 1), w0(x), w1x1, w1x1),
+                    _prod(aD(x + 1), w0(x + 2), w1x, w1x),
+                    _prod(w0x1, w1x, w1x1),
+                    _prod(aB(x + s), w1x, w1x, w0x1),
+                    _prod(aD(x), w1x1, w1x1, w0x1),
+                )
+                return a1 + a2, c, p, q
 
             self.eigen = LatticeFunction(eigen)
         if s < ch.M:
             w2 = ch.w(s + 1)
             self.contiguity = LatticeFunction(
-                lambda x: (aB(x + s) * w1(x), aD(x) * w1(x + 1), w2(x))
+                lambda x: _common(_prod(aB(x + s), w1(x)), _prod(aD(x), w1(x + 1)), _nd(w2(x)))
             )
         else:
             self.contiguity = None
@@ -171,16 +262,21 @@ class ChainState:
     deleted: tuple
     removed_energy: object  # tilde-energy of the state deleted at this step; None at step 0
     sign: int  # Chain.sign_closed(step): (-1)^step times the definite sign of w_step
-    B: Callable[[int], object]
-    D: Callable[[int], object]
+    B: Callable[[int], Fraction]
+    D: Callable[[int], Fraction]
+
+
+def _fraction_valued(table: LatticeFunction) -> LatticeFunction:
+    return LatticeFunction(lambda x: Fraction(*table(x)))
 
 
 def chain_build(p: _BaseFamily, order: Sequence[int]) -> list[ChainState]:
     """The ladder of intermediate systems for one deletion order.
 
     Entry s holds the standard-form potentials after deleting the first s
-    labels; entry 0 is the base system itself.  All entries share one
-    Chain's memo tables, so evaluating any of them is incremental work.
+    labels, as Fractions; entry 0 is the base system itself.  All entries
+    share one Chain's memo tables, so evaluating any of them is incremental
+    work.
     """
     ch = Chain(p, order)
     states = []
@@ -191,8 +287,8 @@ def chain_build(p: _BaseFamily, order: Sequence[int]) -> list[ChainState]:
                 deleted=ch.order[:s],
                 removed_energy=None if s == 0 else ch.tilde_energy(ch.order[s - 1]),
                 sign=ch.sign_closed(s),
-                B=ch._level(s).B_std,
-                D=ch._level(s).D_std,
+                B=_fraction_valued(ch._level(s).B_std),
+                D=_fraction_valued(ch._level(s).D_std),
             )
         )
     return states
@@ -213,9 +309,12 @@ def _eigen_identity(eigen: LatticeFunction, u: LatticeFunction, k) -> Callable[[
       = [aB'(x+s) w_s(x)^2 u(x+1) + aD'(x) w_s(x+1)^2 u(x-1)] * w_{s-1}(x+1);
     for s = 0 the bracket collapses to aB'(x) + aD'(x) + alpha' - eps."""
 
+    kn, kd = _nd(k)
+
     def holds(x):
-        A, C, P, Q = eigen(x)
-        return (A + k * C) * u(x) == P * u(x + 1) + Q * u(x - 1)
+        a, c, p, q = eigen(x)
+        (un, ud), (u1n, u1d), (u0n, u0d) = _nd(u(x)), _nd(u(x + 1)), _nd(u(x - 1))
+        return (a * kd + kn * c) * un * u1d * u0d == (p * u1n * u0d + q * u0n * u1d) * kd * ud
 
     return holds
 
@@ -224,16 +323,26 @@ def _contiguity(contiguity: LatticeFunction, upper, lower, k) -> Callable[[int],
     """aB'(x+s) w_s(x) upper(x) = aD'(x) w_s(x+1) upper(x-1)
        + (Et_{d_{s+1}} - eps) w_{s+1}(x) lower(x), with k = Et_{d_{s+1}} - eps."""
 
+    kn, kd = _nd(k)
+
     def holds(x):
         b, d, w2 = contiguity(x)
-        return b * upper(x) == d * upper(x - 1) + k * w2 * lower(x)
+        (un, ud), (u0n, u0d), (ln, ld) = _nd(upper(x)), _nd(upper(x - 1)), _nd(lower(x))
+        return b * un * u0d * kd * ld == (d * u0n * kd * ld + kn * w2 * ln * u0d) * ud
 
     return holds
 
 
 def _nesting(ws, ws1, upper, lower) -> Callable[[int], bool]:
     """w_s(x+1) upper(x) = w_{s+1}(x) lower(x+1) - w_{s+1}(x+1) lower(x)."""
-    return lambda x: ws(x + 1) * upper(x) == ws1(x) * lower(x + 1) - ws1(x + 1) * lower(x)
+
+    def holds(x):
+        an, ad = _prod(ws(x + 1), upper(x))
+        bn, bd = _prod(ws1(x), lower(x + 1))
+        cn, cd = _prod(ws1(x + 1), lower(x))
+        return an * bd * cd == (bn * cd - cn * bd) * ad
+
+    return holds
 
 
 # Virtual-state companions checked per level beyond the chain's own labels.
@@ -306,8 +415,8 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         _check(rep, f"w''_{s},0 definite sign", xs_lattice, lambda x: gsign * g(x) > 0)
         potentials = (("Bhat", "Dhat", lv.Bhat, lv.Dhat), ("B_std", "D_std", lv.B_std, lv.D_std))
         for b, d, B, D in potentials:
-            _check(rep, f"{b}_{s} > 0", xs_lattice, lambda x: B(x) > 0)
-            _check(rep, f"{d}_{s} sign", xs_lattice, lambda x: D(x) > 0 if x else D(x) == 0)
+            _check(rep, f"{b}_{s} > 0", xs_lattice, lambda x: B(x)[0] > 0)
+            _check(rep, f"{d}_{s} sign", xs_lattice, lambda x: D(x)[0] > 0 if x else D(x)[0] == 0)
 
     # re-factorization bookkeeping between consecutive levels
     if M >= 1:
@@ -316,13 +425,13 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             rep,
             "re-factorization s=0 product",
             xs_lattice,
-            lambda x: lv.Bhat(x) * lv.Dhat(x + 1) == pB(x) * pD(x + 1),
+            lambda x: _same(_mul(lv.Bhat(x), lv.Dhat(x + 1)), _prod(pB(x), pD(x + 1))),
         )
         _check(
             rep,
             "re-factorization s=0 diagonal",
             xs_lattice,
-            lambda x: lv.Bhat(x) + lv.Dhat(x) + e1 == pB(x) + pD(x),
+            lambda x: _same(_sum(lv.Bhat(x), lv.Dhat(x), _nd(e1)), _sum(_nd(pB(x)), _nd(pD(x)))),
         )
     for s in range(1, M):
         es, es1 = ch.tilde_energy(ch.order[s - 1]), ch.tilde_energy(ch.order[s])
@@ -331,13 +440,17 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             rep,
             f"re-factorization s={s} product",
             xs_lattice,
-            lambda x: up.Bhat(x) * up.Dhat(x + 1) == lv.Bhat(x + 1) * lv.Dhat(x + 1),
+            lambda x: _same(
+                _mul(up.Bhat(x), up.Dhat(x + 1)), _mul(lv.Bhat(x + 1), lv.Dhat(x + 1))
+            ),
         )
         _check(
             rep,
             f"re-factorization s={s} diagonal",
             xs_lattice,
-            lambda x: up.Bhat(x) + up.Dhat(x) + es1 == lv.Bhat(x) + lv.Dhat(x + 1) + es,
+            lambda x: _same(
+                _sum(up.Bhat(x), up.Dhat(x), _nd(es1)), _sum(lv.Bhat(x), lv.Dhat(x + 1), _nd(es))
+            ),
         )
 
     # standard-form relations at each level, plus the s = 0 anchor
@@ -346,7 +459,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         rep,
         "standard form s=0 is the base system",
         xs_lattice,
-        lambda x: lv.B_std(x) == pB(x) and lv.D_std(x) == pD(x),
+        lambda x: _same(lv.B_std(x), _nd(pB(x))) and _same(lv.D_std(x), _nd(pD(x))),
     )
     for s in range(1, M + 1):
         es, lv = ch.tilde_energy(ch.order[s - 1]), ch._level(s)
@@ -354,13 +467,17 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             rep,
             f"standard form s={s} product",
             xs_lattice,
-            lambda x: lv.B_std(x) * lv.D_std(x + 1) == lv.Bhat(x + 1) * lv.Dhat(x + 1),
+            lambda x: _same(
+                _mul(lv.B_std(x), lv.D_std(x + 1)), _mul(lv.Bhat(x + 1), lv.Dhat(x + 1))
+            ),
         )
         _check(
             rep,
             f"standard form s={s} diagonal",
             xs_lattice,
-            lambda x: lv.B_std(x) + lv.D_std(x) == lv.Bhat(x) + lv.Dhat(x + 1) + es,
+            lambda x: _same(
+                _sum(lv.B_std(x), lv.D_std(x)), _sum(lv.Bhat(x), lv.Dhat(x + 1), _nd(es))
+            ),
         )
 
     # sign factor: recursion vs closed form
@@ -374,7 +491,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         rep,
         "final potentials match denominator form",
         xs_lattice,
-        lambda x: lv.B_std(x) == sys.B_D(x) and lv.D_std(x) == sys.D_D(x),
+        lambda x: _same(lv.B_std(x), _nd(sys.B_D(x))) and _same(lv.D_std(x), _nd(sys.D_D(x))),
     )
     phi0p, wM, aB = p.twisted(), ch.w(M), ch.aB
     prod_b0 = 1
@@ -384,10 +501,8 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
 
     def eigenvector_factor(x):
         # prod_j aB'(x+j) phi0'(x) / (w_M(x) w_M(x+1)), shared by every n
-        out = 1
-        for j in range(M):
-            out = out * aB(x + j)
-        return out * phi0p.phi0_sq(x) / (wM(x) * wM(x + 1))
+        top = [aB(x + j) for j in range(M)] + [phi0p.phi0_sq(x)]
+        return _quotient(top, (wM(x), wM(x + 1)))
 
     factor = LatticeFunction(eigenvector_factor)
     for n in range(n_max + 1):
@@ -401,8 +516,10 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             rep,
             f"squared eigenvector match n={n}",
             xs_lattice,
-            lambda x: factor(x) * g(x) ** 2
-            == const_sq * sys.weight(x) * sys.multi_poly_at(n, x) ** 2,
+            lambda x: _same(
+                _mul(factor(x), _prod(g(x), g(x))),
+                _prod(const_sq, sys.weight(x), sys.multi_poly_at(n, x), sys.multi_poly_at(n, x)),
+            ),
         )
 
     # order independence: the given order and at most two other permutations

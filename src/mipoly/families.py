@@ -115,7 +115,9 @@ class _BaseFamily:
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self._key() == other._key()
 
+    @memo
     def __hash__(self) -> int:
+        # a family is immutable, and every `multi.system` lookup hashes it
         return hash((self.tag, self._key()))
 
     # -- derived lattice data ------------------------------------------------------

@@ -3,7 +3,17 @@
 import sys
 from fractions import Fraction as F
 
-from mipoly.chain import Chain, ChainState, chain_build, chain_verify
+import pytest
+
+from mipoly.chain import (
+    Chain,
+    ChainState,
+    _contiguity,
+    _eigen_identity,
+    _nesting,
+    chain_build,
+    chain_verify,
+)
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
 from mipoly.multi import system
 from mipoly.virtual import index_set
@@ -154,3 +164,84 @@ def test_chain_grids_are_the_prefix_systems_grids():
                 assert ch.wp(s, v) is system(p, order[:s] + (v,)).w_grid
             for n in range(3):
                 assert ch.wpp(s, n) is prefix.wpp_grid(n)
+
+
+# A companion column as it is checked, and two corruptions of its value at x = 3.
+CORRUPTIONS = {
+    "exact": lambda v: v,
+    "plus 1/7": lambda v: v + F(1, 7),
+    "negated": lambda v: -v,
+}
+
+
+def _corrupted(u, how):
+    return lambda x: how(u(x)) if x == 3 else u(x)
+
+
+@pytest.mark.parametrize("p, order", [(M, (1, 2, 3)), (QJ, (1, 2, 3)), (QL, (1, 3))], ids=repr)
+def test_fraction_free_identities_match_their_fraction_form(p, order):
+    # the predicates compare int numerators and denominators by cross-
+    # multiplication; here each identity is written out in Fractions, and
+    # both forms must give the same verdict at every level, companion and x,
+    # for the exact columns (all hold) and for two corruptions at x = 3
+    ch = Chain(p, order)
+    aB, aD, xs = ch.aB, ch.aD, range(-2, 13)
+    pool = index_set(p, max(order) + 3)
+
+    def virtual(s, count):
+        return [v for v in pool if v not in ch.order[:s]][:count]
+
+    def eigen_fraction(s, u, k, x):
+        if s == 0:
+            lhs = (aB(x) + aD(x) + ch.alpha_prime + k) * u(x)
+            return lhs == aB(x) * u(x + 1) + aD(x) * u(x - 1)
+        w0, w1 = ch.w(s - 1), ch.w(s)
+        lhs = (
+            aB(x + s - 1) * w0(x) * w1(x + 1) ** 2
+            + aD(x + 1) * w0(x + 2) * w1(x) ** 2
+            + k * w0(x + 1) * w1(x) * w1(x + 1)
+        ) * u(x)
+        rhs = (aB(x + s) * w1(x) ** 2 * u(x + 1) + aD(x) * w1(x + 1) ** 2 * u(x - 1)) * w0(x + 1)
+        return lhs == rhs
+
+    def nesting_fraction(s, upper, lower, x):
+        ws, ws1 = ch.w(s), ch.w(s + 1)
+        return ws(x + 1) * upper(x) == ws1(x) * lower(x + 1) - ws1(x + 1) * lower(x)
+
+    def contiguity_fraction(s, upper, lower, k, x):
+        ws, ws1 = ch.w(s), ch.w(s + 1)
+        lhs = aB(x + s) * ws(x) * upper(x)
+        return lhs == aD(x) * ws(x + 1) * upper(x - 1) + k * ws1(x) * lower(x)
+
+    verdicts = {name: [] for name in CORRUPTIONS}
+    for name, how in CORRUPTIONS.items():
+        seen = verdicts[name]
+        for s in range(len(ch.order) + 1):
+            ets = ch.tilde_energy(ch.order[s - 1]) if s else 0
+            columns = [(ch.wp(s, v), ch.tilde_energy(v)) for v in virtual(s, 3)]
+            columns += [(ch.wpp(s, n), p.energy(n)) for n in range(4)]
+            for col, e in columns:
+                u = _corrupted(col, how)
+                holds = _eigen_identity(ch._level(s).eigen, u, ets - e)
+                for x in xs:
+                    seen.append(holds(x))
+                    assert seen[-1] == eigen_fraction(s, u, ets - e, x), ("eigen", s, x)
+            if s == len(ch.order):
+                continue
+            # (level s + 1 column, level s column, energy) of each companion
+            k_next = ch.tilde_energy(ch.order[s])
+            pairs = [(ch.wp(s + 1, v), ch.wp(s, v), ch.tilde_energy(v)) for v in virtual(s + 1, 2)]
+            pairs += [(ch.wpp(s + 1, n), ch.wpp(s, n), p.energy(n)) for n in range(4)]
+            for up, lo, e in pairs:
+                for upper, lower in ((_corrupted(up, how), lo), (up, _corrupted(lo, how))):
+                    holds = _nesting(ch.w(s), ch.w(s + 1), upper, lower)
+                    for x in xs:
+                        seen.append(holds(x))
+                        assert seen[-1] == nesting_fraction(s, upper, lower, x), ("nesting", s, x)
+                    holds = _contiguity(ch._level(s).contiguity, upper, lower, k_next - e)
+                    for x in xs:
+                        seen.append(holds(x))
+                        expected = contiguity_fraction(s, upper, lower, k_next - e, x)
+                        assert seen[-1] == expected, ("contiguity", s, x)
+    assert all(verdicts["exact"])
+    assert not all(verdicts["plus 1/7"]) and not all(verdicts["negated"])

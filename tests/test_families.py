@@ -200,6 +200,28 @@ def test_parameter_moves_are_built_once(p):
         assert p.tilde_shifted(3) is p.shifted(3)  # delta-tilde = delta for M
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Meixner(1, F(1, 2)),
+        lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2)),
+        lambda: LittleQLaguerre(F(1, 32), F(1, 2)),
+    ],
+    ids=["M", "lqJ", "lqL"],
+)
+def test_family_hash_is_computed_once_per_object(make, monkeypatch):
+    from mipoly.multi import system
+
+    a, b = make(), make()
+    key = type(a)._key
+    calls = []
+    monkeypatch.setattr(type(a), "_key", lambda self: calls.append(self) or key(self))
+    for _ in range(3):
+        assert hash(a) == hash(b) == hash((a.tag, key(a)))
+    assert calls == [a, b]
+    assert a is not b and system(a, (1, 2)) is system(b, (1, 2))
+
+
 def test_lqL_never_equals_lqJ():
     ql, qj = LittleQLaguerre(F(1, 32), F(1, 2)), LittleQJacobi(F(1, 32), 0, F(1, 2))
     assert ql != qj and qj != ql
