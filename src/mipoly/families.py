@@ -17,9 +17,15 @@ parameter names its own.  Each system consists of
   - orthogonality sum_x phi0_sq(x) P_n(x) P_m(x) = delta_nm / d_n^2.
 
 Polynomial values are evaluated by terminating hypergeometric sums, exact in
-the coefficient field.  The M system also runs with its parameter c symbolic
-(a RationalFunction), which is how exact c -> 1 limits are taken downstream;
-no ordering comparisons happen outside validation for that reason.
+the coefficient field and fraction-free: `poly_value_w` writes each step
+factor t_{k+1}/t_k once as an unreduced pair over the parameters' ints and
+folds the steps by nested Horner (`series.nested_sum`), with one reduction
+per value.  That coding is kept apart from `term_ratio`, from which `poly`
+expands the Newton form, so `poly`'s cross-check against the series tests
+one against the other.  The M system also runs with its parameter c
+symbolic (a RationalFunction, entering the pairs as (c, 1)), which is how
+exact c -> 1 limits are taken downstream; no ordering comparisons happen
+outside validation for that reason.
 
 Parameter shifts: `shifted(u)` applies u steps of the forward-shift direction
 delta; `twisted()` applies the involution used to build virtual states;
@@ -59,7 +65,7 @@ from fractions import Fraction
 from .polynomials import Polynomial, newton_form, sign_on_tail
 from .ratfunc import RationalFunction
 from .report import Report
-from .series import Interval, pochhammer, q_pochhammer, rational_power
+from .series import Interval, nested_sum, pair, pochhammer, q_pochhammer, rational_power
 
 __all__ = [
     "Meixner",
@@ -169,6 +175,16 @@ class _BaseFamily:
                 raise ArithmeticError(f"P_{n} Newton form fails the series at x={x}")
         return p
 
+    @memo
+    def _unit(self):
+        """1 as the start of an unreduced pair: the int 1, or the
+        RationalFunction 1 when a parameter is symbolic, so that every value
+        is in the parameters' field."""
+        for v in self._key():
+            if isinstance(v, RationalFunction):
+                return v**0
+        return 1
+
     def poly_eval(self, n: int, x: int):
         """P_n at lattice point x (any integer), via the eta-polynomial."""
         return self.poly(n)(self.eta(x))
@@ -259,14 +275,15 @@ class Meixner(_BaseFamily):
         return Fraction(1)
 
     def poly_value(self, n: int, x):
-        """Terminating 2F1-type sum; x may be any rational (or integer)."""
-        z = 1 - 1 / self.c
-        term = _one_like(z)
-        total = term
-        for k in range(n):
-            term = term * (k - n) * (k - x) * z / ((self.beta + k) * (k + 1))
-            total = total + term
-        return total
+        """Terminating 2F1-type sum; x may be any rational (or integer).
+
+        The k-th step multiplies by (k - n) (k - x) z / ((beta + k) (k + 1))
+        with z = 1 - 1/c, written over beta = bn/bd, c = cn/cd, x = xn/xd.
+        """
+        (bn, bd), (cn, cd), (xn, xd) = pair(self.beta), pair(self.c), pair(x)
+        zb, xc = (cn - cd) * bd, xd * cn  # z bd / xd = zb / xc
+        steps = [((k - n) * (k * xd - xn) * zb, xc * (bn + k * bd) * (k + 1)) for k in range(n)]
+        return nested_sum(steps, self._unit())
 
     # The lattice variable is x itself.  B and D keep their own class-dict
     # entries too: bench/tracer.py counts calls to them there, by name.
@@ -388,8 +405,8 @@ class LittleQJacobi(_QFamily):
 
     Valid ranges 0 < q < 1, 0 < a < 1/q, b < 1/q, excluding the degenerate
     line a = b q^(m+1) (checked for m up to 64) where virtual-state degrees
-    collapse.  b = 0 is lqL; the b factors are skipped there on the hot
-    paths (B_w, poly_value_w), which leaves the values unchanged.
+    collapse.  b = 0 is lqL; every closed form skips its b factors there,
+    which leaves the values unchanged.
     """
 
     __slots__ = ("a", "b", "q")
@@ -437,43 +454,52 @@ class LittleQJacobi(_QFamily):
         return self.a * (1 / w - self.b * self.q)
 
     def energy(self, n: int):
-        return (self.q**-n - 1) * (1 - self.a * self.b * self.q ** (n + 1))
+        e = self.q**-n - 1
+        if self.b:
+            e = e * (1 - self.a * self.b * self.q ** (n + 1))
+        return e
 
     def alpha_prime(self):
         return -(1 - self.a) * (1 - self.b * self.q)
 
     def virtual_energy(self, v: int):
-        return -(1 - self.a * self.q**-v) * (1 - self.b * self.q ** (v + 1))
+        e = self.a * self.q**-v - 1
+        if self.b:
+            e = e * (1 - self.b * self.q ** (v + 1))
+        return e
 
     def poly_value_w(self, n: int, w):
         """Terminating 3phi1-type sum as a function of w = q^x.
 
-        The k-th step multiplies by (1 - q^(k-n)) (1 - ab q^(n+1+k))
-        (1 - q^k/w) / ((1 - b q^(k+1)) (1 - q^(k+1))) * (-q^-k w/a); q^k is
-        a running product, and at b = 0 the two b factors are 1.
+        The k-th step multiplies by (q^(k-n) - 1) (w - q^k) / ((1 - q^(k+1))
+        q^k a) * (1 - ab q^(n+1+k)) / (1 - b q^(k+1)).  Over q = Q/R,
+        a = an/ad, b = bn/bd and w = wn/wd that is (R^(n-k) - Q^(n-k))
+        (wn R^k - wd Q^k) R^(k+1) ad / (Q^n wd an (R^(k+1) - Q^(k+1))) times
+        (ad bd R^(n+1+k) - an bn Q^(n+1+k)) / (ad R^n (bd R^(k+1) - bn Q^(k+1)));
+        at b = 0 the second factor is 1 and is skipped.
         """
-        a, b, q = self.a, self.b, self.q
-        q_n, abq = q**-n, a * b * q ** (n + 1)
-        qk = 1
-        term = _one_like(w)
-        total = term
+        (an, ad), (bn, bd), (qn, qd), (wn, wd) = pair(self.a), pair(self.b), pair(self.q), pair(w)
+        Q = [qn**i for i in range(2 * n + 1)]
+        R = [qd**i for i in range(2 * n + 1)]
+        den0 = Q[n] * wd * an
+        steps = []
         for k in range(n):
-            qk1 = qk * q
-            step = (qk * q_n - 1) * (w - qk) / ((1 - qk1) * qk * a)
-            if b:
-                step = step * (1 - abq * qk) / (1 - b * qk1)
-            term = term * step
-            total = total + term
-            qk = qk1
-        return total
+            num = (R[n - k] - Q[n - k]) * (wn * R[k] - wd * Q[k]) * R[k + 1] * ad
+            den = den0 * (R[k + 1] - Q[k + 1])
+            if bn:
+                num *= ad * bd * R[n + 1 + k] - an * bn * Q[n + 1 + k]
+                den *= ad * R[n] * (bd * R[k + 1] - bn * Q[k + 1])
+            steps.append((num, den))
+        return nested_sum(steps, self._unit())
 
     def term_ratio(self, n: int, k: int):
         """t_{k+1}/t_k of the series with (1 - q^k/w)(w/a) = (eta(k) - eta(x))/a
         taken out."""
         a, b, q = self.a, self.b, self.q
-        return -(1 - q ** (k - n)) * (1 - a * b * q ** (n + 1 + k)) / (
-            (1 - b * q ** (k + 1)) * (1 - q ** (k + 1)) * q**k * a
-        )
+        r = (q ** (k - n) - 1) / ((1 - q ** (k + 1)) * q**k * a)
+        if b:
+            r = r * (1 - a * b * q ** (n + 1 + k)) / (1 - b * q ** (k + 1))
+        return r
 
     def poly_value_alt(self, n: int, w):
         """Independent 2phi1-type route to the same value."""
@@ -494,12 +520,10 @@ class LittleQJacobi(_QFamily):
 
     def leading_coefficient(self, n: int):
         a, b, q = self.a, self.b, self.q
-        return (
-            (-a) ** -n
-            * q ** (-n * n)
-            * q_pochhammer(a * b * q ** (n + 1), q, n)
-            / q_pochhammer(b * q, q, n)
-        )
+        c = (-a) ** -n * q ** (-n * n)
+        if b:
+            c = c * q_pochhammer(a * b * q ** (n + 1), q, n) / q_pochhammer(b * q, q, n)
+        return c
 
     def leading_factors(self, labels, n: int) -> tuple:
         a, bq, q = self.a, self.b * self.q, self.q
@@ -515,16 +539,17 @@ class LittleQJacobi(_QFamily):
     @memo
     def dn_sq(self, n: int) -> Interval:
         a, b, q = self.a, self.b, self.q
-        pref = (
-            q_pochhammer(b * q, q, n)
-            * q_pochhammer(a * b * q, q, n)
-            * a**n
-            * q ** (n * n)
-            / (q_pochhammer(q, q, n) * q_pochhammer(a * q, q, n))
-            * (1 - a * b * q ** (2 * n + 1))
-            / (1 - a * b * q)
-        )
-        inf = q_pochhammer(a * q, q, None) / q_pochhammer(a * b * q**2, q, None)
+        pref = a**n * q ** (n * n) / (q_pochhammer(q, q, n) * q_pochhammer(a * q, q, n))
+        inf = q_pochhammer(a * q, q, None)
+        if b:
+            pref = (
+                pref
+                * q_pochhammer(b * q, q, n)
+                * q_pochhammer(a * b * q, q, n)
+                * (1 - a * b * q ** (2 * n + 1))
+                / (1 - a * b * q)
+            )
+            inf = inf / q_pochhammer(a * b * q**2, q, None)
         return pref * inf
 
     @memo

@@ -203,11 +203,7 @@ def q_limit_errors(
 ) -> list[Fraction]:
     """Exact coefficient-wise distances to the continuum target at each
     q = 1 - 2^-k.  p_family is "lqJ" or "lqL"; deforming switches to xi_v."""
-    target = _q_target(p_family, alpha, beta, n, deforming)
-    return [
-        _coeff_distance(_q_lhs(p_family, alpha, beta, (), n, k, deforming), target)
-        for k in ks
-    ]
+    return _q_limit_deviations(p_family, alpha, beta, n, ks, None, deforming)[0]
 
 
 def q_limit_extrapolated_error(
@@ -227,13 +223,20 @@ def q_limit_extrapolated_error(
     (2^j R[i+1][j-1] - R[i][j-1]) / (2^j - 1) cancels the h, ..., h^order
     terms coefficient-wise, leaving an O(h^(order+1)) deviation that the
     tolerance check is applied to."""
+    return _q_limit_deviations(p_family, alpha, beta, n, (), k, deforming, order)[1]
+
+
+def _q_limit_deviations(p_family, alpha, beta, n, ks, k, deforming, order=2) -> tuple:
+    """(q_limit_errors at ks, q_limit_extrapolated_error at k, or None when
+    k is None) from one target and one rescaled polynomial per q_k."""
     target = _q_target(p_family, alpha, beta, n, deforming)
-    polys = [
-        _q_lhs(p_family, alpha, beta, (), n, kk, deforming)
-        for kk in range(k - order, k + 1)
-    ]
-    d = max(max(len(p.coeffs) for p in polys), len(target.coeffs))
-    cols = [[Fraction(p.coefficient(j)) for j in range(d)] for p in polys]
+    window = () if k is None else range(k - order, k + 1)
+    polys = {kk: _q_lhs(p_family, alpha, beta, (), n, kk, deforming) for kk in (*ks, *window)}
+    errs = [_coeff_distance(polys[kk], target) for kk in ks]
+    if k is None:
+        return errs, None
+    d = max(max(len(polys[kk].coeffs) for kk in window), len(target.coeffs))
+    cols = [[Fraction(polys[kk].coefficient(j)) for j in range(d)] for kk in window]
     for j in range(1, order + 1):
         w = Fraction(2**j)
         cols = [
@@ -241,7 +244,7 @@ def q_limit_extrapolated_error(
             for lo, hi in zip(cols, cols[1:])
         ]
     est = cols[0]
-    return max(abs(est[j] - Fraction(target.coefficient(j))) for j in range(d))
+    return errs, max(abs(est[j] - Fraction(target.coefficient(j))) for j in range(d))
 
 
 def q_limit_numeric(
@@ -274,8 +277,7 @@ def q_limit_numeric(
     ks = list(range(4, k_max + 1))
     lo, hi = Fraction(2, 5), Fraction(3, 5)
     if not labels:
-        errs = q_limit_errors(p_family, alpha, beta, n, ks, deforming)
-        ext = q_limit_extrapolated_error(p_family, alpha, beta, n, k_max, deforming)
+        errs, ext = _q_limit_deviations(p_family, alpha, beta, n, ks, k_max, deforming)
         final_ok = ext <= tol
         rep.add(
             f"|extrapolated error| <= {float(tol):g} at k={k_max}",
@@ -331,8 +333,7 @@ def verify_q_limits(
     jobs = [(n, False) for n in range(n_max + 1)] + [(v, True) for v in range(1, v_max + 1)]
     for idx, deforming in jobs:
         label = f"{'deforming v' if deforming else 'eigen n'}={idx}"
-        errs = q_limit_errors(p_family, alpha, beta, idx, ks, deforming)
-        ext = q_limit_extrapolated_error(p_family, alpha, beta, idx, k_final, deforming)
+        errs, ext = _q_limit_deviations(p_family, alpha, beta, idx, ks, k_final, deforming)
         final_ok = ext <= tol
         rep.add(
             f"{label}: |extrapolated error| <= {float(tol):g} at k={k_final}",

@@ -215,6 +215,7 @@ class MultiIndexedSystem:
         """Same labels at parameters lambda + delta."""
         return system(self.p.shifted(1), self.labels)
 
+    @memo
     def B_D(self, x: int):
         up = self.shifted_system()
         return (
@@ -225,6 +226,7 @@ class MultiIndexedSystem:
             / up.Xi_at(x)
         )
 
+    @memo
     def D_D(self, x: int):
         up = self.shifted_system()
         return (

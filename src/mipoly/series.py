@@ -1,9 +1,13 @@
 """Exact product symbols and certified enclosures.
 
 Finite (shifted-factorial) products are exact in whatever field the input
-lives in.  Infinite q-products and non-integer rational powers cannot be
-rational, so they come back as `Interval`: a pair of Fraction endpoints
-provably bracketing the true value.  Downstream "certified" comparisons are
+lives in.  Terminating hypergeometric sums run fraction-free: each step
+factor t_{k+1}/t_k is an unreduced (numerator, denominator) `pair` over the
+parameters' ints, `nested_sum` folds the steps by nested Horner, and one
+reduction (`pair_value`) gives the value.  Infinite q-products and
+non-integer rational powers cannot be rational, so they come back as
+`Interval`: a pair of Fraction endpoints provably bracketing the true
+value.  Downstream "certified" comparisons are
 interval containments, never float heuristics.
 """
 
@@ -34,6 +38,39 @@ def pochhammer(a, k: int):
     for j in range(k):
         out = out * (a + j)
     return out
+
+
+def pair(v) -> tuple:
+    """v as a (numerator, denominator) pair for unreduced arithmetic: an int
+    or Fraction by its int parts, a symbolic scalar (RationalFunction) as
+    (v, 1)."""
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, v.denominator
+    return v, 1
+
+
+def pair_value(n, d):
+    """n / d with one reduction: a Fraction for int parts, otherwise the
+    scalars' own division."""
+    if isinstance(n, int) and isinstance(d, int):
+        return Fraction(n, d)
+    return n / d
+
+
+def nested_sum(steps, one=1):
+    """1 + s_0 (1 + s_1 (1 + ... (1 + s_{m-1}))) for the step factors
+    s_k = t_{k+1}/t_k of a terminating series given as (numerator,
+    denominator) pairs.
+
+    Nested Horner on one unreduced pair, reduced once at the end by
+    `pair_value`: no gcd per operation.  The pair starts at (one, one); a
+    symbolic one keeps a sum without steps symbolic.
+    """
+    n = d = one
+    for a, b in reversed(steps):
+        d = b * d
+        n = d + a * n
+    return pair_value(n, d)
 
 
 def q_pochhammer(a, q, k: int | None, eps: Fraction = DEFAULT_EPS):

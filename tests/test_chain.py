@@ -151,6 +151,21 @@ def test_chain_verify_computes_shared_coefficients_once(monkeypatch):
     assert calls["virtual_energy"] < 20
 
 
+def test_warm_chain_verify_reads_the_final_potentials_back(monkeypatch):
+    # B_D and D_D are memo methods of the system: a repeated request does not
+    # evaluate their bodies (each begins with shifted_system()) again
+    from mipoly.multi import MultiIndexedSystem
+
+    original = MultiIndexedSystem.shifted_system
+    calls = []
+    monkeypatch.setattr(MultiIndexedSystem, "shifted_system", lambda self: calls.append(self) or original(self))
+    for p in (M, QJ, QL):
+        assert chain_verify(p, (1, 2), n_max=2, x_max=8).passed
+        calls.clear()
+        assert chain_verify(p, (1, 2), n_max=2, x_max=8).passed
+        assert calls == [], p
+
+
 def test_chain_grids_are_the_prefix_systems_grids():
     # level s of a chain is the multi-indexed system of the first s labels:
     # the chain holds no Casoratian grid of its own

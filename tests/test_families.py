@@ -167,10 +167,18 @@ def little_q_laguerre_series(a, q, n, w):
 
 @pytest.mark.parametrize("a, q", FOLD_POINTS, ids=str)
 def test_lqL_is_lqJ_at_b_zero(a, q):
+    # the closed forms skip their b factors at b = 0; the full lqJ forms at
+    # b = 0 are written out here, and lqL must equal them for n <= 6
     ql, qj = LittleQLaguerre(a, q), LittleQJacobi(a, 0, q)
-    for n in range(5):
+    for n in range(7):
         assert ql.poly(n) == qj.poly(n)
         assert ql.energy(n) == qj.energy(n) == q**-n - 1
+        assert ql.virtual_energy(n) == qj.virtual_energy(n) == -(1 - a * q**-n) * (1 - 0 * q ** (n + 1))
+        for k in range(n):
+            full = -(1 - q ** (k - n)) * (1 - a * 0 * q ** (n + 1 + k)) / (
+                (1 - 0 * q ** (k + 1)) * (1 - q ** (k + 1)) * q**k * a
+            )
+            assert ql.term_ratio(n, k) == qj.term_ratio(n, k) == full
         assert ql.leading_coefficient(n) == qj.leading_coefficient(n) == (-a) ** -n * q ** (-n * n)
         lo_hi = lambda v: (v.lo, v.hi)
         assert lo_hi(ql.dn_sq(n)) == lo_hi(qj.dn_sq(n))
