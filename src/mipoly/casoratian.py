@@ -6,8 +6,7 @@ Fractions -- every Casoratian of the multi-indexed systems -- are cleared of
 denominators column by column and reduced by Bareiss's fraction-free
 elimination on Python ints, so no step takes a gcd.  Entries of any other
 exact field (the RationalFunction entries of the symbolic-c Meixner limits)
-expand by cofactors up to size 4 and go through Bareiss elimination with
-field divisions above that.
+go through the same elimination with the field's division.
 
 Three identities drive all later constructions, so they get a randomized
 exact verifier here:
@@ -66,7 +65,8 @@ def exact_det(rows: Sequence[Sequence]):
     L_k of its denominators, the integer matrix is reduced by Bareiss
     elimination with exact floor division, and the result is divided by
     prod L_k once: an int for an int matrix, a Fraction as soon as one entry
-    is a Fraction.  Entries of any other exact field take `_field_det`.
+    is a Fraction.  Entries of any other exact field go through the same
+    elimination with the field's division.
     """
     n = len(rows)
     if n == 0:
@@ -74,7 +74,7 @@ def exact_det(rows: Sequence[Sequence]):
     if n == 1:
         return rows[0][0]
     if not all(isinstance(e, (int, Fraction)) for row in rows for e in row):
-        return _field_det(rows)
+        return _bareiss([list(r) for r in rows], operator.truediv)
     # det(A) = det(A^T): eliminate on the transpose, whose rows are A's columns
     m = []
     scale = 1
@@ -109,26 +109,6 @@ def _bareiss(m: list[list], div=operator.floordiv):
         m = [[div(x * p - row[0] * y, prev) for x, y in zip(row[1:], rest)] for row in m[1:]]
         prev = p
     return sign * m[0][0]
-
-
-def _field_det(rows: Sequence[Sequence]):
-    """Determinant over an exact field: cofactors up to n = 4, then Bareiss."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n <= 4:
-        # cofactor expansion along the first row
-        total = None
-        for k in range(n):
-            if rows[0][k] == 0:
-                continue
-            minor = [[row[j] for j in range(n) if j != k] for row in rows[1:]]
-            term = rows[0][k] * _field_det(minor)
-            if k % 2:
-                term = -term
-            total = term if total is None else total + term
-        return total if total is not None else rows[0][0] - rows[0][0]
-    return _bareiss([list(r) for r in rows], operator.truediv)
 
 
 def casoratian(fs: Sequence[GridFunction], x: int):

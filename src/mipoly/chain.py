@@ -42,12 +42,13 @@ that the eigen-identity and contiguity checks of all companion columns
 share.  Each is computed once per (s, x); a check only combines table
 entries with its own column.
 
-The arithmetic is fraction-free.  A grid value, an int or a Fraction, is
-read as its int numerator and positive denominator; the tables and each side
-of an identity are unreduced int numerators over positive int denominators,
-and the two sides are compared by cross-multiplying, ln * rd == rn * ld.  No
-Fraction is built and no gcd is taken per operation, and since every
-denominator is a product of positive ones, a sign check reads the numerator.
+The arithmetic is fraction-free, on the unreduced pairs of the `series`
+kernel.  Each grid value, an int or a Fraction, is read as its int numerator
+and positive denominator (`pair`); the tables and each side of an identity
+are pairs, and the two sides are compared by cross-multiplying
+(`pair_equal`).  No Fraction is built and no gcd is taken per operation.
+Every denominator is a product of positive ones (`pair_quotient` moves a
+divisor's sign to the numerator), so a sign check reads the numerator.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .casoratian import LatticeFunction
 from .families import _BaseFamily, memo
 from .multi import _validate_labels, system
 from .report import Report
+from .series import pair, pair_common, pair_equal, pair_product, pair_quotient, pair_sum
 from .virtual import index_set
 
 __all__ = ["Chain", "ChainState", "chain_build", "chain_verify"]
@@ -68,68 +70,6 @@ __all__ = ["Chain", "ChainState", "chain_build", "chain_verify"]
 
 def _sgn(v) -> int:
     return 1 if v > 0 else (-1 if v < 0 else 0)
-
-
-# Fraction-free arithmetic: an int or Fraction value v is carried as the
-# pair (v.numerator, v.denominator), and products and sums of pairs are left
-# unreduced.  Every denominator is a product of Fraction denominators
-# (`_quotient` moves the sign of its divisor to the numerator), so it stays
-# positive and a numerator carries the sign of its value.  `_prod` reads
-# values and `_mul` pairs; the checks call both per lattice point.
-
-
-def _nd(v) -> tuple[int, int]:
-    return v.numerator, v.denominator
-
-
-def _prod(*factors) -> tuple[int, int]:
-    """The product of int or Fraction factors as one unreduced pair."""
-    n = d = 1
-    for f in factors:
-        n *= f.numerator
-        d *= f.denominator
-    return n, d
-
-
-def _quotient(top, bottom) -> tuple[int, int]:
-    """prod(top) / prod(bottom) of int or Fraction factors as one unreduced
-    pair, its denominator made positive."""
-    (tn, td), (bn, bd) = _prod(*top), _prod(*bottom)
-    if not bn:
-        raise ZeroDivisionError("chain table divides by a zero Casoratian")
-    return (tn * bd, td * bn) if bn > 0 else (-tn * bd, -td * bn)
-
-
-def _mul(*pairs) -> tuple[int, int]:
-    n = d = 1
-    for pn, pd in pairs:
-        n *= pn
-        d *= pd
-    return n, d
-
-
-def _sum(*pairs) -> tuple[int, int]:
-    n, d = 0, 1
-    for pn, pd in pairs:
-        n, d = n * pd + pn * d, d * pd
-    return n, d
-
-
-def _same(a, b) -> bool:
-    """Equality of two pairs, by one cross-multiplication."""
-    return a[0] * b[1] == b[0] * a[1]
-
-
-def _common(*pairs) -> list[int]:
-    """The numerators of the pairs over one common denominator, the product
-    of theirs."""
-    out = []
-    for i, (n, _) in enumerate(pairs):
-        for j, (_, d) in enumerate(pairs):
-            if j != i:
-                n *= d
-        out.append(n)
-    return out
 
 
 class Chain:
@@ -208,50 +148,61 @@ class _Level:
     __slots__ = ("B_std", "D_std", "Bhat", "Dhat", "eigen", "contiguity")
 
     def __init__(self, ch: Chain, s: int):
-        aB, aD, w1, g = ch.aB, ch.aD, ch.w(s), ch.wpp(s, 0)
-        self.B_std = LatticeFunction(
-            lambda x: _quotient((aB(x + s), w1(x), g(x + 1)), (w1(x + 1), g(x)))
-        )
-        self.D_std = LatticeFunction(
-            lambda x: _quotient((aD(x), w1(x + 1), g(x - 1)), (w1(x), g(x)))
-        )
+        aB, aD, w1 = ch.aB, ch.aD, ch.w(s)
+        self.B_std, self.D_std = _potentials(ch, s, w1, ch.wpp(s, 0))
         if s == 0:
-            ap = ch.alpha_prime
+            ap = pair(ch.alpha_prime)
             self.Bhat = self.Dhat = None
 
             def eigen(x):
-                b, d, a, c = _common(_nd(aB(x)), _nd(aD(x)), _nd(ap), (1, 1))
+                b, d, a, c = pair_common(pair(aB(x)), pair(aD(x)), ap, (1, 1))
                 return b + d + a, c, b, d
 
             self.eigen = LatticeFunction(eigen)
         else:
             w0 = ch.w(s - 1)
-            self.Bhat = LatticeFunction(
-                lambda x: _quotient((aB(x + s - 1), w0(x), w1(x + 1)), (w0(x + 1), w1(x)))
-            )
-            self.Dhat = LatticeFunction(
-                lambda x: _quotient((aD(x), w0(x + 1), w1(x - 1)), (w0(x), w1(x)))
-            )
+            self.Bhat, self.Dhat = _potentials(ch, s - 1, w0, w1)
 
             def eigen(x):
-                w0x1, w1x, w1x1 = w0(x + 1), w1(x), w1(x + 1)
-                a1, a2, c, p, q = _common(
-                    _prod(aB(x + s - 1), w0(x), w1x1, w1x1),
-                    _prod(aD(x + 1), w0(x + 2), w1x, w1x),
-                    _prod(w0x1, w1x, w1x1),
-                    _prod(aB(x + s), w1x, w1x, w0x1),
-                    _prod(aD(x), w1x1, w1x1, w0x1),
+                w0x1, w1x, w1x1 = pair(w0(x + 1)), pair(w1(x)), pair(w1(x + 1))
+                a1, a2, c, p, q = pair_common(
+                    pair_product(pair(aB(x + s - 1)), pair(w0(x)), w1x1, w1x1),
+                    pair_product(pair(aD(x + 1)), pair(w0(x + 2)), w1x, w1x),
+                    pair_product(w0x1, w1x, w1x1),
+                    pair_product(pair(aB(x + s)), w1x, w1x, w0x1),
+                    pair_product(pair(aD(x)), w1x1, w1x1, w0x1),
                 )
                 return a1 + a2, c, p, q
 
             self.eigen = LatticeFunction(eigen)
         if s < ch.M:
             w2 = ch.w(s + 1)
-            self.contiguity = LatticeFunction(
-                lambda x: _common(_prod(aB(x + s), w1(x)), _prod(aD(x), w1(x + 1)), _nd(w2(x)))
-            )
+
+            def contiguity(x):
+                b = pair_product(pair(aB(x + s)), pair(w1(x)))
+                d = pair_product(pair(aD(x)), pair(w1(x + 1)))
+                return pair_common(b, d, pair(w2(x)))
+
+            self.contiguity = LatticeFunction(contiguity)
         else:
             self.contiguity = None
+
+
+def _potentials(ch: Chain, k: int, u: LatticeFunction, v: LatticeFunction) -> tuple:
+    """The pair tables of aB'(x+k) u(x) v(x+1) / (u(x+1) v(x)) and
+    aD'(x) u(x+1) v(x-1) / (u(x) v(x)): Bhat_s, Dhat_s for (k, u, v) =
+    (s-1, w_{s-1}, w_s), and B_std, D_std for (s, w_s, w''_{s,0})."""
+    aB, aD = ch.aB, ch.aD
+
+    def B(x):
+        top = pair_product(pair(aB(x + k)), pair(u(x)), pair(v(x + 1)))
+        return pair_quotient(top, pair_product(pair(u(x + 1)), pair(v(x))))
+
+    def D(x):
+        top = pair_product(pair(aD(x)), pair(u(x + 1)), pair(v(x - 1)))
+        return pair_quotient(top, pair_product(pair(u(x)), pair(v(x))))
+
+    return LatticeFunction(B), LatticeFunction(D)
 
 
 @dataclass
@@ -309,11 +260,11 @@ def _eigen_identity(eigen: LatticeFunction, u: LatticeFunction, k) -> Callable[[
       = [aB'(x+s) w_s(x)^2 u(x+1) + aD'(x) w_s(x+1)^2 u(x-1)] * w_{s-1}(x+1);
     for s = 0 the bracket collapses to aB'(x) + aD'(x) + alpha' - eps."""
 
-    kn, kd = _nd(k)
+    kn, kd = pair(k)
 
     def holds(x):
         a, c, p, q = eigen(x)
-        (un, ud), (u1n, u1d), (u0n, u0d) = _nd(u(x)), _nd(u(x + 1)), _nd(u(x - 1))
+        (un, ud), (u1n, u1d), (u0n, u0d) = pair(u(x)), pair(u(x + 1)), pair(u(x - 1))
         return (a * kd + kn * c) * un * u1d * u0d == (p * u1n * u0d + q * u0n * u1d) * kd * ud
 
     return holds
@@ -323,11 +274,11 @@ def _contiguity(contiguity: LatticeFunction, upper, lower, k) -> Callable[[int],
     """aB'(x+s) w_s(x) upper(x) = aD'(x) w_s(x+1) upper(x-1)
        + (Et_{d_{s+1}} - eps) w_{s+1}(x) lower(x), with k = Et_{d_{s+1}} - eps."""
 
-    kn, kd = _nd(k)
+    kn, kd = pair(k)
 
     def holds(x):
         b, d, w2 = contiguity(x)
-        (un, ud), (u0n, u0d), (ln, ld) = _nd(upper(x)), _nd(upper(x - 1)), _nd(lower(x))
+        (un, ud), (u0n, u0d), (ln, ld) = pair(upper(x)), pair(upper(x - 1)), pair(lower(x))
         return b * un * u0d * kd * ld == (d * u0n * kd * ld + kn * w2 * ln * u0d) * ud
 
     return holds
@@ -337,9 +288,9 @@ def _nesting(ws, ws1, upper, lower) -> Callable[[int], bool]:
     """w_s(x+1) upper(x) = w_{s+1}(x) lower(x+1) - w_{s+1}(x+1) lower(x)."""
 
     def holds(x):
-        an, ad = _prod(ws(x + 1), upper(x))
-        bn, bd = _prod(ws1(x), lower(x + 1))
-        cn, cd = _prod(ws1(x + 1), lower(x))
+        an, ad = pair_product(pair(ws(x + 1)), pair(upper(x)))
+        bn, bd = pair_product(pair(ws1(x)), pair(lower(x + 1)))
+        cn, cd = pair_product(pair(ws1(x + 1)), pair(lower(x)))
         return an * bd * cd == (bn * cd - cn * bd) * ad
 
     return holds
@@ -425,13 +376,17 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             rep,
             "re-factorization s=0 product",
             xs_lattice,
-            lambda x: _same(_mul(lv.Bhat(x), lv.Dhat(x + 1)), _prod(pB(x), pD(x + 1))),
+            lambda x: pair_equal(
+                pair_product(lv.Bhat(x), lv.Dhat(x + 1)), pair_product(pair(pB(x)), pair(pD(x + 1)))
+            ),
         )
         _check(
             rep,
             "re-factorization s=0 diagonal",
             xs_lattice,
-            lambda x: _same(_sum(lv.Bhat(x), lv.Dhat(x), _nd(e1)), _sum(_nd(pB(x)), _nd(pD(x)))),
+            lambda x: pair_equal(
+                pair_sum(lv.Bhat(x), lv.Dhat(x), pair(e1)), pair_sum(pair(pB(x)), pair(pD(x)))
+            ),
         )
     for s in range(1, M):
         es, es1 = ch.tilde_energy(ch.order[s - 1]), ch.tilde_energy(ch.order[s])
@@ -440,16 +395,18 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             rep,
             f"re-factorization s={s} product",
             xs_lattice,
-            lambda x: _same(
-                _mul(up.Bhat(x), up.Dhat(x + 1)), _mul(lv.Bhat(x + 1), lv.Dhat(x + 1))
+            lambda x: pair_equal(
+                pair_product(up.Bhat(x), up.Dhat(x + 1)),
+                pair_product(lv.Bhat(x + 1), lv.Dhat(x + 1)),
             ),
         )
         _check(
             rep,
             f"re-factorization s={s} diagonal",
             xs_lattice,
-            lambda x: _same(
-                _sum(up.Bhat(x), up.Dhat(x), _nd(es1)), _sum(lv.Bhat(x), lv.Dhat(x + 1), _nd(es))
+            lambda x: pair_equal(
+                pair_sum(up.Bhat(x), up.Dhat(x), pair(es1)),
+                pair_sum(lv.Bhat(x), lv.Dhat(x + 1), pair(es)),
             ),
         )
 
@@ -459,7 +416,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         rep,
         "standard form s=0 is the base system",
         xs_lattice,
-        lambda x: _same(lv.B_std(x), _nd(pB(x))) and _same(lv.D_std(x), _nd(pD(x))),
+        lambda x: pair_equal(lv.B_std(x), pair(pB(x))) and pair_equal(lv.D_std(x), pair(pD(x))),
     )
     for s in range(1, M + 1):
         es, lv = ch.tilde_energy(ch.order[s - 1]), ch._level(s)
@@ -467,16 +424,17 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             rep,
             f"standard form s={s} product",
             xs_lattice,
-            lambda x: _same(
-                _mul(lv.B_std(x), lv.D_std(x + 1)), _mul(lv.Bhat(x + 1), lv.Dhat(x + 1))
+            lambda x: pair_equal(
+                pair_product(lv.B_std(x), lv.D_std(x + 1)),
+                pair_product(lv.Bhat(x + 1), lv.Dhat(x + 1)),
             ),
         )
         _check(
             rep,
             f"standard form s={s} diagonal",
             xs_lattice,
-            lambda x: _same(
-                _sum(lv.B_std(x), lv.D_std(x)), _sum(lv.Bhat(x), lv.Dhat(x + 1), _nd(es))
+            lambda x: pair_equal(
+                pair_sum(lv.B_std(x), lv.D_std(x)), pair_sum(lv.Bhat(x), lv.Dhat(x + 1), pair(es))
             ),
         )
 
@@ -491,7 +449,8 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         rep,
         "final potentials match denominator form",
         xs_lattice,
-        lambda x: _same(lv.B_std(x), _nd(sys.B_D(x))) and _same(lv.D_std(x), _nd(sys.D_D(x))),
+        lambda x: pair_equal(lv.B_std(x), pair(sys.B_D(x)))
+        and pair_equal(lv.D_std(x), pair(sys.D_D(x))),
     )
     phi0p, wM, aB = p.twisted(), ch.w(M), ch.aB
     prod_b0 = 1
@@ -501,8 +460,8 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
 
     def eigenvector_factor(x):
         # prod_j aB'(x+j) phi0'(x) / (w_M(x) w_M(x+1)), shared by every n
-        top = [aB(x + j) for j in range(M)] + [phi0p.phi0_sq(x)]
-        return _quotient(top, (wM(x), wM(x + 1)))
+        top = pair_product(*[pair(aB(x + j)) for j in range(M)], pair(phi0p.phi0_sq(x)))
+        return pair_quotient(top, pair_product(pair(wM(x)), pair(wM(x + 1))))
 
     factor = LatticeFunction(eigenvector_factor)
     for n in range(n_max + 1):
@@ -516,9 +475,14 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             rep,
             f"squared eigenvector match n={n}",
             xs_lattice,
-            lambda x: _same(
-                _mul(factor(x), _prod(g(x), g(x))),
-                _prod(const_sq, sys.weight(x), sys.multi_poly_at(n, x), sys.multi_poly_at(n, x)),
+            lambda x: pair_equal(
+                pair_product(factor(x), pair(g(x)), pair(g(x))),
+                pair_product(
+                    pair(const_sq),
+                    pair(sys.weight(x)),
+                    pair(sys.multi_poly_at(n, x)),
+                    pair(sys.multi_poly_at(n, x)),
+                ),
             ),
         )
 

@@ -65,7 +65,16 @@ from fractions import Fraction
 from .polynomials import Polynomial, newton_form, sign_on_tail
 from .ratfunc import RationalFunction
 from .report import Report
-from .series import Interval, nested_sum, pair, pochhammer, q_pochhammer, rational_power
+from .series import (
+    Interval,
+    nested_sum,
+    pair,
+    pair_product,
+    pair_quotient,
+    pochhammer,
+    q_pochhammer,
+    rational_power,
+)
 
 __all__ = [
     "Meixner",
@@ -138,7 +147,10 @@ class _BaseFamily:
         """
         if x < 0:
             raise ValueError("phi0_sq needs x >= 0")
-        vals = self._cache.setdefault("phi0_sq", [_one_like(self.eta(1))])
+        try:
+            vals = self._cache["phi0_sq"]
+        except KeyError:
+            vals = self._cache["phi0_sq"] = [self._unit()]
         while len(vals) <= x:
             y = len(vals) - 1
             vals.append(vals[y] * self.B(y) / self.D(y + 1))
@@ -161,8 +173,7 @@ class _BaseFamily:
         is revalidated against `poly_value`, a separately written coding of
         the series, at the five lattice points x = n+1..n+5.
         """
-        symbolic = any(isinstance(v, RationalFunction) for v in self._key())
-        t = RationalFunction(1) if symbolic else Fraction(1)
+        t = self._unit()
         coeffs = [t]
         for k in range(n):
             t = -t * self.term_ratio(n, k)  # Newton form in (eta - eta(j))
@@ -177,13 +188,14 @@ class _BaseFamily:
 
     @memo
     def _unit(self):
-        """1 as the start of an unreduced pair: the int 1, or the
-        RationalFunction 1 when a parameter is symbolic, so that every value
-        is in the parameters' field."""
+        """1 in the parameters' field: the RationalFunction 1 when a parameter
+        is symbolic, else Fraction(1).  Every series starts from it, by value
+        or as the pair `series.pair` reads from it, so a value with no terms
+        past the first keeps the field's type."""
         for v in self._key():
             if isinstance(v, RationalFunction):
                 return v**0
-        return 1
+        return Fraction(1)
 
     def poly_eval(self, n: int, x: int):
         """P_n at lattice point x (any integer), via the eta-polynomial."""
@@ -207,11 +219,6 @@ class _BaseFamily:
     def Dprime(self, x):
         """D(x) at twisted parameters (equals D for every system here)."""
         return self.twisted().D(x)
-
-
-def _one_like(scalar):
-    # multiplicative unit in the scalar's field; ints stay int
-    return scalar / scalar if isinstance(scalar, RationalFunction) else Fraction(1)
 
 
 class Meixner(_BaseFamily):
@@ -284,6 +291,21 @@ class Meixner(_BaseFamily):
         zb, xc = (cn - cd) * bd, xd * cn  # z bd / xd = zb / xc
         steps = [((k - n) * (k * xd - xn) * zb, xc * (bn + k * bd) * (k + 1)) for k in range(n)]
         return nested_sum(steps, self._unit())
+
+    def xi_series(self, v: int, x: int) -> tuple:
+        """The nonnegative-term series of xi_v(x) (`virtual.xi_series_terms`)
+        as its first term and its step factors, unreduced pairs.
+
+        The k-th term is (v-k+1)_k (x-k+1)_k (1-c)^k / ((beta)_k k!): the first
+        is 1, and step k multiplies by (v-k) (x-k) (1-c) / ((beta+k) (k+1)),
+        written over beta = bn/bd and c = cn/cd.
+        """
+        (bn, bd), (cn, cd) = pair(self.beta), pair(self.c)
+        steps = [
+            ((v - k) * (x - k) * (cd - cn) * bd, (bn + k * bd) * (k + 1) * cd)
+            for k in range(min(v, x))
+        ]
+        return pair(self._unit()), steps
 
     # The lattice variable is x itself.  B and D keep their own class-dict
     # entries too: bench/tracer.py counts calls to them there, by name.
@@ -492,6 +514,46 @@ class LittleQJacobi(_QFamily):
             steps.append((num, den))
         return nested_sum(steps, self._unit())
 
+    def xi_series(self, v: int, x: int) -> tuple:
+        """The nonnegative-term series of xi_v(x) (`virtual.xi_series_terms`)
+        as its first term and its step factors, unreduced pairs.
+
+        The k-th term is the first, (a q^-v; q)_v (b q^(x+1); q)_v / (b q; q)_v,
+        times (q^(v-k+1); q)_k (b q^(v-k+1); q)_k (a q^(x-v))^k / ((a q^-k; q)_k
+        (b q^(v-k+1+x); q)_k (q; q)_k), so step k multiplies by (1 - q^(v-k))
+        (1 - b q^(v-k)) a q^(x-v) / ((1 - a q^(-k-1)) (1 - b q^(v+x-k))
+        (1 - q^(k+1))).  The b factors are 1 at b = 0 and are skipped.
+        """
+        a, b, (qn, qd) = pair(self.a), pair(self.b), pair(self.q)
+
+        def times_q(u, e):
+            """u q^e as a pair."""
+            (un, ud), s = u, abs(e)
+            return (un * qn**s, ud * qd**s) if e >= 0 else (un * qd**s, ud * qn**s)
+
+        def one_minus(u, e):
+            """1 - u q^e as a pair."""
+            n, d = times_q(u, e)
+            return d - n, d
+
+        top, bottom = [pair(self._unit())], []
+        for j in range(v):
+            top.append(one_minus(a, j - v))
+            if b[0]:
+                top.append(one_minus(b, x + 1 + j))
+                bottom.append(one_minus(b, 1 + j))
+        first = pair_quotient(pair_product(*top), pair_product(*bottom))
+        one, aq = (1, 1), times_q(a, x - v)
+        steps = []
+        for k in range(v):
+            top = [one_minus(one, v - k), aq]
+            bottom = [one_minus(a, -k - 1), one_minus(one, k + 1)]
+            if b[0]:
+                top.append(one_minus(b, v - k))
+                bottom.append(one_minus(b, v + x - k))
+            steps.append(pair_quotient(pair_product(*top), pair_product(*bottom)))
+        return first, steps
+
     def term_ratio(self, n: int, k: int):
         """t_{k+1}/t_k of the series with (1 - q^k/w)(w/a) = (eta(k) - eta(x))/a
         taken out."""
@@ -503,10 +565,9 @@ class LittleQJacobi(_QFamily):
 
     def poly_value_alt(self, n: int, w):
         """Independent 2phi1-type route to the same value."""
-        a, b, q = self.a, self.b, self.q
-        pref = q_pochhammer(1 / (a * q**n), q, n) / q_pochhammer(b * q, q, n)
-        term = _one_like(w)
-        total = term
+        a, b, q, one = self.a, self.b, self.q, self._unit()
+        pref = one * q_pochhammer(1 / (a * q**n), q, n) / q_pochhammer(b * q, q, n)
+        term = total = one
         for k in range(n):
             term = (
                 term

@@ -39,9 +39,7 @@ from .virtual import xi_poly
 
 __all__ = [
     "meixner_limit_exact",
-    "meixner_limit_poly",
     "meixner_xi_limit_poly",
-    "meixner_multi_limit_poly",
     "verify_meixner_limits",
     "q_limit_errors",
     "q_limit_extrapolated_error",
@@ -66,31 +64,19 @@ def _scaled(poly: Polynomial, fam: Meixner) -> Polynomial:
     return poly.scale_argument(one / (one - fam.c))
 
 
-def meixner_limit_poly(alpha, n: int) -> Polynomial:
-    """lim_{c->1} P_n(eta/(1-c)) at beta = alpha+1, exactly."""
+def meixner_limit_exact(alpha, labels: Sequence[int], n: int) -> Polynomial:
+    """lim_{c->1} of P_n(eta/(1-c)) (empty labels) or P_{D,n}(eta/(1-c))
+    (nonempty) at beta = alpha+1, exactly."""
     fam = _symbolic_meixner(Fraction(alpha))
-    return _limit_coefficients(_scaled(fam.poly(n), fam))
+    labels = tuple(labels)
+    poly = multi_system(fam, labels).multi_poly(n) if labels else fam.poly(n)
+    return _limit_coefficients(_scaled(poly, fam))
 
 
 def meixner_xi_limit_poly(alpha, v: int) -> Polynomial:
     """Same limit for the deforming polynomial xi_v."""
     fam = _symbolic_meixner(Fraction(alpha))
     return _limit_coefficients(_scaled(xi_poly(fam, v), fam))
-
-
-def meixner_multi_limit_poly(alpha, labels: Sequence[int], n: int) -> Polynomial:
-    """Exact limit of the multi-indexed polynomial P_{D,n}."""
-    fam = _symbolic_meixner(Fraction(alpha))
-    sys = multi_system(fam, tuple(labels))
-    return _limit_coefficients(_scaled(sys.multi_poly(n), fam))
-
-
-def meixner_limit_exact(alpha, labels: Sequence[int], n: int) -> Polynomial:
-    """Exact c -> 1 limit of P_n (empty labels) or P_{D,n} (nonempty)."""
-    labels = tuple(labels)
-    if not labels:
-        return meixner_limit_poly(alpha, n)
-    return meixner_multi_limit_poly(alpha, labels, n)
 
 
 def verify_meixner_limits(

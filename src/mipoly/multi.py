@@ -42,7 +42,7 @@ from .families import _BaseFamily, memo
 from .polynomials import Polynomial, interpolate, sign_on_tail
 from .ratfunc import RationalFunction
 from .report import Report
-from .series import Interval, as_interval
+from .series import Interval, as_interval, pair, pair_product, pair_value
 from .virtual import xi_poly
 
 __all__ = [
@@ -463,8 +463,9 @@ class OrthogonalityResult:
         )
 
 
-# The ratio certificate carries each rational polynomial as a pair (P, d): an
-# int-coefficient Polynomial P and a positive int d standing for P / d.
+# The ratio certificate carries each rational polynomial as a `series` pair
+# (P, d): an int-coefficient Polynomial P and a positive int d standing for
+# P / d.
 
 
 def _int_poly(poly: Polynomial) -> tuple:
@@ -472,17 +473,10 @@ def _int_poly(poly: Polynomial) -> tuple:
     return Polynomial(nums), den
 
 
-def _product(*factors) -> tuple:
-    out, den = Polynomial((1,)), 1
-    for poly, d in factors:
-        out, den = out * poly, den * d
-    return out, den
-
-
 def _tail_polys(num: tuple, den: tuple, r: Fraction) -> list:
     """[den, r*den - num, r*den + num], each times one positive constant."""
-    (a, da), (b, db) = num, den
-    rb, a = b * (r.numerator * da), a * (r.denominator * db)
+    (a, da), (b, db), (rn, rd) = num, den, pair(r)
+    rb, a = b * (rn * da), a * (rd * db)
     return [b, rb - a, rb + a]
 
 
@@ -494,7 +488,7 @@ def _lattice_form(p: _BaseFamily, poly: Polynomial, k: int) -> tuple:
     shifted, den = _int_poly(poly)
     cs = shifted.taylor_shift(alpha).coeffs
     d = len(cs) - 1
-    a, b = beta.numerator, beta.denominator
+    a, b = pair(beta)
     return Polynomial(c * a**j * b ** (d - j) for j, c in enumerate(cs)), den * b**d
 
 
@@ -517,8 +511,8 @@ def _ratio_certificate(sys: MultiIndexedSystem, n: int, m: int):
     ratio = shifted.B_w(w) / shifted.D_w(shifted.step_w(w, 1))
     polys = sys.multi_poly(n), sys.multi_poly(m), sys.Xi()
     at = lambda *ks: (_lattice_form(p, f, k) for f, k in zip(polys, ks))  # P_n, P_m, Xi at x + k
-    num, da = _product(_int_poly(ratio.num), *at(1, 1, 0))
-    den, db = _product(_int_poly(ratio.den), *at(0, 0, 2))
+    num, da = pair_product(_int_poly(ratio.num), *at(1, 1, 0))
+    den, db = pair_product(_int_poly(ratio.den), *at(0, 0, 2))
     end = p.limit_end
     # A common factor g leaves the limit unchanged and only moves the tail
     # start, so no gcd is taken.  A common power of w is the one factor that
@@ -530,7 +524,7 @@ def _ratio_certificate(sys: MultiIndexedSystem, n: int, m: int):
     k = end % len(den.coeffs)  # the power of w whose coefficients hold the limit
     if den.coeffs[k] < 0:
         num, den = -num, -den
-    rho0 = Fraction(abs(num.coefficient(k)) * db, den.coeffs[k] * da)
+    rho0 = pair_value(abs(num.coefficient(k)) * db, den.coeffs[k] * da)
     if not rho0 < 1:
         raise ArithmeticError(f"cannot certify: limiting term ratio {rho0} >= 1")
     r = (1 + rho0) / 2

@@ -1,14 +1,19 @@
-"""Exact product symbols and certified enclosures.
+"""Exact product symbols, the unreduced-pair kernel, and certified enclosures.
 
 Finite (shifted-factorial) products are exact in whatever field the input
-lives in.  Terminating hypergeometric sums run fraction-free: each step
-factor t_{k+1}/t_k is an unreduced (numerator, denominator) `pair` over the
-parameters' ints, `nested_sum` folds the steps by nested Horner, and one
-reduction (`pair_value`) gives the value.  Infinite q-products and
-non-integer rational powers cannot be rational, so they come back as
-`Interval`: a pair of Fraction endpoints provably bracketing the true
-value.  Downstream "certified" comparisons are
-interval containments, never float heuristics.
+lives in.  The fraction-free checks of the library share one representation,
+kept here: an exact scalar is carried as an unreduced (numerator,
+denominator) `pair`, an int or Fraction by its int parts and a symbolic
+scalar (a RationalFunction) as (v, 1).  Pairs are multiplied, divided and
+added without a gcd (`pair_product`, `pair_quotient`, `pair_sum`), compared
+by one cross-multiplication (`pair_equal`), brought over one denominator
+(`pair_common`), and reduced once (`pair_value`).  Products work unchanged on
+pairs over any ring, (Polynomial, int) pairs included.  Terminating
+hypergeometric sums fold their step factors t_{k+1}/t_k, each one pair, by
+nested Horner (`nested_sum`).  Infinite q-products and non-integer rational
+powers cannot be rational, so they come back as `Interval`: a pair of
+Fraction endpoints provably bracketing the true value.  Downstream
+"certified" comparisons are interval containments, never float heuristics.
 """
 
 from __future__ import annotations
@@ -41,12 +46,15 @@ def pochhammer(a, k: int):
 
 
 def pair(v) -> tuple:
-    """v as a (numerator, denominator) pair for unreduced arithmetic: an int
-    or Fraction by its int parts, a symbolic scalar (RationalFunction) as
-    (v, 1)."""
-    if isinstance(v, (int, Fraction)):
+    """v as a (numerator, denominator) pair: an int or Fraction by its int
+    parts, a symbolic scalar (RationalFunction) as (v, 1).
+
+    The parts are read as attributes, with no type test in front: the
+    deletion chain reads every lattice value through here."""
+    try:
         return v.numerator, v.denominator
-    return v, 1
+    except AttributeError:
+        return v, 1
 
 
 def pair_value(n, d):
@@ -57,16 +65,60 @@ def pair_value(n, d):
     return n / d
 
 
-def nested_sum(steps, one=1):
+def pair_product(*pairs) -> tuple:
+    """The product of pairs, unreduced; the empty product is (1, 1)."""
+    n = d = 1
+    for pn, pd in pairs:
+        n *= pn
+        d *= pd
+    return n, d
+
+
+def pair_quotient(top, bottom) -> tuple:
+    """top / bottom, unreduced, the divisor's sign moved to the numerator, so
+    that a quotient of pairs with positive denominators has one too.  Raises
+    ZeroDivisionError on a zero divisor."""
+    (tn, td), (bn, bd) = top, bottom
+    if not bn:
+        raise ZeroDivisionError("pair quotient by zero")
+    return (tn * bd, td * bn) if bn > 0 else (-tn * bd, -td * bn)
+
+
+def pair_sum(*pairs) -> tuple:
+    """The sum of pairs over the product of their denominators, unreduced."""
+    n, d = 0, 1
+    for pn, pd in pairs:
+        n, d = n * pd + pn * d, d * pd
+    return n, d
+
+
+def pair_equal(a, b) -> bool:
+    """Equality of two pairs with nonzero denominators, by one
+    cross-multiplication."""
+    return a[0] * b[1] == b[0] * a[1]
+
+
+def pair_common(*pairs) -> list:
+    """The numerators of the pairs over one common denominator, the product
+    of theirs."""
+    out = []
+    for i, (n, _) in enumerate(pairs):
+        for j, (_, d) in enumerate(pairs):
+            if j != i:
+                n *= d
+        out.append(n)
+    return out
+
+
+def nested_sum(steps, one):
     """1 + s_0 (1 + s_1 (1 + ... (1 + s_{m-1}))) for the step factors
-    s_k = t_{k+1}/t_k of a terminating series given as (numerator,
-    denominator) pairs.
+    s_k = t_{k+1}/t_k of a terminating series given as pairs.
 
     Nested Horner on one unreduced pair, reduced once at the end by
-    `pair_value`: no gcd per operation.  The pair starts at (one, one); a
-    symbolic one keeps a sum without steps symbolic.
+    `pair_value`: no gcd per operation.  The pair starts at `pair(one)`, the
+    1 of the parameters' field, so a sum without steps keeps its type.
     """
-    n = d = one
+    n, d = pair(one)
     for a, b in reversed(steps):
         d = b * d
         n = d + a * n

@@ -12,11 +12,13 @@ original difference equation with negative energies tE_v = alpha E'_v +
 alpha' (closed forms on the family: p.alpha(), p.alpha_prime(),
 p.virtual_energy(v)), and -- on the valid parameter window -- are strictly positive on the
 whole lattice.  Positivity is certified by rearranged series whose terms are
-individually nonnegative, evaluated term by term in exact arithmetic: each
-term is the previous one times its step factor on an unreduced int pair,
-reduced once when it is returned.  The series value is required to coincide
-with the twisted-polynomial route, so the certificate is also an
-independent evaluation of xi_v.
+individually nonnegative, evaluated term by term in exact arithmetic.  Each
+family states the series' first term and step factors in closed form, as
+unreduced pairs of the `series` kernel (`xi_series`); `xi_series_terms` folds
+them, each term the previous one times its step factor, reduced once when it
+is returned.  The series value is required to coincide with the
+twisted-polynomial route, so the certificate is also an independent
+evaluation of xi_v.
 
 The label set: every v >= 1 for M; for the q systems only v with a < q^v
 keep the required factors positive, so the set (up to p.v_max()) is finite (possibly empty,
@@ -29,10 +31,10 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .families import Meixner, _BaseFamily
+from .families import _BaseFamily
 from .polynomials import Polynomial
 from .report import Report
-from .series import pair, pair_value
+from .series import pair_product, pair_value
 
 __all__ = [
     "index_set",
@@ -66,67 +68,18 @@ def xi_poly(p: _BaseFamily, v: int) -> Polynomial:
 def xi_series_terms(p: _BaseFamily, v: int, x: int) -> list:
     """Terms of a rearranged series for xi_v(x), each provably nonnegative.
 
-    For M the k-th term is (v-k+1)_k (x-k+1)_k (1-c)^k / ((beta)_k k!), a
-    product of rising factorials of positive numbers.  For lqJ (lqL is its
-    b = 0 case) it is the prefactor (a q^-v; q)_v (b q^(x+1); q)_v / (b q; q)_v
-    times (q^(v-k+1); q)_k (b q^(v-k+1); q)_k (a q^(x-v))^k / ((a q^-k; q)_k
-    (b q^(v-k+1+x); q)_k (q; q)_k), products of factors (1 - u) with u < 1 on
-    the valid window a < q^v, b < 1/q.  The sum must reproduce xi_value
-    exactly, so this doubles as an independent evaluation.
-
-    Each term is the previous one times its step factor, kept as an
-    unreduced int pair; every term is returned reduced.
+    Each family states the series in closed form (`xi_series`), as its first
+    term and its step factors in unreduced pairs: for M every term is a
+    product of rising factorials of positive numbers, for lqJ (lqL is its
+    b = 0 case) of factors (1 - u) with u < 1 on the valid window a < q^v,
+    b < 1/q.  Each term is the running pair times the next step, returned
+    reduced.  The sum must reproduce xi_value exactly, so this doubles as an
+    independent evaluation.
     """
-    one = p._unit()
-    if isinstance(p, Meixner):
-        (bn, bd), (cn, cd) = pair(p.beta), pair(p.c)
-        tn, td = one, 1
-        terms = [pair_value(tn, td)]
-        for k in range(min(v, x)):
-            # (v-k+1)_k (x-k+1)_k grow by (v-k)(x-k), (beta)_k k! by (beta+k)(k+1)
-            tn = tn * (v - k) * (x - k) * (cd - cn) * bd
-            td = td * (bn + k * bd) * (k + 1) * cd
-            terms.append(pair_value(tn, td))
-        return terms
-    a, b, q = pair(p.a), pair(p.b), pair(p.q)
-
-    def q_pow(e):
-        """q^e as a pair."""
-        qn, qd = q if e >= 0 else q[::-1]
-        return qn ** abs(e), qd ** abs(e)
-
-    def one_minus(u, e):
-        """1 - u q^e as a pair."""
-        (un, ud), (sn, sd) = u, q_pow(e)
-        return ud * sd - un * sn, ud * sd
-
-    def scaled(t, top, bottom):
-        """t prod(top) / prod(bottom) on unreduced pairs."""
-        tn, td = t
-        for fn, fd in top:
-            tn, td = tn * fn, td * fd
-        for fn, fd in bottom:
-            tn, td = tn * fd, td * fn
-        return tn, td
-
-    t = (one, 1)
-    for j in range(v):  # the prefactor; its b factors are 1 at b = 0
-        top, bottom = [one_minus(a, j - v)], []
-        if b[0]:
-            top.append(one_minus(b, x + 1 + j))
-            bottom.append(one_minus(b, 1 + j))
-        t = scaled(t, top, bottom)
-    (an, ad), (sn, sd) = a, q_pow(x - v)
-    aq = (an * sn, ad * sd)  # a q^(x-v)
+    t, steps = p.xi_series(v, x)
     terms = [pair_value(*t)]
-    for k in range(v):
-        # each q-Pochhammer product gains one factor, (a q^(x-v))^k one power
-        top = [one_minus((1, 1), v - k), aq]
-        bottom = [one_minus(a, -k - 1), one_minus((1, 1), k + 1)]
-        if b[0]:
-            top.append(one_minus(b, v - k))
-            bottom.append(one_minus(b, v + x - k))
-        t = scaled(t, top, bottom)
+    for step in steps:
+        t = pair_product(t, step)
         terms.append(pair_value(*t))
     return terms
 

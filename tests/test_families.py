@@ -81,6 +81,7 @@ def test_q_two_route_values_agree():
             for x in range(5):
                 w = p.q**x
                 assert p.poly_value_w(n, w) == p.poly_value_alt(n, w)
+                assert type(p.poly_value_alt(n, w)) is F  # exact at n = 0 too
                 assert p.poly_value(n, x) == p.poly_value_w(n, w)
 
 

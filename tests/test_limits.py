@@ -5,8 +5,6 @@ from fractions import Fraction as F
 from mipoly.classical import laguerre, laguerre_at_zero
 from mipoly.limits import (
     meixner_limit_exact,
-    meixner_limit_poly,
-    meixner_multi_limit_poly,
     meixner_xi_limit_poly,
     q_limit_errors,
     q_limit_extrapolated_error,
@@ -18,7 +16,7 @@ from mipoly.polynomials import Polynomial
 
 
 def test_exact_limit_frozen_examples():
-    assert meixner_limit_poly(0, 1) == Polynomial((1, -1))  # 1 - eta
+    assert meixner_limit_exact(0, (), 1) == Polynomial((1, -1))  # 1 - eta
     assert meixner_xi_limit_poly(0, 1) == Polynomial((1, 1))  # 1 + eta
 
 
@@ -38,7 +36,7 @@ def test_exact_multi_limits_exist_with_full_degree():
     for labels in ((1,), (1, 2)):
         ell = sum(labels) - len(labels) * (len(labels) - 1) // 2
         for n in range(3):
-            got = meixner_multi_limit_poly(F(3, 2), labels, n)
+            got = meixner_limit_exact(F(3, 2), labels, n)
             assert got.degree == ell + n
             assert got.constant_term == 1
 

@@ -1,5 +1,9 @@
 """The fraction-free series kernel against the reduced-Fraction loops it replaced.
 
+The pair kernel itself (`series.pair`, `pair_value`, `pair_product`,
+`pair_quotient`, `pair_sum`, `pair_equal`, `pair_common`) is checked against
+Fraction arithmetic on unreduced pairs, and on (Polynomial, int) pairs.
+
 `Meixner.poly_value` (also M's `poly_value_w`), `LittleQJacobi.poly_value_w`
 (inherited by lqL) and `virtual.xi_series_terms` sum their terminating series
 on unreduced integer pairs with one reduction per value.  The loops below are
@@ -9,13 +13,27 @@ agree element by element.
 """
 
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
 from mipoly.limits import _q_family
+from mipoly.polynomials import Polynomial
 from mipoly.ratfunc import RationalFunction
-from mipoly.series import pochhammer, q_pochhammer
+from mipoly.series import (
+    pair,
+    pair_common,
+    pair_equal,
+    pair_product,
+    pair_quotient,
+    pair_sum,
+    pair_value,
+    pochhammer,
+    q_pochhammer,
+)
 from mipoly.virtual import xi_series_terms
 
 
@@ -150,3 +168,88 @@ def test_poly_rejects_a_corrupted_term_ratio(make, monkeypatch):
     monkeypatch.setattr(cls, "term_ratio", lambda self, n, k: original(self, n, k) * (F(7, 5) if k == 2 else 1))
     with pytest.raises(ArithmeticError, match="Newton form fails the series"):
         make().poly(4)
+
+
+# -- the pair kernel against Fraction arithmetic ---------------------------------------
+
+values = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def unreduced(draw):
+    """A pair (n, d), d > 0, for a drawn value, scaled by a common factor so
+    that it is usually not in lowest terms."""
+    v, m = draw(values), draw(st.integers(min_value=1, max_value=9))
+    return v.numerator * m, v.denominator * m
+
+
+def value(p):
+    return F(*p)
+
+
+def test_pair_reads_ints_fractions_and_symbolic_scalars():
+    c = RationalFunction.variable()
+    assert pair(7) == (7, 1) and pair(-3) == (-3, 1) and pair(True) == (1, 1)
+    assert pair(F(-4, 6)) == (-2, 3)
+    assert pair(c) == (c, 1)
+    assert pair_value(6, 4) == F(3, 2) and type(pair_value(6, 4)) is F
+    assert pair_value(c, 2) == c / 2 and type(pair_value(c, 1)) is RationalFunction
+
+
+@given(st.lists(unreduced(), max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_pair_product_and_sum_match_fractions(ps):
+    n, d = pair_product(*ps)
+    assert d > 0 and F(n, d) == prod((value(p) for p in ps), start=F(1))
+    n, d = pair_sum(*ps)
+    assert d > 0 and F(n, d) == sum((value(p) for p in ps), start=F(0))
+
+
+@given(unreduced(), unreduced())
+@settings(max_examples=80, deadline=None)
+def test_pair_quotient_matches_fractions(top, bottom):
+    if bottom[0] == 0:
+        with pytest.raises(ZeroDivisionError):
+            pair_quotient(top, bottom)
+        return
+    n, d = pair_quotient(top, bottom)
+    assert d > 0 and F(n, d) == value(top) / value(bottom)
+
+
+def test_pair_quotient_moves_the_sign_off_a_negative_divisor():
+    assert pair_quotient((3, 4), (-5, 6)) == (-18, 20)
+    assert pair_quotient((-3, 4), (-5, 6)) == (18, 20)
+    with pytest.raises(ZeroDivisionError):
+        pair_quotient((3, 4), (0, 7))
+
+
+@given(unreduced(), unreduced(), st.integers(min_value=-9, max_value=9).filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_pair_equal_is_value_equality(a, b, m):
+    assert pair_equal(a, b) == (value(a) == value(b))
+    assert pair_equal(a, (a[0] * m, a[1] * m))  # the same value, unreduced
+
+
+@given(st.lists(unreduced(), min_size=1, max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_pair_common_numerators_share_one_denominator(ps):
+    den = prod(d for _, d in ps)
+    assert [F(n, den) for n in pair_common(*ps)] == [value(p) for p in ps]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
+            st.integers(min_value=1, max_value=9),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_pair_product_of_polynomial_pairs(factors):
+    ps = [(Polynomial(cs), d) for cs, d in factors]
+    n, d = pair_product(*ps)
+    for x in (F(-2), F(1, 3), F(5, 2)):
+        assert F(n(x)) / d == prod((F(p(x)) / q for p, q in ps), start=F(1))
