@@ -24,7 +24,13 @@ construction rests on:
   - definite-sign statements for w_s, w'_{s,v}, w''_{s,0} with the exact
     sign predicted by the energy-ordering factor, and the resulting
     positivity of all step potentials,
-  - the bookkeeping that re-factorizes one Hamiltonian into the next,
+  - the two factorizations of each level's Hamiltonian, H_s = A_s A_s^dagger
+    + Et_{d_s} = A_{s+1}^dagger A_{s+1} + Et_{d_{s+1}}, where level 0 is the
+    base system H_0 = A^dagger A, and H_s = A^dagger A of the standard-form
+    potentials (at s = 0 these are compared with the base potentials
+    themselves).  Each form is a (diagonal, off-diagonal product) pair of
+    lattice functions, and one comparison of two forms, the `product` and
+    `diagonal` checks, serves every level,
   - the sign-factor recursion against its closed form,
   - at s = M, agreement with the closed-form multi-indexed system:
     potentials, squared eigenvectors (with the exact normalization
@@ -35,12 +41,12 @@ After s deletions the intermediate Hamiltonian is the multi-indexed system
 of the label prefix d_1..d_s, so the grids are that system's: w_s and
 w''_{s,n} are the W grids of `system(p, order[:s])`, and w'_{s,v} is the W
 grid of `system(p, order[:s] + (v,))`, all from the shared `multi.system`
-store.  A Chain owns only the rest: the lattice tables alpha B'(x) and
-alpha D'(x), the tilde-energies (a `memo`), and per level s (`_level`, a
-`memo`) the lattice tables of the step potentials and of the coefficients
-that the eigen-identity and contiguity checks of all companion columns
-share.  Each is computed once per (s, x); a check only combines table
-entries with its own column.
+store.  A Chain owns only the rest: the lattice tables alpha B'(x),
+alpha D'(x) and the base B(x), D(x), the tilde-energies (a `memo`), and per
+level s (`_level`, a `memo`) the lattice tables of the step potentials and
+of the coefficients that the eigen-identity and contiguity checks of all
+companion columns share.  Each is computed once per (s, x); a check only
+combines table entries with its own column.
 
 The arithmetic is fraction-free, on the unreduced pairs of the `series`
 kernel.  Each grid value, an int or a Fraction, is read as its int numerator
@@ -84,6 +90,8 @@ class Chain:
         a = self.alpha
         self.aB = LatticeFunction(lambda x: a * p.Bprime(x))  # alpha B'(x)
         self.aD = LatticeFunction(lambda x: a * p.Dprime(x))  # alpha D'(x)
+        self.B = LatticeFunction(lambda x: pair(p.B(x)))  # the base system's B(x), D(x)
+        self.D = LatticeFunction(lambda x: pair(p.D(x)))
         self._cache: dict = {}
 
     @memo
@@ -134,9 +142,14 @@ class _Level:
 
     - `B_std`, `D_std` (every s) and `Bhat`, `Dhat` (s >= 1): the potentials,
       as unreduced pairs.
+    - `Et`: the tilde-energy Et_{d_s} of the state deleted at step s; 0 at
+      s = 0.
+    - `H`: the Hamiltonian H_s in the form the deletion step leaves it, as
+      a (diagonal, off-diagonal) pair of functions: A_s A_s^dagger + Et of
+      (Bhat, Dhat), and at s = 0 the base system, A^dagger A of (B, D).
     - `eigen(x) = (A, C, P, Q)`: the level-s eigen-identity for a companion
-      column u of energy eps reads (A + (Et_{d_s} - eps) C) u(x)
-      = P u(x+1) + Q u(x-1) (Et_{d_0} = 0).
+      column u of energy eps reads (A + (Et - eps) C) u(x)
+      = P u(x+1) + Q u(x-1).
     - `contiguity(x) = (aB'(x+s) w_s(x), aD'(x) w_s(x+1), w_{s+1}(x))`
       (s < M): the three coefficients of the contiguity identity.
 
@@ -145,7 +158,7 @@ class _Level:
     common positive denominator, which is dropped.
     """
 
-    __slots__ = ("B_std", "D_std", "Bhat", "Dhat", "eigen", "contiguity")
+    __slots__ = ("B_std", "D_std", "Bhat", "Dhat", "Et", "H", "eigen", "contiguity")
 
     def __init__(self, ch: Chain, s: int):
         aB, aD, w1 = ch.aB, ch.aD, ch.w(s)
@@ -153,6 +166,8 @@ class _Level:
         if s == 0:
             ap = pair(ch.alpha_prime)
             self.Bhat = self.Dhat = None
+            self.Et = 0
+            self.H = _adag_a(ch.B, ch.D, 0)
 
             def eigen(x):
                 b, d, a, c = pair_common(pair(aB(x)), pair(aD(x)), ap, (1, 1))
@@ -162,6 +177,8 @@ class _Level:
         else:
             w0 = ch.w(s - 1)
             self.Bhat, self.Dhat = _potentials(ch, s - 1, w0, w1)
+            self.Et = ch.tilde_energy(ch.order[s - 1])
+            self.H = _a_adag(self.Bhat, self.Dhat, self.Et)
 
             def eigen(x):
                 w0x1, w1x, w1x1 = pair(w0(x + 1)), pair(w1(x)), pair(w1(x + 1))
@@ -203,6 +220,20 @@ def _potentials(ch: Chain, k: int, u: LatticeFunction, v: LatticeFunction) -> tu
         return pair_quotient(top, pair_product(pair(u(x)), pair(v(x))))
 
     return LatticeFunction(B), LatticeFunction(D)
+
+
+def _adag_a(B, D, e) -> tuple:
+    """A^dagger A + e of the pair potentials (B, D), as its diagonal
+    B(x) + D(x) + e and its off-diagonal product B(x) D(x+1)."""
+    e = pair(e)
+    return (lambda x: pair_sum(B(x), D(x), e)), (lambda x: pair_product(B(x), D(x + 1)))
+
+
+def _a_adag(B, D, e) -> tuple:
+    """A A^dagger + e of the pair potentials (B, D), as its diagonal
+    B(x) + D(x+1) + e and its off-diagonal product B(x+1) D(x+1)."""
+    e = pair(e)
+    return (lambda x: pair_sum(B(x), D(x + 1), e)), (lambda x: pair_product(B(x + 1), D(x + 1)))
 
 
 @dataclass
@@ -249,6 +280,14 @@ def _check(rep: Report, name: str, xs, holds: Callable[[int], bool]) -> None:
     """One check over the points xs; a failure names the first failing x."""
     bad = next((x for x in xs if not holds(x)), None)
     rep.add(name, bad is None, f"x={bad}")
+
+
+def _same_hamiltonian(rep: Report, name: str, xs, H: tuple, K: tuple) -> None:
+    """The checks `name product` and `name diagonal`: two forms H, K of one
+    Hamiltonian have the same off-diagonal product and the same diagonal."""
+    (h_diag, h_off), (k_diag, k_off) = H, K
+    _check(rep, f"{name} product", xs, lambda x: pair_equal(h_off(x), k_off(x)))
+    _check(rep, f"{name} diagonal", xs, lambda x: pair_equal(h_diag(x), k_diag(x)))
 
 
 def _eigen_identity(eigen: LatticeFunction, u: LatticeFunction, k) -> Callable[[int], bool]:
@@ -320,12 +359,10 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
     xs_any = range(-2, x_max + 1)  # cleared identities hold off the lattice too
     xs_lattice = range(0, x_max + 1)
     energies = [p.energy(n) for n in range(n_max + 1)]
-    pB, pD = LatticeFunction(p.B), LatticeFunction(p.D)
 
     # eigen-identities at every level, for virtual companions and eigen companions
     for s in range(M + 1):
-        eigen = ch._level(s).eigen
-        ets = ch.tilde_energy(ch.order[s - 1]) if s else 0
+        eigen, ets = ch._level(s).eigen, ch._level(s).Et
         vs = [v for v in pool if v not in ch.order[:s]][: _EXTRA_VIRTUAL + 1]
         for v in vs:
             holds = _eigen_identity(eigen, ch.wp(s, v), ets - ch.tilde_energy(v))
@@ -369,74 +406,23 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             _check(rep, f"{b}_{s} > 0", xs_lattice, lambda x: B(x)[0] > 0)
             _check(rep, f"{d}_{s} sign", xs_lattice, lambda x: D(x)[0] > 0 if x else D(x)[0] == 0)
 
-    # re-factorization bookkeeping between consecutive levels
-    if M >= 1:
-        e1, lv = ch.tilde_energy(ch.order[0]), ch._level(1)
-        _check(
-            rep,
-            "re-factorization s=0 product",
-            xs_lattice,
-            lambda x: pair_equal(
-                pair_product(lv.Bhat(x), lv.Dhat(x + 1)), pair_product(pair(pB(x)), pair(pD(x + 1)))
-            ),
-        )
-        _check(
-            rep,
-            "re-factorization s=0 diagonal",
-            xs_lattice,
-            lambda x: pair_equal(
-                pair_sum(lv.Bhat(x), lv.Dhat(x), pair(e1)), pair_sum(pair(pB(x)), pair(pD(x)))
-            ),
-        )
-    for s in range(1, M):
-        es, es1 = ch.tilde_energy(ch.order[s - 1]), ch.tilde_energy(ch.order[s])
-        lv, up = ch._level(s), ch._level(s + 1)
-        _check(
-            rep,
-            f"re-factorization s={s} product",
-            xs_lattice,
-            lambda x: pair_equal(
-                pair_product(up.Bhat(x), up.Dhat(x + 1)),
-                pair_product(lv.Bhat(x + 1), lv.Dhat(x + 1)),
-            ),
-        )
-        _check(
-            rep,
-            f"re-factorization s={s} diagonal",
-            xs_lattice,
-            lambda x: pair_equal(
-                pair_sum(up.Bhat(x), up.Dhat(x), pair(es1)),
-                pair_sum(lv.Bhat(x), lv.Dhat(x + 1), pair(es)),
-            ),
-        )
+    # H_s = A_{s+1}^dagger A_{s+1} + Et_{d_{s+1}}: each level re-factorizes into the next
+    for s in range(M):
+        up = ch._level(s + 1)
+        H_up = _adag_a(up.Bhat, up.Dhat, up.Et)
+        _same_hamiltonian(rep, f"re-factorization s={s}", xs_lattice, H_up, ch._level(s).H)
 
-    # standard-form relations at each level, plus the s = 0 anchor
+    # standard form: H_s = A^dagger A of (B_std, D_std), anchored at s = 0 by the potentials
     lv = ch._level(0)
     _check(
         rep,
         "standard form s=0 is the base system",
         xs_lattice,
-        lambda x: pair_equal(lv.B_std(x), pair(pB(x))) and pair_equal(lv.D_std(x), pair(pD(x))),
+        lambda x: pair_equal(lv.B_std(x), ch.B(x)) and pair_equal(lv.D_std(x), ch.D(x)),
     )
     for s in range(1, M + 1):
-        es, lv = ch.tilde_energy(ch.order[s - 1]), ch._level(s)
-        _check(
-            rep,
-            f"standard form s={s} product",
-            xs_lattice,
-            lambda x: pair_equal(
-                pair_product(lv.B_std(x), lv.D_std(x + 1)),
-                pair_product(lv.Bhat(x + 1), lv.Dhat(x + 1)),
-            ),
-        )
-        _check(
-            rep,
-            f"standard form s={s} diagonal",
-            xs_lattice,
-            lambda x: pair_equal(
-                pair_sum(lv.B_std(x), lv.D_std(x)), pair_sum(lv.Bhat(x), lv.Dhat(x + 1), pair(es))
-            ),
-        )
+        lv = ch._level(s)
+        _same_hamiltonian(rep, f"standard form s={s}", xs_lattice, _adag_a(lv.B_std, lv.D_std, 0), lv.H)
 
     # sign factor: recursion vs closed form
     ok = all(ch.sign_recursive(s) == ch.sign_closed(s) for s in range(M + 1))

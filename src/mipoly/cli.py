@@ -4,9 +4,11 @@
 suites (base, virtual, casoratian, chain, multi, limits), and writes a
 machine-readable report; the exit code is 0 only if every check passes, 1 on
 any identity failure, and 2 for an invalid configuration (with a diagnostic
-naming the violated condition).  `mipoly tabulate` emits the exact data of
-the configured system: denominator and eigenpolynomial coefficients,
-energies, norm constants, and weight values.
+naming the violated condition).  A suite whose construction raises an
+ArithmeticError reports one failing check, `construction`, with the message
+as its witness.  `mipoly tabulate` emits the exact data of the configured
+system: denominator and eigenpolynomial coefficients, energies, norm
+constants, and weight values.
 
 All rationals are serialized as decimal-free "p/q" strings; certified
 irrational quantities appear as exact enclosure endpoints.  Output is
@@ -221,7 +223,14 @@ def run_verify(cfg: dict) -> tuple[int, str]:
     for name in SUITES:
         if name not in cfg["suites"]:
             continue
-        for rep in _suite_reports(cfg, name):
+        try:
+            reports = _suite_reports(cfg, name)
+        except ArithmeticError as exc:
+            # a construction defect fails this suite's one check; the other suites still run
+            failed = Report(f"{name}[{cfg['p']!r}]", "construction of the suite's objects")
+            failed.add("construction", False, str(exc))
+            reports = [failed]
+        for rep in reports:
             d = rep.to_dict()
             d["suite"] = name
             suites.append(d)

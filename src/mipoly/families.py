@@ -315,12 +315,6 @@ class Meixner(_BaseFamily):
         """t_{k+1}/t_k of the series with its (k - x) factor taken out."""
         return (k - n) * (1 - 1 / self.c) / ((self.beta + k) * (k + 1))
 
-    def poly_value_dual(self, n: int, x: int):
-        """Self-duality route: the sum is symmetric under n <-> x."""
-        if x < 0:
-            raise ValueError("duality route needs x >= 0")
-        return self.poly_value(x, n)
-
     def leading_coefficient(self, n: int):
         return (1 - 1 / self.c) ** n / pochhammer(self.beta, n)
 
@@ -562,22 +556,6 @@ class LittleQJacobi(_QFamily):
         if b:
             r = r * (1 - a * b * q ** (n + 1 + k)) / (1 - b * q ** (k + 1))
         return r
-
-    def poly_value_alt(self, n: int, w):
-        """Independent 2phi1-type route to the same value."""
-        a, b, q, one = self.a, self.b, self.q, self._unit()
-        pref = one * q_pochhammer(1 / (a * q**n), q, n) / q_pochhammer(b * q, q, n)
-        term = total = one
-        for k in range(n):
-            term = (
-                term
-                * (1 - q ** (k - n))
-                * (1 - a * b * q ** (n + 1 + k))
-                / ((1 - a * q ** (k + 1)) * (1 - q ** (k + 1)))
-                * (q * w)
-            )
-            total = total + term
-        return pref * total
 
     def leading_coefficient(self, n: int):
         a, b, q = self.a, self.b, self.q

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 __all__ = ["Polynomial", "interpolate", "newton_form", "horner", "sign_on_tail"]
 
@@ -53,17 +53,6 @@ class Polynomial:
 
     def __init__(self, coeffs: Iterable = ()):
         object.__setattr__(self, "coeffs", _trim(coeffs))
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def constant(cls, value) -> "Polynomial":
-        return cls((value,))
-
-    @classmethod
-    def identity(cls) -> "Polynomial":
-        """The polynomial X."""
-        return cls((0, 1))
 
     # -- structure -------------------------------------------------------------
 
@@ -196,9 +185,6 @@ class Polynomial:
             out.append(c * sk)
             sk = sk * s
         return Polynomial(out)
-
-    def map_coefficients(self, fn: Callable) -> "Polynomial":
-        return Polynomial(fn(c) for c in self.coeffs)
 
     # -- comparison --------------------------------------------------------------
 

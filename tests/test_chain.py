@@ -88,23 +88,33 @@ def test_chain_verify_reports():
         assert rep.passed, rep.failures()[:3]
 
 
-def test_corrupted_casoratian_fails_exactly_the_checks_that_read_it(monkeypatch):
-    # w''_{1,1} off by one at x = 3 must break every identity that reads it,
-    # and only those; each failure names a lattice point.  The grids live in
-    # the shared system store, so a fresh store keeps earlier tests from
-    # having filled x = 3 already, and keeps the corruption out of later ones.
+def _failures_with_corrupted_grid(monkeypatch, method, key):
+    """For M and lqJ with order (1, 2): the failing checks of chain_verify
+    when the grid Chain.<method>(*key) is off by one at x = 3.  The grids
+    live in the shared system store, so a fresh store keeps earlier tests
+    from having filled x = 3 already, and keeps the corruption out of later
+    ones."""
     from mipoly import multi
 
-    monkeypatch.setattr(multi, "_SYSTEMS", {})
-    original = Chain.wpp
+    original = getattr(Chain, method)
 
-    def corrupted(self, s, n):
-        grid = original(self, s, n)
-        if (s, n) == (1, 1) and 3 not in grid.cache:
+    def corrupted(self, *args):
+        grid = original(self, *args)
+        if args == key and 3 not in grid.cache:
             grid.cache[3] = grid.fn(3) + 1
         return grid
 
-    monkeypatch.setattr(Chain, "wpp", corrupted)
+    monkeypatch.setattr(Chain, method, corrupted)
+    out = []
+    for p in (M, QJ):
+        monkeypatch.setattr(multi, "_SYSTEMS", {})
+        out.append(chain_verify(p, (1, 2), n_max=2, x_max=8).failures())
+    return out
+
+
+def test_corrupted_casoratian_fails_exactly_the_checks_that_read_it(monkeypatch):
+    # w''_{1,1} off by one at x = 3 must break every identity that reads it,
+    # and only those; each failure names a lattice point
     expected = [
         "eigen eigen-identity s=1,n=1",
         "nesting (eigen) s=0,n=1",
@@ -112,10 +122,39 @@ def test_corrupted_casoratian_fails_exactly_the_checks_that_read_it(monkeypatch)
         "nesting (eigen) s=1,n=1",
         "contiguity (eigen) s=1,n=1",
     ]
-    for p in (M, QJ):
-        failures = chain_verify(p, (1, 2), n_max=2, x_max=8).failures()
+    for failures in _failures_with_corrupted_grid(monkeypatch, "wpp", (1, 1)):
         assert [c.name for c in failures] == expected
         assert all(c.witness.startswith("x=") for c in failures)
+
+
+def test_corrupted_w1_fails_the_diagonals_of_the_factorizations_that_read_it(monkeypatch):
+    # w_1 off by one at x = 3: the eigen-identities of levels 1 and 2 and of
+    # the v = 1 column at level 0 (w'_{0,1} is the grid w_1), every nesting
+    # and contiguity identity, and the diagonal of each factorization check
+    # that reads Bhat_1 or Bhat_2; w_1 cancels from every off-diagonal
+    # product Bhat_s(x) Dhat_s(x+1), so no product check fails.
+    def level(s, virtual, witness):
+        names = [f"virtual eigen-identity s={s},v={v}" for v in virtual]
+        return [(name, witness) for name in names + [f"eigen eigen-identity s={s},n={n}" for n in range(3)]]
+
+    def between(s, virtual, contiguity_x):
+        out = []
+        for kind, idx in [("eigen", f"n={n}") for n in range(3)] + [("virtual", f"v={v}") for v in virtual]:
+            out += [(f"nesting ({kind}) s={s},{idx}", "x=2"), (f"contiguity ({kind}) s={s},{idx}", contiguity_x)]
+        return out
+
+    factorizations = [
+        ("re-factorization s=0 diagonal", "x=2"),
+        ("re-factorization s=1 diagonal", "x=2"),
+        ("standard form s=1 diagonal", "x=2"),
+        ("standard form s=2 diagonal", "x=1"),
+    ]
+    for p, failures in zip((M, QJ), _failures_with_corrupted_grid(monkeypatch, "w", (1,))):
+        top = (3, 4, 5) if p is M else (3, 4)  # the lqJ point admits labels up to 4
+        expected = [("virtual eigen-identity s=0,v=1", "x=2")]
+        expected += level(1, (2, 3, 4), "x=2") + level(2, top, "x=1")
+        expected += between(0, (2, 3), "x=3") + between(1, (3, 4), "x=2") + factorizations
+        assert [(c.name, c.witness) for c in failures] == expected, p
 
 
 def test_chain_verify_computes_shared_coefficients_once(monkeypatch):

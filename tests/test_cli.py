@@ -183,6 +183,29 @@ def test_verify_failure_exit_code_possible():
     assert doc["suites"][0]["witnesses"][0]["witness"] == "witness text"
 
 
+def test_construction_defect_is_a_failing_check(capsys, monkeypatch):
+    # a doubled C_D breaks the normalization inside construction: the multi
+    # suite reports it as one failing check, and the base suite still runs
+    from mipoly import multi
+
+    original = multi.MultiIndexedSystem.C_D
+    monkeypatch.setattr(multi.MultiIndexedSystem, "C_D", lambda self: 2 * original(self))
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    code, out, err = _run(
+        capsys, "verify", "--family", "M", "--params", "1,1/2", "--deletions", "1,2",
+        "--nmax", "2", "--xmax", "8", "--suite", "base,multi",
+    )
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["schema"] == "mipoly-report/1"
+    assert doc["summary"]["status"] == "fail" and doc["summary"]["failed_suites"] == 1
+    status = {s["suite"]: s["status"] for s in doc["suites"]}
+    assert status == {"base": "pass", "multi": "fail"}
+    (failed,) = [s for s in doc["suites"] if s["suite"] == "multi"]
+    assert [w["name"] for w in failed["witnesses"]] == ["construction"]
+    assert "normalization mismatch" in failed["witnesses"][0]["witness"]
+
+
 def _args(**flags):
     args = dict(family="M", params="1,1/2", deletions="1", nmax=3, xmax=12,
                 rtol="1/100000000000000000000", suite="base", format="json", out=None)

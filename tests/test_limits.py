@@ -66,11 +66,6 @@ def test_verify_q_limits_both_families():
         assert rep.passed, rep.failures()[:3]
 
 
-def test_q_limit_numeric_eigen_and_deforming():
-    assert q_limit_numeric("lqL", 4, n=2, k_max=12).passed
-    assert q_limit_numeric("lqJ", 4, 5, n=1, k_max=12, deforming=True).passed
-
-
 def test_q_limit_numeric_multi_indexed_stabilizes():
     assert q_limit_numeric("lqJ", 4, 5, labels=(1,), n=1, k_max=11).passed
     assert q_limit_numeric("lqL", 4, labels=(1, 2), n=1, k_max=11).passed

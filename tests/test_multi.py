@@ -217,6 +217,22 @@ def test_orthogonality_diagonal_q():
     assert res.passed
 
 
+def test_orthogonality_reads_the_target_width_once(monkeypatch):
+    # the target's width is subtracted from the budget before the sum: near
+    # q = 1 its endpoints carry very long denominators, so it is read once
+    # per call, not once per term
+    from mipoly.series import Interval
+
+    reads = []
+    width = Interval.width.fget
+    monkeypatch.setattr(Interval, "width", property(lambda self: reads.append(1) or width(self)))
+    for p, labels, n, m in ((QJ, (1,), 1, 1), (M, (1,), 0, 1)):
+        reads.clear()
+        res = orthogonality_sum(p, labels, n, m, rel_tol=F(1, 10**12))
+        assert res.passed and res.terms > res.ratio_start + 1  # the loop ran several terms
+        assert len(reads) == 1
+
+
 def test_orthogonality_witness_names_term_cap():
     # rel_tol far below what 2000 tail terms reach: the tail bound (about
     # 1e-599) underflows a float, so the witness must not print 0.000e+00
