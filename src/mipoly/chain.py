@@ -41,12 +41,22 @@ After s deletions the intermediate Hamiltonian is the multi-indexed system
 of the label prefix d_1..d_s, so the grids are that system's: w_s and
 w''_{s,n} are the W grids of `system(p, order[:s])`, and w'_{s,v} is the W
 grid of `system(p, order[:s] + (v,))`, all from the shared `multi.system`
-store.  A Chain owns only the rest: the lattice tables alpha B'(x),
-alpha D'(x) and the base B(x), D(x), the tilde-energies (a `memo`), and per
-level s (`_level`, a `memo`) the lattice tables of the step potentials and
-of the coefficients that the eigen-identity and contiguity checks of all
-companion columns share.  Each is computed once per (s, x); a check only
-combines table entries with its own column.
+store.  The level tables live on the same systems, each a `memo` in the
+system's `_cache` (the one cache rule):
+
+  - `_base_tables` of the base system `system(p, ())`: the lattice tables
+    alpha B'(x), alpha D'(x) and the base B(x), D(x);
+  - `_level` of the prefix system d_1..d_s: the step potentials of level s
+    and the coefficients that the eigen-identity checks of all companion
+    columns share;
+  - `_contiguity_coefficients` of the same prefix system, keyed by the next
+    label d_{s+1}: the coefficients of the contiguity identities.
+
+So every order that shares a prefix shares its levels (every order shares
+level 0), a repeated request finds them built, and each table entry is
+computed once per (system, x).  A `Chain` is a per-order view that reads
+them; the checks themselves run on every call, and a check only combines
+table entries with its own column.
 
 The arithmetic is fraction-free, on the unreduced pairs of the `series`
 kernel.  Each grid value, an int or a Fraction, is read as its int numerator
@@ -66,7 +76,7 @@ from typing import Callable, Sequence
 
 from .casoratian import LatticeFunction
 from .families import _BaseFamily, memo
-from .multi import _validate_labels, system
+from .multi import MultiIndexedSystem, _validate_labels, system
 from .report import Report
 from .series import pair, pair_common, pair_equal, pair_product, pair_quotient, pair_sum
 from .virtual import index_set
@@ -79,40 +89,45 @@ def _sgn(v) -> int:
 
 
 class Chain:
-    """Level tables for one deletion order (a tuple of distinct labels)."""
+    """One deletion order's view of the chain (a tuple of distinct labels).
+
+    It holds the order's prefix systems and reads every table from them or
+    from the base system, so it is cheap to build and keeps nothing that
+    another order or a later request could not share.  Only the
+    tilde-energies (a `memo`) are its own.
+    """
 
     def __init__(self, p: _BaseFamily, order: Sequence[int]):
-        self.p = p
         self.order = _validate_labels(p, order)
         self.M = len(self.order)
-        self.alpha = p.alpha()
-        self.alpha_prime = p.alpha_prime()
-        a = self.alpha
-        self.aB = LatticeFunction(lambda x: a * p.Bprime(x))  # alpha B'(x)
-        self.aD = LatticeFunction(lambda x: a * p.Dprime(x))  # alpha D'(x)
-        self.B = LatticeFunction(lambda x: pair(p.B(x)))  # the base system's B(x), D(x)
-        self.D = LatticeFunction(lambda x: pair(p.D(x)))
+        self._prefix = [system(p, self.order[:s]) for s in range(self.M + 1)]
+        self.p = self._prefix[0].p  # the stored family, equal to p
+        self.alpha = self.p.alpha()
+        self.alpha_prime = self.p.alpha_prime()
+        self.aB, self.aD, self.B, self.D = _base_tables(self._prefix[0])
         self._cache: dict = {}
 
     @memo
     def tilde_energy(self, v: int):
         return self.p.virtual_energy(v)
 
-    # -- Casoratian grids, read from the label-prefix systems ---------------------
+    # -- Casoratian grids and level tables, read from the label-prefix systems -----
 
     def w(self, s: int) -> LatticeFunction:
-        return system(self.p, self.order[:s]).w_grid
+        return self._prefix[s].w_grid
 
     def wp(self, s: int, v: int) -> LatticeFunction:
         return system(self.p, self.order[:s] + (v,)).w_grid
 
     def wpp(self, s: int, n: int) -> LatticeFunction:
-        return system(self.p, self.order[:s]).wpp_grid(n)
+        return self._prefix[s].wpp_grid(n)
 
-    @memo
     def _level(self, s: int) -> "_Level":
-        """The per-(s, x) tables of level s, built once per Chain."""
-        return _Level(self, s)
+        return _level(self._prefix[s])
+
+    def contiguity(self, s: int) -> LatticeFunction:
+        """The contiguity coefficients from level s to level s + 1 (s < M)."""
+        return _contiguity_coefficients(self._prefix[s], self.order[s])
 
     # -- the sign factor -----------------------------------------------------------
 
@@ -137,8 +152,24 @@ class Chain:
         return out
 
 
+@memo
+def _base_tables(base: MultiIndexedSystem) -> tuple:
+    """(aB, aD, B, D): the lattice tables alpha B'(x), alpha D'(x) and the
+    pair tables of the base potentials B(x), D(x), on the base system
+    `system(p, ())` and its stored family."""
+    p = base.p
+    a = p.alpha()
+    return (
+        LatticeFunction(lambda x: a * p.Bprime(x)),
+        LatticeFunction(lambda x: a * p.Dprime(x)),
+        LatticeFunction(lambda x: pair(p.B(x))),
+        LatticeFunction(lambda x: pair(p.D(x))),
+    )
+
+
 class _Level:
-    """Lattice tables of one level s of a Chain.
+    """Lattice tables of level s of every chain whose order begins with the
+    labels d_1..d_s of the system it is built on.
 
     - `B_std`, `D_std` (every s) and `Bhat`, `Dhat` (s >= 1): the potentials,
       as unreduced pairs.
@@ -150,34 +181,34 @@ class _Level:
     - `eigen(x) = (A, C, P, Q)`: the level-s eigen-identity for a companion
       column u of energy eps reads (A + (Et - eps) C) u(x)
       = P u(x+1) + Q u(x-1).
-    - `contiguity(x) = (aB'(x+s) w_s(x), aD'(x) w_s(x+1), w_{s+1}(x))`
-      (s < M): the three coefficients of the contiguity identity.
 
-    Both identities are homogeneous in their coefficients, so `eigen` and
-    `contiguity` hold the int numerators of their coefficients over one
-    common positive denominator, which is dropped.
+    The identity is homogeneous in its coefficients, so `eigen` holds the
+    int numerators of its coefficients over one common positive
+    denominator, which is dropped.  The tables read only stored systems and
+    their families, never a Chain or a caller's family object.
     """
 
-    __slots__ = ("B_std", "D_std", "Bhat", "Dhat", "Et", "H", "eigen", "contiguity")
+    __slots__ = ("B_std", "D_std", "Bhat", "Dhat", "Et", "H", "eigen")
 
-    def __init__(self, ch: Chain, s: int):
-        aB, aD, w1 = ch.aB, ch.aD, ch.w(s)
-        self.B_std, self.D_std = _potentials(ch, s, w1, ch.wpp(s, 0))
+    def __init__(self, prefix: MultiIndexedSystem):
+        p, s = prefix.p, prefix.M
+        aB, aD, B, D = _base_tables(system(p, ()))
+        w1 = prefix.w_grid
+        self.B_std, self.D_std = _potentials(aB, aD, s, w1, prefix.wpp_grid(0))
         if s == 0:
-            ap = pair(ch.alpha_prime)
+            ap = pair(p.alpha_prime())
             self.Bhat = self.Dhat = None
             self.Et = 0
-            self.H = _adag_a(ch.B, ch.D, 0)
+            self.H = _adag_a(B, D, 0)
 
             def eigen(x):
                 b, d, a, c = pair_common(pair(aB(x)), pair(aD(x)), ap, (1, 1))
                 return b + d + a, c, b, d
 
-            self.eigen = LatticeFunction(eigen)
         else:
-            w0 = ch.w(s - 1)
-            self.Bhat, self.Dhat = _potentials(ch, s - 1, w0, w1)
-            self.Et = ch.tilde_energy(ch.order[s - 1])
+            w0 = system(p, prefix.labels[:-1]).w_grid
+            self.Bhat, self.Dhat = _potentials(aB, aD, s - 1, w0, w1)
+            self.Et = p.virtual_energy(prefix.labels[-1])
             self.H = _a_adag(self.Bhat, self.Dhat, self.Et)
 
             def eigen(x):
@@ -191,25 +222,37 @@ class _Level:
                 )
                 return a1 + a2, c, p, q
 
-            self.eigen = LatticeFunction(eigen)
-        if s < ch.M:
-            w2 = ch.w(s + 1)
-
-            def contiguity(x):
-                b = pair_product(pair(aB(x + s)), pair(w1(x)))
-                d = pair_product(pair(aD(x)), pair(w1(x + 1)))
-                return pair_common(b, d, pair(w2(x)))
-
-            self.contiguity = LatticeFunction(contiguity)
-        else:
-            self.contiguity = None
+        self.eigen = LatticeFunction(eigen)
 
 
-def _potentials(ch: Chain, k: int, u: LatticeFunction, v: LatticeFunction) -> tuple:
+@memo
+def _level(prefix: MultiIndexedSystem) -> _Level:
+    """Level s = len(prefix.labels), shared by every order with that prefix."""
+    return _Level(prefix)
+
+
+@memo
+def _contiguity_coefficients(prefix: MultiIndexedSystem, v: int) -> LatticeFunction:
+    """The table (aB'(x+s) w_s(x), aD'(x) w_s(x+1), w_{s+1}(x)) from level s
+    of the prefix to level s + 1 with the next label v: the coefficients of
+    the contiguity identity, over one common positive denominator (dropped,
+    the identity being homogeneous in them)."""
+    p, s = prefix.p, prefix.M
+    aB, aD, _, _ = _base_tables(system(p, ()))
+    w1, w2 = prefix.w_grid, system(p, prefix.labels + (v,)).w_grid
+
+    def contiguity(x):
+        b = pair_product(pair(aB(x + s)), pair(w1(x)))
+        d = pair_product(pair(aD(x)), pair(w1(x + 1)))
+        return pair_common(b, d, pair(w2(x)))
+
+    return LatticeFunction(contiguity)
+
+
+def _potentials(aB, aD, k: int, u: LatticeFunction, v: LatticeFunction) -> tuple:
     """The pair tables of aB'(x+k) u(x) v(x+1) / (u(x+1) v(x)) and
     aD'(x) u(x+1) v(x-1) / (u(x) v(x)): Bhat_s, Dhat_s for (k, u, v) =
     (s-1, w_{s-1}, w_s), and B_std, D_std for (s, w_s, w''_{s,0})."""
-    aB, aD = ch.aB, ch.aD
 
     def B(x):
         top = pair_product(pair(aB(x + k)), pair(u(x)), pair(v(x + 1)))
@@ -256,9 +299,9 @@ def chain_build(p: _BaseFamily, order: Sequence[int]) -> list[ChainState]:
     """The ladder of intermediate systems for one deletion order.
 
     Entry s holds the standard-form potentials after deleting the first s
-    labels, as Fractions; entry 0 is the base system itself.  All entries
-    share one Chain's memo tables, so evaluating any of them is incremental
-    work.
+    labels, as Fractions; entry 0 is the base system itself.  The entries
+    read the level tables of the prefix systems, which every chain with the
+    same prefix shares, so evaluating any of them is incremental work.
     """
     ch = Chain(p, order)
     states = []
@@ -342,14 +385,15 @@ _EXTRA_VIRTUAL = 2
 def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: int = 12) -> Report:
     """Exhaustive exact verification of one deletion chain; see module doc.
 
-    Every check is an exact comparison at each point of its range; what the
-    checks at one level s and point x share (the eigen-identity and
-    contiguity coefficients, the step potentials) is read from the Chain's
-    per-level tables, so it is computed once per (s, x), not once per
-    companion column.  A failing check names its first failing x.
+    Every check is an exact comparison at each point of its range, and
+    every check runs on every call.  What the checks at one level s and
+    point x share (the eigen-identity and contiguity coefficients, the step
+    potentials) is read from the level tables of the prefix systems, so it
+    is computed once per (prefix, x), not once per companion column, order
+    or request.  A failing check names its first failing x.
     """
     ch = Chain(p, order)
-    M = len(ch.order)
+    p, M = ch.p, ch.M  # the stored family: its memos serve every request
     rep = Report(
         f"chain[{p!r}, order={list(ch.order)}]",
         "intermediate Hamiltonians, Casoratian identities, signs, final match",
@@ -373,7 +417,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
 
     # nesting rule and contiguity identities between levels
     for s in range(M):
-        ws, ws1, contiguity = ch.w(s), ch.w(s + 1), ch._level(s).contiguity
+        ws, ws1, contiguity = ch.w(s), ch.w(s + 1), ch.contiguity(s)
         et_next = ch.tilde_energy(ch.order[s])
         vs = [v for v in pool if v not in ch.order[: s + 1]][:_EXTRA_VIRTUAL]
         for n in range(n_max + 1):

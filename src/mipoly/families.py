@@ -48,9 +48,10 @@ and the leading-coefficient factors leading_factors(labels, n).
 
 Caching follows one rule.  A derived value that an object computes from its
 own parameters -- here P_n, d_n^2 and the moved families, in `multi` C_D,
-Xi_D, P_{D,n} and the weight, in `chain` the tilde-energies and level
-tables -- is a method under `memo`, kept in the object's `_cache` under the
-method's name and positional arguments.  A lattice function that is handed
+Xi_D, P_{D,n}, the weight and the orthogonality certificate, in `chain` the
+level tables of a label-prefix system -- is a function under `memo`, kept
+in the object's `_cache` under the function's name and positional
+arguments.  A lattice function that is handed
 around as an object of its own (a Casoratian grid, a chain level's
 potentials) is a `casoratian.LatticeFunction` instead.  `multi._SYSTEMS` is
 the one store across objects: it keys systems by value, so that equal

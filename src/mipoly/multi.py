@@ -33,6 +33,7 @@ construction paths therefore avoid order comparisons entirely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -70,8 +71,20 @@ def varphi_M_definition(p: _BaseFamily, m: int, x: int):
     return out
 
 
+def _label_tuple(labels: Sequence[int]) -> tuple[int, ...]:
+    """The labels as a tuple of ints; a label that is not an integer (1.5,
+    Fraction(3, 2), "2") is an error, never truncated."""
+    out = []
+    for d in labels:
+        try:
+            out.append(operator.index(d))
+        except TypeError:
+            raise ValueError(f"labels must be integers, got {d!r}") from None
+    return tuple(out)
+
+
 def _validate_labels(p: _BaseFamily, labels: Sequence[int]) -> tuple[int, ...]:
-    labels = tuple(int(d) for d in labels)
+    labels = _label_tuple(labels)
     if len(set(labels)) != len(labels):
         raise ValueError(f"labels must be mutually distinct, got {labels}")
     if any(d < 0 for d in labels):
@@ -211,6 +224,13 @@ class MultiIndexedSystem:
     # -- deformed system -------------------------------------------------------------
 
     @memo
+    def ratio_certificate(self, n: int, m: int) -> tuple:
+        """(x_star, r) of the orthogonality tail of (n, m), by
+        `_ratio_certificate`.  One that cannot be given raises
+        ArithmeticError and is not kept."""
+        return _ratio_certificate(self, n, m)
+
+    @memo
     def shifted_system(self) -> "MultiIndexedSystem":
         """Same labels at parameters lambda + delta."""
         return system(self.p.shifted(1), self.labels)
@@ -302,12 +322,16 @@ def system(p: _BaseFamily, labels: Sequence[int]) -> MultiIndexedSystem:
     stays in its own `_cache` (`memo`).  It keys by value, so equal families
     built apart, as a long-lived session builds one per request, share every
     construction.  It is never evicted: a bound would be one more setting.
+    Labels are read as ints (`operator.index`); a non-integral label raises
+    ValueError instead of being truncated.
 
     The store also serves the deletion chains: level s of a chain for the
     order d_1..d_M is the system of the prefix (d_1..d_s), and its companion
     grids are those of (d_1..d_s, v).  So a chain and the closed-form
-    construction share every Casoratian grid they both read."""
-    key = (p, tuple(int(d) for d in labels))
+    construction share every Casoratian grid they both read, and the
+    chain's level tables are memos of the prefix systems (see `chain`):
+    orders that share a prefix, and repeated requests, share them too."""
+    key = (p, _label_tuple(labels))
     if key not in _SYSTEMS:
         _SYSTEMS[key] = MultiIndexedSystem(p, key[1])
     return _SYSTEMS[key]
@@ -504,6 +528,9 @@ def _ratio_certificate(sys: MultiIndexedSystem, n: int, m: int):
     coefficients at the family's `limit_end`; r = (1 + rho0) / 2.  From the
     tail start (`tail_start`) of den and r*den -+ num on, the denominator is
     positive and |num| <= r*den, hence the certified geometric decay.
+
+    `sys` needs only `p`, `M`, `Xi` and `multi_poly`; a system keeps the
+    result as its `ratio_certificate`.
     """
     p = sys.p
     shifted = p.tilde_shifted(sys.M)
@@ -558,7 +585,7 @@ def orthogonality_sum(
     else:
         target = Interval.exact(0)
         scale = max(abs(diag(n).midpoint), abs(diag(m).midpoint))
-    x_star, r = _ratio_certificate(sys, n, m)
+    x_star, r = sys.ratio_certificate(n, m)
     term = lambda x: sys.weight(x) * sys.multi_poly_at(n, x) * sys.multi_poly_at(m, x)
     slack = rel_tol * scale - target.width  # the tail may use what the target leaves
     partial = sum((term(x) for x in range(x_star)), Fraction(0))

@@ -91,23 +91,16 @@ def test_chain_verify_reports():
 def _failures_with_corrupted_grid(monkeypatch, method, key):
     """For M and lqJ with order (1, 2): the failing checks of chain_verify
     when the grid Chain.<method>(*key) is off by one at x = 3.  The grids
-    live in the shared system store, so a fresh store keeps earlier tests
-    from having filled x = 3 already, and keeps the corruption out of later
-    ones."""
+    and the level tables live in the shared system store, so a fresh store
+    keeps earlier tests from having filled x = 3 already, and keeps the
+    corruption out of later ones."""
     from mipoly import multi
 
-    original = getattr(Chain, method)
-
-    def corrupted(self, *args):
-        grid = original(self, *args)
-        if args == key and 3 not in grid.cache:
-            grid.cache[3] = grid.fn(3) + 1
-        return grid
-
-    monkeypatch.setattr(Chain, method, corrupted)
     out = []
     for p in (M, QJ):
         monkeypatch.setattr(multi, "_SYSTEMS", {})
+        grid = getattr(Chain(p, (1, 2)), method)(*key)
+        grid.cache[3] = grid.fn(3) + 1
         out.append(chain_verify(p, (1, 2), n_max=2, x_max=8).failures())
     return out
 
@@ -205,6 +198,64 @@ def test_warm_chain_verify_reads_the_final_potentials_back(monkeypatch):
         assert calls == [], p
 
 
+def _checks(rep):
+    return [(c.name, c.passed, c.witness) for c in rep.checks]
+
+
+def _counting_levels(monkeypatch):
+    """A fresh store, and the label prefixes of the _Level tables built from
+    now on, in build order."""
+    from mipoly import chain, multi
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    built, original = [], chain._Level
+
+    def counting(prefix):
+        built.append(prefix.labels)
+        return original(prefix)
+
+    monkeypatch.setattr(chain, "_Level", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: Meixner(1, F(1, 2)), lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2))], ids=["M", "lqJ"]
+)
+def test_warm_chain_verify_builds_no_level(monkeypatch, make):
+    # the level tables are memos of the prefix systems: a repeated request
+    # with a fresh but equal family finds them built, still runs every check
+    # with the same verdicts and witnesses, and leaves nothing that holds
+    # the caller's family
+    built = _counting_levels(monkeypatch)
+    cold = _checks(chain_verify(make(), (1, 2, 3), n_max=2, x_max=8))
+    assert sorted(built) == [(), (1,), (1, 2), (1, 2, 3)]
+    fresh = make()
+    refs = sys.getrefcount(fresh)
+    warm = _checks(chain_verify(fresh, (1, 2, 3), n_max=2, x_max=8))
+    assert len(built) == 4 and warm == cold
+    assert sys.getrefcount(fresh) == refs
+
+
+def test_orders_sharing_a_prefix_share_its_levels(monkeypatch):
+    # (1, 2) and (1, 3) share levels 0 and 1; only their last levels differ
+    built = _counting_levels(monkeypatch)
+    for order in ((1, 2), (1, 3)):
+        assert chain_verify(M, order, n_max=2, x_max=8).passed
+    assert sorted(built) == [(), (1,), (1, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("p", [M, QL], ids=repr)
+def test_a_wider_window_on_a_warm_store_matches_a_fresh_store(monkeypatch, p):
+    # tables filled at x_max = 4 extend to x_max = 12 with the same values
+    from mipoly import multi
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    chain_verify(p, (1, 2), n_max=2, x_max=4)
+    warm = _checks(chain_verify(p, (1, 2), n_max=2, x_max=12))
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    assert warm == _checks(chain_verify(p, (1, 2), n_max=2, x_max=12))
+
+
 def test_chain_grids_are_the_prefix_systems_grids():
     # level s of a chain is the multi-indexed system of the first s labels:
     # the chain holds no Casoratian grid of its own
@@ -292,7 +343,7 @@ def test_fraction_free_identities_match_their_fraction_form(p, order):
                     for x in xs:
                         seen.append(holds(x))
                         assert seen[-1] == nesting_fraction(s, upper, lower, x), ("nesting", s, x)
-                    holds = _contiguity(ch._level(s).contiguity, upper, lower, k_next - e)
+                    holds = _contiguity(ch.contiguity(s), upper, lower, k_next - e)
                     for x in xs:
                         seen.append(holds(x))
                         expected = contiguity_fraction(s, upper, lower, k_next - e, x)

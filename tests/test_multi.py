@@ -233,6 +233,48 @@ def test_orthogonality_reads_the_target_width_once(monkeypatch):
         assert len(reads) == 1
 
 
+def test_orthogonality_certificate_is_a_memo_of_the_system(monkeypatch):
+    # (x_star, r) is derived data of the system: a warm check reads it back;
+    # a certificate that raises is not kept, so a later call computes it
+    from mipoly import multi
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    searches, fail = [], [False]
+    tail_start = Meixner.tail_start
+
+    def counting(self, polys):
+        searches.append(polys)
+        return None if fail[0] else tail_start(self, polys)
+
+    monkeypatch.setattr(Meixner, "tail_start", counting)
+    first, again = (orthogonality_sum(Meixner(1, F(1, 2)), (1, 2), 1, 1) for _ in range(2))
+    assert first.passed and again.describe() == first.describe()
+    certificate = lambda res: (res.terms, res.ratio_start, res.ratio_bound)
+    assert certificate(again) == certificate(first)
+    assert len(searches) == 1
+    fail[0] = True
+    with pytest.raises(ArithmeticError, match="no tail start"):
+        orthogonality_sum(M, (1, 2), 0, 1)
+    fail[0] = False
+    assert orthogonality_sum(M, (1, 2), 0, 1).passed
+    assert len(searches) == 3
+
+
+@pytest.mark.parametrize("labels", [(1.5,), (F(3, 2),), (1, 1.9), ("2",)], ids=repr)
+def test_non_integral_labels_are_rejected(labels):
+    # labels are read by operator.index: 1.5 is an error, never the label 1
+    from mipoly.chain import chain_verify
+
+    calls = (
+        lambda: system(M, labels),
+        lambda: chain_verify(M, labels),
+        lambda: orthogonality_sum(M, labels, 1, 1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="labels must be integers"):
+            call()
+
+
 def test_orthogonality_witness_names_term_cap():
     # rel_tol far below what 2000 tail terms reach: the tail bound (about
     # 1e-599) underflows a float, so the witness must not print 0.000e+00
