@@ -10,7 +10,7 @@ certified interval enclosures where a value is irrational).
 """
 
 from .casoratian import LatticeFunction, exact_det, verify_identities
-from .chain import Chain, ChainState, chain_build, chain_verify
+from .chain import ChainState, chain_build, chain_verify
 from .classical import binomial_general, jacobi, jacobi_at, laguerre, laguerre_at_zero
 from .families import (
     FAMILIES,
@@ -62,7 +62,6 @@ __all__ = [
     "LittleQLaguerre",
     "MultiIndexedSystem",
     "OrthogonalityResult",
-    "Chain",
     "ChainState",
     "Polynomial",
     "RationalFunction",

@@ -54,9 +54,9 @@ system's `_cache` (the one cache rule):
 
 So every order that shares a prefix shares its levels (every order shares
 level 0), a repeated request finds them built, and each table entry is
-computed once per (system, x).  A `Chain` is a per-order view that reads
-them; the checks themselves run on every call, and a check only combines
-table entries with its own column.
+computed once per (system, x).  `chain_build` and `chain_verify` read the
+order's prefix systems and these tables directly; the checks themselves run
+on every call, and a check only combines table entries with its own column.
 
 The arithmetic is fraction-free, on the unreduced pairs of the `series`
 kernel.  Each grid value, an int or a Fraction, is read as its int numerator
@@ -81,75 +81,41 @@ from .report import Report
 from .series import pair, pair_common, pair_equal, pair_product, pair_quotient, pair_sum
 from .virtual import index_set
 
-__all__ = ["Chain", "ChainState", "chain_build", "chain_verify"]
+__all__ = ["ChainState", "chain_build", "chain_verify", "sign_closed", "sign_recursive"]
 
 
 def _sgn(v) -> int:
     return 1 if v > 0 else (-1 if v < 0 else 0)
 
 
-class Chain:
-    """One deletion order's view of the chain (a tuple of distinct labels).
+def _prefix_systems(p: _BaseFamily, order: Sequence[int]) -> list[MultiIndexedSystem]:
+    """The systems of the label prefixes d_1..d_s, s = 0..M, of the validated
+    order: level s of the chain.  Entry 0 is the base system, whose family
+    is the stored one, equal to p."""
+    order = _validate_labels(p, order)
+    return [system(p, order[:s]) for s in range(len(order) + 1)]
 
-    It holds the order's prefix systems and reads every table from them or
-    from the base system, so it is cheap to build and keeps nothing that
-    another order or a later request could not share.  Only the
-    tilde-energies (a `memo`) are its own.
-    """
 
-    def __init__(self, p: _BaseFamily, order: Sequence[int]):
-        self.order = _validate_labels(p, order)
-        self.M = len(self.order)
-        self._prefix = [system(p, self.order[:s]) for s in range(self.M + 1)]
-        self.p = self._prefix[0].p  # the stored family, equal to p
-        self.alpha = self.p.alpha()
-        self.alpha_prime = self.p.alpha_prime()
-        self.aB, self.aD, self.B, self.D = _base_tables(self._prefix[0])
-        self._cache: dict = {}
+def sign_closed(te: Sequence) -> int:
+    """(-1)^s times the pair-inversion product of the s removed
+    tilde-energies te; the latter is the definite sign of w_s."""
+    s = len(te)
+    out = -1 if s % 2 else 1
+    for i in range(s):
+        for j in range(i + 1, s):
+            out *= _sgn(te[i] - te[j])
+    return out
 
-    @memo
-    def tilde_energy(self, v: int):
-        return self.p.virtual_energy(v)
 
-    # -- Casoratian grids and level tables, read from the label-prefix systems -----
-
-    def w(self, s: int) -> LatticeFunction:
-        return self._prefix[s].w_grid
-
-    def wp(self, s: int, v: int) -> LatticeFunction:
-        return system(self.p, self.order[:s] + (v,)).w_grid
-
-    def wpp(self, s: int, n: int) -> LatticeFunction:
-        return self._prefix[s].wpp_grid(n)
-
-    def _level(self, s: int) -> "_Level":
-        return _level(self._prefix[s])
-
-    def contiguity(self, s: int) -> LatticeFunction:
-        """The contiguity coefficients from level s to level s + 1 (s < M)."""
-        return _contiguity_coefficients(self._prefix[s], self.order[s])
-
-    # -- the sign factor -----------------------------------------------------------
-
-    def sign_closed(self, s: int) -> int:
-        """(-1)^s times the pair-inversion product of the first s removed
-        tilde-energies; the latter is the definite sign of w_s."""
-        te = [self.tilde_energy(d) for d in self.order[:s]]
-        out = -1 if s % 2 else 1
-        for i in range(s):
-            for j in range(i + 1, s):
-                out *= _sgn(te[i] - te[j])
-        return out
-
-    def sign_recursive(self, s: int) -> int:
-        out = 1
-        for t in range(s):
-            step = -1
-            et = self.tilde_energy(self.order[t])
-            for i in range(t):
-                step *= _sgn(self.tilde_energy(self.order[i]) - et)
-            out *= step
-        return out
+def sign_recursive(te: Sequence) -> int:
+    """The same sign as a product of one factor per deletion step."""
+    out = 1
+    for t, et in enumerate(te):
+        step = -1
+        for i in range(t):
+            step *= _sgn(te[i] - et)
+        out *= step
+    return out
 
 
 @memo
@@ -185,7 +151,7 @@ class _Level:
     The identity is homogeneous in its coefficients, so `eigen` holds the
     int numerators of its coefficients over one common positive
     denominator, which is dropped.  The tables read only stored systems and
-    their families, never a Chain or a caller's family object.
+    their families, never a caller's family object.
     """
 
     __slots__ = ("B_std", "D_std", "Bhat", "Dhat", "Et", "H", "eigen")
@@ -286,7 +252,7 @@ class ChainState:
     step: int
     deleted: tuple
     removed_energy: object  # tilde-energy of the state deleted at this step; None at step 0
-    sign: int  # Chain.sign_closed(step): (-1)^step times the definite sign of w_step
+    sign: int  # sign_closed: (-1)^step times the definite sign of w_step
     B: Callable[[int], Fraction]
     D: Callable[[int], Fraction]
 
@@ -303,20 +269,20 @@ def chain_build(p: _BaseFamily, order: Sequence[int]) -> list[ChainState]:
     read the level tables of the prefix systems, which every chain with the
     same prefix shares, so evaluating any of them is incremental work.
     """
-    ch = Chain(p, order)
-    states = []
-    for s in range(ch.M + 1):
-        states.append(
-            ChainState(
-                step=s,
-                deleted=ch.order[:s],
-                removed_energy=None if s == 0 else ch.tilde_energy(ch.order[s - 1]),
-                sign=ch.sign_closed(s),
-                B=_fraction_valued(ch._level(s).B_std),
-                D=_fraction_valued(ch._level(s).D_std),
-            )
+    prefix = _prefix_systems(p, order)
+    p, order = prefix[0].p, prefix[-1].labels
+    te = [p.virtual_energy(d) for d in order]
+    return [
+        ChainState(
+            step=s,
+            deleted=order[:s],
+            removed_energy=te[s - 1] if s else None,
+            sign=sign_closed(te[:s]),
+            B=_fraction_valued(_level(pre).B_std),
+            D=_fraction_valued(_level(pre).D_std),
         )
-    return states
+        for s, pre in enumerate(prefix)
+    ]
 
 
 def _check(rep: Report, name: str, xs, holds: Callable[[int], bool]) -> None:
@@ -392,100 +358,104 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
     is computed once per (prefix, x), not once per companion column, order
     or request.  A failing check names its first failing x.
     """
-    ch = Chain(p, order)
-    p, M = ch.p, ch.M  # the stored family: its memos serve every request
+    prefix = _prefix_systems(p, order)
+    p, order = prefix[0].p, prefix[-1].labels  # the stored family: its memos serve every request
+    M = len(order)
     rep = Report(
-        f"chain[{p!r}, order={list(ch.order)}]",
+        f"chain[{p!r}, order={list(order)}]",
         "intermediate Hamiltonians, Casoratian identities, signs, final match",
     )
-    cap = max(ch.order, default=0) + 1 + _EXTRA_VIRTUAL
+    cap = max(order, default=0) + 1 + _EXTRA_VIRTUAL
     pool = index_set(p, cap)
     xs_any = range(-2, x_max + 1)  # cleared identities hold off the lattice too
     xs_lattice = range(0, x_max + 1)
     energies = [p.energy(n) for n in range(n_max + 1)]
+    te = {v: p.virtual_energy(v) for v in {*pool, *order}}  # the tilde-energies
+    removed = [te[d] for d in order]
+    signs = [sign_closed(removed[:s]) for s in range(M + 1)]
+    levels = [_level(pre) for pre in prefix]
 
     # eigen-identities at every level, for virtual companions and eigen companions
-    for s in range(M + 1):
-        eigen, ets = ch._level(s).eigen, ch._level(s).Et
-        vs = [v for v in pool if v not in ch.order[:s]][: _EXTRA_VIRTUAL + 1]
+    for s, (pre, lv) in enumerate(zip(prefix, levels)):
+        vs = [v for v in pool if v not in order[:s]][: _EXTRA_VIRTUAL + 1]
         for v in vs:
-            holds = _eigen_identity(eigen, ch.wp(s, v), ets - ch.tilde_energy(v))
+            holds = _eigen_identity(lv.eigen, system(p, order[:s] + (v,)).w_grid, lv.Et - te[v])
             _check(rep, f"virtual eigen-identity s={s},v={v}", xs_any, holds)
         for n in range(n_max + 1):
-            holds = _eigen_identity(eigen, ch.wpp(s, n), ets - energies[n])
+            holds = _eigen_identity(lv.eigen, pre.wpp_grid(n), lv.Et - energies[n])
             _check(rep, f"eigen eigen-identity s={s},n={n}", xs_any, holds)
 
     # nesting rule and contiguity identities between levels
     for s in range(M):
-        ws, ws1, contiguity = ch.w(s), ch.w(s + 1), ch.contiguity(s)
-        et_next = ch.tilde_energy(ch.order[s])
-        vs = [v for v in pool if v not in ch.order[: s + 1]][:_EXTRA_VIRTUAL]
+        lo, up = prefix[s], prefix[s + 1]
+        ws, ws1, contiguity = lo.w_grid, up.w_grid, _contiguity_coefficients(lo, order[s])
+        vs = [v for v in pool if v not in order[: s + 1]][:_EXTRA_VIRTUAL]
         for n in range(n_max + 1):
-            upper, lower = ch.wpp(s + 1, n), ch.wpp(s, n)
+            upper, lower = up.wpp_grid(n), lo.wpp_grid(n)
             _check(rep, f"nesting (eigen) s={s},n={n}", xs_any, _nesting(ws, ws1, upper, lower))
-            holds = _contiguity(contiguity, upper, lower, et_next - energies[n])
+            holds = _contiguity(contiguity, upper, lower, removed[s] - energies[n])
             _check(rep, f"contiguity (eigen) s={s},n={n}", xs_any, holds)
         for v in vs:
-            upper, lower = ch.wp(s + 1, v), ch.wp(s, v)
+            upper, lower = system(p, order[: s + 1] + (v,)).w_grid, system(p, order[:s] + (v,)).w_grid
             _check(rep, f"nesting (virtual) s={s},v={v}", xs_any, _nesting(ws, ws1, upper, lower))
-            holds = _contiguity(contiguity, upper, lower, et_next - ch.tilde_energy(v))
+            holds = _contiguity(contiguity, upper, lower, removed[s] - te[v])
             _check(rep, f"contiguity (virtual) s={s},v={v}", xs_any, holds)
 
     # definite signs and potential positivity at every level
     for s in range(1, M + 1):
-        gsign = ch.sign_closed(s)  # the sign of w''_{s,0}
+        gsign = signs[s]  # the sign of w''_{s,0}
         sigma = -gsign if s % 2 else gsign  # the sign of w_s
-        ws, g, lv = ch.w(s), ch.wpp(s, 0), ch._level(s)
+        ws, g, lv = prefix[s].w_grid, prefix[s].wpp_grid(0), levels[s]
         _check(rep, f"w_{s} definite sign", xs_lattice, lambda x: sigma * ws(x) > 0)
-        vs = [v for v in pool if v not in ch.order[:s]][:_EXTRA_VIRTUAL]
+        vs = [v for v in pool if v not in order[:s]][:_EXTRA_VIRTUAL]
         for v in vs:
             tau = sigma
-            for d in ch.order[:s]:
-                tau *= _sgn(ch.tilde_energy(d) - ch.tilde_energy(v))
-            wps = ch.wp(s, v)
+            for e in removed[:s]:
+                tau *= _sgn(e - te[v])
+            wps = system(p, order[:s] + (v,)).w_grid
             _check(rep, f"w'_{s},{v} definite sign", xs_lattice, lambda x: tau * wps(x) > 0)
         _check(rep, f"w''_{s},0 definite sign", xs_lattice, lambda x: gsign * g(x) > 0)
         potentials = (("Bhat", "Dhat", lv.Bhat, lv.Dhat), ("B_std", "D_std", lv.B_std, lv.D_std))
-        for b, d, B, D in potentials:
-            _check(rep, f"{b}_{s} > 0", xs_lattice, lambda x: B(x)[0] > 0)
-            _check(rep, f"{d}_{s} sign", xs_lattice, lambda x: D(x)[0] > 0 if x else D(x)[0] == 0)
+        for b, d, Bs, Ds in potentials:
+            _check(rep, f"{b}_{s} > 0", xs_lattice, lambda x: Bs(x)[0] > 0)
+            _check(rep, f"{d}_{s} sign", xs_lattice, lambda x: Ds(x)[0] > 0 if x else Ds(x)[0] == 0)
 
     # H_s = A_{s+1}^dagger A_{s+1} + Et_{d_{s+1}}: each level re-factorizes into the next
     for s in range(M):
-        up = ch._level(s + 1)
+        up = levels[s + 1]
         H_up = _adag_a(up.Bhat, up.Dhat, up.Et)
-        _same_hamiltonian(rep, f"re-factorization s={s}", xs_lattice, H_up, ch._level(s).H)
+        _same_hamiltonian(rep, f"re-factorization s={s}", xs_lattice, H_up, levels[s].H)
 
     # standard form: H_s = A^dagger A of (B_std, D_std), anchored at s = 0 by the potentials
-    lv = ch._level(0)
+    aB, _, B, D = _base_tables(prefix[0])
+    lv = levels[0]
     _check(
         rep,
         "standard form s=0 is the base system",
         xs_lattice,
-        lambda x: pair_equal(lv.B_std(x), ch.B(x)) and pair_equal(lv.D_std(x), ch.D(x)),
+        lambda x: pair_equal(lv.B_std(x), B(x)) and pair_equal(lv.D_std(x), D(x)),
     )
     for s in range(1, M + 1):
-        lv = ch._level(s)
+        lv = levels[s]
         _same_hamiltonian(rep, f"standard form s={s}", xs_lattice, _adag_a(lv.B_std, lv.D_std, 0), lv.H)
 
     # sign factor: recursion vs closed form
-    ok = all(ch.sign_recursive(s) == ch.sign_closed(s) for s in range(M + 1))
-    rep.add("sign factor recursion = closed form", ok and (M == 0 or ch.sign_closed(1) == -1))
+    ok = all(sign_recursive(removed[:s]) == signs[s] for s in range(M + 1))
+    rep.add("sign factor recursion = closed form", ok and (M == 0 or signs[1] == -1))
 
     # final level: match the closed-form multi-indexed system
-    sys = system(p, ch.order)
-    lv = ch._level(M)
+    final, lv = prefix[M], levels[M]
     _check(
         rep,
         "final potentials match denominator form",
         xs_lattice,
-        lambda x: pair_equal(lv.B_std(x), pair(sys.B_D(x)))
-        and pair_equal(lv.D_std(x), pair(sys.D_D(x))),
+        lambda x: pair_equal(lv.B_std(x), pair(final.B_D(x)))
+        and pair_equal(lv.D_std(x), pair(final.D_D(x))),
     )
-    phi0p, wM, aB = p.twisted(), ch.w(M), ch.aB
+    phi0p, wM, alpha = p.twisted(), final.w_grid, p.alpha()
     prod_b0 = 1
     for j in range(M):
-        prod_b0 = prod_b0 * ch.alpha * p.tilde_shifted(j).Bprime(0)
+        prod_b0 = prod_b0 * alpha * p.tilde_shifted(j).Bprime(0)
     kappa_pow = p.kappa ** (M * (M - 1) // 2)
 
     def eigenvector_factor(x):
@@ -495,12 +465,12 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
 
     factor = LatticeFunction(eigenvector_factor)
     for n in range(n_max + 1):
-        const_sq = kappa_pow * (sys.C_Dn(n) / sys.C_D()) ** 2 * prod_b0
-        norm_prod = sys.dt_sq(n)
-        for d in ch.order:
-            norm_prod = norm_prod * (energies[n] - ch.tilde_energy(d))
+        const_sq = kappa_pow * (final.C_Dn(n) / final.C_D()) ** 2 * prod_b0
+        norm_prod = final.dt_sq(n)
+        for e in removed:
+            norm_prod = norm_prod * (energies[n] - e)
         rep.add(f"norm bookkeeping n={n}", const_sq == norm_prod)
-        g = ch.wpp(M, n)
+        g = final.wpp_grid(n)
         _check(
             rep,
             f"squared eigenvector match n={n}",
@@ -509,24 +479,24 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
                 pair_product(factor(x), pair(g(x)), pair(g(x))),
                 pair_product(
                     pair(const_sq),
-                    pair(sys.weight(x)),
-                    pair(sys.multi_poly_at(n, x)),
-                    pair(sys.multi_poly_at(n, x)),
+                    pair(final.weight(x)),
+                    pair(final.multi_poly_at(n, x)),
+                    pair(final.multi_poly_at(n, x)),
                 ),
             ),
         )
 
     # order independence: the given order and at most two other permutations
-    perms = list(permutations(ch.order))
+    perms = list(permutations(order))
     if len(perms) > 3:
         perms = [perms[0], perms[len(perms) // 2], perms[-1]]
     for perm in perms:
-        if perm == ch.order:
+        if perm == order:
             continue
         other = system(p, perm)
         rep.add(
             f"order independence {list(perm)}",
-            other.Xi() == sys.Xi()
-            and all(other.multi_poly(n) == sys.multi_poly(n) for n in range(n_max + 1)),
+            other.Xi() == final.Xi()
+            and all(other.multi_poly(n) == final.multi_poly(n) for n in range(n_max + 1)),
         )
     return rep

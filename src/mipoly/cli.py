@@ -23,6 +23,7 @@ canonical integer/rational exponent set for the configured family.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -83,23 +84,16 @@ def _enclosure(v: Interval) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _scalar_str(v) -> object:
-    """JSON value for an exact scalar: "p/q" string, or an enclosure object."""
-    if isinstance(v, Interval):
-        if v.lo == v.hi:
-            return str(v.lo)
-        lo, hi = _enclosure(v)
-        return {"lo": str(lo), "hi": str(hi)}
-    return str(v)
-
-
-def _scalar_csv(v) -> str:
-    if isinstance(v, Interval):
-        if v.lo == v.hi:
-            return str(v.lo)
-        lo, hi = _enclosure(v)
-        return f"{lo}..{hi}"
-    return str(v)
+def _scalar(v) -> str | dict:
+    """An exact scalar as its "p/q" string, or a certified enclosure of
+    positive width as its outward-rounded endpoints {"lo": ..., "hi": ...};
+    JSON writes the object and CSV writes "lo..hi"."""
+    if not isinstance(v, Interval):
+        return str(v)
+    if v.lo == v.hi:
+        return str(v.lo)
+    lo, hi = _enclosure(v)
+    return {"lo": str(lo), "hi": str(hi)}
 
 
 def build_config(args: argparse.Namespace) -> dict:
@@ -278,7 +272,7 @@ def run_tabulate(cfg: dict) -> str:
                 "n": n,
                 "coefficients": [str(c) for c in pn.coeffs],
                 "energy": str(p.energy(n)),
-                "dn_sq": _scalar_str(p.dn_sq(n)),
+                "dn_sq": _scalar(p.dn_sq(n)),
                 "dt_sq": str(sys_obj.dt_sq(n)),
             }
         )
@@ -304,7 +298,8 @@ def run_tabulate(cfg: dict) -> str:
         for k, c in enumerate(lv["coefficients"]):
             writer.writerow(["poly_coeff", lv["n"], k, c])
         writer.writerow(["energy", lv["n"], "", lv["energy"]])
-        writer.writerow(["dn_sq", lv["n"], "", _scalar_csv(p.dn_sq(lv["n"]))])
+        dn = lv["dn_sq"]
+        writer.writerow(["dn_sq", lv["n"], "", dn if isinstance(dn, str) else f"{dn['lo']}..{dn['hi']}"])
         writer.writerow(["dt_sq", lv["n"], "", lv["dt_sq"]])
     for w in weights:
         writer.writerow(["weight", "", w["x"], w["value"]])
@@ -338,12 +333,15 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+def _open_out(path: str | None):
+    """The output stream: stdout, or the --out file, opened before any suite
+    runs so that an unwritable path is refused as a configuration error."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -357,14 +355,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        if args.command == "verify":
-            code, text = run_verify(cfg)
-        else:
-            code, text = 0, run_tabulate(cfg)
+        with _open_out(args.out) as out:
+            if args.command == "verify":
+                code, text = run_verify(cfg)
+            else:
+                code, text = 0, run_tabulate(cfg)
+            out.write(text)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(text, args.out)
     return code
 
 

@@ -61,6 +61,7 @@ families built apart share their constructions.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .polynomials import Polynomial, newton_form, sign_on_tail
@@ -409,21 +410,34 @@ class _QFamily(_BaseFamily):
     def alpha(self):
         return self.a
 
+    def _q_exponent(self, r) -> int:
+        """The largest integer k with q^k >= r > 0: a float estimate of
+        log_q r (math.log takes ints of any size), corrected by exact
+        comparisons, so a few big-int steps however far r is from 1."""
+
+        def log(f):
+            return math.log(f.numerator) - math.log(f.denominator)
+
+        k = math.floor(log(r) / log(self.q))
+        while self.q ** (k + 1) >= r:
+            k += 1
+        while self.q**k < r:
+            k -= 1
+        return k
+
     def v_max(self) -> int:
         """The largest v with a < q^v; 0 when no label is admissible."""
-        v = 0
-        while self.a < self.q ** (v + 1):
-            v += 1
-        return v
+        k = self._q_exponent(self.a)
+        return max(0, k - 1 if self.q**k == self.a else k)
 
 
 class LittleQJacobi(_QFamily):
     """System lqJ: B(x) = a (q^-x - b q), D(x) = q^-x - 1.
 
     Valid ranges 0 < q < 1, 0 < a < 1/q, b < 1/q, excluding the degenerate
-    line a = b q^(m+1) (checked for m up to 64) where virtual-state degrees
-    collapse.  b = 0 is lqL; every closed form skips its b factors there,
-    which leaves the values unchanged.
+    lines a = b q^k, k >= 1, where virtual-state degrees collapse.  b = 0 is
+    lqL; every closed form skips its b factors there, which leaves the
+    values unchanged.
     """
 
     __slots__ = ("a", "b", "q")
@@ -444,15 +458,9 @@ class LittleQJacobi(_QFamily):
             if not self.b < 1 / self.q:
                 raise ValueError("requires b < 1/q")
             if self.b > 0:
-                bq = self.b * self.q  # b q^(m+1), strictly decreasing in m
-                for m in range(65):
-                    if bq <= self.a:
-                        if bq == self.a:
-                            raise ValueError(
-                                f"degenerate parameters: a = b q^{m + 1} collapses virtual-state degrees"
-                            )
-                        break
-                    bq *= self.q
+                k = self._q_exponent(self.a / self.b)  # a/b = q^k exactly, or no k does
+                if k >= 1 and self.q**k == self.a / self.b:
+                    raise ValueError(f"degenerate parameters: a = b q^{k} collapses virtual-state degrees")
 
     def _key(self):
         return (self.a, self.b, self.q)

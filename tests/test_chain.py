@@ -6,13 +6,17 @@ from fractions import Fraction as F
 import pytest
 
 from mipoly.chain import (
-    Chain,
     ChainState,
+    _base_tables,
     _contiguity,
+    _contiguity_coefficients,
     _eigen_identity,
+    _level,
     _nesting,
     chain_build,
     chain_verify,
+    sign_closed,
+    sign_recursive,
 )
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
 from mipoly.multi import system
@@ -52,25 +56,25 @@ def test_intermediate_potentials_positive():
 
 def test_sign_closed_form_matches_recursion():
     for p, order in ((M, (1, 2, 3)), (M, (3, 1, 2)), (QL, (2, 1)), (QJ, (1, 3, 2))):
-        ch = Chain(p, order)
-        for s in range(len(ch.order) + 1):
-            assert ch.sign_closed(s) == ch.sign_recursive(s) in (-1, 1)
+        te = [p.virtual_energy(d) for d in order]
+        for s in range(len(order) + 1):
+            assert sign_closed(te[:s]) == sign_recursive(te[:s]) in (-1, 1)
 
 
 def test_definite_sign_of_casoratian_weights():
     # the pair-inversion product of removed energies fixes the sign of w_s on
     # the lattice; sign_closed carries an extra (-1)^s bookkeeping factor
     for p, order in ((M, (2, 1, 3)), (QL, (1, 2))):
-        ch = Chain(p, order)
-        te = [ch.tilde_energy(d) for d in ch.order]
-        for s in range(len(ch.order) + 1):
+        te = [p.virtual_energy(d) for d in order]
+        for s in range(len(order) + 1):
             sigma = 1
             for i in range(s):
                 for j in range(i + 1, s):
                     sigma *= 1 if te[i] > te[j] else -1
-            assert ch.sign_closed(s) == (-1) ** s * sigma
+            assert sign_closed(te[:s]) == (-1) ** s * sigma
+            w = system(p, order[:s]).w_grid
             for x in range(10):
-                assert sigma * ch.w(s)(x) > 0
+                assert sigma * w(x) > 0
 
 
 def test_order_independence_of_final_system():
@@ -88,18 +92,18 @@ def test_chain_verify_reports():
         assert rep.passed, rep.failures()[:3]
 
 
-def _failures_with_corrupted_grid(monkeypatch, method, key):
+def _failures_with_corrupted_grid(monkeypatch, grid_of):
     """For M and lqJ with order (1, 2): the failing checks of chain_verify
-    when the grid Chain.<method>(*key) is off by one at x = 3.  The grids
-    and the level tables live in the shared system store, so a fresh store
-    keeps earlier tests from having filled x = 3 already, and keeps the
+    when the grid grid_of(p) is off by one at x = 3.  The grids and the
+    level tables live in the shared system store, so a fresh store keeps
+    earlier tests from having filled x = 3 already, and keeps the
     corruption out of later ones."""
     from mipoly import multi
 
     out = []
     for p in (M, QJ):
         monkeypatch.setattr(multi, "_SYSTEMS", {})
-        grid = getattr(Chain(p, (1, 2)), method)(*key)
+        grid = grid_of(p)
         grid.cache[3] = grid.fn(3) + 1
         out.append(chain_verify(p, (1, 2), n_max=2, x_max=8).failures())
     return out
@@ -115,7 +119,7 @@ def test_corrupted_casoratian_fails_exactly_the_checks_that_read_it(monkeypatch)
         "nesting (eigen) s=1,n=1",
         "contiguity (eigen) s=1,n=1",
     ]
-    for failures in _failures_with_corrupted_grid(monkeypatch, "wpp", (1, 1)):
+    for failures in _failures_with_corrupted_grid(monkeypatch, lambda p: system(p, (1,)).wpp_grid(1)):
         assert [c.name for c in failures] == expected
         assert all(c.witness.startswith("x=") for c in failures)
 
@@ -142,7 +146,7 @@ def test_corrupted_w1_fails_the_diagonals_of_the_factorizations_that_read_it(mon
         ("standard form s=1 diagonal", "x=2"),
         ("standard form s=2 diagonal", "x=1"),
     ]
-    for p, failures in zip((M, QJ), _failures_with_corrupted_grid(monkeypatch, "w", (1,))):
+    for p, failures in zip((M, QJ), _failures_with_corrupted_grid(monkeypatch, lambda p: system(p, (1,)).w_grid)):
         top = (3, 4, 5) if p is M else (3, 4)  # the lqJ point admits labels up to 4
         expected = [("virtual eigen-identity s=0,v=1", "x=2")]
         expected += level(1, (2, 3, 4), "x=2") + level(2, top, "x=1")
@@ -256,21 +260,6 @@ def test_a_wider_window_on_a_warm_store_matches_a_fresh_store(monkeypatch, p):
     assert warm == _checks(chain_verify(p, (1, 2), n_max=2, x_max=12))
 
 
-def test_chain_grids_are_the_prefix_systems_grids():
-    # level s of a chain is the multi-indexed system of the first s labels:
-    # the chain holds no Casoratian grid of its own
-    for p in (M, QJ):
-        order = (1, 2, 3)
-        ch = Chain(p, order)
-        for s in range(len(order) + 1):
-            prefix = system(p, order[:s])
-            assert ch.w(s) is prefix.w_grid
-            for v in (v for v in index_set(p, 5) if v not in order[:s]):
-                assert ch.wp(s, v) is system(p, order[:s] + (v,)).w_grid
-            for n in range(3):
-                assert ch.wpp(s, n) is prefix.wpp_grid(n)
-
-
 # A companion column as it is checked, and two corruptions of its value at x = 3.
 CORRUPTIONS = {
     "exact": lambda v: v,
@@ -289,18 +278,25 @@ def test_fraction_free_identities_match_their_fraction_form(p, order):
     # multiplication; here each identity is written out in Fractions, and
     # both forms must give the same verdict at every level, companion and x,
     # for the exact columns (all hold) and for two corruptions at x = 3
-    ch = Chain(p, order)
-    aB, aD, xs = ch.aB, ch.aD, range(-2, 13)
-    pool = index_set(p, max(order) + 3)
+    prefix = [system(p, order[:s]) for s in range(len(order) + 1)]
+    aB, aD, _, _ = _base_tables(prefix[0])
+    xs, pool = range(-2, 13), index_set(p, max(order) + 3)
+    alpha_prime = p.alpha_prime()
+
+    def w(s):
+        return prefix[s].w_grid
+
+    def wp(s, v):
+        return system(p, order[:s] + (v,)).w_grid
 
     def virtual(s, count):
-        return [v for v in pool if v not in ch.order[:s]][:count]
+        return [v for v in pool if v not in order[:s]][:count]
 
     def eigen_fraction(s, u, k, x):
         if s == 0:
-            lhs = (aB(x) + aD(x) + ch.alpha_prime + k) * u(x)
+            lhs = (aB(x) + aD(x) + alpha_prime + k) * u(x)
             return lhs == aB(x) * u(x + 1) + aD(x) * u(x - 1)
-        w0, w1 = ch.w(s - 1), ch.w(s)
+        w0, w1 = w(s - 1), w(s)
         lhs = (
             aB(x + s - 1) * w0(x) * w1(x + 1) ** 2
             + aD(x + 1) * w0(x + 2) * w1(x) ** 2
@@ -310,40 +306,41 @@ def test_fraction_free_identities_match_their_fraction_form(p, order):
         return lhs == rhs
 
     def nesting_fraction(s, upper, lower, x):
-        ws, ws1 = ch.w(s), ch.w(s + 1)
+        ws, ws1 = w(s), w(s + 1)
         return ws(x + 1) * upper(x) == ws1(x) * lower(x + 1) - ws1(x + 1) * lower(x)
 
     def contiguity_fraction(s, upper, lower, k, x):
-        ws, ws1 = ch.w(s), ch.w(s + 1)
+        ws, ws1 = w(s), w(s + 1)
         lhs = aB(x + s) * ws(x) * upper(x)
         return lhs == aD(x) * ws(x + 1) * upper(x - 1) + k * ws1(x) * lower(x)
 
     verdicts = {name: [] for name in CORRUPTIONS}
     for name, how in CORRUPTIONS.items():
         seen = verdicts[name]
-        for s in range(len(ch.order) + 1):
-            ets = ch.tilde_energy(ch.order[s - 1]) if s else 0
-            columns = [(ch.wp(s, v), ch.tilde_energy(v)) for v in virtual(s, 3)]
-            columns += [(ch.wpp(s, n), p.energy(n)) for n in range(4)]
+        for s in range(len(order) + 1):
+            ets = p.virtual_energy(order[s - 1]) if s else 0
+            columns = [(wp(s, v), p.virtual_energy(v)) for v in virtual(s, 3)]
+            columns += [(prefix[s].wpp_grid(n), p.energy(n)) for n in range(4)]
             for col, e in columns:
                 u = _corrupted(col, how)
-                holds = _eigen_identity(ch._level(s).eigen, u, ets - e)
+                holds = _eigen_identity(_level(prefix[s]).eigen, u, ets - e)
                 for x in xs:
                     seen.append(holds(x))
                     assert seen[-1] == eigen_fraction(s, u, ets - e, x), ("eigen", s, x)
-            if s == len(ch.order):
+            if s == len(order):
                 continue
             # (level s + 1 column, level s column, energy) of each companion
-            k_next = ch.tilde_energy(ch.order[s])
-            pairs = [(ch.wp(s + 1, v), ch.wp(s, v), ch.tilde_energy(v)) for v in virtual(s + 1, 2)]
-            pairs += [(ch.wpp(s + 1, n), ch.wpp(s, n), p.energy(n)) for n in range(4)]
+            k_next = p.virtual_energy(order[s])
+            pairs = [(wp(s + 1, v), wp(s, v), p.virtual_energy(v)) for v in virtual(s + 1, 2)]
+            pairs += [(prefix[s + 1].wpp_grid(n), prefix[s].wpp_grid(n), p.energy(n)) for n in range(4)]
+            contiguity = _contiguity_coefficients(prefix[s], order[s])
             for up, lo, e in pairs:
                 for upper, lower in ((_corrupted(up, how), lo), (up, _corrupted(lo, how))):
-                    holds = _nesting(ch.w(s), ch.w(s + 1), upper, lower)
+                    holds = _nesting(w(s), w(s + 1), upper, lower)
                     for x in xs:
                         seen.append(holds(x))
                         assert seen[-1] == nesting_fraction(s, upper, lower, x), ("nesting", s, x)
-                    holds = _contiguity(ch.contiguity(s), upper, lower, k_next - e)
+                    holds = _contiguity(contiguity, upper, lower, k_next - e)
                     for x in xs:
                         seen.append(holds(x))
                         expected = contiguity_fraction(s, upper, lower, k_next - e, x)

@@ -50,6 +50,11 @@ def test_invalid_parameters_exit_2(capsys):
     code, _, err = _run(capsys, "verify", "--family", "lqJ", "--params", "1/4,1/2,1/2")
     assert code == 2
     assert "degenerate parameters" in err
+    # a = b q^67: the line is decided at every power, not only the first 65
+    code, _, err = _run(capsys, "verify", "--family", "lqJ", "--params", "1/295147905179352825856,1/2,1/2",
+                        "--deletions", "40", "--suite", "multi", "--nmax", "0", "--xmax", "0")
+    assert code == 2
+    assert err == "error: degenerate parameters: a = b q^67 collapses virtual-state degrees\n"
     code, _, err = _run(capsys, "verify", "--family", "X", "--params", "1,1/2")
     assert code == 2
     assert "unknown family" in err
@@ -256,3 +261,12 @@ def test_label_ceiling(capsys, monkeypatch):
     cfg = cli.build_config(_args(family="lqL", params="1/1048576,1/2", deletions="2,4,6,8,10,12",
                                  nmax=10, xmax=40))
     assert cfg["deletions"] == (2, 4, 6, 8, 10, 12)
+
+
+def test_unwritable_out_is_refused_before_any_suite(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing" / "x.json"
+    for command in ("verify", "tabulate"):
+        err = _refused(capsys, monkeypatch, command, "--suite", "base", "--out", str(missing))
+        assert err == f"error: cannot write --out {missing}: No such file or directory\n"
+        err = _refused(capsys, monkeypatch, command, "--suite", "base", "--out", str(tmp_path))
+        assert err.startswith(f"error: cannot write --out {tmp_path}: ")

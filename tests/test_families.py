@@ -170,9 +170,17 @@ def test_lqJ_rejects_the_degenerate_line(m):
         LittleQJacobi(q ** (m + 1), 1, q)
 
 
-def test_lqJ_degenerate_line_is_checked_to_m_64_only():
-    q = F(1, 2)
-    assert LittleQJacobi(q**66, 1, q).a == q**66
+def test_lqJ_degenerate_line_is_checked_at_every_power():
+    # a/b = q^k is decided exactly for any k, however small a is; a point
+    # just off the line is admitted, and the label bound a < q^v follows a
+    for q in (F(1, 2), F(2, 3)):
+        for k in (65, 66, 1000):
+            with pytest.raises(ValueError, match=f"a = b q\\^{k} collapses"):
+                LittleQJacobi(q**k / 3, F(1, 3), q)
+            p = LittleQJacobi(q**k * F(1001, 3000), F(1, 3), q)
+            v = p.v_max()
+            assert p.a < q**v and not p.a < q ** (v + 1)
+            assert LittleQLaguerre(q**k, q).v_max() == k - 1
 
 
 # lqL points of the acceptance matrix and the ladders
