@@ -38,6 +38,7 @@ from .multi import (
     tilde_delta,
     verify_eigen_equation,
     verify_multi_structure,
+    verify_orthogonality,
     verify_shape_invariance,
     verify_special_identities,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "verify_eigen_equation",
     "verify_shape_invariance",
     "verify_special_identities",
+    "verify_orthogonality",
     "orthogonality_sum",
     "chain_build",
     "chain_verify",

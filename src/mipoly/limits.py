@@ -1,6 +1,6 @@
 """Parameter limits connecting the lattice systems to Laguerre and Jacobi.
 
-Two kinds of limit are verified.
+Two kinds of limit are verified, each at one fixed statement.
 
 Exact (system M): with c kept symbolic as a rational function, the
 substitution eta -> eta/(1-c) followed by a coefficient-wise limit c -> 1
@@ -8,6 +8,8 @@ is an exact computation; targets are normalized Laguerre polynomials.  The
 same pipeline applies to the twisted deforming polynomials (target Laguerre
 at negated argument) and to whole multi-indexed polynomials, whose limits
 are checked to exist with full degree and unit constant term.
+`verify_meixner_limits` checks P_n for n <= 4, xi_v for v <= 3, and
+P_{D,n} for D = {1} and {1,2} with n <= 2.
 
 Certified numeric (systems lqJ, lqL): a = q^alpha (and b = q^beta) with
 integer exponents keeps everything rational at each fixed q, so the
@@ -19,9 +21,13 @@ tolerance is therefore imposed on the iterated Richardson extrapolation of
 the values at q_{k-2}, q_{k-1}, q_k, which cancels the first- and
 second-order terms and converges like (1 - q)^3, while the raw deviations
 must halve from one q_k to the next (ratios within [2/5, 3/5]) to certify
-the claimed O(1-q) rate rather than accidental smallness.  Multi-indexed q-system polynomials have no in-scope
-continuum target; for them the rescaled coefficients themselves are
-required to stabilize (Cauchy behaviour with the same geometric rate).
+the claimed O(1-q) rate rather than accidental smallness.
+`verify_q_limits` checks P_n for n <= 4 and xi_v for v <= 3: the
+extrapolated error at k = 14 within 1e-6, the ratios over k = 11..14.
+Multi-indexed q-system polynomials have no in-scope continuum target; for
+them the rescaled coefficients themselves are required to stabilize
+(Cauchy behaviour with the same geometric rate): `q_limit_numeric` checks
+P_{D,n} for D = {1}, n = 1 over k = 4..12.
 """
 
 from __future__ import annotations
@@ -79,33 +85,27 @@ def meixner_xi_limit_poly(alpha, v: int) -> Polynomial:
     return _limit_coefficients(_scaled(xi_poly(fam, v), fam))
 
 
-def verify_meixner_limits(
-    alpha,
-    n_max: int = 4,
-    v_max: int = 3,
-    label_sets: Sequence[Sequence[int]] = ((1,), (1, 2)),
-    multi_n_max: int = 2,
-) -> Report:
-    """Exact limit checks for system M at beta = alpha + 1."""
+def verify_meixner_limits(alpha) -> Report:
+    """Exact limit checks for system M at beta = alpha + 1: P_n (n <= 4),
+    xi_v (v <= 3) and P_{D,n} (D = {1}, {1,2}; n <= 2)."""
     alpha = Fraction(alpha)
     rep = Report(
         f"limits.M[alpha={alpha}]",
         "exact c -> 1 limits to (deformed) continuum polynomials",
     )
-    for n in range(n_max + 1):
+    for n in range(5):
         target = laguerre(alpha, n).scalar_div(laguerre_at_zero(alpha, n))
         got = meixner_limit_exact(alpha, (), n)
         rep.add(f"eigenpolynomial n={n}", got == target, "" if got == target else f"{got!r}")
-    for v in range(1, v_max + 1):
+    for v in range(1, 4):
         target = laguerre(alpha, v).scale_argument(Fraction(-1)).scalar_div(
             laguerre_at_zero(alpha, v)
         )
         got = meixner_xi_limit_poly(alpha, v)
         rep.add(f"deforming polynomial v={v}", got == target)
-    for labels in label_sets:
-        labels = tuple(labels)
+    for labels in ((1,), (1, 2)):
         ell = sum(labels) - len(labels) * (len(labels) - 1) // 2
-        for n in range(multi_n_max + 1):
+        for n in range(3):
             try:
                 got = meixner_limit_exact(alpha, labels, n)
             except PoleError:
@@ -199,31 +199,30 @@ def q_limit_extrapolated_error(
     n: int,
     k: int,
     deforming: bool = False,
-    order: int = 2,
 ) -> Fraction:
     """Exact distance of the iterated Richardson extrapolation from the
-    continuum target, using the polynomials at k - order, ..., k.
+    continuum target, using the polynomials at k - 2, k - 1, k.
 
     Each coefficient deviates from its limit by a power series in h = 1 - q,
     and the steps halve h, so the standard tableau R[i][j] =
-    (2^j R[i+1][j-1] - R[i][j-1]) / (2^j - 1) cancels the h, ..., h^order
-    terms coefficient-wise, leaving an O(h^(order+1)) deviation that the
+    (2^j R[i+1][j-1] - R[i][j-1]) / (2^j - 1), j = 1, 2, cancels the h and
+    h^2 terms coefficient-wise, leaving an O(h^3) deviation that the
     tolerance check is applied to."""
-    return _q_limit_deviations(p_family, alpha, beta, n, (), k, deforming, order)[1]
+    return _q_limit_deviations(p_family, alpha, beta, n, (), k, deforming)[1]
 
 
-def _q_limit_deviations(p_family, alpha, beta, n, ks, k, deforming, order=2) -> tuple:
+def _q_limit_deviations(p_family, alpha, beta, n, ks, k, deforming) -> tuple:
     """(q_limit_errors at ks, q_limit_extrapolated_error at k, or None when
     k is None) from one target and one rescaled polynomial per q_k."""
     target = _q_target(p_family, alpha, beta, n, deforming)
-    window = () if k is None else range(k - order, k + 1)
+    window = () if k is None else range(k - 2, k + 1)
     polys = {kk: _q_lhs(p_family, alpha, beta, (), n, kk, deforming) for kk in (*ks, *window)}
     errs = [_coeff_distance(polys[kk], target) for kk in ks]
     if k is None:
         return errs, None
     d = max(max(len(polys[kk].coeffs) for kk in window), len(target.coeffs))
     cols = [[Fraction(polys[kk].coefficient(j)) for j in range(d)] for kk in window]
-    for j in range(1, order + 1):
+    for j in (1, 2):
         w = Fraction(2**j)
         cols = [
             [(w * hi[m] - lo[m]) / (w - 1) for m in range(d)]
@@ -233,32 +232,23 @@ def _q_limit_deviations(p_family, alpha, beta, n, ks, k, deforming, order=2) -> 
     return errs, max(abs(est[j] - Fraction(target.coefficient(j))) for j in range(d))
 
 
-def q_limit_numeric(
-    p_family: str,
-    alpha: int,
-    beta: int | None = None,
-    *,
-    labels: Sequence[int],
-    n: int = 0,
-    k_max: int = 14,
-) -> Report:
-    """q -> 1 behaviour of one rescaled multi-indexed polynomial P_{D,n} over
-    q_k = 1 - 2^-k, k = 4..k_max.
+def q_limit_numeric(p_family: str, alpha: int, beta: int | None = None) -> Report:
+    """q -> 1 behaviour of the rescaled multi-indexed polynomial P_{D,1},
+    D = {1}, over q_k = 1 - 2^-k, k = 4..12.
 
     There is no in-scope continuum target, so the rescaled coefficients must
-    be a fast Cauchy sequence (successive distances decreasing at a
-    geometric rate), i.e. they stabilize.  The base families' eigen and
-    deforming limits, which have targets, are checked by `verify_q_limits`.
+    be a fast Cauchy sequence (successive distances decreasing, the last two
+    ratios within [1/4, 3/4]), i.e. they stabilize.  The base families'
+    eigen and deforming limits, which have targets, are checked by
+    `verify_q_limits`.
     """
-    labels = tuple(labels)
     rep = Report(
         f"limits.{p_family}[alpha={alpha}"
         + (f",beta={beta}" if beta is not None else "")
-        + f",D={list(labels)},n={n}]",
+        + ",D=[1],n=1]",
         "q -> 1 limit behaviour of one rescaled polynomial",
     )
-    ks = list(range(4, k_max + 1))
-    polys = [_q_lhs(p_family, alpha, beta, labels, n, k, False) for k in ks]
+    polys = [_q_lhs(p_family, alpha, beta, (1,), 1, k, False) for k in range(4, 13)]
     diffs = [_coeff_distance(a, b) for a, b in zip(polys, polys[1:])]
     rep.add(
         "coefficient distances strictly decreasing",
@@ -275,31 +265,22 @@ def q_limit_numeric(
     return rep
 
 
-def verify_q_limits(
-    p_family: str,
-    alpha: int,
-    beta: int | None = None,
-    n_max: int = 4,
-    v_max: int = 3,
-    k_final: int = 14,
-    tol: Fraction = Fraction(1, 10**6),
-) -> Report:
-    """Certified numeric q -> 1 limits: extrapolated error below tol at the
-    final q and raw error ratios between consecutive q_k within [2/5, 3/5]
-    (halving rate)."""
+def verify_q_limits(p_family: str, alpha: int, beta: int | None = None) -> Report:
+    """Certified numeric q -> 1 limits of P_n (n <= 4) and xi_v (v <= 3):
+    extrapolated error within 1e-6 at k = 14 and raw error ratios between
+    consecutive q_k, k = 11..14, within [2/5, 3/5] (halving rate)."""
     rep = Report(
         f"limits.{p_family}[alpha={alpha}" + (f",beta={beta}" if beta is not None else "") + "]",
         "q -> 1 limits with certified linear convergence rate",
     )
-    ks = list(range(k_final - 3, k_final + 1))
-    lo, hi = Fraction(2, 5), Fraction(3, 5)
-    jobs = [(n, False) for n in range(n_max + 1)] + [(v, True) for v in range(1, v_max + 1)]
+    tol, lo, hi = Fraction(1, 10**6), Fraction(2, 5), Fraction(3, 5)
+    jobs = [(n, False) for n in range(5)] + [(v, True) for v in range(1, 4)]
     for idx, deforming in jobs:
         label = f"{'deforming v' if deforming else 'eigen n'}={idx}"
-        errs, ext = _q_limit_deviations(p_family, alpha, beta, idx, ks, k_final, deforming)
+        errs, ext = _q_limit_deviations(p_family, alpha, beta, idx, range(11, 15), 14, deforming)
         final_ok = ext <= tol
         rep.add(
-            f"{label}: |extrapolated error| <= {float(tol):g} at k={k_final}",
+            f"{label}: |extrapolated error| <= 1e-06 at k=14",
             final_ok,
             "" if final_ok else f"error={float(ext):.3e}",
         )

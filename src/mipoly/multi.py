@@ -56,6 +56,7 @@ __all__ = [
     "verify_eigen_equation",
     "verify_shape_invariance",
     "verify_special_identities",
+    "verify_orthogonality",
     "orthogonality_sum",
     "sign_on_tail",
 ]
@@ -350,7 +351,7 @@ def tilde_delta(p: _BaseFamily) -> tuple:
 # -- verification -----------------------------------------------------------------------
 
 
-def verify_multi_structure(p: _BaseFamily, labels: Sequence[int], n_max: int, x_max: int = 40) -> Report:
+def verify_multi_structure(p: _BaseFamily, labels: Sequence[int], n_max: int, x_max: int) -> Report:
     """Degrees, unit normalizations, closed-form leading coefficients,
     denominator positivity, and the node count of each eigenpolynomial."""
     sys = system(p, labels)
@@ -436,6 +437,19 @@ def verify_special_identities(p: _BaseFamily, labels: Sequence[int], n_max: int)
         for n in range(n_max + 1):
             ok = with_zero.multi_poly(n) == reduced.multi_poly(n)
             rep.add(f"label-0 reduction n={n}", ok)
+    return rep
+
+
+def verify_orthogonality(p: _BaseFamily, labels: Sequence[int], rel_tol: Fraction) -> Report:
+    """`orthogonality_sum` at (n,m) = (0,0), (1,1), (0,1); a failing pair
+    carries its `describe()` line as the witness."""
+    rep = Report(
+        f"multi.orthogonality[{system(p, labels)!r}]",
+        "orthogonality relations with certified tails",
+    )
+    for n, m in ((0, 0), (1, 1), (0, 1)):
+        res = orthogonality_sum(p, labels, n, m, rel_tol)
+        rep.add(f"(n,m)=({n},{m})", res.passed, "" if res.passed else res.describe())
     return rep
 
 
@@ -604,3 +618,4 @@ def orthogonality_sum(
     return OrthogonalityResult(
         n, m, partial, tail, target, x, x_star, r, rel_tol, passed, not converged
     )
+

@@ -12,8 +12,10 @@ pairs over any ring, (Polynomial, int) pairs included.  Terminating
 hypergeometric sums fold their step factors t_{k+1}/t_k, each one pair, by
 nested Horner (`nested_sum`).  Infinite q-products and non-integer rational
 powers cannot be rational, so they come back as `Interval`: a pair of
-Fraction endpoints provably bracketing the true value.  Downstream
-"certified" comparisons are interval containments, never float heuristics.
+Fraction endpoints provably bracketing the true value, of width at most
+`DEFAULT_EPS` = 10^-30, the one enclosure precision of the library (the
+CLI rounds enclosures outward to the same denominator).  Downstream
+"certified" comparisons are interval overlaps, never float heuristics.
 """
 
 from __future__ import annotations
@@ -125,14 +127,14 @@ def nested_sum(steps, one):
     return pair_value(n, d)
 
 
-def q_pochhammer(a, q, k: int | None, eps: Fraction = DEFAULT_EPS):
+def q_pochhammer(a, q, k: int | None):
     """(a; q)_k = prod_{j<k} (1 - a q^j); k=None means the infinite product.
 
     Finite k: exact in the input field.  k=None requires Fraction inputs with
     0 < q < 1 and returns an Interval: with T = |a| q^N / (1-q) < 1 the tail
     prod_{j>=N}(1 - a q^j) lies in [1-T, 1/(1-T)] because
     prod(1-u_j) >= 1 - sum|u_j| and prod(1+|u_j|) <= exp(T) <= 1/(1-T),
-    so |(a;q)_inf - P_N| <= |P_N| T/(1-T), driven below eps.  P_N and
+    so |(a;q)_inf - P_N| <= |P_N| T/(1-T), driven below DEFAULT_EPS.  P_N and
     a q^N are kept as unreduced int numerators and denominators, so the
     loop takes no gcd; the endpoints are the same reduced Fractions.
     """
@@ -147,15 +149,15 @@ def q_pochhammer(a, q, k: int | None, eps: Fraction = DEFAULT_EPS):
     a, q = Fraction(a), Fraction(q)
     if not 0 < q < 1:
         raise ValueError("infinite q-product needs 0 < q < 1")
-    eps = Fraction(eps)
     pn, pd = 1, 1  # P_n = pn / pd
     an, ad = a.numerator, a.denominator  # a q^n = an / ad
     qn, qd = q.numerator, q.denominator
+    en, ed = DEFAULT_EPS.numerator, DEFAULT_EPS.denominator
     n = 0
     while True:
         tn, td = abs(an) * qd, ad * (qd - qn)  # T = |a q^n| / (1 - q) = tn / td
-        # T <= 1/2 and |P_n| T / (1 - T) <= eps
-        if 2 * tn <= td and abs(pn) * tn * eps.denominator <= eps.numerator * pd * (td - tn):
+        # T <= 1/2 and |P_n| T / (1 - T) <= eps = DEFAULT_EPS = en / ed
+        if 2 * tn <= td and abs(pn) * tn * ed <= en * pd * (td - tn):
             partial, t = Fraction(pn, pd), Fraction(tn, td)
             lo = partial * (1 - t)
             hi = partial / (1 - t)
@@ -192,27 +194,8 @@ class Interval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __contains__(self, v) -> bool:
-        v = Fraction(v)
-        return self.lo <= v <= self.hi
-
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def __add__(self, other) -> "Interval":
-        o = as_interval(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "Interval":
-        return self + (-as_interval(other))
-
-    def __rsub__(self, other) -> "Interval":
-        return as_interval(other) + (-self)
 
     def __mul__(self, other) -> "Interval":
         o = as_interval(other)
@@ -262,12 +245,13 @@ def _iroot_floor(n: int, r: int) -> int:
     return x
 
 
-def rational_power(base: Fraction, exponent: Fraction, eps: Fraction = DEFAULT_EPS) -> Interval:
+def rational_power(base: Fraction, exponent: Fraction) -> Interval:
     """base ** exponent for base > 0 and rational exponent, as an enclosure.
 
     Integer exponents are exact.  Otherwise base**p is computed exactly and
     its r-th root bracketed by scaled integer floor-roots: with y = u * S**r,
-    k = floor(y ** (1/r)) gives u^(1/r) in [k/S, (k+1)/S], width 1/S <= eps.
+    k = floor(y ** (1/r)) gives u^(1/r) in [k/S, (k+1)/S], width
+    1/S <= DEFAULT_EPS.
     """
     base, exponent = Fraction(base), Fraction(exponent)
     if base <= 0:
@@ -276,11 +260,7 @@ def rational_power(base: Fraction, exponent: Fraction, eps: Fraction = DEFAULT_E
     u = base**p
     if r == 1:
         return Interval.exact(u)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    scale = 1
-    while Fraction(1, scale) > eps:
-        scale <<= 1
+    scale = 1 << (DEFAULT_EPS.denominator - 1).bit_length()  # least power of 2 >= 1/DEFAULT_EPS
     y = u * scale**r
     f = y.numerator // y.denominator
     k = _iroot_floor(f, r)

@@ -88,7 +88,7 @@ def test_criterion_04_virtual_state_positivity():
 
 
 def test_criterion_05_casoratian_identities():
-    rep = verify_identities(n_max=4, trials=100)
+    rep = verify_identities()
     _report("criterion 5: determinant/Casoratian identities, 100 random trials", rep.passed)
 
 
@@ -142,10 +142,10 @@ def test_criterion_09_orthogonality():
 def test_criterion_10_limits():
     ok = True
     for a in (F(0), F(3, 2)):
-        rep = verify_meixner_limits(a, n_max=4, v_max=3)
+        rep = verify_meixner_limits(a)
         ok = ok and rep.passed
     for fam, al, be in (("lqJ", 4, 5), ("lqL", 4, None)):
-        rep = verify_q_limits(fam, al, be, n_max=4, v_max=3, k_final=14, tol=F(1, 10**6))
+        rep = verify_q_limits(fam, al, be)
         ok = ok and rep.passed
     _report(
         "criterion 10: exact c->1 limits; q->1 within 1e-6 at q=1-2^-14, rate in [0.4,0.6]",

@@ -149,11 +149,6 @@ def test_casoratian_linearity_in_one_slot():
         )
 
 
-def test_identity_suite():
-    rep = verify_identities(n_max=4, trials=25, seed=11)
-    assert rep.passed, rep.failures()[:3]
-
-
 def test_identity_suite_defaults():
     rep = verify_identities()
     assert rep.passed and len(rep.checks) == 300

@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -270,3 +271,46 @@ def test_unwritable_out_is_refused_before_any_suite(tmp_path, capsys, monkeypatc
         assert err == f"error: cannot write --out {missing}: No such file or directory\n"
         err = _refused(capsys, monkeypatch, command, "--suite", "base", "--out", str(tmp_path))
         assert err.startswith(f"error: cannot write --out {tmp_path}: ")
+
+
+def _int_digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "family, params, labels", [("lqL", "1/32,1/2", (1,)), ("lqJ", "1/32,1/3,1/2", (1, 2))]
+)
+def test_tabulate_prints_weights_past_the_int_digit_limit(capsys, family, params, labels):
+    # at the documented --xmax ceiling the weights outgrow CPython's default
+    # 4 300 int-to-string digits; a run prints them in full and then restores
+    # the limit
+    from mipoly.families import FAMILIES
+    from mipoly.multi import system
+
+    limit = _int_digit_limit()
+    code, out, err = _run(
+        capsys, "tabulate", "--family", family, "--params", params,
+        "--deletions", ",".join(map(str, labels)), "--xmax", "200",
+    )
+    assert code == 0, err
+    assert _int_digit_limit() == limit
+    weights = system(FAMILIES[family](*map(F, params.split(","))), labels).weight
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(weights(x)) for x in range(201)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert max(map(len, expected)) > 4300
+    assert [w["value"] for w in json.loads(out)["weights"]] == expected
+
+
+def test_config_echo_prints_a_long_parameter(capsys):
+    limit = _int_digit_limit()
+    code, out, err = _run(
+        capsys, "verify", "--params", "1e4301,1/2", "--deletions", "", "--suite", "casoratian",
+    )
+    assert code == 0, err
+    assert _int_digit_limit() == limit
+    assert json.loads(out)["config"]["parameters"]["beta"] == "1" + "0" * 4301

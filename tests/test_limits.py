@@ -42,7 +42,7 @@ def test_exact_multi_limits_exist_with_full_degree():
 
 
 def test_verify_meixner_limits_report():
-    rep = verify_meixner_limits(F(3, 2), n_max=3, v_max=2, multi_n_max=1)
+    rep = verify_meixner_limits(F(3, 2))
     assert rep.passed, rep.failures()[:3]
 
 
@@ -67,5 +67,5 @@ def test_verify_q_limits_both_families():
 
 
 def test_q_limit_numeric_multi_indexed_stabilizes():
-    assert q_limit_numeric("lqJ", 4, 5, labels=(1,), n=1, k_max=11).passed
-    assert q_limit_numeric("lqL", 4, labels=(1, 2), n=1, k_max=11).passed
+    assert q_limit_numeric("lqJ", 4, 5).passed
+    assert q_limit_numeric("lqL", 4).passed

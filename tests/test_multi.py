@@ -200,7 +200,7 @@ def test_verification_reports():
 def test_orthogonality_exact_frozen_case():
     res = orthogonality_sum(M, (1,), 0, 0)
     assert res.passed
-    assert F(2) in res.target or res.target.midpoint == 2
+    assert res.target.lo <= 2 <= res.target.hi
     assert abs(res.partial_sum - 2) <= res.tail_bound
 
 
