@@ -2,11 +2,13 @@
 
 W[f_1..f_n](x) = det( f_k(x+j) )_{j=0..n-1, k=1..n}, the discrete analogue
 of a Wronskian; W[](x) = 1.  Everything is exact.  Matrices of ints and
-Fractions -- every Casoratian of the multi-indexed systems -- are cleared of
-denominators column by column and reduced by Bareiss's fraction-free
-elimination on Python ints, so no step takes a gcd.  Entries of any other
-exact field (the RationalFunction entries of the symbolic-c Meixner limits)
-go through the same elimination with the field's division.
+Fractions -- every Casoratian of the multi-indexed systems -- share one
+integer core on Python ints: an int matrix goes to it as it is, a matrix
+with Fractions after its denominators are cleared column by column.  The
+core expands n = 2 and n = 3 in closed form and runs Bareiss's
+fraction-free elimination above, so no step takes a gcd.  Entries of any
+other exact field (the RationalFunction entries of the symbolic-c Meixner
+limits) go through Bareiss elimination with the field's division.
 
 Three identities drive all later constructions, so they get a randomized
 exact verifier here, `verify_identities`, which checks each of them on
@@ -60,13 +62,15 @@ class LatticeFunction:
 
 
 def exact_det(rows: Sequence[Sequence]):
-    """Exact determinant; int 1 for the empty matrix.
+    """Exact determinant; int 1 for the empty matrix, the entry itself at n = 1.
 
-    When every entry is an int or a Fraction, column k is scaled by the lcm
-    L_k of its denominators, the integer matrix is reduced by Bareiss
-    elimination with exact floor division, and the result is divided by
-    prod L_k once: an int for an int matrix, a Fraction as soon as one entry
-    is a Fraction.  Entries of any other exact field go through the same
+    A matrix of ints goes straight to the integer core.  In any other
+    matrix of ints and Fractions, column k is first scaled by the lcm L_k of
+    its denominators, the integer matrix goes to the same core, and the
+    result is divided by prod L_k once: an int for an int matrix, a
+    Fraction as soon as one entry is a Fraction.  The core expands n = 2
+    and n = 3 in closed form and runs Bareiss elimination with exact floor
+    division above.  Entries of any other exact field go through Bareiss
     elimination with the field's division.
     """
     n = len(rows)
@@ -74,29 +78,45 @@ def exact_det(rows: Sequence[Sequence]):
         return 1
     if n == 1:
         return rows[0][0]
-    if not all(isinstance(e, (int, Fraction)) for row in rows for e in row):
-        return _bareiss([list(r) for r in rows], operator.truediv)
-    # det(A) = det(A^T): eliminate on the transpose, whose rows are A's columns
+    kinds = {type(e) for row in rows for e in row}
+    if kinds == {int}:
+        return _int_det(rows)
+    if not all(issubclass(k, (int, Fraction)) for k in kinds):
+        return _bareiss(rows, operator.truediv)
+    # det(A) = det(A^T): the cleared rows are A's columns
     m = []
     scale = 1
     for col in zip(*rows):
         den = lcm(*[e.denominator for e in col])
         m.append([e.numerator * (den // e.denominator) for e in col])
         scale *= den
-    det = _bareiss(m)
-    if scale == 1 and all(isinstance(e, int) for row in rows for e in row):
-        return det
-    return Fraction(det, scale)
+    det = _int_det(m)
+    if any(issubclass(k, Fraction) for k in kinds):
+        return Fraction(det, scale)
+    return det
 
 
-def _bareiss(m: list[list], div=operator.floordiv):
-    """Determinant of a square matrix by Bareiss elimination (consumes m).
+def _int_det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix of size n >= 2: the cofactor
+    expansion for n <= 3, Bareiss elimination above."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if len(m) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return _bareiss(m)
+
+
+def _bareiss(m: Sequence[Sequence], div=operator.floordiv):
+    """Determinant of a square matrix by Bareiss elimination.
 
     Each step replaces the trailing block by 2x2 minors against the pivot
     divided by the previous pivot; by Sylvester's identity that division is
     exact, so over the ints (floor division, the default) every intermediate
-    is an int, and over a field `div` is its division.
+    is an int, and over a field `div` is its division.  m is only read.
     """
+    m = list(m)
     sign, prev = 1, 1
     while len(m) > 1:
         k = next((r for r, row in enumerate(m) if row[0]), None)

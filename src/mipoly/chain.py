@@ -69,7 +69,6 @@ divisor's sign to the numerator), so a sign check reads the numerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Sequence
@@ -245,16 +244,24 @@ def _a_adag(B, D, e) -> tuple:
     return (lambda x: pair_sum(B(x), D(x + 1), e)), (lambda x: pair_product(B(x + 1), D(x + 1)))
 
 
-@dataclass
 class ChainState:
     """One level of a deletion chain, in ground-state-adapted standard form."""
 
-    step: int
-    deleted: tuple
-    removed_energy: object  # tilde-energy of the state deleted at this step; None at step 0
-    sign: int  # sign_closed: (-1)^step times the definite sign of w_step
-    B: Callable[[int], Fraction]
-    D: Callable[[int], Fraction]
+    def __init__(
+        self,
+        step: int,
+        deleted: tuple,
+        removed_energy: object,
+        sign: int,
+        B: Callable[[int], Fraction],
+        D: Callable[[int], Fraction],
+    ):
+        self.step = step
+        self.deleted = deleted
+        self.removed_energy = removed_energy  # tilde-energy of the state deleted here; None at step 0
+        self.sign = sign  # sign_closed: (-1)^step times the definite sign of w_step
+        self.B = B
+        self.D = D
 
 
 def _fraction_valued(table: LatticeFunction) -> LatticeFunction:

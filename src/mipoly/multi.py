@@ -34,7 +34,6 @@ construction paths therefore avoid order comparisons entirely.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -477,19 +476,34 @@ def _sci(v: Fraction) -> str:
     return f"{sign}{digits // 1000}.{digits % 1000:03d}e{e:+03d}"
 
 
-@dataclass
 class OrthogonalityResult:
-    n: int
-    m: int
-    partial_sum: Fraction
-    tail_bound: Fraction
-    target: Interval
-    terms: int
-    ratio_start: int
-    ratio_bound: Fraction
-    tolerance: Fraction
-    passed: bool
-    capped: bool  # the sum stopped at _TERM_CAP terms past ratio_start
+    """The certified enclosure of one orthogonality sum."""
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        partial_sum: Fraction,
+        tail_bound: Fraction,
+        target: Interval,
+        terms: int,
+        ratio_start: int,
+        ratio_bound: Fraction,
+        tolerance: Fraction,
+        passed: bool,
+        capped: bool,
+    ):
+        self.n = n
+        self.m = m
+        self.partial_sum = partial_sum
+        self.tail_bound = tail_bound
+        self.target = target
+        self.terms = terms
+        self.ratio_start = ratio_start
+        self.ratio_bound = ratio_bound
+        self.tolerance = tolerance
+        self.passed = passed
+        self.capped = capped  # the sum stopped at _TERM_CAP terms past ratio_start
 
     def describe(self) -> str:
         status = "ok" if self.passed else "FAIL"

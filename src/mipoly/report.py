@@ -8,16 +8,16 @@ deterministic because insertion order is preserved end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 __all__ = ["Check", "Report"]
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    witness: str = ""
+    """One named check; the witness names the offending instance."""
+
+    def __init__(self, name: str, passed: bool, witness: str = ""):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "passed": self.passed}
@@ -26,11 +26,13 @@ class Check:
         return d
 
 
-@dataclass
 class Report:
-    suite: str
-    identity: str
-    checks: list[Check] = field(default_factory=list)
+    """A named batch of checks of one identity."""
+
+    def __init__(self, suite: str, identity: str, checks: list[Check] | None = None):
+        self.suite = suite
+        self.identity = identity
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, passed: bool, witness: str = "") -> None:
         self.checks.append(Check(name, bool(passed), witness if not passed else ""))

@@ -34,11 +34,26 @@ def _cofactor_det(rows):
     return total
 
 
-@given(st.integers(min_value=0, max_value=7), st.data())
-@settings(max_examples=60, deadline=None)
-def test_det_matches_cofactor_expansion(n, data):
-    rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
-    assert exact_det(rows) == _cofactor_det(rows)
+# All-int matrices with big entries: the integer core's closed forms (n <= 3)
+# and its elimination see zero pivots, singular matrices and ints past 2**64.
+big_ints = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=2**64, max_value=10**40),
+    st.integers(min_value=-(10**40), max_value=-(2**64)),
+)
+
+
+@given(st.integers(min_value=0, max_value=7), st.sampled_from([entries, big_ints]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_det_matches_cofactor_expansion(n, kind, data):
+    rows = [[data.draw(kind) for _ in range(n)] for _ in range(n)]
+    det = exact_det(rows)
+    assert det == _cofactor_det(rows)
+    if n >= 2:
+        all_int = all(type(e) is int for row in rows for e in row)
+        assert type(det) is (int if all_int else F)
 
 
 def test_det_of_integer_matrix_is_an_exact_int():

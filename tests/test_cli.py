@@ -4,11 +4,14 @@ import argparse
 import csv
 import io
 import json
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import mipoly
 from mipoly.cli import main
 
 
@@ -314,3 +317,16 @@ def test_config_echo_prints_a_long_parameter(capsys):
     assert code == 0, err
     assert _int_digit_limit() == limit
     assert json.loads(out)["config"]["parameters"]["beta"] == "1" + "0" * 4301
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every CLI job pays its imports: dataclasses pulls in inspect, ast, dis and tokenize
+    src = str(Path(mipoly.__file__).resolve().parents[1])
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import mipoly.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
