@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import operator
 import random
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
 
 from .polynomials import Polynomial
 from .report import Report
-
-__all__ = ["LatticeFunction", "exact_det", "casoratian", "verify_identities"]
 
 GridFunction = Callable[[int], object]
 

@@ -69,9 +69,9 @@ divisor's sign to the numerator), so a sign check reads the numerator.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Sequence
 
 from .casoratian import LatticeFunction
 from .families import _BaseFamily, memo
@@ -79,8 +79,6 @@ from .multi import MultiIndexedSystem, _validate_labels, system
 from .report import Report
 from .series import pair, pair_common, pair_equal, pair_product, pair_quotient, pair_sum
 from .virtual import index_set
-
-__all__ = ["ChainState", "chain_build", "chain_verify", "sign_closed", "sign_recursive"]
 
 
 def _sgn(v) -> int:

@@ -22,14 +22,6 @@ from fractions import Fraction
 from .polynomials import Polynomial
 from .series import pochhammer
 
-__all__ = [
-    "binomial_general",
-    "laguerre",
-    "laguerre_at_zero",
-    "jacobi",
-    "jacobi_at",
-]
-
 
 def binomial_general(top, k: int) -> Fraction:
     """C(top, k) = top (top-1) ... (top-k+1) / k! for any exact scalar top."""

@@ -129,6 +129,8 @@ def build_config(args: argparse.Namespace) -> dict:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     suites = tuple(part.strip() for part in args.suite.split(",") if part.strip())
+    if not suites:
+        raise ConfigError(f"no suite selected (choose from {', '.join(SUITES)})")
     for name in suites:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")

@@ -78,18 +78,6 @@ from .series import (
     rational_power,
 )
 
-__all__ = [
-    "Meixner",
-    "LittleQJacobi",
-    "LittleQLaguerre",
-    "FAMILIES",
-    "rodrigues_vector",
-    "forward_shift_apply",
-    "backward_shift_apply",
-    "verify_difference_equation",
-    "verify_shift_relations",
-]
-
 
 def _exact(v):
     """Coerce to Fraction unless already a symbolic scalar."""

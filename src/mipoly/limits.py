@@ -32,8 +32,8 @@ P_{D,n} for D = {1}, n = 1 over k = 4..12.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .classical import jacobi, jacobi_at, laguerre, laguerre_at_zero
 from .families import LittleQJacobi, LittleQLaguerre, Meixner
@@ -42,16 +42,6 @@ from .polynomials import Polynomial
 from .ratfunc import PoleError, RationalFunction, limit_at
 from .report import Report
 from .virtual import xi_poly
-
-__all__ = [
-    "meixner_limit_exact",
-    "meixner_xi_limit_poly",
-    "verify_meixner_limits",
-    "q_limit_errors",
-    "q_limit_extrapolated_error",
-    "q_limit_numeric",
-    "verify_q_limits",
-]
 
 
 def _symbolic_meixner(alpha: Fraction) -> Meixner:

@@ -34,41 +34,16 @@ construction paths therefore avoid order comparisons entirely.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .casoratian import LatticeFunction, casoratian
 from .families import _BaseFamily, memo
-from .polynomials import Polynomial, interpolate, sign_on_tail
+from .polynomials import Polynomial, interpolate
 from .ratfunc import RationalFunction
 from .report import Report
 from .series import Interval, as_interval, pair, pair_product, pair_value
 from .virtual import xi_poly
-
-__all__ = [
-    "MultiIndexedSystem",
-    "OrthogonalityResult",
-    "system",
-    "tilde_delta",
-    "count_sign_changes",
-    "verify_multi_structure",
-    "verify_eigen_equation",
-    "verify_shape_invariance",
-    "verify_special_identities",
-    "verify_orthogonality",
-    "orthogonality_sum",
-    "sign_on_tail",
-]
-
-
-def varphi_M_definition(p: _BaseFamily, m: int, x: int):
-    """prod_{1<=j<k<=m} varphi(x+j-1) by its defining product over eta
-    differences; independent route to the closed form p.varphi_M(m, x)."""
-    out = Fraction(1)
-    for j in range(1, m + 1):
-        for k in range(j + 1, m + 1):
-            out = out * (p.eta(x + k - 1) - p.eta(x + j - 1)) / p.eta(k - j)
-    return out
 
 
 def _label_tuple(labels: Sequence[int]) -> tuple[int, ...]:
@@ -335,16 +310,6 @@ def system(p: _BaseFamily, labels: Sequence[int]) -> MultiIndexedSystem:
     if key not in _SYSTEMS:
         _SYSTEMS[key] = MultiIndexedSystem(p, key[1])
     return _SYSTEMS[key]
-
-
-def tilde_delta(p: _BaseFamily) -> tuple:
-    """The companion parameter shift as exponent offsets, after checking its
-    defining property twist(lambda) + u*delta = twist(lambda + u*delta-tilde)
-    on the actual parameter values for u = 1..3."""
-    for u in range(1, 4):
-        if p.twisted().shifted(u) != p.tilde_shifted(u).twisted():
-            raise ArithmeticError(f"companion shift property fails at u={u} for {p!r}")
-    return p.tilde_delta
 
 
 # -- verification -----------------------------------------------------------------------

@@ -30,11 +30,9 @@ the base polynomials' series (`families`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
-
-__all__ = ["Polynomial", "interpolate", "newton_form", "horner", "sign_on_tail"]
 
 NEG_INF = float("-inf")
 

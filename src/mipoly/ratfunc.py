@@ -27,8 +27,6 @@ from math import gcd, lcm
 
 from .polynomials import Polynomial
 
-__all__ = ["RationalFunction", "PoleError", "limit_at", "polynomial_gcd"]
-
 _ONE = (1,)
 
 

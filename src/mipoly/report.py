@@ -8,8 +8,6 @@ deterministic because insertion order is preserved end to end.
 
 from __future__ import annotations
 
-__all__ = ["Check", "Report"]
-
 
 class Check:
     """One named check; the witness names the offending instance."""

@@ -22,15 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = [
-    "pochhammer",
-    "q_pochhammer",
-    "Interval",
-    "as_interval",
-    "rational_power",
-    "DEFAULT_EPS",
-]
-
 DEFAULT_EPS = Fraction(1, 10**30)
 
 

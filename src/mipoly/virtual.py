@@ -21,14 +21,13 @@ twisted-polynomial route, so the certificate is also an independent
 evaluation of xi_v.
 
 The label set: every v >= 1 for M; for the q systems only v with a < q^v
-keep the required factors positive, so the set (up to p.v_max()) is finite (possibly empty,
-with a warning).  v = 0 is admitted as the constant xi_0 = 1 where a caller
+keep the required factors positive, so the set (up to p.v_max()) is finite, and
+empty when a >= q.  v = 0 is admitted as the constant xi_0 = 1 where a caller
 explicitly needs it.
 """
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 
 from .families import _BaseFamily
@@ -36,22 +35,11 @@ from .polynomials import Polynomial
 from .report import Report
 from .series import pair_product, pair_value
 
-__all__ = [
-    "index_set",
-    "xi_value",
-    "xi_poly",
-    "xi_series_terms",
-    "positivity_certificate",
-    "verify_linear_relation",
-]
-
 
 def index_set(p: _BaseFamily, cap: int) -> list[int]:
     """Admissible labels v in 1..cap.  Empty for q systems with a >= q."""
     vm = p.v_max()
     top = cap if vm is None else min(cap, vm)
-    if vm == 0:
-        warnings.warn(f"no admissible virtual states for {p!r} (a >= q)")
     return list(range(1, top + 1))
 
 

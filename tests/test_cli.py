@@ -267,6 +267,14 @@ def test_label_ceiling(capsys, monkeypatch):
     assert cfg["deletions"] == (2, 4, 6, 8, 10, 12)
 
 
+def test_empty_suite_selection_is_refused(capsys, monkeypatch):
+    import mipoly.cli as cli
+
+    for selection in ("", ",", " , "):
+        err = _refused(capsys, monkeypatch, "verify", "--suite", selection)
+        assert err == f"error: no suite selected (choose from {', '.join(cli.SUITES)})\n"
+
+
 def test_unwritable_out_is_refused_before_any_suite(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing" / "x.json"
     for command in ("verify", "tabulate"):
@@ -324,9 +332,21 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     src = str(Path(mipoly.__file__).resolve().parents[1])
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import mipoly.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe, src], capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_family_without_virtual_states_runs_with_empty_stderr():
+    # lqL with a >= q admits no label: the virtual suite reports no positivity
+    # entry, and nothing (no install path of a warning) reaches stderr
+    src = str(Path(mipoly.__file__).resolve().parents[1])
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); from mipoly.cli import main; sys.exit(main(sys.argv[2:]))"
+    argv = ["verify", "--family", "lqL", "--params", "1/2,1/2", "--deletions", "", "--suite", "virtual"]
+    done = subprocess.run([sys.executable, "-c", probe, src, *argv], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    (suite,) = json.loads(done.stdout)["suites"]
+    assert suite["id"].startswith("virtual.linear-relation") and suite["status"] == "pass"

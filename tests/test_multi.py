@@ -14,16 +14,13 @@ from mipoly.multi import (
     _ratio_certificate,
     count_sign_changes,
     orthogonality_sum,
-    sign_on_tail,
     system,
-    tilde_delta,
-    varphi_M_definition,
     verify_eigen_equation,
     verify_multi_structure,
     verify_shape_invariance,
     verify_special_identities,
 )
-from mipoly.polynomials import Polynomial
+from mipoly.polynomials import Polynomial, sign_on_tail
 from mipoly.ratfunc import RationalFunction
 
 M = Meixner(1, F(1, 2))
@@ -109,6 +106,15 @@ def test_lqL_systems_are_lqJ_systems_at_b_zero(a, labels):
         assert sl.weight(x) == sj.weight(x)
 
 
+def tilde_delta(p):
+    """The companion parameter shift as exponent offsets, after checking its
+    defining property twist(lambda) + u*delta = twist(lambda + u*delta-tilde)
+    on the actual parameter values for u = 1..3."""
+    for u in range(1, 4):
+        assert p.twisted().shifted(u) == p.tilde_shifted(u).twisted(), (p, u)
+    return p.tilde_delta
+
+
 def test_tilde_delta_families():
     assert tilde_delta(M) == (1, 0)
     assert tilde_delta(QJ) == (-1, 1)
@@ -154,6 +160,16 @@ def test_degrees_and_normalization():
             assert s.Xi().leading_coefficient == c_xi
             assert pn.leading_coefficient == c_p
             assert p.poly(n).leading_coefficient == c_n
+
+
+def varphi_M_definition(p, m: int, x: int):
+    """prod_{1<=j<k<=m} varphi(x+j-1) by its defining product over eta
+    differences; independent route to the closed form p.varphi_M(m, x)."""
+    out = F(1)
+    for j in range(1, m + 1):
+        for k in range(j + 1, m + 1):
+            out = out * (p.eta(x + k - 1) - p.eta(x + j - 1)) / p.eta(k - j)
+    return out
 
 
 def test_varphi_m_frozen_and_definition():
