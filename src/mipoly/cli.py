@@ -128,12 +128,14 @@ def build_config(args: argparse.Namespace) -> dict:
             raise ValueError("labels must be >= 1")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    suites = tuple(part.strip() for part in args.suite.split(",") if part.strip())
-    if not suites:
-        raise ConfigError(f"no suite selected (choose from {', '.join(SUITES)})")
-    for name in suites:
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
+    suites = ()
+    if hasattr(args, "suite"):  # a verify flag: tabulate runs no suite
+        suites = tuple(part.strip() for part in args.suite.split(",") if part.strip())
+        if not suites:
+            raise ConfigError(f"no suite selected (choose from {', '.join(SUITES)})")
+        for name in suites:
+            if name not in SUITES:
+                raise ConfigError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
     if args.nmax < 0 or args.xmax < 0:
         raise ConfigError("nmax and xmax must be nonnegative")
     if args.nmax > NMAX_CEILING:
@@ -314,11 +316,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
         default="1/100000000000000000000",
         help="certified relative tolerance for orthogonality sums (default 1/10^20)",
     )
-    sub.add_argument(
-        "--suite",
-        default=",".join(SUITES),
-        help=f"comma-separated suite selection from: {', '.join(SUITES)}",
-    )
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -340,7 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         description="Exact verification and tabulation of multi-indexed orthogonal polynomial systems.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    _add_common_flags(commands.add_parser("verify", help="run verification suites"))
+    verify = commands.add_parser("verify", help="run verification suites")
+    _add_common_flags(verify)
+    verify.add_argument("--suite", default=",".join(SUITES), help=f"comma-separated: {', '.join(SUITES)}")
     _add_common_flags(commands.add_parser("tabulate", help="emit exact system data"))
     args = parser.parse_args(argv)
     # Exact values outgrow CPython's int-to-str limit (4 300 digits by

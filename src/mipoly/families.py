@@ -30,9 +30,7 @@ outside validation for that reason.
 Parameter shifts: `shifted(u)` applies u steps of the forward-shift direction
 delta; `twisted()` applies the involution used to build virtual states;
 `tilde_shifted(u)` applies the companion direction delta-tilde satisfying
-twist(lambda) + u*delta = twist(lambda + u*delta-tilde).  The class attribute
-`tilde_delta` gives delta-tilde per parameter, as steps of +1 (M) or as
-powers of q (lqJ, lqL).
+twist(lambda) + u*delta = twist(lambda + u*delta-tilde).
 
 Each system has one lattice variable w, x for M and q^x for lqJ, in which
 `B_w`, `D_w` and `poly_value_w` are rational (M's are B, D and poly_value).
@@ -159,9 +157,9 @@ class _BaseFamily:
         Every term of the defining series carries the factor
         prod_{j<k} (eta(j) - eta(x)), so P_n(eta) = sum_k t_k prod_{j<k}
         (eta(j) - eta) with t_0 = 1 and t_{k+1} = t_k term_ratio(n, k), which
-        `newton_form` expands on the lattice nodes eta(0..n-1).  The result
-        is revalidated against `poly_value`, a separately written coding of
-        the series, at the five lattice points x = n+1..n+5.
+        `newton_form` expands on the lattice nodes eta(0..n-1).  It must equal
+        `poly_value`, a separately written coding of the series, at the n + 1
+        points x = n+1..2n+1, which proves them equal: both have degree <= n.
         """
         t = self._unit()
         coeffs = [t]
@@ -171,7 +169,7 @@ class _BaseFamily:
         p = newton_form([self.eta(j) for j in range(n)], coeffs)
         if p.degree != n:
             raise ArithmeticError(f"P_{n} degenerated to degree {p.degree}")
-        for x in range(n + 1, n + 6):
+        for x in range(n + 1, 2 * n + 2):
             if p(self.eta(x)) != self.poly_value(n, x):
                 raise ArithmeticError(f"P_{n} Newton form fails the series at x={x}")
         return p
@@ -221,7 +219,6 @@ class Meixner(_BaseFamily):
     __slots__ = ("beta", "c")
     tag = "M"
     param_names = ("beta", "c")
-    tilde_delta = (1, 0)
     limit_end = -1  # the lattice variable x -> infinity: the top coefficients
 
     def __init__(self, beta, c, validate: bool = True):
@@ -431,7 +428,6 @@ class LittleQJacobi(_QFamily):
     __slots__ = ("a", "b", "q")
     tag = "lqJ"
     param_names = ("a", "b", "q")
-    tilde_delta = (-1, 1)
 
     def __init__(self, a, b, q, validate: bool = True):
         object.__setattr__(self, "_cache", {})
@@ -606,15 +602,14 @@ class LittleQLaguerre(LittleQJacobi):
     2010, sections 14.12 and 14.20), so B(x) = a q^-x and D(x) = q^-x - 1.
 
     Every closed form is lqJ's.  What is its own is its identity: the tag,
-    the repr, the key (a, q), and the parameter names with their tilde-delta
-    offsets.  Equality is type-strict, so it never equals the lqJ at b = 0
-    and keeps its own `system` cache entries.
+    the repr, the key (a, q) and the parameter names.  Equality is
+    type-strict, so it never equals the lqJ at b = 0 and keeps its own
+    `system` cache entries.
     """
 
     __slots__ = ()
     tag = "lqL"
     param_names = ("a", "q")
-    tilde_delta = (-1,)
 
     def __init__(self, a, q, validate: bool = True):
         super().__init__(a, 0, q, validate)

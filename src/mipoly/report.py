@@ -27,10 +27,10 @@ class Check:
 class Report:
     """A named batch of checks of one identity."""
 
-    def __init__(self, suite: str, identity: str, checks: list[Check] | None = None):
+    def __init__(self, suite: str, identity: str):
         self.suite = suite
         self.identity = identity
-        self.checks = [] if checks is None else checks
+        self.checks: list[Check] = []
 
     def add(self, name: str, passed: bool, witness: str = "") -> None:
         self.checks.append(Check(name, bool(passed), witness if not passed else ""))
@@ -50,7 +50,3 @@ class Report:
             "checked": len(self.checks),
             "witnesses": [c.to_dict() for c in self.failures()],
         }
-
-    def __str__(self) -> str:
-        mark = "ok" if self.passed else "FAIL"
-        return f"[{mark}] {self.suite}: {self.identity} ({len(self.checks)} checks)"

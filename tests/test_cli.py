@@ -277,11 +277,19 @@ def test_empty_suite_selection_is_refused(capsys, monkeypatch):
 
 def test_unwritable_out_is_refused_before_any_suite(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing" / "x.json"
-    for command in ("verify", "tabulate"):
-        err = _refused(capsys, monkeypatch, command, "--suite", "base", "--out", str(missing))
+    for command in (("verify", "--suite", "base"), ("tabulate",)):
+        err = _refused(capsys, monkeypatch, *command, "--out", str(missing))
         assert err == f"error: cannot write --out {missing}: No such file or directory\n"
-        err = _refused(capsys, monkeypatch, command, "--suite", "base", "--out", str(tmp_path))
+        err = _refused(capsys, monkeypatch, *command, "--out", str(tmp_path))
         assert err.startswith(f"error: cannot write --out {tmp_path}: ")
+
+
+def test_tabulate_takes_no_suite_flag(capsys):
+    # tabulate runs no suite, so --suite is a verify flag only
+    with pytest.raises(SystemExit) as exited:
+        main(["tabulate", "--suite", "chain"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --suite chain" in capsys.readouterr().err
 
 
 def _int_digit_limit():

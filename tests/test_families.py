@@ -313,7 +313,9 @@ def test_poly_newton_form_matches_interpolated_series(p):
             assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
-def test_poly_checks_the_series_at_five_points(monkeypatch):
+def test_poly_checks_the_series_at_n_plus_one_points(monkeypatch):
+    # the Newton form and the series are polynomials of degree <= n in eta,
+    # so n + 1 points prove them equal
     seen = []
     for cls in (Meixner, _QFamily):
         original = cls.__dict__["poly_value"]
@@ -327,7 +329,15 @@ def test_poly_checks_the_series_at_five_points(monkeypatch):
         for n in (0, 3, 8):
             seen.clear()
             make().poly(n)
-            assert seen == list(range(n + 1, n + 6))
+            assert seen == list(range(n + 1, 2 * n + 2))
+
+
+def test_poly_finds_a_series_spoilt_past_five_points(monkeypatch):
+    original = Meixner.poly_value
+    spoilt = lambda self, n, x: original(self, n, x) + (x == 17)
+    monkeypatch.setattr(Meixner, "poly_value", spoilt)
+    with pytest.raises(ArithmeticError, match="P_8 Newton form fails the series at x=17"):
+        Meixner(1, F(1, 2)).poly(8)
 
 
 def test_poly_rejects_a_wrong_term_ratio(monkeypatch):

@@ -68,9 +68,61 @@ def test_dt_sq_is_memoised(monkeypatch):
     assert calls == []
 
 
+def off_window_mismatches(s, n_max, points=20):
+    """The lattice points past each interpolation window where a Casoratian
+    grid disagrees with its closed form: W[xi..] = C_D varphi_M Xi_D and
+    W[xi.., nu P_n] = C_Dn varphi_{M+1} nu(x; M tilde-delta shift) P_{D,n}
+    for n <= n_max, each at `points` points."""
+    p, bad = s.p, []
+    xi, nu = s.Xi(), p.tilde_shifted(s.M).nu
+    for x in range(s.ell + 1, s.ell + 1 + points):
+        if s.w_grid(x) != s.C_D() * p.varphi_M(s.M, x) * xi(p.eta(x)):
+            bad.append(("Xi", x))
+    for n in range(n_max + 1):
+        pn, deg = s.multi_poly(n), s.ell + n
+        for x in range(deg + 1, deg + 1 + points):
+            if s.wpp_grid(n)(x) != s.C_Dn(n) * p.varphi_M(s.M + 1, x) * nu(x) * pn(p.eta(x)):
+                bad.append((f"P_D,{n}", x))
+    return bad
+
+
+REFERENCE_FAMILIES = (
+    M,
+    M2,
+    Meixner(F(7, 3), F(9, 10)),
+    QJ,
+    LittleQJacobi(F(1, 32), F(-1, 2), F(1, 2)),
+    LittleQJacobi(F(1, 2**20), F(2, 3), F(3, 4)),
+    QL,
+    LittleQLaguerre(F(1, 2**20), F(2, 3)),
+)
+REFERENCE_LABELS = ((1,), (2, 4), (0, 2, 3), (1, 2, 4), (1, 2, 3, 5, 6))
+
+
+@pytest.mark.parametrize("p", REFERENCE_FAMILIES, ids=repr)
+def test_casoratians_match_the_closed_forms_past_the_window(p):
+    # Xi_D and P_{D,n} are read from deg + 1 grid values; the degree bound
+    # in `_normalised_poly` says that fixes them everywhere, and here the
+    # Casoratians agree with them at 20 further points
+    vm = p.v_max()
+    for labels in REFERENCE_LABELS:
+        if vm is None or max(labels) <= vm:
+            assert off_window_mismatches(MultiIndexedSystem(p, labels), 2) == [], labels
+
+
+def test_construction_reads_deg_plus_one_grid_points():
+    for p, labels in SOME:
+        s = MultiIndexedSystem(p, labels)
+        s.Xi()
+        assert sorted(s.w_grid.cache) == list(range(s.ell + 1))
+        for n in range(3):
+            s.multi_poly(n)
+            assert sorted(s.wpp_grid(n).cache) == list(range(s.ell + n + 1))
+
+
 def test_construction_failures_name_their_route():
     # Xi and P_{D,n} share one interpolation routine and keep their own
-    # diagnostics: unit normalization, full degree, ten validation points
+    # diagnostics: unit normalization and full degree
     def fails(build, spoil, message):
         s = MultiIndexedSystem(M, (1, 2))  # ell_D = 2; uncached, so spoil lands
         spoil(s)
@@ -88,10 +140,14 @@ def test_construction_failures_name_their_route():
     spoil_cd = lambda s: s._cache.update({("C_D",): 2 * s.C_D()})
     fails(Xi, spoil_cd, mismatch.format("C_D", "W[xi...]"))
     fails(Xi, flat_w, "denominator degree 0 != 2 (degenerate labels?)")
-    fails(Xi, lambda s: bump(s.w_grid, 4), "denominator interpolation fails at x=4")
     spoil_cdn = lambda s: s._cache.update({("dt_sq", 1): 2 * s.dt_sq(1)})
     fails(P1, spoil_cdn, mismatch.format("C_Dn", "W[xi..,nu P_n]"))
-    fails(P1, lambda s: bump(s.wpp_grid(1), 5), "P_D,1 interpolation fails at x=5")
+    # a grid value spoilt past the window (x = 0..2 for Xi, 0..3 for P_D,1)
+    # is never read by construction; the reference check finds it
+    for grid, x, name in ((lambda s: s.w_grid, 4, "Xi"), (lambda s: s.wpp_grid(1), 5, "P_D,1")):
+        s = MultiIndexedSystem(M, (1, 2))
+        bump(grid(s), x)
+        assert off_window_mismatches(s, 1) == [(name, x)]
 
 
 @pytest.mark.parametrize("labels", [(1,), (1, 3)], ids=str)
@@ -107,12 +163,20 @@ def test_lqL_systems_are_lqJ_systems_at_b_zero(a, labels):
 
 
 def tilde_delta(p):
-    """The companion parameter shift as exponent offsets, after checking its
-    defining property twist(lambda) + u*delta = twist(lambda + u*delta-tilde)
-    on the actual parameter values for u = 1..3."""
+    """The companion parameter shift delta-tilde per parameter, as steps of
+    +1 (M) or as powers of q (lqJ, lqL), after checking on the actual
+    parameter values for u = 1..3 its defining property twist(lambda) +
+    u*delta = twist(lambda + u*delta-tilde) and that `tilde_shifted(u)`
+    moves each parameter by u such steps."""
+    steps = {"M": (1, 0), "lqJ": (-1, 1), "lqL": (-1,)}[p.tag]
+    values = [getattr(p, name) for name in p.param_names]
     for u in range(1, 4):
         assert p.twisted().shifted(u) == p.tilde_shifted(u).twisted(), (p, u)
-    return p.tilde_delta
+        moved = p.tilde_shifted(u)
+        for name, v, k in zip(p.param_names, values, steps):
+            want = v + u * k if p.tag == "M" else v * p.q ** (u * k)
+            assert getattr(moved, name) == want, (p, u, name)
+    return steps
 
 
 def test_tilde_delta_families():
