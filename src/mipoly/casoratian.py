@@ -12,7 +12,10 @@ limits) go through Bareiss elimination with the field's division.
 
 Three identities drive all later constructions, so they get a randomized
 exact verifier here, `verify_identities`, which checks each of them on
-100 random instances of n <= 4 grids (fixed seed 20240901):
+100 random instances of n <= 4 integer-polynomial grids (fixed seed
+20240901).  Each trial's grids are tabulated once per trial, in ints, at
+the n + 2 points the identities read, and every Casoratian is the
+determinant of a window of that table:
 
   1. gauge covariance: multiplying every entry function by g(x) pulls out
      prod_{k<n} g(x+k),
@@ -30,7 +33,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import lcm
 
-from .polynomials import Polynomial
+from .polynomials import horner
 from .report import Report
 
 GridFunction = Callable[[int], object]
@@ -139,11 +142,21 @@ def casoratian(fs: Sequence[GridFunction], x: int):
     return exact_det(rows)
 
 
-def _random_poly_grid(rng: random.Random, degree: int) -> LatticeFunction:
+def _random_coefficients(rng: random.Random, degree: int) -> list[int]:
     coeffs = [rng.randint(-5, 5) for _ in range(degree + 1)]
     if all(c == 0 for c in coeffs):
         coeffs[0] = 1
-    return LatticeFunction(Polynomial(coeffs))
+    return coeffs
+
+
+def _window_det(cols: Sequence[Sequence], o: int):
+    """W[cols](x + o) for columns tabulated at x, x + 1, ...: the determinant
+    of the len(cols) rows of the table from offset o, by `exact_det`; 1 for
+    no columns, as in `casoratian`."""
+    if not cols:
+        return 1
+    m = len(cols)
+    return exact_det(list(zip(*[col[o : o + m] for col in cols])))
 
 
 def verify_identities() -> Report:
@@ -151,42 +164,42 @@ def verify_identities() -> Report:
     instances (seed 20240901) of n <= 4 grids.
 
     Grid functions are random integer polynomials of degree <= 3, evaluated
-    in ints; x ranges over a small window including negative points.  The
-    grids and W[f..], which every identity revisits, are memoized, so each
-    of their lattice points is computed once per trial; the nested
-    Casoratians and the omit-one minors are read once per point anyway.
-    Every comparison is exact integer equality.
+    in ints; x ranges over a small window including negative points.  Every
+    identity reads its grids only at x..x+n+1 (the widest reads are
+    W[f.., g, h](x) and the omit-one minors at x + n - 1), so each trial's
+    polynomials are tabulated once per trial at those n + 2 points, and
+    every Casoratian is the determinant of a window of that int table.
+    W[f..] is computed once per point it is read at.  Every comparison is
+    exact integer equality.
     """
     rng = random.Random(20240901)
     rep = Report("casoratian.identities", "determinant identities for shifted grids")
     for trial in range(100):
         n = rng.randint(1, 4)
-        fs = [_random_poly_grid(rng, rng.randint(0, 3)) for _ in range(n)]
-        g = _random_poly_grid(rng, rng.randint(0, 2))
-        h = _random_poly_grid(rng, rng.randint(0, 2))
+        coeffs = [_random_coefficients(rng, rng.randint(0, 3)) for _ in range(n)]
+        coeffs.append(_random_coefficients(rng, rng.randint(0, 2)))
+        coeffs.append(_random_coefficients(rng, rng.randint(0, 2)))
         x = rng.randint(-3, 5)
-        w = LatticeFunction(lambda y: casoratian(fs, y))
+        *fs, g, h = [[horner(cs, y) for y in range(x, x + n + 2)] for cs in coeffs]
+        w = {o: _window_det(fs, o) for o in (0, 1, *range(2, n - 1))}
 
-        scaled = [lambda y, f=f: g(y) * f(y) for f in fs]
+        scaled = [[gy * fy for gy, fy in zip(g, f)] for f in fs]
         gauge = 1
         for k in range(n):
-            gauge *= g(x + k)
-        ok1 = casoratian(scaled, x) == gauge * w(x)
+            gauge *= g[k]
+        ok1 = _window_det(scaled, 0) == gauge * w[0]
         rep.add(f"trial {trial} gauge n={n}", ok1, "" if ok1 else f"x={x}")
 
-        wg = lambda y: casoratian(fs + [g], y)
-        wh = lambda y: casoratian(fs + [h], y)
-        lhs = casoratian([wg, wh], x)
-        rhs = w(x + 1) * casoratian(fs + [g, h], x)
+        wg = [_window_det(fs + [g], o) for o in (0, 1)]
+        wh = [_window_det(fs + [h], o) for o in (0, 1)]
+        lhs = _window_det([wg, wh], 0)
+        rhs = w[1] * _window_det(fs + [g, h], 0)
         rep.add(f"trial {trial} nesting n={n}", lhs == rhs, "" if lhs == rhs else f"x={x}")
 
-        minors = [
-            (lambda y, k=k: casoratian([f for j, f in enumerate(fs) if j != k], y))
-            for k in range(n)
-        ]
-        lhs4 = casoratian(minors, x)
+        minors = [[_window_det(fs[:k] + fs[k + 1 :], o) for o in range(n)] for k in range(n)]
+        lhs4 = _window_det(minors, 0)
         rhs4 = 1 if n % 4 in (0, 1) else -1
         for k in range(n - 1):
-            rhs4 *= w(x + k)
+            rhs4 *= w[k]
         rep.add(f"trial {trial} minors n={n}", lhs4 == rhs4, "" if lhs4 == rhs4 else f"x={x}")
     return rep

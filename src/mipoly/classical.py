@@ -61,7 +61,3 @@ def jacobi(a, b, n: int) -> Polynomial:
         c = binomial_general(n + a, n - s) * binomial_general(n + b, s)
         total = total + c * half_minus**s * half_plus ** (n - s)
     return total
-
-
-def jacobi_at(a, b, n: int, z) -> Fraction:
-    return jacobi(a, b, n)(Fraction(z))

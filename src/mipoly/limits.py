@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .classical import jacobi, jacobi_at, laguerre, laguerre_at_zero
+from .classical import jacobi, laguerre, laguerre_at_zero
 from .families import LittleQJacobi, LittleQLaguerre, Meixner
 from .multi import system as multi_system
 from .polynomials import Polynomial
@@ -132,21 +132,19 @@ def _q_family(p_family: str, alpha: int, beta: int | None, k: int):
     raise ValueError(f"unknown q system {p_family!r}")
 
 
-def _q_lhs(
-    p_family: str,
-    alpha: int,
-    beta: int | None,
-    labels: tuple,
-    n: int,
-    k: int,
-    deforming: bool,
-) -> Polynomial:
-    """The rescaled polynomial at q = 1 - 2^-k, as an exact eta-polynomial.
+def _q_families(p_family: str, alpha: int, beta: int | None, ks) -> dict:
+    """One family per q_k, k in ks, keyed by k: the polynomials of every
+    degree at that q_k then share the family's cache."""
+    return {k: _q_family(p_family, alpha, beta, k) for k in dict.fromkeys(ks)}
+
+
+def _q_lhs(p_family: str, fam, labels: tuple, n: int, deforming: bool) -> Polynomial:
+    """The rescaled polynomial of `fam` (at q = 1 - 2^-k), as an exact
+    eta-polynomial.
 
     lqJ rescaling is eta -> 1 - eta with no renormalization; lqL rescaling is
     eta -> 1 - (1-q) eta followed by division by the value at eta-argument 1.
     """
-    fam = _q_family(p_family, alpha, beta, k)
     if labels:
         poly = multi_system(fam, labels).multi_poly(n)
     elif deforming:
@@ -163,9 +161,8 @@ def _q_target(p_family: str, alpha: int, beta: int | None, n: int, deforming: bo
     """Normalized continuum target: Jacobi on [0,1] or Laguerre, degree n."""
     ta = -alpha if deforming else alpha
     if p_family == "lqJ":
-        return jacobi(ta, beta, n).compose(
-            Polynomial((Fraction(1), Fraction(-2)))
-        ).scalar_div(jacobi_at(ta, beta, n, -1))
+        p = jacobi(ta, beta, n)
+        return p.compose(Polynomial((Fraction(1), Fraction(-2)))).scalar_div(p(Fraction(-1)))
     return laguerre(ta, n).scalar_div(laguerre_at_zero(ta, n))
 
 
@@ -179,7 +176,8 @@ def q_limit_errors(
 ) -> list[Fraction]:
     """Exact coefficient-wise distances to the continuum target at each
     q = 1 - 2^-k.  p_family is "lqJ" or "lqL"; deforming switches to xi_v."""
-    return _q_limit_deviations(p_family, alpha, beta, n, ks, None, deforming)[0]
+    families = _q_families(p_family, alpha, beta, ks)
+    return _q_limit_deviations(p_family, alpha, beta, n, ks, None, deforming, families)[0]
 
 
 def q_limit_extrapolated_error(
@@ -198,15 +196,19 @@ def q_limit_extrapolated_error(
     (2^j R[i+1][j-1] - R[i][j-1]) / (2^j - 1), j = 1, 2, cancels the h and
     h^2 terms coefficient-wise, leaving an O(h^3) deviation that the
     tolerance check is applied to."""
-    return _q_limit_deviations(p_family, alpha, beta, n, (), k, deforming)[1]
+    families = _q_families(p_family, alpha, beta, range(k - 2, k + 1))
+    return _q_limit_deviations(p_family, alpha, beta, n, (), k, deforming, families)[1]
 
 
-def _q_limit_deviations(p_family, alpha, beta, n, ks, k, deforming) -> tuple:
+def _q_limit_deviations(p_family, alpha, beta, n, ks, k, deforming, families) -> tuple:
     """(q_limit_errors at ks, q_limit_extrapolated_error at k, or None when
-    k is None) from one target and one rescaled polynomial per q_k."""
+    k is None) from one target and one rescaled polynomial per distinct q_k
+    of ks and the window k - 2..k, each built on `families[q_k]`."""
     target = _q_target(p_family, alpha, beta, n, deforming)
     window = () if k is None else range(k - 2, k + 1)
-    polys = {kk: _q_lhs(p_family, alpha, beta, (), n, kk, deforming) for kk in (*ks, *window)}
+    polys = {
+        kk: _q_lhs(p_family, families[kk], (), n, deforming) for kk in dict.fromkeys((*ks, *window))
+    }
     errs = [_coeff_distance(polys[kk], target) for kk in ks]
     if k is None:
         return errs, None
@@ -238,7 +240,8 @@ def q_limit_numeric(p_family: str, alpha: int, beta: int | None = None) -> Repor
         + ",D=[1],n=1]",
         "q -> 1 limit behaviour of one rescaled polynomial",
     )
-    polys = [_q_lhs(p_family, alpha, beta, (1,), 1, k, False) for k in range(4, 13)]
+    families = _q_families(p_family, alpha, beta, range(4, 13))
+    polys = [_q_lhs(p_family, fam, (1,), 1, False) for fam in families.values()]
     diffs = [_coeff_distance(a, b) for a, b in zip(polys, polys[1:])]
     rep.add(
         "coefficient distances strictly decreasing",
@@ -258,16 +261,22 @@ def q_limit_numeric(p_family: str, alpha: int, beta: int | None = None) -> Repor
 def verify_q_limits(p_family: str, alpha: int, beta: int | None = None) -> Report:
     """Certified numeric q -> 1 limits of P_n (n <= 4) and xi_v (v <= 3):
     extrapolated error within 1e-6 at k = 14 and raw error ratios between
-    consecutive q_k, k = 11..14, within [2/5, 3/5] (halving rate)."""
+    consecutive q_k, k = 11..14, within [2/5, 3/5] (halving rate).
+
+    The call builds one family per q_k and hands them down, so every degree
+    at that q_k shares the family's cache, and each rescaled polynomial is
+    built once: 4 families and 32 polynomials for the 8 degrees."""
     rep = Report(
         f"limits.{p_family}[alpha={alpha}" + (f",beta={beta}" if beta is not None else "") + "]",
         "q -> 1 limits with certified linear convergence rate",
     )
     tol, lo, hi = Fraction(1, 10**6), Fraction(2, 5), Fraction(3, 5)
+    ks = range(11, 15)
+    families = _q_families(p_family, alpha, beta, ks)
     jobs = [(n, False) for n in range(5)] + [(v, True) for v in range(1, 4)]
     for idx, deforming in jobs:
         label = f"{'deforming v' if deforming else 'eigen n'}={idx}"
-        errs, ext = _q_limit_deviations(p_family, alpha, beta, idx, range(11, 15), 14, deforming)
+        errs, ext = _q_limit_deviations(p_family, alpha, beta, idx, ks, 14, deforming, families)
         final_ok = ext <= tol
         rep.add(
             f"{label}: |extrapolated error| <= 1e-06 at k=14",

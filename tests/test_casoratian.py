@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipoly.casoratian import LatticeFunction, casoratian, exact_det, verify_identities
+from mipoly.polynomials import Polynomial
 from mipoly.ratfunc import RationalFunction
+from mipoly.report import Report
 
 # Half the entries are zero, so pivots vanish (row swaps) and whole matrices go singular;
 # ints and Fractions mix within one matrix.
@@ -181,6 +183,72 @@ def test_identity_suite_catches_a_wrong_determinant(monkeypatch):
     rep = verify_identities()
     assert not rep.passed
     assert len(rep.checks) == 300
+
+
+def _random_poly_grid(rng, degree):
+    coeffs = [rng.randint(-5, 5) for _ in range(degree + 1)]
+    if all(c == 0 for c in coeffs):
+        coeffs[0] = 1
+    return LatticeFunction(Polynomial(coeffs))
+
+
+def _reference_identities():
+    """The identity suite read through closures: LatticeFunction grids of
+    Polynomials and `casoratian(fs, x)` at every point, with the same draws,
+    checks and witnesses as `verify_identities`."""
+    rng = random.Random(20240901)
+    rep = Report("casoratian.identities", "determinant identities for shifted grids")
+    for trial in range(100):
+        n = rng.randint(1, 4)
+        fs = [_random_poly_grid(rng, rng.randint(0, 3)) for _ in range(n)]
+        g = _random_poly_grid(rng, rng.randint(0, 2))
+        h = _random_poly_grid(rng, rng.randint(0, 2))
+        x = rng.randint(-3, 5)
+        w = LatticeFunction(lambda y: casoratian(fs, y))
+
+        scaled = [lambda y, f=f: g(y) * f(y) for f in fs]
+        gauge = 1
+        for k in range(n):
+            gauge *= g(x + k)
+        ok1 = casoratian(scaled, x) == gauge * w(x)
+        rep.add(f"trial {trial} gauge n={n}", ok1, "" if ok1 else f"x={x}")
+
+        wg = lambda y: casoratian(fs + [g], y)
+        wh = lambda y: casoratian(fs + [h], y)
+        lhs = casoratian([wg, wh], x)
+        rhs = w(x + 1) * casoratian(fs + [g, h], x)
+        rep.add(f"trial {trial} nesting n={n}", lhs == rhs, "" if lhs == rhs else f"x={x}")
+
+        minors = [
+            (lambda y, k=k: casoratian([f for j, f in enumerate(fs) if j != k], y))
+            for k in range(n)
+        ]
+        lhs4 = casoratian(minors, x)
+        rhs4 = 1 if n % 4 in (0, 1) else -1
+        for k in range(n - 1):
+            rhs4 *= w(x + k)
+        rep.add(f"trial {trial} minors n={n}", lhs4 == rhs4, "" if lhs4 == rhs4 else f"x={x}")
+    return rep
+
+
+def _outcomes(rep):
+    return [(c.name, c.passed, c.witness) for c in rep.checks]
+
+
+def test_identity_suite_matches_the_closure_reference():
+    assert _outcomes(verify_identities()) == _outcomes(_reference_identities())
+
+
+def test_identity_suite_and_reference_fail_alike_on_a_wrong_determinant(monkeypatch):
+    module = importlib.import_module("mipoly.casoratian")
+    monkeypatch.setattr(
+        module, "exact_det", lambda rows: exact_det(rows) + 1 if len(rows) >= 2 else exact_det(rows)
+    )
+    table, reference = verify_identities(), _reference_identities()
+    assert _outcomes(table) == _outcomes(reference)
+    for rep in (table, reference):
+        kinds = {c.name.split()[2] for c in rep.failures()}
+        assert kinds == {"gauge", "nesting", "minors"}
 
 
 def test_package_attribute_is_the_module():

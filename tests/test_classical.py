@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mipoly.classical import binomial_general, jacobi, jacobi_at, laguerre, laguerre_at_zero
+from mipoly.classical import binomial_general, jacobi, laguerre, laguerre_at_zero
 from mipoly.polynomials import Polynomial
 
 
@@ -65,9 +65,8 @@ def test_jacobi_three_term_recurrence():
 def test_jacobi_special_values():
     a, b = F(1, 2), F(3, 4)
     for n in range(6):
-        assert jacobi_at(a, b, n, 1) == binomial_general(n + a, n)
-        assert jacobi_at(a, b, n, -1) == (-1) ** n * binomial_general(n + b, n)
-        assert jacobi(a, b, n)(F(1)) == jacobi_at(a, b, n, 1)
+        assert jacobi(a, b, n)(F(1)) == binomial_general(n + a, n)
+        assert jacobi(a, b, n)(F(-1)) == (-1) ** n * binomial_general(n + b, n)
 
 
 def test_jacobi_symmetry():

@@ -1,7 +1,9 @@
 """Limit checks: exact c -> 1 for the Meixner side, certified numeric q -> 1."""
 
+import hashlib
 from fractions import Fraction as F
 
+from mipoly import limits
 from mipoly.classical import laguerre, laguerre_at_zero
 from mipoly.limits import (
     meixner_limit_exact,
@@ -69,3 +71,34 @@ def test_verify_q_limits_both_families():
 def test_q_limit_numeric_multi_indexed_stabilizes():
     assert q_limit_numeric("lqJ", 4, 5).passed
     assert q_limit_numeric("lqL", 4).passed
+
+
+def test_q_limits_build_each_family_and_polynomial_once(monkeypatch):
+    # one family per q_k (k = 11..14) and one rescaled polynomial per degree
+    # and q_k: 8 degrees x 4 values of k
+    counts = {"_q_family": 0, "_q_lhs": 0}
+    for name in counts:
+        original = getattr(limits, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(limits, name, counted)
+    assert verify_q_limits("lqJ", 4, 5).passed
+    assert counts == {"_q_family": 4, "_q_lhs": 32}
+
+
+def test_q_limit_values_are_pinned():
+    # sha256 of the exact p/q strings of the errors at k = 11..14 and the
+    # extrapolated error at k = 14, as built with a fresh family per polynomial
+    pinned = {
+        (2, False): "1af8ceecf0f7a6f8ff4db16fc71136f63bbbf7eb618d0b3e48b00a853f9f0f29",
+        (3, True): "b3a2c615429102e8bb31526e568aacbb92c5077dfdeca21b1b9396fe1117d7fb",
+    }
+    for (n, deforming), digest in pinned.items():
+        values = [
+            *q_limit_errors("lqJ", 4, 5, n, range(11, 15), deforming),
+            q_limit_extrapolated_error("lqJ", 4, 5, n, 14, deforming),
+        ]
+        assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == digest
