@@ -142,9 +142,19 @@ def build_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"nmax {args.nmax} exceeds the ceiling {NMAX_CEILING}")
     if args.xmax > XMAX_CEILING:
         raise ConfigError(f"xmax {args.xmax} exceeds the ceiling {XMAX_CEILING}")
-    rel_tol = _fraction(args.rtol)
-    if not rel_tol > 0:
-        raise ConfigError("rtol must be positive")
+    echo = {
+        "family": family,
+        "parameters": {name: str(v) for name, v in zip(names, values)},
+        "deletions": list(deletions),
+        "n_max": args.nmax,
+        "x_max": args.xmax,
+    }
+    rel_tol = None
+    if hasattr(args, "rtol"):  # a verify flag: tabulate sums no orthogonality
+        rel_tol = _fraction(args.rtol)
+        if not rel_tol > 0:
+            raise ConfigError("rtol must be positive")
+        echo["rel_tol"] = str(rel_tol)
     return {
         "family": family,
         "p": p,
@@ -154,14 +164,7 @@ def build_config(args: argparse.Namespace) -> dict:
         "rel_tol": rel_tol,
         "suites": suites,
         "format": args.format,
-        "echo": {
-            "family": family,
-            "parameters": {name: str(v) for name, v in zip(names, values)},
-            "deletions": list(deletions),
-            "n_max": args.nmax,
-            "x_max": args.xmax,
-            "rel_tol": str(rel_tol),
-        },
+        "echo": echo,
     }
 
 
@@ -311,11 +314,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--deletions", default="1", help='comma-separated labels, e.g. "1,2" (may be empty)')
     sub.add_argument("--nmax", type=int, default=3, help="largest polynomial level (default 3)")
     sub.add_argument("--xmax", type=int, default=12, help="largest lattice point (default 12)")
-    sub.add_argument(
-        "--rtol",
-        default="1/100000000000000000000",
-        help="certified relative tolerance for orthogonality sums (default 1/10^20)",
-    )
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
 
@@ -340,6 +338,11 @@ def main(argv: list[str] | None = None) -> int:
     verify = commands.add_parser("verify", help="run verification suites")
     _add_common_flags(verify)
     verify.add_argument("--suite", default=",".join(SUITES), help=f"comma-separated: {', '.join(SUITES)}")
+    verify.add_argument(
+        "--rtol",
+        default="1/100000000000000000000",
+        help="certified relative tolerance for orthogonality sums (default 1/10^20)",
+    )
     _add_common_flags(commands.add_parser("tabulate", help="emit exact system data"))
     args = parser.parse_args(argv)
     # Exact values outgrow CPython's int-to-str limit (4 300 digits by

@@ -292,6 +292,16 @@ def test_tabulate_takes_no_suite_flag(capsys):
     assert "unrecognized arguments: --suite chain" in capsys.readouterr().err
 
 
+def test_tabulate_takes_no_rtol_flag(capsys):
+    # tabulate sums no orthogonality, so --rtol is a verify flag only
+    with pytest.raises(SystemExit) as exited:
+        main(["tabulate", "--rtol", "1/2"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --rtol 1/2" in capsys.readouterr().err
+    code, out, _ = _run(capsys, "tabulate", "--nmax", "0", "--xmax", "0")
+    assert code == 0 and "rel_tol" not in json.loads(out)["config"]
+
+
 def _int_digit_limit():
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
