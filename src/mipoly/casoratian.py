@@ -15,7 +15,7 @@ exact verifier here, `verify_identities`, which checks each of them on
 100 random instances of n <= 4 integer-polynomial grids (fixed seed
 20240901).  Each trial's grids are tabulated once per trial, in ints, at
 the n + 2 points the identities read, and every Casoratian is the
-determinant of a window of that table:
+determinant of a window of rows of that table:
 
   1. gauge covariance: multiplying every entry function by g(x) pulls out
      prod_{k<n} g(x+k),
@@ -149,14 +149,12 @@ def _random_coefficients(rng: random.Random, degree: int) -> list[int]:
     return coeffs
 
 
-def _window_det(cols: Sequence[Sequence], o: int):
-    """W[cols](x + o) for columns tabulated at x, x + 1, ...: the determinant
-    of the len(cols) rows of the table from offset o, by `exact_det`; 1 for
-    no columns, as in `casoratian`."""
-    if not cols:
-        return 1
-    m = len(cols)
-    return exact_det(list(zip(*[col[o : o + m] for col in cols])))
+def _window_det(rows: Sequence[Sequence], o: int):
+    """W[f_1..f_m](x + o) from a table whose row j holds f_1..f_m at x + j:
+    the determinant of rows o..o+m-1, by `exact_det`; 1 for no functions,
+    as in `casoratian`."""
+    m = len(rows[0])
+    return exact_det(rows[o : o + m]) if m else 1
 
 
 def verify_identities() -> Report:
@@ -165,12 +163,13 @@ def verify_identities() -> Report:
 
     Grid functions are random integer polynomials of degree <= 3, evaluated
     in ints; x ranges over a small window including negative points.  Every
-    identity reads its grids only at x..x+n+1 (the widest reads are
-    W[f.., g, h](x) and the omit-one minors at x + n - 1), so each trial's
-    polynomials are tabulated once per trial at those n + 2 points, and
-    every Casoratian is the determinant of a window of that int table.
-    W[f..] is computed once per point it is read at.  Every comparison is
-    exact integer equality.
+    identity reads its grids only at x..x+n+1: W[f.., g, h](x) reads all of
+    them, and the omit-one minors read up to x + 2n - 3 <= x + n + 1 for
+    n <= 4.  So each trial's polynomials are tabulated once per trial at
+    those n + 2 points, each Casoratian's columns are taken from that int
+    table, and each determinant is a window of rows; W[f..] is computed
+    once per point it is read at.  Every comparison is exact integer
+    equality.
     """
     rng = random.Random(20240901)
     rep = Report("casoratian.identities", "determinant identities for shifted grids")
@@ -180,24 +179,26 @@ def verify_identities() -> Report:
         coeffs.append(_random_coefficients(rng, rng.randint(0, 2)))
         coeffs.append(_random_coefficients(rng, rng.randint(0, 2)))
         x = rng.randint(-3, 5)
-        *fs, g, h = [[horner(cs, y) for y in range(x, x + n + 2)] for cs in coeffs]
-        w = {o: _window_det(fs, o) for o in (0, 1, *range(2, n - 1))}
+        # row j: f_1..f_n, g, h at x + j
+        table = [[horner(cs, y) for cs in coeffs] for y in range(x, x + n + 2)]
+        fs = [row[:n] for row in table]
+        w = [_window_det(fs, o) for o in range(max(2, n - 1))]  # W[f..](x + o)
 
-        scaled = [[gy * fy for gy, fy in zip(g, f)] for f in fs]
+        scaled = [[row[n] * v for v in row[:n]] for row in table]
         gauge = 1
-        for k in range(n):
-            gauge *= g[k]
+        for row in table[:n]:
+            gauge *= row[n]
         ok1 = _window_det(scaled, 0) == gauge * w[0]
         rep.add(f"trial {trial} gauge n={n}", ok1, "" if ok1 else f"x={x}")
 
-        wg = [_window_det(fs + [g], o) for o in (0, 1)]
-        wh = [_window_det(fs + [h], o) for o in (0, 1)]
-        lhs = _window_det([wg, wh], 0)
-        rhs = w[1] * _window_det(fs + [g, h], 0)
+        with_g = [row[: n + 1] for row in table]
+        with_h = [row[:n] + row[n + 1 :] for row in table]
+        lhs = _window_det([[_window_det(with_g, o), _window_det(with_h, o)] for o in (0, 1)], 0)
+        rhs = w[1] * _window_det(table, 0)
         rep.add(f"trial {trial} nesting n={n}", lhs == rhs, "" if lhs == rhs else f"x={x}")
 
-        minors = [[_window_det(fs[:k] + fs[k + 1 :], o) for o in range(n)] for k in range(n)]
-        lhs4 = _window_det(minors, 0)
+        minors = [[row[:k] + row[k + 1 : n] for row in table] for k in range(n)]
+        lhs4 = _window_det([[_window_det(minor, o) for minor in minors] for o in range(n)], 0)
         rhs4 = 1 if n % 4 in (0, 1) else -1
         for k in range(n - 1):
             rhs4 *= w[k]

@@ -56,8 +56,12 @@ def jacobi(a, b, n: int) -> Polynomial:
     a, b = Fraction(a), Fraction(b)
     half_minus = Polynomial((Fraction(-1, 2), Fraction(1, 2)))  # (z-1)/2
     half_plus = Polynomial((Fraction(1, 2), Fraction(1, 2)))  # (z+1)/2
+    minus_pows, plus_pows = [Polynomial((1,))], [Polynomial((1,))]
+    for _ in range(n):
+        minus_pows.append(minus_pows[-1] * half_minus)
+        plus_pows.append(plus_pows[-1] * half_plus)
     total = Polynomial()
     for s in range(n + 1):
         c = binomial_general(n + a, n - s) * binomial_general(n + b, s)
-        total = total + c * half_minus**s * half_plus ** (n - s)
+        total = total + c * minus_pows[s] * plus_pows[n - s]
     return total

@@ -135,7 +135,7 @@ def _q_family(p_family: str, alpha: int, beta: int | None, k: int):
 def _q_families(p_family: str, alpha: int, beta: int | None, ks) -> dict:
     """One family per q_k, k in ks, keyed by k: the polynomials of every
     degree at that q_k then share the family's cache."""
-    return {k: _q_family(p_family, alpha, beta, k) for k in dict.fromkeys(ks)}
+    return {k: _q_family(p_family, alpha, beta, k) for k in ks}
 
 
 def _q_lhs(p_family: str, fam, labels: tuple, n: int, deforming: bool) -> Polynomial:

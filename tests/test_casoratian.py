@@ -167,24 +167,6 @@ def test_casoratian_linearity_in_one_slot():
         )
 
 
-def test_identity_suite_defaults():
-    rep = verify_identities()
-    assert rep.passed and len(rep.checks) == 300
-
-
-def test_identity_suite_catches_a_wrong_determinant(monkeypatch):
-    # patch exact_det where the identity suite looks it up: in the module
-    module = importlib.import_module("mipoly.casoratian")
-
-    def off_by_one(rows):
-        return exact_det(rows) + 1 if len(rows) >= 2 else exact_det(rows)
-
-    monkeypatch.setattr(module, "exact_det", off_by_one)
-    rep = verify_identities()
-    assert not rep.passed
-    assert len(rep.checks) == 300
-
-
 def _random_poly_grid(rng, degree):
     coeffs = [rng.randint(-5, 5) for _ in range(degree + 1)]
     if all(c == 0 for c in coeffs):
@@ -235,20 +217,31 @@ def _outcomes(rep):
     return [(c.name, c.passed, c.witness) for c in rep.checks]
 
 
+def test_identity_suite_defaults():
+    rep = verify_identities()
+    assert rep.passed and len(rep.checks) == 300
+
+
+def test_identity_suite_catches_a_wrong_determinant(monkeypatch):
+    # patch exact_det where the identity suite looks it up: in the module
+    module = importlib.import_module("mipoly.casoratian")
+
+    def off_by_one(rows):
+        return exact_det(rows) + 1 if len(rows) >= 2 else exact_det(rows)
+
+    monkeypatch.setattr(module, "exact_det", off_by_one)
+    rep = verify_identities()
+    assert not rep.passed
+    assert len(rep.checks) == 300
+    # the closure reference fails alike, and so does every kind of identity
+    reference = _reference_identities()
+    assert _outcomes(rep) == _outcomes(reference)
+    for r in (rep, reference):
+        assert {c.name.split()[2] for c in r.failures()} == {"gauge", "nesting", "minors"}
+
+
 def test_identity_suite_matches_the_closure_reference():
     assert _outcomes(verify_identities()) == _outcomes(_reference_identities())
-
-
-def test_identity_suite_and_reference_fail_alike_on_a_wrong_determinant(monkeypatch):
-    module = importlib.import_module("mipoly.casoratian")
-    monkeypatch.setattr(
-        module, "exact_det", lambda rows: exact_det(rows) + 1 if len(rows) >= 2 else exact_det(rows)
-    )
-    table, reference = verify_identities(), _reference_identities()
-    assert _outcomes(table) == _outcomes(reference)
-    for rep in (table, reference):
-        kinds = {c.name.split()[2] for c in rep.failures()}
-        assert kinds == {"gauge", "nesting", "minors"}
 
 
 def test_package_attribute_is_the_module():
