@@ -13,8 +13,8 @@ limits) go through Bareiss elimination with the field's division.
 Three identities drive all later constructions, so they get a randomized
 exact verifier here, `verify_identities`, which checks each of them on
 100 random instances of n <= 4 integer-polynomial grids (fixed seed
-20240901).  Each trial's grids are tabulated once per trial, in ints, at
-the n + 2 points the identities read, and every Casoratian is the
+20240901).  The grids are tabulated once per trial, in ints, at the
+n + 2 points the identities read, and every Casoratian is the
 determinant of a window of rows of that table:
 
   1. gauge covariance: multiplying every entry function by g(x) pulls out
@@ -165,10 +165,10 @@ def verify_identities() -> Report:
     in ints; x ranges over a small window including negative points.  Every
     identity reads its grids only at x..x+n+1: W[f.., g, h](x) reads all of
     them, and the omit-one minors read up to x + 2n - 3 <= x + n + 1 for
-    n <= 4.  So each trial's polynomials are tabulated once per trial at
-    those n + 2 points, each Casoratian's columns are taken from that int
-    table, and each determinant is a window of rows; W[f..] is computed
-    once per point it is read at.  Every comparison is exact integer
+    n <= 4.  So the polynomials are tabulated once per trial at those
+    n + 2 points, each Casoratian's columns are taken from that int table,
+    and each determinant is a window of rows; W[f..] is computed once per
+    point it is read at.  Every comparison is exact integer
     equality.
     """
     rng = random.Random(20240901)
