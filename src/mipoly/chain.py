@@ -75,7 +75,7 @@ from itertools import permutations
 
 from .casoratian import LatticeFunction
 from .families import _BaseFamily, memo
-from .multi import MultiIndexedSystem, _validate_labels, system
+from .multi import MultiIndexedSystem, _eigen_identity, _validate_labels, system
 from .report import Report
 from .series import pair, pair_common, pair_equal, pair_product, pair_quotient, pair_sum
 from .virtual import index_set
@@ -143,7 +143,13 @@ class _Level:
       (Bhat, Dhat), and at s = 0 the base system, A^dagger A of (B, D).
     - `eigen(x) = (A, C, P, Q)`: the level-s eigen-identity for a companion
       column u of energy eps reads (A + (Et - eps) C) u(x)
-      = P u(x+1) + Q u(x-1).
+      = P u(x+1) + Q u(x-1), checked by `multi._eigen_identity`.  Cleared
+      of all Casoratian denominators, it holds at any integer x; multiplied
+      out for s >= 1 it is
+        [aB'(x+s-1) w_{s-1}(x) w_s(x+1)^2 + aD'(x+1) w_{s-1}(x+2) w_s(x)^2
+          + (Et_{d_s} - eps) w_{s-1}(x+1) w_s(x) w_s(x+1)] * u(x)
+        = [aB'(x+s) w_s(x)^2 u(x+1) + aD'(x) w_s(x+1)^2 u(x-1)] * w_{s-1}(x+1),
+      and for s = 0 the bracket collapses to aB'(x) + aD'(x) + alpha' - eps.
 
     The identity is homogeneous in its coefficients, so `eigen` holds the
     int numerators of its coefficients over one common positive
@@ -302,25 +308,6 @@ def _same_hamiltonian(rep: Report, name: str, xs, H: tuple, K: tuple) -> None:
     (h_diag, h_off), (k_diag, k_off) = H, K
     _check(rep, f"{name} product", xs, lambda x: pair_equal(h_off(x), k_off(x)))
     _check(rep, f"{name} diagonal", xs, lambda x: pair_equal(h_diag(x), k_diag(x)))
-
-
-def _eigen_identity(eigen: LatticeFunction, u: LatticeFunction, k) -> Callable[[int], bool]:
-    """(A + k C) u(x) == P u(x+1) + Q u(x-1) with k = Et_{d_s} - eps: the
-    level-s eigen-identity for the column u, cleared of all Casoratian
-    denominators so it holds at any integer x.  Multiplied out for s >= 1,
-      [aB'(x+s-1) w_{s-1}(x) w_s(x+1)^2 + aD'(x+1) w_{s-1}(x+2) w_s(x)^2
-        + (Et_{d_s} - eps) w_{s-1}(x+1) w_s(x) w_s(x+1)] * u(x)
-      = [aB'(x+s) w_s(x)^2 u(x+1) + aD'(x) w_s(x+1)^2 u(x-1)] * w_{s-1}(x+1);
-    for s = 0 the bracket collapses to aB'(x) + aD'(x) + alpha' - eps."""
-
-    kn, kd = pair(k)
-
-    def holds(x):
-        a, c, p, q = eigen(x)
-        (un, ud), (u1n, u1d), (u0n, u0d) = pair(u(x)), pair(u(x + 1)), pair(u(x - 1))
-        return (a * kd + kn * c) * un * u1d * u0d == (p * u1n * u0d + q * u0n * u1d) * kd * ud
-
-    return holds
 
 
 def _contiguity(contiguity: LatticeFunction, upper, lower, k) -> Callable[[int], bool]:

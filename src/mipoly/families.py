@@ -49,7 +49,12 @@ own parameters -- here P_n, d_n^2 and the moved families, in `multi` C_D,
 Xi_D, P_{D,n}, the weight and the orthogonality certificate, in `chain` the
 level tables of a label-prefix system -- is a function under `memo`, kept
 in the object's `_cache` under the function's name and positional
-arguments.  A lattice function that is handed
+arguments.  So are the exact lattice values a family is read at again and
+again: the q families' eta, B, D, varphi and varphi_M, every family's
+energies, virtual energies and poly_eval, and, as memos that `multi` keeps
+on the family, the Casoratian columns xi_d(eta(x)) and nu(x) P_n(eta(x))
+that every system on the family reads.  Each is computed once per family
+and point.  A lattice function that is handed
 around as an object of its own (a Casoratian grid, a chain level's
 potentials) is a `casoratian.LatticeFunction` instead.  `multi._SYSTEMS` is
 the one store across objects: it keys systems by value, so that equal
@@ -185,6 +190,7 @@ class _BaseFamily:
                 return v**0
         return Fraction(1)
 
+    @memo
     def poly_eval(self, n: int, x: int):
         """P_n at lattice point x (any integer), via the eta-polynomial."""
         return self.poly(n)(self.eta(x))
@@ -247,6 +253,7 @@ class Meixner(_BaseFamily):
     def D(self, x):
         return Fraction(x) if isinstance(x, int) else x
 
+    @memo
     def energy(self, n: int):
         return (1 - self.c) * n
 
@@ -334,6 +341,7 @@ class Meixner(_BaseFamily):
         """alpha' < 0 of the same relation; equals tE_0."""
         return -(1 - self.c) * self.beta
 
+    @memo
     def virtual_energy(self, v: int):
         """tE_v < 0; closed form, cross-checked against alpha E'_v + alpha'."""
         return -(1 - self.c) * (v + self.beta)
@@ -362,6 +370,7 @@ class _QFamily(_BaseFamily):
     def kappa(self):
         return 1 / self.q
 
+    @memo
     def eta(self, x: int):
         return 1 - self.q**x
 
@@ -374,15 +383,21 @@ class _QFamily(_BaseFamily):
         the search gives up at 400 lattice steps."""
         return sign_on_tail(polys, self.q, 1, 400)
 
+    @memo
     def varphi(self, x: int):
         return self.q**x
 
+    @memo
     def varphi_M(self, m: int, x: int):
         return self.q ** (m * (m - 1) * x // 2 + m * (m - 1) * (m - 2) // 6)
 
+    # B and D stay in this class's own __dict__: bench/tracer.py counts calls
+    # to them there, by name, memo hits included.
+    @memo
     def B(self, x: int):
         return self.B_w(self.q**x)
 
+    @memo
     def D(self, x: int):
         return self.D_w(self.q**x)
 
@@ -462,6 +477,7 @@ class LittleQJacobi(_QFamily):
             return self.a / w
         return self.a * (1 / w - self.b * self.q)
 
+    @memo
     def energy(self, n: int):
         e = self.q**-n - 1
         if self.b:
@@ -471,6 +487,7 @@ class LittleQJacobi(_QFamily):
     def alpha_prime(self):
         return -(1 - self.a) * (1 - self.b * self.q)
 
+    @memo
     def virtual_energy(self, v: int):
         e = self.a * self.q**-v - 1
         if self.b:

@@ -28,15 +28,23 @@ limit of the ratio at the lattice's far end gives the bound r, and the
 family's `tail_start` (`sign_on_tail`) the least x0 past which the bound is
 certified.
 
-Everything runs over Fraction scalars and, for the M system, over rational
-functions of c (symbolically), which is what the exact limit module uses;
-construction paths therefore avoid order comparisons entirely.
+Construction runs over Fraction scalars and, for the M system, over
+rational functions of c (symbolically), which is what the exact limit
+module uses; construction paths therefore avoid order comparisons entirely.
+The Casoratian columns xi_d(eta(x)) and nu(x) P_n(eta(x)) are memos of the
+family, read by every system on it.  The pointwise checks of the deformed
+eigen-equation and of the forward, backward and round-trip shifts run on
+the unreduced pairs of the `series` kernel, as the deletion chain's do:
+their per-x coefficients are memo tables of the system, shared by every n,
+and each check is one cross-multiplication, with no gcd per operation.
+The Fraction forms `eigen_residual`, `forward_apply` and `backward_apply`
+decide only a check the pairs do not pass, and write its witness.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .casoratian import LatticeFunction, casoratian
@@ -44,7 +52,7 @@ from .families import _BaseFamily, memo
 from .polynomials import Polynomial, interpolate
 from .ratfunc import RationalFunction
 from .report import Report
-from .series import Interval, as_interval, pair, pair_product, pair_value
+from .series import Interval, as_interval, pair, pair_common, pair_equal, pair_product, pair_sum, pair_value
 from .virtual import xi_poly
 
 
@@ -76,6 +84,21 @@ def _validate_labels(p: _BaseFamily, labels: Sequence[int]) -> tuple[int, ...]:
     return labels
 
 
+@memo
+def _xi_column(p: _BaseFamily, d: int) -> LatticeFunction:
+    """xi_d(eta(x)), the Casoratian column of label d; a memo of the family,
+    so every system on it reads the one column."""
+    poly = xi_poly(p, d)
+    return LatticeFunction(lambda x: poly(p.eta(x)))
+
+
+@memo
+def _nu_p_column(p: _BaseFamily, n: int) -> LatticeFunction:
+    """nu(x) P_n(eta(x)), the last column of W[xi.., nu P_n]; a memo of the
+    family, so every system on it reads the one column."""
+    return LatticeFunction(lambda x: p.nu(x) * p.poly_eval(n, x))
+
+
 class MultiIndexedSystem:
     """A base system with an ordered tuple of deleted virtual-state labels.
 
@@ -90,11 +113,9 @@ class MultiIndexedSystem:
         self.labels = _validate_labels(p, labels)
         self.M = len(self.labels)
         self.ell = sum(self.labels) - self.M * (self.M - 1) // 2
-        self._xi_grids = [
-            LatticeFunction(lambda x, poly=xi_poly(p, d): poly(p.eta(x))) for d in self.labels
-        ]
+        self._xi_columns = [_xi_column(p, d) for d in self.labels]
         # W[xi_{d_1}..xi_{d_M}], shared with the deletion chains whose prefix this is
-        self.w_grid = LatticeFunction(lambda x: casoratian(self._xi_grids, x))
+        self.w_grid = LatticeFunction(lambda x: casoratian(self._xi_columns, x))
         # Xi_D at lattice points; a grid, read like a method: Xi_at(x)
         self.Xi_at = LatticeFunction(lambda x: self.Xi()(p.eta(x)))
         self._cache: dict = {}
@@ -168,9 +189,7 @@ class MultiIndexedSystem:
     @memo
     def wpp_grid(self, n: int) -> LatticeFunction:
         """W[xi_{d_1}..xi_{d_M}, nu P_n] as a grid function."""
-        poly_n = self.p.poly(n)
-        nu_p = LatticeFunction(lambda x: self.p.nu(x) * poly_n(self.p.eta(x)))
-        fs = self._xi_grids + [nu_p]
+        fs = self._xi_columns + [_nu_p_column(self.p, n)]
         return LatticeFunction(lambda x: casoratian(fs, x))
 
     @memo
@@ -212,6 +231,13 @@ class MultiIndexedSystem:
         `_ratio_certificate`.  One that cannot be given raises
         ArithmeticError and is not kept."""
         return _ratio_certificate(self, n, m)
+
+    @memo
+    def norm_target(self, n: int) -> Interval:
+        """1 / (d_n^2 dt^2_{D,n}), the enclosure of the diagonal orthogonality
+        sum (n, n); for the q families d_n^2 is an Interval whose endpoints
+        carry long denominators, so it is built once."""
+        return 1 / (as_interval(self.p.dn_sq(n)) * self.dt_sq(n))
 
     @memo
     def shifted_system(self) -> "MultiIndexedSystem":
@@ -352,36 +378,157 @@ def verify_multi_structure(p: _BaseFamily, labels: Sequence[int], n_max: int, x_
     return rep
 
 
+# The pair route of the pointwise checks (see the module doc).  A check it
+# does not pass is decided again, and its witness written, by the Fraction
+# form: the same verdict, and where one of that form's divisors vanishes,
+# the same ZeroDivisionError.
+
+
+def _eigen_identity(eigen: LatticeFunction, u, k) -> Callable[[int], bool]:
+    """(A + k C) u(x) == P u(x+1) + Q u(x-1) for the table eigen(x) =
+    (A, C, P, Q), the int numerators of the coefficients over one common
+    denominator (dropped: the identity is homogeneous in them), an exact
+    scalar k and a lattice function u, by one cross-multiplication."""
+
+    kn, kd = pair(k)
+
+    def holds(x):
+        a, c, p, q = eigen(x)
+        (un, ud), (u1n, u1d), (u0n, u0d) = pair(u(x)), pair(u(x + 1)), pair(u(x - 1))
+        return (a * kd + kn * c) * un * u1d * u0d == (p * u1n * u0d + q * u0n * u1d) * kd * ud
+
+    return holds
+
+
+@memo
+def _eigen_coefficients(sys: MultiIndexedSystem) -> LatticeFunction:
+    """The deformed eigen-equation for u = P_{D,n} at x as the table of
+    `_eigen_identity` with k = -E_n.  With Xi' the denominator at lambda +
+    delta and B~ the B of lambda + M tilde-delta, `eigen_residual` times
+    C = Xi(x) Xi(x+1) Xi'(x), the product of its divisors, is (A - E_n C)
+    u(x) - P u(x+1) - Q u(x-1) for
+        A = B~(x) Xi(x)^2 Xi'(x+1) + D(x) Xi(x+1)^2 Xi'(x-1),
+        P = B~(x) Xi(x)^2 Xi'(x),   Q = D(x) Xi(x+1)^2 Xi'(x)."""
+    p, up, tilde = sys.p, sys.shifted_system(), sys.p.tilde_shifted(sys.M)
+
+    def eigen(x):
+        xi0, xi1, up0 = pair(sys.Xi_at(x)), pair(sys.Xi_at(x + 1)), pair(up.Xi_at(x))
+        b = pair_product(pair(tilde.B(x)), xi0, xi0)
+        d = pair_product(pair(p.D(x)), xi1, xi1)
+        return pair_common(
+            pair_sum(pair_product(b, pair(up.Xi_at(x + 1))), pair_product(d, pair(up.Xi_at(x - 1)))),
+            pair_product(xi0, xi1, up0),
+            pair_product(b, up0),
+            pair_product(d, up0),
+        )
+
+    return LatticeFunction(eigen)
+
+
+@memo
+def _shift_coefficients(sys: MultiIndexedSystem) -> LatticeFunction:
+    """The shifts at x as int coefficients: (F f)(x) = (f0 f(x) - f1 f(x+1))
+    / fc of `forward_apply` and (G f)(x) = (g0 f(x) - g1 f(x-1)) / gc of
+    `backward_apply`, with Xi' and B~ as in `_eigen_coefficients`,
+        f0, f1, fc = B~(0) Xi'(x+1), B~(0) Xi'(x), varphi(x) Xi(x+1),
+        g0, g1, gc = B~(x) Xi(x) varphi(x), D(x) Xi(x+1) varphi(x-1), B~(0) Xi'(x),
+    each triple over one common denominator; the table holds the pair of
+    triples."""
+    p, up, tilde = sys.p, sys.shifted_system(), sys.p.tilde_shifted(sys.M)
+    b0 = pair(tilde.B(0))
+
+    def shifts(x):
+        xi0, xi1, up0 = pair(sys.Xi_at(x)), pair(sys.Xi_at(x + 1)), pair(up.Xi_at(x))
+        forward = pair_common(
+            pair_product(b0, pair(up.Xi_at(x + 1))),
+            pair_product(b0, up0),
+            pair_product(pair(p.varphi(x)), xi1),
+        )
+        backward = pair_common(
+            pair_product(pair(tilde.B(x)), xi0, pair(p.varphi(x))),
+            pair_product(pair(p.D(x)), xi1, pair(p.varphi(x - 1))),
+            pair_product(b0, up0),
+        )
+        return forward, backward
+
+    return LatticeFunction(shifts)
+
+
+def _shift_pair(coefficients: list, at: tuple, beside: tuple) -> tuple:
+    """(c0 f(x) - c1 f(y)) / c as an unreduced pair, from (c0, c1, c) and the
+    pairs f(x), f(y)."""
+    (c0, c1, c), (a, ad), (b, bd) = coefficients, at, beside
+    return c0 * a * bd - c1 * b * ad, c * ad * bd
+
+
+def _pair_holds(a: tuple, b: tuple) -> bool:
+    """a == b for pairs; False where a denominator vanishes, that is where
+    the Fraction form divides by zero."""
+    return bool(a[1]) and bool(b[1]) and pair_equal(a, b)
+
+
+def _decide(rep: Report, name: str, holds: bool, fraction_form: Callable[[], tuple]) -> None:
+    """Add the check `name`: passed if the pair route `holds`, else as
+    `fraction_form()` = (passed, witness) decides it."""
+    if holds:
+        rep.add(name, True)
+    else:
+        rep.add(name, *fraction_form())
+
+
+def _zero_residual(r) -> tuple:
+    return r == 0, f"residual={r}"
+
+
 def verify_eigen_equation(p: _BaseFamily, labels: Sequence[int], n_max: int, x_max: int) -> Report:
-    """Exact zero residual of the deformed difference equation."""
+    """Exact zero residual of the deformed difference equation, on pairs."""
     sys = system(p, labels)
     rep = Report(f"multi.eigen-equation[{sys!r}]", "similarity-transformed eigenvalue equation")
+    eigen = _eigen_coefficients(sys)
     for n in range(n_max + 1):
+        holds = _eigen_identity(eigen, lambda y, n=n: sys.multi_poly_at(n, y), -sys.p.energy(n))
         for x in range(x_max + 1):
-            r = sys.eigen_residual(n, x)
-            rep.add(f"n={n},x={x}", r == 0, "" if r == 0 else f"residual={r}")
+            ok = bool(eigen(x)[1]) and holds(x)  # eigen(x)[1] = C: no divisor vanishes
+            _decide(rep, f"n={n},x={x}", ok, lambda: _zero_residual(sys.eigen_residual(n, x)))
     return rep
 
 
 def verify_shape_invariance(p: _BaseFamily, labels: Sequence[int], n_max: int, x_max: int) -> Report:
     """Forward/backward shift relations between levels lambda and
-    lambda+delta, their round trip, positivity of the deformed potentials,
-    and the square-root-free operator shape-invariance identities."""
+    lambda+delta and their round trip, on pairs; positivity of the deformed
+    potentials, and the square-root-free operator shape-invariance
+    identities."""
     sys = system(p, labels)
     rep = Report(f"multi.shape-invariance[{sys!r}]", "deformed shift operators and potentials")
     up_sys = sys.shifted_system()
+    shifts = _shift_coefficients(sys)
     for n in range(1, n_max + 1):
         en = sys.p.energy(n)
-        fwd_vals = [
-            sys.forward_apply(lambda y, n=n: sys.multi_poly_at(n, y), x)
-            for x in range(x_max + 2)
-        ]
+        pn = lambda y, n=n: sys.multi_poly_at(n, y)
+        qn = lambda y, n=n: up_sys.multi_poly_at(n - 1, y)
+        e_pair, p_pair, q_pair = pair(en), (lambda y, pn=pn: pair(pn(y))), (lambda y, qn=qn: pair(qn(y)))
+        # F P_{D,n} as pairs, and G of a pair function f at y; D(0) = 0 drops f(-1) at y = 0
+        fwd = LatticeFunction(lambda y, f=p_pair: _shift_pair(shifts(y)[0], f(y), f(y + 1)))
+        bwd = lambda f, y: _shift_pair(shifts(y)[1], f(y), f(y - 1) if y else (0, 1))
         for x in range(x_max + 1):
-            rep.add(f"forward n={n},x={x}", fwd_vals[x] == en * up_sys.multi_poly_at(n - 1, x))
-            bwd = sys.backward_apply(lambda y, n=n: up_sys.multi_poly_at(n - 1, y), x)
-            rep.add(f"backward n={n},x={x}", bwd == sys.multi_poly_at(n, x))
-            rt = sys.backward_apply(lambda y: fwd_vals[y], x)
-            rep.add(f"roundtrip n={n},x={x}", rt == en * sys.multi_poly_at(n, x))
+            _decide(
+                rep,
+                f"forward n={n},x={x}",
+                _pair_holds(fwd(x), pair_product(e_pair, q_pair(x))),
+                lambda: (sys.forward_apply(pn, x) == en * qn(x), ""),
+            )
+            _decide(
+                rep,
+                f"backward n={n},x={x}",
+                _pair_holds(bwd(q_pair, x), p_pair(x)),
+                lambda: (sys.backward_apply(qn, x) == pn(x), ""),
+            )
+            _decide(
+                rep,
+                f"roundtrip n={n},x={x}",
+                _pair_holds(bwd(fwd, x), pair_product(e_pair, p_pair(x))),
+                lambda: (sys.backward_apply(lambda y: sys.forward_apply(pn, y), x) == en * pn(x), ""),
+            )
     for x in range(x_max + 1):
         rep.add(f"B_D > 0 x={x}", sys.B_D(x) > 0)
         rep.add(f"D_D sign x={x}", sys.D_D(x) > 0 if x >= 1 else sys.D_D(x) == 0)
@@ -579,7 +726,7 @@ def orthogonality_sum(
     the larger of the two diagonal targets.
     """
     sys = system(p, labels)
-    diag = lambda k: 1 / (as_interval(sys.p.dn_sq(k)) * sys.dt_sq(k))
+    diag = sys.norm_target
     if n == m:
         target = diag(n)
         scale = abs(target.midpoint)

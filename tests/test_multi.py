@@ -277,6 +277,259 @@ def test_verification_reports():
         assert verify_special_identities(p, labels, 2).passed
 
 
+def fraction_eigen_checks(s, n_max, x_max):
+    """The eigen-equation suite's (name, passed, witness) list, its residual
+    written out in Fractions as `eigen_residual` has it."""
+    p, up, tilde = s.p, s.shifted_system(), s.p.tilde_shifted(s.M)
+    out = []
+    for n in range(n_max + 1):
+        pn = lambda y: s.multi_poly_at(n, y)
+        for x in range(x_max + 1):
+            b = tilde.B(x) * s.Xi_at(x) / s.Xi_at(x + 1) * (up.Xi_at(x + 1) / up.Xi_at(x) * pn(x) - pn(x + 1))
+            d = p.D(x) * s.Xi_at(x + 1) / s.Xi_at(x) * (up.Xi_at(x - 1) / up.Xi_at(x) * pn(x) - pn(x - 1))
+            r = b + d - p.energy(n) * pn(x)
+            out.append((f"n={n},x={x}", r == 0, "" if r == 0 else f"residual={r}"))
+    return out
+
+
+def fraction_shape_checks(s, n_max, x_max):
+    """The shape-invariance suite's (name, passed, witness) list, with the
+    forward and backward shifts written out in Fractions."""
+    p, up, tilde = s.p, s.shifted_system(), s.p.tilde_shifted(s.M)
+
+    def forward(f, x):
+        return tilde.B(0) / (p.varphi(x) * s.Xi_at(x + 1)) * (up.Xi_at(x + 1) * f(x) - up.Xi_at(x) * f(x + 1))
+
+    def backward(f, x):
+        val = tilde.B(x) * s.Xi_at(x) * p.varphi(x) * f(x)
+        if x >= 1:
+            val -= p.D(x) * s.Xi_at(x + 1) * p.varphi(x - 1) * f(x - 1)
+        return val / (tilde.B(0) * up.Xi_at(x))
+
+    out = []
+    for n in range(1, n_max + 1):
+        en = p.energy(n)
+        pn, qn = (lambda y: s.multi_poly_at(n, y)), (lambda y: up.multi_poly_at(n - 1, y))
+        fwd = [forward(pn, x) for x in range(x_max + 2)]
+        for x in range(x_max + 1):
+            out.append((f"forward n={n},x={x}", fwd[x] == en * qn(x), ""))
+            out.append((f"backward n={n},x={x}", backward(qn, x) == pn(x), ""))
+            out.append((f"roundtrip n={n},x={x}", backward(lambda y: fwd[y], x) == en * pn(x), ""))
+    for x in range(x_max + 1):
+        out.append((f"B_D > 0 x={x}", s.B_D(x) > 0, ""))
+        out.append((f"D_D sign x={x}", s.D_D(x) > 0 if x >= 1 else s.D_D(x) == 0, ""))
+    kappa, e1 = p.kappa, p.energy(1)
+    for x in range(x_max + 1):
+        diag = s.B_D(x) + s.D_D(x + 1) == kappa * (up.B_D(x) + up.D_D(x)) + e1
+        offd = s.B_D(x + 1) * s.D_D(x + 1) == kappa**2 * up.B_D(x) * up.D_D(x + 1)
+        out.append((f"operator shape-invariance diagonal x={x}", diag, ""))
+        out.append((f"operator shape-invariance off-diagonal x={x}", offd, ""))
+    return out
+
+
+SPOILS = {
+    "exact": None,
+    "Xi_at(3) + 1/7": ("Xi_at", lambda v: v + F(1, 7)),
+    "Xi_at(3) negated": ("Xi_at", lambda v: -v),
+    "multi_poly_at(n, 3) + 1/7": ("multi_poly_at", lambda v: v + F(1, 7)),
+    "multi_poly_at(n, 3) negated": ("multi_poly_at", lambda v: -v),
+}
+
+
+def spoil(monkeypatch, s, how):
+    """Spoil the system's one value at x = 3, as `SPOILS` names it."""
+    if how is None:
+        return
+    name, change = how
+    if name == "Xi_at":
+        xi = s.Xi_at
+        monkeypatch.setattr(s, "Xi_at", lambda x: change(xi(x)) if x == 3 else xi(x))
+    else:
+        at = s.multi_poly_at
+        monkeypatch.setattr(s, "multi_poly_at", lambda n, x: change(at(n, x)) if x == 3 else at(n, x))
+
+
+@pytest.mark.parametrize("how", SPOILS, ids=str)
+@pytest.mark.parametrize(
+    "make, labels",
+    [
+        (lambda: Meixner(1, F(1, 2)), (1, 2, 3)),
+        (lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2)), (1, 2, 3)),
+        (lambda: LittleQLaguerre(F(1, 32), F(1, 2)), (1, 3)),
+    ],
+    ids=["M", "lqJ", "lqL"],
+)
+def test_pair_checks_match_their_fraction_form(monkeypatch, make, labels, how):
+    # the eigen-equation and the shifts are compared as unreduced pairs; the
+    # Fraction form written out here must give every check the same (name,
+    # passed, witness), and the pair route's own verdict must be the same,
+    # for the exact system and with one value spoilt at x = 3
+    from mipoly import multi
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    s = system(make(), labels)
+    spoil(monkeypatch, s, SPOILS[how])
+    pair_verdicts = {}
+    decide = multi._decide
+
+    def recording(rep, name, holds, fraction_form):
+        pair_verdicts[name] = holds
+        decide(rep, name, holds, fraction_form)
+
+    monkeypatch.setattr(multi, "_decide", recording)
+    routes = (
+        (verify_eigen_equation, fraction_eigen_checks, 4, 12),
+        (verify_shape_invariance, fraction_shape_checks, 3, 12),
+    )
+    failures = 0
+    for suite, oracle, n_max, x_max in routes:
+        pair_verdicts.clear()
+        got = [(c.name, c.passed, c.witness) for c in suite(s.p, labels, n_max, x_max).checks]
+        expected = oracle(s, n_max, x_max)
+        assert got == expected
+        assert all(pair_verdicts[name] == passed for name, passed, _ in expected if name in pair_verdicts)
+        assert len(pair_verdicts) == (n_max + 1 if suite is verify_eigen_equation else 3 * n_max) * (x_max + 1)
+        failures += sum(not passed for _, passed, _ in expected)
+    assert (failures == 0) == (how == "exact")
+
+
+def test_a_vanishing_divisor_raises_as_in_the_fraction_form(monkeypatch):
+    # with Xi_D(3) = 0 the Fraction form divides by zero; the pair route
+    # passes no check that divides by it, so the suites raise alike
+    from mipoly import multi
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    s = system(Meixner(1, F(1, 2)), (1, 2))
+    spoil(monkeypatch, s, ("Xi_at", lambda v: 0 * v))
+    for suite, oracle in ((verify_eigen_equation, fraction_eigen_checks), (verify_shape_invariance, fraction_shape_checks)):
+        with pytest.raises(ZeroDivisionError):
+            oracle(s, 2, 6)
+        with pytest.raises(ZeroDivisionError):
+            suite(s.p, s.labels, 2, 6)
+    # with Xi_D(3) = Xi_D(4) = 0 both sides of the eigen-equation at x = 3
+    # and of the round trip at x = 3 cross-multiply to 0 == 0, and the pairs
+    # still do not pass them (the deformed potentials divide by zero after)
+    xi = s.Xi_at
+    monkeypatch.setattr(s, "Xi_at", lambda x: 0 if x in (3, 4) else xi(x))
+    monkeypatch.setattr(multi, "_SYSTEMS", {(s.p, s.labels): s})
+    pair_verdicts = {}
+    monkeypatch.setattr(multi, "_decide", lambda rep, name, holds, fraction_form: pair_verdicts.update({name: holds}))
+    verify_eigen_equation(s.p, s.labels, 2, 6)
+    with pytest.raises(ZeroDivisionError):
+        verify_shape_invariance(s.p, s.labels, 2, 6)
+    names = [f"n={n},x=3" for n in range(3)] + [f"roundtrip n={n},x=3" for n in (1, 2)]
+    assert [pair_verdicts[name] for name in names] == [False] * 5
+
+
+def test_pair_checks_read_no_fraction_form_when_they_pass(monkeypatch):
+    # eigen_residual, forward_apply and backward_apply write the witness of
+    # a failing check; checks that pass never call them
+    calls = []
+    for name in ("eigen_residual", "forward_apply", "backward_apply"):
+        original = getattr(MultiIndexedSystem, name)
+        monkeypatch.setattr(
+            MultiIndexedSystem, name, lambda self, *a, _f=original, _n=name: calls.append(_n) or _f(self, *a)
+        )
+    for p, labels in SOME:
+        assert verify_eigen_equation(p, labels, 3, 12).passed
+        assert verify_shape_invariance(p, labels, 3, 12).passed
+    assert calls == []
+
+
+def test_systems_on_a_family_read_its_columns(monkeypatch):
+    # xi_d(eta(x)) and nu(x) P_n(eta(x)) are memos of the family: the systems
+    # (1,), (1, 2) and (2, 1) read one xi_1 column and one xi_2 column, and
+    # one nu P_n column for each n
+    from mipoly import multi
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    read = []
+    casoratian = multi.casoratian
+    monkeypatch.setattr(multi, "casoratian", lambda fs, x: read.append(fs) or casoratian(fs, x))
+    p = LittleQJacobi(F(1, 32), F(1, 3), F(1, 2))
+    systems = [system(p, labels) for labels in ((1,), (1, 2), (2, 1))]
+    for s in systems:
+        s.Xi()
+        for n in range(3):
+            s.multi_poly(n)
+    xi_1 = [s._xi_columns[s.labels.index(1)] for s in systems]
+    assert xi_1[0] is xi_1[1] is xi_1[2]
+    xis = {id(c) for s in systems for c in s._xi_columns}
+    nu_ps = {id(fs[-1]) for fs in read} - xis
+    assert len(xis) == 2 and len(nu_ps) == 3
+    assert {id(f) for fs in read for f in fs} == xis | nu_ps
+
+
+def _lattice_entries(store) -> set:
+    """(family, key) of every B, D and eta value kept by a family that the
+    stored systems reach, directly or through the families they memoise."""
+    from mipoly.families import _BaseFamily
+
+    todo, seen, out = [s.p for s in store.values()], set(), set()
+    while todo:
+        f = todo.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            out |= {(id(f), key) for key in f._cache if key[0] in ("B", "D", "eta")}
+            todo += [v for v in f._cache.values() if isinstance(v, _BaseFamily)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, labels",
+    [(lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2)), (1, 2)), (lambda: LittleQLaguerre(F(1, 32), F(1, 2)), (1, 3))],
+    ids=["lqJ", "lqL"],
+)
+def test_warm_suites_compute_no_lattice_value_anew(monkeypatch, make, labels):
+    # the q families keep B, D and eta at each lattice point: on a warm
+    # family, systems built afresh and running the eigen and shape suites
+    # again compute none of them
+    from mipoly import multi
+    from mipoly.families import _QFamily
+
+    computed = []
+    for owner, name in ((LittleQJacobi, "B_w"), (_QFamily, "D_w")):  # what B and D compute on a miss
+        original = getattr(owner, name)
+        counting = lambda self, w, _f=original, _n=name: computed.append(_n) or _f(self, w)
+        monkeypatch.setattr(owner, name, counting)
+    p = make()
+    kept = []
+    for _ in range(2):
+        monkeypatch.setattr(multi, "_SYSTEMS", {})
+        computed.clear()
+        assert verify_eigen_equation(p, labels, 3, 12).passed
+        assert verify_shape_invariance(p, labels, 3, 12).passed
+        kept.append(_lattice_entries(multi._SYSTEMS))
+    assert computed == []
+    assert {key[0] for _, key in kept[0]} == {"B", "D", "eta"}
+    assert kept[1] == kept[0]
+
+
+def test_orthogonality_target_is_a_memo_of_the_system(monkeypatch):
+    # 1 / (d_n^2 dt^2_{D,n}) is derived data of the system: a second sum
+    # reads it back and builds no dn_sq and no Interval but its enclosure
+    from mipoly import multi
+    from mipoly.series import Interval
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    p = LittleQJacobi(F(1, 32), F(1, 3), F(1, 2))
+    dn_sq, built = [], []
+    original = LittleQJacobi.dn_sq
+    monkeypatch.setattr(LittleQJacobi, "dn_sq", lambda self, n: dn_sq.append(n) or original(self, n))
+    init = Interval.__init__
+    monkeypatch.setattr(Interval, "__init__", lambda self, lo, hi: built.append(1) or init(self, lo, hi))
+    first = orthogonality_sum(p, (1,), 1, 1)
+    assert first.passed and dn_sq == [1]
+    dn_sq.clear(), built.clear()
+    again = orthogonality_sum(p, (1,), 1, 1)
+    assert again.target is first.target and again.describe() == first.describe()
+    assert dn_sq == [] and len(built) == 1  # the enclosure
+    orthogonality_sum(p, (1,), 0, 1)
+    dn_sq.clear()
+    assert orthogonality_sum(p, (1,), 0, 1).passed
+    assert dn_sq == []
+
+
 def test_orthogonality_exact_frozen_case():
     res = orthogonality_sum(M, (1,), 0, 0)
     assert res.passed
