@@ -71,7 +71,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from itertools import permutations
 
 from .casoratian import LatticeFunction
 from .families import _BaseFamily, memo
@@ -340,6 +339,17 @@ def _nesting(ws, ws1, upper, lower) -> Callable[[int], bool]:
 _EXTRA_VIRTUAL = 2
 
 
+def _middle_order(order: tuple) -> tuple:
+    """Entry M!//2 of `itertools.permutations(order)`, without listing the
+    others: order[M//2] first, then the other labels in their order (M
+    even) or in their own middle order (M odd)."""
+    if len(order) < 2:
+        return order
+    k = len(order) // 2
+    rest = order[:k] + order[k + 1 :]
+    return (order[k],) + (rest if len(order) % 2 == 0 else _middle_order(rest))
+
+
 def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: int = 12) -> Report:
     """Exhaustive exact verification of one deletion chain; see module doc.
 
@@ -478,11 +488,9 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             ),
         )
 
-    # order independence: the given order and at most two other permutations
-    perms = list(permutations(order))
-    if len(perms) > 3:
-        perms = [perms[0], perms[len(perms) // 2], perms[-1]]
-    for perm in perms:
+    # order independence: the middle and the last of the M! orders in the
+    # lexicographic order of their positions (the first is the given order)
+    for perm in dict.fromkeys((_middle_order(order), order[::-1])):
         if perm == order:
             continue
         other = system(p, perm)

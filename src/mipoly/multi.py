@@ -32,13 +32,16 @@ Construction runs over Fraction scalars and, for the M system, over
 rational functions of c (symbolically), which is what the exact limit
 module uses; construction paths therefore avoid order comparisons entirely.
 The Casoratian columns xi_d(eta(x)) and nu(x) P_n(eta(x)) are memos of the
-family, read by every system on it.  The pointwise checks of the deformed
-eigen-equation and of the forward, backward and round-trip shifts run on
-the unreduced pairs of the `series` kernel, as the deletion chain's do:
-their per-x coefficients are memo tables of the system, shared by every n,
-and each check is one cross-multiplication, with no gcd per operation.
-The Fraction forms `eigen_residual`, `forward_apply` and `backward_apply`
-decide only a check the pairs do not pass, and write its witness.
+family, read by every system on it.  The deformed operator is
+coded once, as per-x coefficient tables of the system (`_eigen_coefficients`,
+`_shift_coefficients`), shared by every n.  The pointwise checks of the
+eigen-equation and of the forward, backward and round-trip shifts decide
+each point once, on the unreduced pairs of the `series` kernel, as the
+deletion chain's do: one cross-multiplication, no gcd per operation, and a
+vanishing divisor raises ZeroDivisionError.  `eigen_residual`,
+`forward_apply` and `backward_apply` are views of the same tables with
+scalar values; the eigen-equation check reads the residual only for the
+witness of a point that fails.
 """
 
 from __future__ import annotations
@@ -271,47 +274,20 @@ class MultiIndexedSystem:
     # -- operators ----------------------------------------------------------------------
 
     def eigen_residual(self, n: int, x: int):
-        """Residual of the similarity-transformed eigen-equation at x.
-
-        The Hamiltonian acts as
-          B(x; lambda+M tilde-delta) (Xi(x)/Xi(x+1))
-              [ (Xi'(x+1)/Xi'(x)) f(x) - f(x+1) ]
-        + D(x) (Xi(x+1)/Xi(x)) [ (Xi'(x-1)/Xi'(x)) f(x) - f(x-1) ]
-        with Xi at lambda and Xi' at lambda+delta; eigenvalue E_n.
-        The x = 0 backward term carries D(0) = 0, so no boundary case arises.
-        """
-        up = self.shifted_system()
-        pn = lambda y: self.multi_poly_at(n, y)
-        bpart = (
-            self.p.tilde_shifted(self.M).B(x)
-            * self.Xi_at(x)
-            / self.Xi_at(x + 1)
-            * (up.Xi_at(x + 1) / up.Xi_at(x) * pn(x) - pn(x + 1))
-        )
-        dpart = (
-            self.p.D(x)
-            * self.Xi_at(x + 1)
-            / self.Xi_at(x)
-            * (up.Xi_at(x - 1) / up.Xi_at(x) * pn(x) - pn(x - 1))
-        )
-        return bpart + dpart - self.p.energy(n) * pn(x)
+        """Residual of the similarity-transformed eigen-equation at x,
+        ((A - E_n C) u(x) - P u(x+1) - Q u(x-1)) / C for u = P_{D,n} and the
+        table (A, C, P, Q) of `_eigen_coefficients`."""
+        a, c, p, q = _eigen_coefficients(self)(x)
+        u = lambda y: self.multi_poly_at(n, y)
+        return pair_value((a - self.p.energy(n) * c) * u(x) - p * u(x + 1) - q * u(x - 1), c)
 
     def forward_apply(self, f, x: int):
         """Forward shift: lowers n by one and moves parameters to lambda+delta."""
-        up = self.shifted_system()
-        return (
-            self.p.tilde_shifted(self.M).B(0)
-            / (self.p.varphi(x) * self.Xi_at(x + 1))
-            * (up.Xi_at(x + 1) * f(x) - up.Xi_at(x) * f(x + 1))
-        )
+        return pair_value(*_shift(_shift_coefficients(self), lambda y: pair(f(y)), x, True))
 
     def backward_apply(self, f, x: int):
         """Backward shift acting on level-(lambda+delta) polynomials."""
-        up = self.shifted_system()
-        val = self.p.tilde_shifted(self.M).B(x) * self.Xi_at(x) * self.p.varphi(x) * f(x)
-        if x >= 1:
-            val = val - self.p.D(x) * self.Xi_at(x + 1) * self.p.varphi(x - 1) * f(x - 1)
-        return val / (self.p.tilde_shifted(self.M).B(0) * up.Xi_at(x))
+        return pair_value(*_shift(_shift_coefficients(self), lambda y: pair(f(y)), x, False))
 
 
 def count_sign_changes(values: Sequence) -> int:
@@ -378,12 +354,6 @@ def verify_multi_structure(p: _BaseFamily, labels: Sequence[int], n_max: int, x_
     return rep
 
 
-# The pair route of the pointwise checks (see the module doc).  A check it
-# does not pass is decided again, and its witness written, by the Fraction
-# form: the same verdict, and where one of that form's divisors vanishes,
-# the same ZeroDivisionError.
-
-
 def _eigen_identity(eigen: LatticeFunction, u, k) -> Callable[[int], bool]:
     """(A + k C) u(x) == P u(x+1) + Q u(x-1) for the table eigen(x) =
     (A, C, P, Q), the int numerators of the coefficients over one common
@@ -403,10 +373,12 @@ def _eigen_identity(eigen: LatticeFunction, u, k) -> Callable[[int], bool]:
 @memo
 def _eigen_coefficients(sys: MultiIndexedSystem) -> LatticeFunction:
     """The deformed eigen-equation for u = P_{D,n} at x as the table of
-    `_eigen_identity` with k = -E_n.  With Xi' the denominator at lambda +
-    delta and B~ the B of lambda + M tilde-delta, `eigen_residual` times
-    C = Xi(x) Xi(x+1) Xi'(x), the product of its divisors, is (A - E_n C)
-    u(x) - P u(x+1) - Q u(x-1) for
+    `_eigen_identity` with k = -E_n.  The Hamiltonian acts as
+        B~(x) (Xi(x)/Xi(x+1)) [(Xi'(x+1)/Xi'(x)) u(x) - u(x+1)]
+      + D(x) (Xi(x+1)/Xi(x)) [(Xi'(x-1)/Xi'(x)) u(x) - u(x-1)]
+    with Xi' the denominator at lambda + delta and B~ the B of lambda +
+    M tilde-delta; times C = Xi(x) Xi(x+1) Xi'(x), the product of its
+    divisors, (H - E_n) u at x is (A - E_n C) u(x) - P u(x+1) - Q u(x-1) for
         A = B~(x) Xi(x)^2 Xi'(x+1) + D(x) Xi(x+1)^2 Xi'(x-1),
         P = B~(x) Xi(x)^2 Xi'(x),   Q = D(x) Xi(x+1)^2 Xi'(x)."""
     p, up, tilde = sys.p, sys.shifted_system(), sys.p.tilde_shifted(sys.M)
@@ -454,42 +426,30 @@ def _shift_coefficients(sys: MultiIndexedSystem) -> LatticeFunction:
     return LatticeFunction(shifts)
 
 
-def _shift_pair(coefficients: list, at: tuple, beside: tuple) -> tuple:
-    """(c0 f(x) - c1 f(y)) / c as an unreduced pair, from (c0, c1, c) and the
-    pairs f(x), f(y)."""
-    (c0, c1, c), (a, ad), (b, bd) = coefficients, at, beside
+def _shift(shifts: LatticeFunction, f, x: int, forward: bool) -> tuple:
+    """(F f)(x) if forward, else (G f)(x), as an unreduced pair, from the
+    table of `_shift_coefficients` and a function f of pairs; D(0) = 0 drops
+    f(-1) at x = 0, and a vanishing divisor raises ZeroDivisionError."""
+    (c0, c1, c), (a, ad) = shifts(x)[0 if forward else 1], f(x)
+    if not c:
+        raise ZeroDivisionError("shift divisor vanishes")
+    b, bd = f(x + 1) if forward else f(x - 1) if x else (0, 1)
     return c0 * a * bd - c1 * b * ad, c * ad * bd
 
 
-def _pair_holds(a: tuple, b: tuple) -> bool:
-    """a == b for pairs; False where a denominator vanishes, that is where
-    the Fraction form divides by zero."""
-    return bool(a[1]) and bool(b[1]) and pair_equal(a, b)
-
-
-def _decide(rep: Report, name: str, holds: bool, fraction_form: Callable[[], tuple]) -> None:
-    """Add the check `name`: passed if the pair route `holds`, else as
-    `fraction_form()` = (passed, witness) decides it."""
-    if holds:
-        rep.add(name, True)
-    else:
-        rep.add(name, *fraction_form())
-
-
-def _zero_residual(r) -> tuple:
-    return r == 0, f"residual={r}"
-
-
 def verify_eigen_equation(p: _BaseFamily, labels: Sequence[int], n_max: int, x_max: int) -> Report:
-    """Exact zero residual of the deformed difference equation, on pairs."""
+    """Exact zero residual of the deformed difference equation, on pairs; a
+    failing point carries its residual as the witness."""
     sys = system(p, labels)
     rep = Report(f"multi.eigen-equation[{sys!r}]", "similarity-transformed eigenvalue equation")
     eigen = _eigen_coefficients(sys)
     for n in range(n_max + 1):
         holds = _eigen_identity(eigen, lambda y, n=n: sys.multi_poly_at(n, y), -sys.p.energy(n))
         for x in range(x_max + 1):
-            ok = bool(eigen(x)[1]) and holds(x)  # eigen(x)[1] = C: no divisor vanishes
-            _decide(rep, f"n={n},x={x}", ok, lambda: _zero_residual(sys.eigen_residual(n, x)))
+            if not eigen(x)[1]:
+                raise ZeroDivisionError(f"eigen-equation divisor C vanishes at x={x}")
+            ok = holds(x)
+            rep.add(f"n={n},x={x}", ok, "" if ok else f"residual={sys.eigen_residual(n, x)}")
     return rep
 
 
@@ -503,32 +463,15 @@ def verify_shape_invariance(p: _BaseFamily, labels: Sequence[int], n_max: int, x
     up_sys = sys.shifted_system()
     shifts = _shift_coefficients(sys)
     for n in range(1, n_max + 1):
-        en = sys.p.energy(n)
-        pn = lambda y, n=n: sys.multi_poly_at(n, y)
-        qn = lambda y, n=n: up_sys.multi_poly_at(n - 1, y)
-        e_pair, p_pair, q_pair = pair(en), (lambda y, pn=pn: pair(pn(y))), (lambda y, qn=qn: pair(qn(y)))
-        # F P_{D,n} as pairs, and G of a pair function f at y; D(0) = 0 drops f(-1) at y = 0
-        fwd = LatticeFunction(lambda y, f=p_pair: _shift_pair(shifts(y)[0], f(y), f(y + 1)))
-        bwd = lambda f, y: _shift_pair(shifts(y)[1], f(y), f(y - 1) if y else (0, 1))
+        e_pair = pair(sys.p.energy(n))
+        p_pair = lambda y, n=n: pair(sys.multi_poly_at(n, y))
+        q_pair = lambda y, n=n: pair(up_sys.multi_poly_at(n - 1, y))
+        fwd = LatticeFunction(lambda y, f=p_pair: _shift(shifts, f, y, True))  # F P_{D,n}
         for x in range(x_max + 1):
-            _decide(
-                rep,
-                f"forward n={n},x={x}",
-                _pair_holds(fwd(x), pair_product(e_pair, q_pair(x))),
-                lambda: (sys.forward_apply(pn, x) == en * qn(x), ""),
-            )
-            _decide(
-                rep,
-                f"backward n={n},x={x}",
-                _pair_holds(bwd(q_pair, x), p_pair(x)),
-                lambda: (sys.backward_apply(qn, x) == pn(x), ""),
-            )
-            _decide(
-                rep,
-                f"roundtrip n={n},x={x}",
-                _pair_holds(bwd(fwd, x), pair_product(e_pair, p_pair(x))),
-                lambda: (sys.backward_apply(lambda y: sys.forward_apply(pn, y), x) == en * pn(x), ""),
-            )
+            rep.add(f"forward n={n},x={x}", pair_equal(fwd(x), pair_product(e_pair, q_pair(x))))
+            rep.add(f"backward n={n},x={x}", pair_equal(_shift(shifts, q_pair, x, False), p_pair(x)))
+            roundtrip = _shift(shifts, fwd, x, False)
+            rep.add(f"roundtrip n={n},x={x}", pair_equal(roundtrip, pair_product(e_pair, p_pair(x))))
     for x in range(x_max + 1):
         rep.add(f"B_D > 0 x={x}", sys.B_D(x) > 0)
         rep.add(f"D_D sign x={x}", sys.D_D(x) > 0 if x >= 1 else sys.D_D(x) == 0)

@@ -1,7 +1,9 @@
 """Step-by-step state deletion: intermediate systems, signs, final match."""
 
 import sys
+import tracemalloc
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -12,6 +14,7 @@ from mipoly.chain import (
     _contiguity_coefficients,
     _eigen_identity,
     _level,
+    _middle_order,
     _nesting,
     chain_build,
     chain_verify,
@@ -246,6 +249,37 @@ def test_orders_sharing_a_prefix_share_its_levels(monkeypatch):
     for order in ((1, 2), (1, 3)):
         assert chain_verify(M, order, n_max=2, x_max=8).passed
     assert sorted(built) == [(), (1,), (1, 2), (1, 3)]
+
+
+def test_the_middle_order_is_the_middle_permutation():
+    for m in range(9):
+        order = tuple(range(1, m + 1))
+        perms = list(permutations(order))
+        assert _middle_order(order) == perms[len(perms) // 2]
+
+
+@pytest.mark.parametrize("m, others", [(1, []), (2, [(2, 1)]), (3, [(2, 3, 1), (3, 2, 1)])])
+def test_order_independence_reads_at_most_two_other_orders(m, others):
+    rep = chain_verify(M, tuple(range(1, m + 1)), n_max=1, x_max=4)
+    assert [c.name for c in rep.checks if c.name.startswith("order")] == [
+        f"order independence {list(o)}" for o in others
+    ]
+
+
+def test_a_chain_of_twelve_labels_lists_no_other_order():
+    # 12! orders exist; the chain reads the middle and the last only, so the
+    # run stays small
+    tracemalloc.start()
+    try:
+        rep = chain_verify(M, tuple(range(1, 13)), n_max=0, x_max=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and peak < 16 * 2**20
+    assert [c.name for c in rep.checks if c.name.startswith("order")] == [
+        "order independence [7, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12]",
+        "order independence [12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1]",
+    ]
 
 
 @pytest.mark.parametrize("p", [M, QL], ids=repr)

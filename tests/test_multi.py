@@ -277,17 +277,36 @@ def test_verification_reports():
         assert verify_special_identities(p, labels, 2).passed
 
 
+def fraction_residual(s, n, x):
+    """The eigen-equation's residual at x, written out in Fractions."""
+    p, up, tilde, pn = s.p, s.shifted_system(), s.p.tilde_shifted(s.M), (lambda y: s.multi_poly_at(n, y))
+    b = tilde.B(x) * s.Xi_at(x) / s.Xi_at(x + 1) * (up.Xi_at(x + 1) / up.Xi_at(x) * pn(x) - pn(x + 1))
+    d = p.D(x) * s.Xi_at(x + 1) / s.Xi_at(x) * (up.Xi_at(x - 1) / up.Xi_at(x) * pn(x) - pn(x - 1))
+    return b + d - p.energy(n) * pn(x)
+
+
+def fraction_forward(s, f, x):
+    """The forward shift of f at x, written out in Fractions."""
+    up, tilde = s.shifted_system(), s.p.tilde_shifted(s.M)
+    return tilde.B(0) / (s.p.varphi(x) * s.Xi_at(x + 1)) * (up.Xi_at(x + 1) * f(x) - up.Xi_at(x) * f(x + 1))
+
+
+def fraction_backward(s, f, x):
+    """The backward shift of f at x, written out in Fractions."""
+    p, up, tilde = s.p, s.shifted_system(), s.p.tilde_shifted(s.M)
+    val = tilde.B(x) * s.Xi_at(x) * p.varphi(x) * f(x)
+    if x >= 1:
+        val -= p.D(x) * s.Xi_at(x + 1) * p.varphi(x - 1) * f(x - 1)
+    return val / (tilde.B(0) * up.Xi_at(x))
+
+
 def fraction_eigen_checks(s, n_max, x_max):
     """The eigen-equation suite's (name, passed, witness) list, its residual
-    written out in Fractions as `eigen_residual` has it."""
-    p, up, tilde = s.p, s.shifted_system(), s.p.tilde_shifted(s.M)
+    written out in Fractions."""
     out = []
     for n in range(n_max + 1):
-        pn = lambda y: s.multi_poly_at(n, y)
         for x in range(x_max + 1):
-            b = tilde.B(x) * s.Xi_at(x) / s.Xi_at(x + 1) * (up.Xi_at(x + 1) / up.Xi_at(x) * pn(x) - pn(x + 1))
-            d = p.D(x) * s.Xi_at(x + 1) / s.Xi_at(x) * (up.Xi_at(x - 1) / up.Xi_at(x) * pn(x) - pn(x - 1))
-            r = b + d - p.energy(n) * pn(x)
+            r = fraction_residual(s, n, x)
             out.append((f"n={n},x={x}", r == 0, "" if r == 0 else f"residual={r}"))
     return out
 
@@ -295,26 +314,16 @@ def fraction_eigen_checks(s, n_max, x_max):
 def fraction_shape_checks(s, n_max, x_max):
     """The shape-invariance suite's (name, passed, witness) list, with the
     forward and backward shifts written out in Fractions."""
-    p, up, tilde = s.p, s.shifted_system(), s.p.tilde_shifted(s.M)
-
-    def forward(f, x):
-        return tilde.B(0) / (p.varphi(x) * s.Xi_at(x + 1)) * (up.Xi_at(x + 1) * f(x) - up.Xi_at(x) * f(x + 1))
-
-    def backward(f, x):
-        val = tilde.B(x) * s.Xi_at(x) * p.varphi(x) * f(x)
-        if x >= 1:
-            val -= p.D(x) * s.Xi_at(x + 1) * p.varphi(x - 1) * f(x - 1)
-        return val / (tilde.B(0) * up.Xi_at(x))
-
+    p, up = s.p, s.shifted_system()
     out = []
     for n in range(1, n_max + 1):
         en = p.energy(n)
         pn, qn = (lambda y: s.multi_poly_at(n, y)), (lambda y: up.multi_poly_at(n - 1, y))
-        fwd = [forward(pn, x) for x in range(x_max + 2)]
+        fwd = [fraction_forward(s, pn, x) for x in range(x_max + 2)]
         for x in range(x_max + 1):
             out.append((f"forward n={n},x={x}", fwd[x] == en * qn(x), ""))
-            out.append((f"backward n={n},x={x}", backward(qn, x) == pn(x), ""))
-            out.append((f"roundtrip n={n},x={x}", backward(lambda y: fwd[y], x) == en * pn(x), ""))
+            out.append((f"backward n={n},x={x}", fraction_backward(s, qn, x) == pn(x), ""))
+            out.append((f"roundtrip n={n},x={x}", fraction_backward(s, lambda y: fwd[y], x) == en * pn(x), ""))
     for x in range(x_max + 1):
         out.append((f"B_D > 0 x={x}", s.B_D(x) > 0, ""))
         out.append((f"D_D sign x={x}", s.D_D(x) > 0 if x >= 1 else s.D_D(x) == 0, ""))
@@ -349,8 +358,7 @@ def spoil(monkeypatch, s, how):
         monkeypatch.setattr(s, "multi_poly_at", lambda n, x: change(at(n, x)) if x == 3 else at(n, x))
 
 
-@pytest.mark.parametrize("how", SPOILS, ids=str)
-@pytest.mark.parametrize(
+SPOILT_SYSTEMS = pytest.mark.parametrize(
     "make, labels",
     [
         (lambda: Meixner(1, F(1, 2)), (1, 2, 3)),
@@ -359,81 +367,128 @@ def spoil(monkeypatch, s, how):
     ],
     ids=["M", "lqJ", "lqL"],
 )
-def test_pair_checks_match_their_fraction_form(monkeypatch, make, labels, how):
-    # the eigen-equation and the shifts are compared as unreduced pairs; the
-    # Fraction form written out here must give every check the same (name,
-    # passed, witness), and the pair route's own verdict must be the same,
-    # for the exact system and with one value spoilt at x = 3
+
+
+def spoilt_system(monkeypatch, make, labels, how):
+    """A fresh system, with one value spoilt at x = 3 as `SPOILS` names it."""
     from mipoly import multi
 
     monkeypatch.setattr(multi, "_SYSTEMS", {})
     s = system(make(), labels)
     spoil(monkeypatch, s, SPOILS[how])
-    pair_verdicts = {}
-    decide = multi._decide
+    return s
 
-    def recording(rep, name, holds, fraction_form):
-        pair_verdicts[name] = holds
-        decide(rep, name, holds, fraction_form)
 
-    monkeypatch.setattr(multi, "_decide", recording)
+@pytest.mark.parametrize("how", SPOILS, ids=str)
+@SPOILT_SYSTEMS
+def test_pair_checks_match_their_fraction_form(monkeypatch, make, labels, how):
+    # the eigen-equation and the shifts are decided once, on unreduced
+    # pairs; the Fraction form written out here must give every check the
+    # same (name, passed, witness), for the exact system and with one value
+    # spoilt at x = 3
+    s = spoilt_system(monkeypatch, make, labels, how)
     routes = (
         (verify_eigen_equation, fraction_eigen_checks, 4, 12),
         (verify_shape_invariance, fraction_shape_checks, 3, 12),
     )
     failures = 0
     for suite, oracle, n_max, x_max in routes:
-        pair_verdicts.clear()
         got = [(c.name, c.passed, c.witness) for c in suite(s.p, labels, n_max, x_max).checks]
         expected = oracle(s, n_max, x_max)
         assert got == expected
-        assert all(pair_verdicts[name] == passed for name, passed, _ in expected if name in pair_verdicts)
-        assert len(pair_verdicts) == (n_max + 1 if suite is verify_eigen_equation else 3 * n_max) * (x_max + 1)
         failures += sum(not passed for _, passed, _ in expected)
     assert (failures == 0) == (how == "exact")
 
 
+@pytest.mark.parametrize("how", SPOILS, ids=str)
+@SPOILT_SYSTEMS
+def test_operator_methods_are_their_fraction_forms(monkeypatch, make, labels, how):
+    # eigen_residual, forward_apply and backward_apply read the pair tables;
+    # each equals its Fraction form written out here at x = 0..12
+    s = spoilt_system(monkeypatch, make, labels, how)
+    up = s.shifted_system()
+    for n in range(1, 4):
+        pn, qn = (lambda y: s.multi_poly_at(n, y)), (lambda y: up.multi_poly_at(n - 1, y))
+        fwd = lambda y: s.forward_apply(pn, y)
+        for x in range(13):
+            assert s.eigen_residual(n, x) == fraction_residual(s, n, x)
+            assert s.forward_apply(pn, x) == fraction_forward(s, pn, x)
+            assert s.backward_apply(qn, x) == fraction_backward(s, qn, x)
+            assert s.backward_apply(fwd, x) == fraction_backward(s, lambda y: fraction_forward(s, pn, y), x)
+
+
+def test_the_deformed_operator_holds_over_q_of_c():
+    # M at beta = 5/2 with c symbolic: the eigen-equation's residual is the
+    # zero rational function of c, and the shifts map P_{D,n} to E_n P'_{D,n-1}
+    # and back, so these hold at every admissible c
+    from mipoly.limits import _symbolic_meixner
+
+    fam = _symbolic_meixner(F(3, 2))
+    s, up = system(fam, (1, 2, 3)), system(fam.shifted(1), (1, 2, 3))
+    assert isinstance(fam.c, RationalFunction) and up is s.shifted_system()
+    for n in range(3):
+        pn, qn = (lambda y: s.multi_poly_at(n, y)), (lambda y: up.multi_poly_at(n - 1, y))
+        for x in range(6):
+            r = s.eigen_residual(n, x)
+            assert isinstance(r, RationalFunction) and r == 0
+            if n:
+                assert s.forward_apply(pn, x) == fam.energy(n) * qn(x)
+                assert s.backward_apply(qn, x) == pn(x)
+
+
 def test_a_vanishing_divisor_raises_as_in_the_fraction_form(monkeypatch):
-    # with Xi_D(3) = 0 the Fraction form divides by zero; the pair route
-    # passes no check that divides by it, so the suites raise alike
+    # with Xi_D(3) = 0, or Xi_D(3) = Xi_D(4) = 0, the Fraction form divides
+    # by zero; the pair route raises on the same vanishing divisor
+    from mipoly import multi
+
+    for zeros in ((3,), (3, 4)):
+        monkeypatch.setattr(multi, "_SYSTEMS", {})
+        s = system(Meixner(1, F(1, 2)), (1, 2))
+        xi = s.Xi_at
+        monkeypatch.setattr(s, "Xi_at", lambda x, xi=xi, zeros=zeros: 0 if x in zeros else xi(x))
+        for suite, oracle in ((verify_eigen_equation, fraction_eigen_checks), (verify_shape_invariance, fraction_shape_checks)):
+            with pytest.raises(ZeroDivisionError):
+                oracle(s, 2, 6)
+            with pytest.raises(ZeroDivisionError):
+                suite(s.p, s.labels, 2, 6)
+
+
+def test_a_point_with_no_divisor_raises_though_both_sides_vanish(monkeypatch):
+    # where a table's coefficients all vanish at x = 3 (the eigen-equation's,
+    # or the forward shift's), both sides cross-multiply to 0 == 0; the check
+    # raises on the zero divisor instead of passing
     from mipoly import multi
 
     monkeypatch.setattr(multi, "_SYSTEMS", {})
     s = system(Meixner(1, F(1, 2)), (1, 2))
-    spoil(monkeypatch, s, ("Xi_at", lambda v: 0 * v))
-    for suite, oracle in ((verify_eigen_equation, fraction_eigen_checks), (verify_shape_invariance, fraction_shape_checks)):
+    eigen, shifts = multi._eigen_coefficients(s), multi._shift_coefficients(s)
+    zero_eigen = LatticeFunction(lambda x: [0] * 4 if x == 3 else eigen(x))
+    zero_forward = LatticeFunction(lambda x: ([0] * 3, shifts(x)[1]) if x == 3 else shifts(x))
+    monkeypatch.setattr(multi, "_eigen_coefficients", lambda sys: zero_eigen)
+    monkeypatch.setattr(multi, "_shift_coefficients", lambda sys: zero_forward)
+    for suite in (verify_eigen_equation, verify_shape_invariance):
+        assert suite(s.p, s.labels, 2, 2).passed
         with pytest.raises(ZeroDivisionError):
-            oracle(s, 2, 6)
-        with pytest.raises(ZeroDivisionError):
-            suite(s.p, s.labels, 2, 6)
-    # with Xi_D(3) = Xi_D(4) = 0 both sides of the eigen-equation at x = 3
-    # and of the round trip at x = 3 cross-multiply to 0 == 0, and the pairs
-    # still do not pass them (the deformed potentials divide by zero after)
-    xi = s.Xi_at
-    monkeypatch.setattr(s, "Xi_at", lambda x: 0 if x in (3, 4) else xi(x))
-    monkeypatch.setattr(multi, "_SYSTEMS", {(s.p, s.labels): s})
-    pair_verdicts = {}
-    monkeypatch.setattr(multi, "_decide", lambda rep, name, holds, fraction_form: pair_verdicts.update({name: holds}))
-    verify_eigen_equation(s.p, s.labels, 2, 6)
-    with pytest.raises(ZeroDivisionError):
-        verify_shape_invariance(s.p, s.labels, 2, 6)
-    names = [f"n={n},x=3" for n in range(3)] + [f"roundtrip n={n},x=3" for n in (1, 2)]
-    assert [pair_verdicts[name] for name in names] == [False] * 5
+            suite(s.p, s.labels, 2, 3)
 
 
-def test_pair_checks_read_no_fraction_form_when_they_pass(monkeypatch):
-    # eigen_residual, forward_apply and backward_apply write the witness of
-    # a failing check; checks that pass never call them
+@pytest.mark.parametrize("how", SPOILS, ids=str)
+def test_suites_read_the_scalar_views_only_for_a_witness(monkeypatch, how):
+    # the suites decide on pairs: they never call forward_apply or
+    # backward_apply, and call eigen_residual once per failing eigen check,
+    # for its witness
     calls = []
     for name in ("eigen_residual", "forward_apply", "backward_apply"):
         original = getattr(MultiIndexedSystem, name)
         monkeypatch.setattr(
-            MultiIndexedSystem, name, lambda self, *a, _f=original, _n=name: calls.append(_n) or _f(self, *a)
+            MultiIndexedSystem, name, lambda self, *a, _f=original, _n=name: calls.append((_n, *a)) or _f(self, *a)
         )
-    for p, labels in SOME:
-        assert verify_eigen_equation(p, labels, 3, 12).passed
-        assert verify_shape_invariance(p, labels, 3, 12).passed
-    assert calls == []
+    s = spoilt_system(monkeypatch, lambda: Meixner(1, F(1, 2)), (1, 2, 3), how)
+    eigen = verify_eigen_equation(s.p, s.labels, 3, 12)
+    shape = verify_shape_invariance(s.p, s.labels, 3, 12)
+    assert {name for name, *_ in calls} <= {"eigen_residual"}
+    assert [f"n={n},x={x}" for _, n, x in calls] == [c.name for c in eigen.failures()]
+    assert shape.passed == eigen.passed == (how == "exact")
 
 
 def test_systems_on_a_family_read_its_columns(monkeypatch):
