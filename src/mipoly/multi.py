@@ -106,9 +106,10 @@ class MultiIndexedSystem:
     """A base system with an ordered tuple of deleted virtual-state labels.
 
     The label order only flips Casoratian signs, which the closed-form
-    constants track, so any ordering yields identical polynomials; tests
-    exercise permutations explicitly.  Label 0 (the constant xi_0 = 1) is
-    admitted for the reduction identity; ordinary use has d_j >= 1.
+    constants track, so any ordering yields identical polynomials (the
+    deletion chain checks C_D and dt_sq under each adjacent swap, see
+    `chain`).  Label 0 (the constant xi_0 = 1) is admitted for the
+    reduction identity; ordinary use has d_j >= 1.
     """
 
     def __init__(self, p: _BaseFamily, labels: Sequence[int]):

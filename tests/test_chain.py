@@ -14,7 +14,6 @@ from mipoly.chain import (
     _contiguity_coefficients,
     _eigen_identity,
     _level,
-    _middle_order,
     _nesting,
     chain_build,
     chain_verify,
@@ -251,35 +250,76 @@ def test_orders_sharing_a_prefix_share_its_levels(monkeypatch):
     assert sorted(built) == [(), (1,), (1, 2), (1, 3)]
 
 
-def test_the_middle_order_is_the_middle_permutation():
-    for m in range(9):
-        order = tuple(range(1, m + 1))
-        perms = list(permutations(order))
-        assert _middle_order(order) == perms[len(perms) // 2]
-
-
-@pytest.mark.parametrize("m, others", [(1, []), (2, [(2, 1)]), (3, [(2, 3, 1), (3, 2, 1)])])
+@pytest.mark.parametrize(
+    "m, others", [(1, []), (2, [(1, 2)]), (3, [(1, 2), (2, 3)]), (4, [(1, 2), (2, 3), (3, 4)])]
+)
 def test_order_independence_reads_at_most_two_other_orders(m, others):
+    # the other orders read are the M - 1 adjacent swaps of the given one,
+    # each named by the labels it swaps
     rep = chain_verify(M, tuple(range(1, m + 1)), n_max=1, x_max=4)
     assert [c.name for c in rep.checks if c.name.startswith("order")] == [
-        f"order independence {list(o)}" for o in others
+        f"order independence, swap {a},{b}" for a, b in others
     ]
 
 
-def test_a_chain_of_twelve_labels_lists_no_other_order():
-    # 12! orders exist; the chain reads the middle and the last only, so the
-    # run stays small
+def test_a_chain_of_twelve_labels_lists_no_other_order(monkeypatch):
+    # 12! orders exist; the chain reads the closed forms of the 11 adjacent
+    # swaps only, so the run stays small and stores no other order
+    from mipoly import multi
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    order = tuple(range(1, 13))
     tracemalloc.start()
     try:
-        rep = chain_verify(M, tuple(range(1, 13)), n_max=0, x_max=0)
+        rep = chain_verify(M, order, n_max=0, x_max=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.passed and peak < 16 * 2**20
     assert [c.name for c in rep.checks if c.name.startswith("order")] == [
-        "order independence [7, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12]",
-        "order independence [12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1]",
+        f"order independence, swap {d},{d + 1}" for d in range(1, 12)
     ]
+    assert {labels for _, labels in multi._SYSTEMS if sorted(labels) == list(order)} == {order}
+
+
+@pytest.mark.parametrize(
+    "p, order",
+    [(M, (1, 2)), (M, (1, 2, 3)), (QJ, (1, 2)), (QJ, (1, 2, 3)), (QL, (1, 3)), (QL, (1, 2, 3)), (M, (1, 2, 3, 4))],
+    ids=repr,
+)
+def test_every_order_builds_the_same_polynomials(monkeypatch, p, order):
+    # the oracle of the swap checks: each order's Xi_D and P_{D,n}, n <= 2,
+    # built from its own Casoratian grids
+    from mipoly import multi
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    given = system(p, order)
+    for perm in permutations(order):
+        other = system(p, perm)
+        assert other.Xi() == given.Xi()
+        assert all(other.multi_poly(n) == given.multi_poly(n) for n in range(3))
+
+
+def _unsorted(fn, spoil):
+    """fn, spoilt by spoil on the systems whose labels are not sorted."""
+
+    def spoilt(self, *args):
+        value = fn(self, *args)
+        return value if list(self.labels) == sorted(self.labels) else spoil(value)
+
+    return spoilt
+
+
+@pytest.mark.parametrize("method, spoil", [("C_D", lambda v: -v), ("dt_sq", lambda v: 2 * v)])
+@pytest.mark.parametrize("p", [M, QJ], ids=repr)
+def test_a_closed_form_that_depends_on_the_order_fails_the_swap_checks(monkeypatch, p, method, spoil):
+    # a C_D that misses a sign, or a dt_sq that is not symmetric, on any
+    # order but the sorted one fails exactly the two swap checks of (1, 2, 3)
+    from mipoly.multi import MultiIndexedSystem
+
+    monkeypatch.setattr(MultiIndexedSystem, method, _unsorted(getattr(MultiIndexedSystem, method), spoil))
+    rep = chain_verify(p, (1, 2, 3), n_max=2, x_max=8)
+    assert [c.name for c in rep.failures()] == ["order independence, swap 1,2", "order independence, swap 2,3"]
 
 
 @pytest.mark.parametrize("p", [M, QL], ids=repr)
