@@ -29,8 +29,8 @@ construction rests on:
     base system H_0 = A^dagger A, and H_s = A^dagger A of the standard-form
     potentials (at s = 0 these are compared with the base potentials
     themselves).  Each form is a (diagonal, off-diagonal product) pair of
-    lattice functions, and one comparison of two forms, the `product` and
-    `diagonal` checks, serves every level,
+    lattice functions, and one comparison of two forms (`families._same_form`),
+    the `product` and `diagonal` checks, serves every level,
   - the sign-factor recursion against its closed form,
   - at s = M, agreement with the closed-form multi-indexed system:
     potentials, squared eigenvectors (with the exact normalization
@@ -68,12 +68,10 @@ computed once per (system, x).  `chain_build` and `chain_verify` read the
 order's prefix systems and these tables directly; the checks themselves run
 on every call, and a check only combines table entries with its own column.
 
-The arithmetic is fraction-free, on the unreduced pairs of the `series`
-kernel.  Each grid value, an int or a Fraction, is read as its int numerator
-and positive denominator (`pair`); the tables and each side of an identity
-are pairs, and the two sides are compared by cross-multiplying
-(`pair_equal`).  No Fraction is built and no gcd is taken per operation.
-Every denominator is a product of positive ones (`pair_quotient` moves a
+The arithmetic is the fraction-free pair coding of the lattice operator in
+`families`: grid values are read as int numerator and positive denominator
+(`pair`), and no Fraction is built and no gcd taken per operation.  Every
+denominator is a product of positive ones (`pair_quotient` moves a
 divisor's sign to the numerator), so a sign check reads the numerator.
 """
 
@@ -83,10 +81,10 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .casoratian import LatticeFunction
-from .families import _BaseFamily, memo
-from .multi import MultiIndexedSystem, _eigen_identity, _validate_labels, system
+from .families import _BaseFamily, _a_adag, _adag_a, _eigen_identity, _same_form, memo
+from .multi import MultiIndexedSystem, _validate_labels, system
 from .report import Report
-from .series import pair, pair_common, pair_equal, pair_product, pair_quotient, pair_sum
+from .series import pair, pair_common, pair_equal, pair_product, pair_quotient
 from .virtual import index_set
 
 
@@ -152,7 +150,7 @@ class _Level:
       (Bhat, Dhat), and at s = 0 the base system, A^dagger A of (B, D).
     - `eigen(x) = (A, C, P, Q)`: the level-s eigen-identity for a companion
       column u of energy eps reads (A + (Et - eps) C) u(x)
-      = P u(x+1) + Q u(x-1), checked by `multi._eigen_identity`.  Cleared
+      = P u(x+1) + Q u(x-1), checked by `families._eigen_identity`.  Cleared
       of all Casoratian denominators, it holds at any integer x; multiplied
       out for s >= 1 it is
         [aB'(x+s-1) w_{s-1}(x) w_s(x+1)^2 + aD'(x+1) w_{s-1}(x+2) w_s(x)^2
@@ -243,20 +241,6 @@ def _potentials(aB, aD, k: int, u: LatticeFunction, v: LatticeFunction) -> tuple
     return LatticeFunction(B), LatticeFunction(D)
 
 
-def _adag_a(B, D, e) -> tuple:
-    """A^dagger A + e of the pair potentials (B, D), as its diagonal
-    B(x) + D(x) + e and its off-diagonal product B(x) D(x+1)."""
-    e = pair(e)
-    return (lambda x: pair_sum(B(x), D(x), e)), (lambda x: pair_product(B(x), D(x + 1)))
-
-
-def _a_adag(B, D, e) -> tuple:
-    """A A^dagger + e of the pair potentials (B, D), as its diagonal
-    B(x) + D(x+1) + e and its off-diagonal product B(x+1) D(x+1)."""
-    e = pair(e)
-    return (lambda x: pair_sum(B(x), D(x + 1), e)), (lambda x: pair_product(B(x + 1), D(x + 1)))
-
-
 class ChainState:
     """One level of a deletion chain, in ground-state-adapted standard form."""
 
@@ -314,9 +298,9 @@ def _check(rep: Report, name: str, xs, holds: Callable[[int], bool]) -> None:
 def _same_hamiltonian(rep: Report, name: str, xs, H: tuple, K: tuple) -> None:
     """The checks `name product` and `name diagonal`: two forms H, K of one
     Hamiltonian have the same off-diagonal product and the same diagonal."""
-    (h_diag, h_off), (k_diag, k_off) = H, K
-    _check(rep, f"{name} product", xs, lambda x: pair_equal(h_off(x), k_off(x)))
-    _check(rep, f"{name} diagonal", xs, lambda x: pair_equal(h_diag(x), k_diag(x)))
+    diag, off = _same_form(H, K)
+    _check(rep, f"{name} product", xs, off)
+    _check(rep, f"{name} diagonal", xs, diag)
 
 
 def _contiguity(contiguity: LatticeFunction, upper, lower, k) -> Callable[[int], bool]:

@@ -44,6 +44,11 @@ methods here as well: the twist constants alpha() and alpha_prime(), the
 virtual energies virtual_energy(v), the label bound v_max(), varphi_M(m, x)
 and the leading-coefficient factors leading_factors(labels, n).
 
+So is the lattice operator H = A^dagger A + const of (B, D), on the pairs
+of the `series` kernel: eigen-equation and shift tables (`_operator`; at
+Xi = 1 the family's own) and the comparison of two factorized forms
+(`_same_form`) that decides shape invariance and the twist's linear relation.
+
 Caching follows one rule.  A derived value that an object computes from its
 own parameters -- here P_n, d_n^2 and the moved families, in `multi` C_D,
 Xi_D, P_{D,n}, the weight and the orthogonality certificate, in `chain` the
@@ -65,8 +70,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from fractions import Fraction
 
+from .casoratian import LatticeFunction
 from .polynomials import Polynomial, newton_form, sign_on_tail
 from .ratfunc import RationalFunction
 from .report import Report
@@ -74,8 +81,12 @@ from .series import (
     Interval,
     nested_sum,
     pair,
+    pair_common,
+    pair_equal,
     pair_product,
     pair_quotient,
+    pair_sum,
+    pair_value,
     pochhammer,
     q_pochhammer,
     rational_power,
@@ -648,23 +659,110 @@ class LittleQLaguerre(LittleQJacobi):
 FAMILIES = {"M": Meixner, "lqJ": LittleQJacobi, "lqL": LittleQLaguerre}
 
 
-# -- shift operators and the product formula ---------------------------------------
+# -- the lattice operator on pairs ---------------------------------------------------
 
 
-def forward_shift_apply(p: _BaseFamily, f, x: int):
-    """(F f)(x) = B(0) varphi(x)^-1 (f(x) - f(x+1)); sends level-lambda P_n
-    to E_n times level-(lambda+delta) P_{n-1}."""
-    return p.B(0) * (f(x) - f(x + 1)) / p.varphi(x)
+def _eigen_identity(eigen, u, k) -> Callable[[int], bool]:
+    """(A + k C) u(x) == P u(x+1) + Q u(x-1) for the table eigen(x) =
+    (A, C, P, Q), the int numerators of the coefficients over one common
+    denominator (dropped: the identity is homogeneous in them), an exact
+    scalar k and a lattice function u, by one cross-multiplication."""
+
+    kn, kd = pair(k)
+
+    def holds(x):
+        a, c, p, q = eigen(x)
+        (un, ud), (u1n, u1d), (u0n, u0d) = pair(u(x)), pair(u(x + 1)), pair(u(x - 1))
+        return (a * kd + kn * c) * un * u1d * u0d == (p * u1n * u0d + q * u0n * u1d) * kd * ud
+
+    return holds
 
 
-def backward_shift_apply(p: _BaseFamily, f, x: int):
-    """(G f)(x) = B(0)^-1 (B(x) varphi(x) f(x) - D(x) varphi(x-1) f(x-1));
-    inverts the forward shift on polynomial eigenvectors.  The x = 0 term
-    from f(-1) is absent because D(0) = 0."""
-    val = p.B(x) * p.varphi(x) * f(x)
-    if x >= 1:
-        val = val - p.D(x) * p.varphi(x - 1) * f(x - 1)
-    return val / p.B(0)
+def _eigen_residual(eigen, u, k, x: int):
+    """((A + k C) u(x) - P u(x+1) - Q u(x-1)) / C: `_eigen_identity`'s
+    residual at x as a scalar, a failing point's witness."""
+    a, c, p, q = eigen(x)
+    return pair_value((a + k * c) * u(x) - p * u(x + 1) - q * u(x - 1), c)
+
+
+def _shift(shifts, f, x: int, forward: bool) -> tuple:
+    """(F f)(x) = (f0 f(x) - f1 f(x+1)) / fc if forward, else (G f)(x) = (g0
+    f(x) - g1 f(x-1)) / gc, an unreduced pair from `_operator`'s triples and
+    f of pairs; D(0) = 0 drops f(-1) at x = 0, and a zero divisor raises ZeroDivisionError."""
+    (c0, c1, c), (a, ad) = shifts(x)[0 if forward else 1], f(x)
+    if not c:
+        raise ZeroDivisionError("shift divisor vanishes")
+    b, bd = f(x + 1) if forward else f(x - 1) if x else (0, 1)
+    return c0 * a * bd - c1 * b * ad, c * ad * bd
+
+
+def _operator(p: _BaseFamily, tilde: _BaseFamily, xi=lambda x: 1, xi_up=lambda x: 1) -> tuple:
+    """(eigen, shifts): per-x tables of the operator with denominators Xi =
+    xi, Xi' = xi_up at lambda + delta (both 1 for the family's own operator,
+    `_operator(p, p)`) and B~ the B of `tilde` (lambda + M tilde-delta),
+        H u(x) = B~(x) (Xi(x)/Xi(x+1)) [(Xi'(x+1)/Xi'(x)) u(x) - u(x+1)]
+               + D(x) (Xi(x+1)/Xi(x)) [(Xi'(x-1)/Xi'(x)) u(x) - u(x-1)];
+    times C = Xi(x) Xi(x+1) Xi'(x), (H - E_n) u at x is (A - E_n C) u(x) -
+    P u(x+1) - Q u(x-1), and eigen(x) = (A, C, P, Q) for `_eigen_identity`,
+        A = B~(x) Xi(x)^2 Xi'(x+1) + D(x) Xi(x+1)^2 Xi'(x-1),
+        P = B~(x) Xi(x)^2 Xi'(x),   Q = D(x) Xi(x+1)^2 Xi'(x).
+    shifts(x) holds the triples for `_shift` of the forward shift, which
+    lowers n by one and moves to lambda + delta, and of its inverse,
+        f0, f1, fc = B~(0) Xi'(x+1), B~(0) Xi'(x), varphi(x) Xi(x+1),
+        g0, g1, gc = B~(x) Xi(x) varphi(x), D(x) Xi(x+1) varphi(x-1), B~(0) Xi'(x).
+    Each entry is int numerators over one common denominator.  At Xi = Xi'
+    = 1 eigen(x) is (B + D, 1, B, D), the base difference equation."""
+    b0 = pair(tilde.B(0))
+
+    def point(x):
+        xi0, xi1, up0, up1 = pair(xi(x)), pair(xi(x + 1)), pair(xi_up(x)), pair(xi_up(x + 1))
+        bt, d, phi = pair(tilde.B(x)), pair(p.D(x)), pair(p.varphi(x))
+        b, dd = pair_product(bt, xi0, xi0), pair_product(d, xi1, xi1)
+        a = pair_sum(pair_product(b, up1), pair_product(dd, pair(xi_up(x - 1))))
+        eigen = pair_common(a, pair_product(xi0, xi1, up0), pair_product(b, up0), pair_product(dd, up0))
+        forward = pair_common(pair_product(b0, up1), pair_product(b0, up0), pair_product(phi, xi1))
+        g1 = pair_product(d, xi1, pair(p.varphi(x - 1)))
+        return eigen, (forward, pair_common(pair_product(bt, xi0, phi), g1, pair_product(b0, up0)))
+
+    tables = LatticeFunction(point)
+    return LatticeFunction(lambda x: tables(x)[0]), LatticeFunction(lambda x: tables(x)[1])
+
+
+def _adag_a(B, D, e) -> tuple:
+    """A^dagger A + e of the pair potentials (B, D), as its diagonal
+    B(x) + D(x) + e and its off-diagonal product B(x) D(x+1)."""
+    e = pair(e)
+    return (lambda x: pair_sum(B(x), D(x), e)), (lambda x: pair_product(B(x), D(x + 1)))
+
+
+def _a_adag(B, D, e) -> tuple:
+    """A A^dagger + e of the pair potentials (B, D), as its diagonal
+    B(x) + D(x+1) + e and its off-diagonal product B(x+1) D(x+1)."""
+    e = pair(e)
+    return (lambda x: pair_sum(B(x), D(x + 1), e)), (lambda x: pair_product(B(x + 1), D(x + 1)))
+
+
+def _same_form(H: tuple, K: tuple) -> tuple:
+    """(diagonal, off-diagonal): at x, do the forms H and K of one Hamiltonian
+    (`_adag_a`) have the same diagonal, the same off-diagonal product?"""
+    (h_diag, h_off), (k_diag, k_off) = H, K
+    return (lambda x: pair_equal(h_diag(x), k_diag(x))), (lambda x: pair_equal(h_off(x), k_off(x)))
+
+
+def _pairs(f, k=1):
+    """x -> k f(x) as a pair, for a scalar lattice function f."""
+    k = pair(k)
+    return lambda x: pair_product(k, pair(f(x)))
+
+
+def _same_shape(p: _BaseFamily, B, D, B_up, D_up) -> tuple:
+    """`_same_form` of A A^dagger of the scalar potentials (B, D) at lambda
+    and kappa A^dagger A + E_1 of (B_up, D_up) at lambda + delta."""
+    H = _a_adag(_pairs(B), _pairs(D), 0)
+    return _same_form(H, _adag_a(_pairs(B_up, p.kappa), _pairs(D_up, p.kappa), p.energy(1)))
+
+
+# -- the product formula ------------------------------------------------------------
 
 
 def rodrigues_vector(p: _BaseFamily, n: int, x_max: int) -> list:
@@ -691,19 +789,21 @@ def rodrigues_vector(p: _BaseFamily, n: int, x_max: int) -> list:
 def verify_difference_equation(p: _BaseFamily, n_max: int, x_max: int) -> Report:
     """Check B(x)(P_n(x)-P_n(x+1)) + D(x)(P_n(x)-P_n(x-1)) = E_n P_n(x).
 
-    Exact on the lattice window 0..x_max, which already pins down the
-    identity as rational functions (both sides have degree <= n+2 in the
-    lattice variable); three off-lattice values of the lattice variable w
-    are checked as well to exercise the continuation directly.
+    Exact on the lattice window 0..x_max, on pairs (`_operator`), which
+    already pins down the identity as rational functions (both sides have
+    degree <= n+2 in the lattice variable); a failing point carries its
+    residual as the witness.  Three off-lattice values of the lattice
+    variable w exercise the continuation directly.
     """
     rep = Report(f"base.difference-equation[{p!r}]", "difference equation for P_n")
+    eigen = _operator(p, p)[0]
     for n in range(n_max + 1):
         e = p.energy(n)
-        vals = [p.poly_eval(n, x) for x in range(-1, x_max + 2)]
+        u = lambda y, n=n: p.poly_eval(n, y)
+        holds = _eigen_identity(eigen, u, -e)
         for x in range(x_max + 1):
-            lhs = p.B(x) * (vals[x + 1] - vals[x + 2]) + p.D(x) * (vals[x + 1] - vals[x])
-            ok = lhs == e * vals[x + 1]
-            rep.add(f"n={n},x={x}", ok, "" if ok else f"residual={lhs - e * vals[x + 1]}")
+            ok = holds(x)
+            rep.add(f"n={n},x={x}", ok, "" if ok else f"residual={_eigen_residual(eigen, u, -e, x)}")
         for w in (Fraction(2, 3), Fraction(5, 7), Fraction(3, 2)):
             val = lambda k: p.poly_value_w(n, p.step_w(w, k))
             lhs = p.B_w(w) * (val(0) - val(1)) + p.D_w(w) * (val(0) - val(-1))
@@ -714,25 +814,24 @@ def verify_difference_equation(p: _BaseFamily, n_max: int, x_max: int) -> Report
 
 
 def verify_shift_relations(p: _BaseFamily, n_max: int, x_max: int) -> Report:
-    """Forward/backward shift relations, the product (Rodrigues) formula, and
-    the square-root-free factorization-intertwining identities."""
+    """Forward/backward shift relations on pairs (`_operator`), the product
+    (Rodrigues) formula, and shape invariance as one comparison of two forms
+    (`_same_shape`)."""
     rep = Report(f"base.shift-relations[{p!r}]", "shift operators, product formula, shape invariance")
-    up = p.shifted(1)
+    up, shifts = p.shifted(1), _operator(p, p)[1]
     for n in range(1, n_max + 1):
-        e = p.energy(n)
+        e = pair(p.energy(n))
+        pn = lambda y, n=n: pair(p.poly_eval(n, y))
+        qn = lambda y, n=n: pair(up.poly_eval(n - 1, y))
         for x in range(x_max + 1):
-            fwd = forward_shift_apply(p, lambda y, n=n: p.poly_eval(n, y), x)
-            rep.add(f"forward n={n},x={x}", fwd == e * up.poly_eval(n - 1, x))
-            bwd = backward_shift_apply(p, lambda y, n=n: up.poly_eval(n - 1, y), x)
-            rep.add(f"backward n={n},x={x}", bwd == p.poly_eval(n, x))
+            rep.add(f"forward n={n},x={x}", pair_equal(_shift(shifts, pn, x, True), pair_product(e, qn(x))))
+            rep.add(f"backward n={n},x={x}", pair_equal(_shift(shifts, qn, x, False), pn(x)))
     for n in range(n_max + 1):
         rod = rodrigues_vector(p, n, x_max)
         ok = all(rod[x] == p.poly_eval(n, x) for x in range(x_max + 1))
         rep.add(f"product formula n={n}", ok)
-    kappa, e1 = p.kappa, p.energy(1)
+    diag, offd = _same_shape(p, p.B, p.D, up.B, up.D)
     for x in range(x_max + 1):
-        diag = p.B(x) + p.D(x + 1) == kappa * (up.B(x) + up.D(x)) + e1
-        offd = p.B(x + 1) * p.D(x + 1) == kappa**2 * up.B(x) * up.D(x + 1)
-        rep.add(f"shape-invariance diagonal x={x}", diag)
-        rep.add(f"shape-invariance squared off-diagonal x={x}", offd)
+        rep.add(f"shape-invariance diagonal x={x}", diag(x))
+        rep.add(f"shape-invariance squared off-diagonal x={x}", offd(x))
     return rep

@@ -32,30 +32,25 @@ Construction runs over Fraction scalars and, for the M system, over
 rational functions of c (symbolically), which is what the exact limit
 module uses; construction paths therefore avoid order comparisons entirely.
 The Casoratian columns xi_d(eta(x)) and nu(x) P_n(eta(x)) are memos of the
-family, read by every system on it.  The deformed operator is
-coded once, as per-x coefficient tables of the system (`_eigen_coefficients`,
-`_shift_coefficients`), shared by every n.  The pointwise checks of the
-eigen-equation and of the forward, backward and round-trip shifts decide
-each point once, on the unreduced pairs of the `series` kernel, as the
-deletion chain's do: one cross-multiplication, no gcd per operation, and a
-vanishing divisor raises ZeroDivisionError.  `eigen_residual`,
-`forward_apply` and `backward_apply` are views of the same tables with
-scalar values; the eigen-equation check reads the residual only for the
-witness of a point that fails.
+family, read by every system on it.  The deformed operator is the
+`families` lattice operator at Xi = Xi_D, its tables kept on the system
+for every n (`_operator_tables`), and its checks are the `families`
+predicates; a vanishing divisor raises ZeroDivisionError.  `eigen_residual`,
+`forward_apply` and `backward_apply` are scalar views of the same tables.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .casoratian import LatticeFunction, casoratian
-from .families import _BaseFamily, memo
+from .families import _BaseFamily, _eigen_identity, _eigen_residual, _operator, _same_shape, _shift, memo
 from .polynomials import Polynomial, interpolate
 from .ratfunc import RationalFunction
 from .report import Report
-from .series import Interval, as_interval, pair, pair_common, pair_equal, pair_product, pair_sum, pair_value
+from .series import Interval, as_interval, pair, pair_equal, pair_product, pair_value
 from .virtual import xi_poly
 
 
@@ -275,20 +270,18 @@ class MultiIndexedSystem:
     # -- operators ----------------------------------------------------------------------
 
     def eigen_residual(self, n: int, x: int):
-        """Residual of the similarity-transformed eigen-equation at x,
-        ((A - E_n C) u(x) - P u(x+1) - Q u(x-1)) / C for u = P_{D,n} and the
-        table (A, C, P, Q) of `_eigen_coefficients`."""
-        a, c, p, q = _eigen_coefficients(self)(x)
+        """Residual of the similarity-transformed eigen-equation at x for u =
+        P_{D,n}: `families._eigen_residual` on the system's eigen table."""
         u = lambda y: self.multi_poly_at(n, y)
-        return pair_value((a - self.p.energy(n) * c) * u(x) - p * u(x + 1) - q * u(x - 1), c)
+        return _eigen_residual(_operator_tables(self)[0], u, -self.p.energy(n), x)
 
     def forward_apply(self, f, x: int):
         """Forward shift: lowers n by one and moves parameters to lambda+delta."""
-        return pair_value(*_shift(_shift_coefficients(self), lambda y: pair(f(y)), x, True))
+        return pair_value(*_shift(_operator_tables(self)[1], lambda y: pair(f(y)), x, True))
 
     def backward_apply(self, f, x: int):
         """Backward shift acting on level-(lambda+delta) polynomials."""
-        return pair_value(*_shift(_shift_coefficients(self), lambda y: pair(f(y)), x, False))
+        return pair_value(*_shift(_operator_tables(self)[1], lambda y: pair(f(y)), x, False))
 
 
 def count_sign_changes(values: Sequence) -> int:
@@ -355,87 +348,10 @@ def verify_multi_structure(p: _BaseFamily, labels: Sequence[int], n_max: int, x_
     return rep
 
 
-def _eigen_identity(eigen: LatticeFunction, u, k) -> Callable[[int], bool]:
-    """(A + k C) u(x) == P u(x+1) + Q u(x-1) for the table eigen(x) =
-    (A, C, P, Q), the int numerators of the coefficients over one common
-    denominator (dropped: the identity is homogeneous in them), an exact
-    scalar k and a lattice function u, by one cross-multiplication."""
-
-    kn, kd = pair(k)
-
-    def holds(x):
-        a, c, p, q = eigen(x)
-        (un, ud), (u1n, u1d), (u0n, u0d) = pair(u(x)), pair(u(x + 1)), pair(u(x - 1))
-        return (a * kd + kn * c) * un * u1d * u0d == (p * u1n * u0d + q * u0n * u1d) * kd * ud
-
-    return holds
-
-
 @memo
-def _eigen_coefficients(sys: MultiIndexedSystem) -> LatticeFunction:
-    """The deformed eigen-equation for u = P_{D,n} at x as the table of
-    `_eigen_identity` with k = -E_n.  The Hamiltonian acts as
-        B~(x) (Xi(x)/Xi(x+1)) [(Xi'(x+1)/Xi'(x)) u(x) - u(x+1)]
-      + D(x) (Xi(x+1)/Xi(x)) [(Xi'(x-1)/Xi'(x)) u(x) - u(x-1)]
-    with Xi' the denominator at lambda + delta and B~ the B of lambda +
-    M tilde-delta; times C = Xi(x) Xi(x+1) Xi'(x), the product of its
-    divisors, (H - E_n) u at x is (A - E_n C) u(x) - P u(x+1) - Q u(x-1) for
-        A = B~(x) Xi(x)^2 Xi'(x+1) + D(x) Xi(x+1)^2 Xi'(x-1),
-        P = B~(x) Xi(x)^2 Xi'(x),   Q = D(x) Xi(x+1)^2 Xi'(x)."""
-    p, up, tilde = sys.p, sys.shifted_system(), sys.p.tilde_shifted(sys.M)
-
-    def eigen(x):
-        xi0, xi1, up0 = pair(sys.Xi_at(x)), pair(sys.Xi_at(x + 1)), pair(up.Xi_at(x))
-        b = pair_product(pair(tilde.B(x)), xi0, xi0)
-        d = pair_product(pair(p.D(x)), xi1, xi1)
-        return pair_common(
-            pair_sum(pair_product(b, pair(up.Xi_at(x + 1))), pair_product(d, pair(up.Xi_at(x - 1)))),
-            pair_product(xi0, xi1, up0),
-            pair_product(b, up0),
-            pair_product(d, up0),
-        )
-
-    return LatticeFunction(eigen)
-
-
-@memo
-def _shift_coefficients(sys: MultiIndexedSystem) -> LatticeFunction:
-    """The shifts at x as int coefficients: (F f)(x) = (f0 f(x) - f1 f(x+1))
-    / fc of `forward_apply` and (G f)(x) = (g0 f(x) - g1 f(x-1)) / gc of
-    `backward_apply`, with Xi' and B~ as in `_eigen_coefficients`,
-        f0, f1, fc = B~(0) Xi'(x+1), B~(0) Xi'(x), varphi(x) Xi(x+1),
-        g0, g1, gc = B~(x) Xi(x) varphi(x), D(x) Xi(x+1) varphi(x-1), B~(0) Xi'(x),
-    each triple over one common denominator; the table holds the pair of
-    triples."""
-    p, up, tilde = sys.p, sys.shifted_system(), sys.p.tilde_shifted(sys.M)
-    b0 = pair(tilde.B(0))
-
-    def shifts(x):
-        xi0, xi1, up0 = pair(sys.Xi_at(x)), pair(sys.Xi_at(x + 1)), pair(up.Xi_at(x))
-        forward = pair_common(
-            pair_product(b0, pair(up.Xi_at(x + 1))),
-            pair_product(b0, up0),
-            pair_product(pair(p.varphi(x)), xi1),
-        )
-        backward = pair_common(
-            pair_product(pair(tilde.B(x)), xi0, pair(p.varphi(x))),
-            pair_product(pair(p.D(x)), xi1, pair(p.varphi(x - 1))),
-            pair_product(b0, up0),
-        )
-        return forward, backward
-
-    return LatticeFunction(shifts)
-
-
-def _shift(shifts: LatticeFunction, f, x: int, forward: bool) -> tuple:
-    """(F f)(x) if forward, else (G f)(x), as an unreduced pair, from the
-    table of `_shift_coefficients` and a function f of pairs; D(0) = 0 drops
-    f(-1) at x = 0, and a vanishing divisor raises ZeroDivisionError."""
-    (c0, c1, c), (a, ad) = shifts(x)[0 if forward else 1], f(x)
-    if not c:
-        raise ZeroDivisionError("shift divisor vanishes")
-    b, bd = f(x + 1) if forward else f(x - 1) if x else (0, 1)
-    return c0 * a * bd - c1 * b * ad, c * ad * bd
+def _operator_tables(sys: MultiIndexedSystem) -> tuple:
+    """(eigen, shifts): `families._operator` of the system, shared by every n."""
+    return _operator(sys.p, sys.p.tilde_shifted(sys.M), sys.Xi_at, sys.shifted_system().Xi_at)
 
 
 def verify_eigen_equation(p: _BaseFamily, labels: Sequence[int], n_max: int, x_max: int) -> Report:
@@ -443,7 +359,7 @@ def verify_eigen_equation(p: _BaseFamily, labels: Sequence[int], n_max: int, x_m
     failing point carries its residual as the witness."""
     sys = system(p, labels)
     rep = Report(f"multi.eigen-equation[{sys!r}]", "similarity-transformed eigenvalue equation")
-    eigen = _eigen_coefficients(sys)
+    eigen = _operator_tables(sys)[0]
     for n in range(n_max + 1):
         holds = _eigen_identity(eigen, lambda y, n=n: sys.multi_poly_at(n, y), -sys.p.energy(n))
         for x in range(x_max + 1):
@@ -462,7 +378,7 @@ def verify_shape_invariance(p: _BaseFamily, labels: Sequence[int], n_max: int, x
     sys = system(p, labels)
     rep = Report(f"multi.shape-invariance[{sys!r}]", "deformed shift operators and potentials")
     up_sys = sys.shifted_system()
-    shifts = _shift_coefficients(sys)
+    shifts = _operator_tables(sys)[1]
     for n in range(1, n_max + 1):
         e_pair = pair(sys.p.energy(n))
         p_pair = lambda y, n=n: pair(sys.multi_poly_at(n, y))
@@ -476,12 +392,10 @@ def verify_shape_invariance(p: _BaseFamily, labels: Sequence[int], n_max: int, x
     for x in range(x_max + 1):
         rep.add(f"B_D > 0 x={x}", sys.B_D(x) > 0)
         rep.add(f"D_D sign x={x}", sys.D_D(x) > 0 if x >= 1 else sys.D_D(x) == 0)
-    kappa, e1 = sys.p.kappa, sys.p.energy(1)
+    diag, offd = _same_shape(sys.p, sys.B_D, sys.D_D, up_sys.B_D, up_sys.D_D)
     for x in range(x_max + 1):
-        diag = sys.B_D(x) + sys.D_D(x + 1) == kappa * (up_sys.B_D(x) + up_sys.D_D(x)) + e1
-        offd = sys.B_D(x + 1) * sys.D_D(x + 1) == kappa**2 * up_sys.B_D(x) * up_sys.D_D(x + 1)
-        rep.add(f"operator shape-invariance diagonal x={x}", diag)
-        rep.add(f"operator shape-invariance off-diagonal x={x}", offd)
+        rep.add(f"operator shape-invariance diagonal x={x}", diag(x))
+        rep.add(f"operator shape-invariance off-diagonal x={x}", offd(x))
     return rep
 
 

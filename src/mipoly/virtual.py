@@ -6,7 +6,9 @@ potentials satisfy, for constants alpha > 0 and alpha' < 0 and for all x,
     alpha^2 B'(x) D'(x+1) = B(x) D(x+1),
     alpha (B'(x) + D'(x)) + alpha' = B(x) + D(x),
 
-where B', D' are the potentials at twisted parameters.  Consequently the
+where B', D' are the potentials at twisted parameters: A^dagger A of (B, D)
+is alpha A'^dagger A' + alpha' of (B', D'), and `verify_linear_relation`
+compares the two forms on the lattice (`families._same_form`).  So the
 twisted eigenpolynomials xi_v(x) = P_v(x; twisted parameters) solve the
 original difference equation with negative energies tE_v = alpha E'_v +
 alpha' (closed forms on the family: p.alpha(), p.alpha_prime(),
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .families import _BaseFamily
+from .families import _BaseFamily, _adag_a, _pairs, _same_form
 from .polynomials import Polynomial
 from .report import Report
 from .series import pair_product, pair_value
@@ -89,20 +91,20 @@ def positivity_certificate(p: _BaseFamily, v: int, x_max: int) -> Report:
 
 
 def verify_linear_relation(p: _BaseFamily, x_max: int) -> Report:
-    """The two potential identities tying twisted to original parameters,
-    positivity of B', D', the nu gauge recurrence, and the virtual energy
-    cross-route tE_v = alpha E'_v + alpha'."""
+    """The two potential identities tying twisted to original parameters (one
+    comparison of two forms on the lattice), positivity of B', D', the nu
+    gauge recurrence, and the virtual energy cross-route tE_v = alpha E'_v + alpha'."""
     rep = Report(f"virtual.linear-relation[{p!r}]", "linear relation between twisted and original potentials")
     al, ap = p.alpha(), p.alpha_prime()
     tw = p.twisted()
     rep.add("alpha > 0", al > 0)
     rep.add("alpha' < 0", ap < 0)
     rep.add("alpha' = tE_0", ap == p.virtual_energy(0))
+    H = _adag_a(_pairs(p.B), _pairs(p.D), 0)
+    sum_ok, prod_ok = _same_form(H, _adag_a(_pairs(tw.B, al), _pairs(tw.D, al), ap))
     for x in range(x_max + 1):
-        prod_ok = al**2 * tw.B(x) * tw.D(x + 1) == p.B(x) * p.D(x + 1)
-        sum_ok = al * (tw.B(x) + tw.D(x)) + ap == p.B(x) + p.D(x)
-        rep.add(f"product identity x={x}", prod_ok)
-        rep.add(f"sum identity x={x}", sum_ok)
+        rep.add(f"product identity x={x}", prod_ok(x))
+        rep.add(f"sum identity x={x}", sum_ok(x))
         rep.add(f"B'(x) > 0 x={x}", tw.B(x) > 0)
         rep.add(f"D'(x) sign x={x}", tw.D(x) > 0 if x >= 1 else tw.D(x) == 0)
         rep.add(f"nu recurrence x={x}", p.nu(x + 1) * al * tw.B(x) == p.nu(x) * p.B(x))

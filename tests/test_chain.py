@@ -12,7 +12,6 @@ from mipoly.chain import (
     _base_tables,
     _contiguity,
     _contiguity_coefficients,
-    _eigen_identity,
     _level,
     _nesting,
     chain_build,
@@ -20,7 +19,7 @@ from mipoly.chain import (
     sign_closed,
     sign_recursive,
 )
-from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
+from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner, _eigen_identity
 from mipoly.multi import system
 from mipoly.virtual import index_set
 

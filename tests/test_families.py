@@ -12,12 +12,11 @@ from mipoly.families import (
     LittleQJacobi,
     LittleQLaguerre,
     Meixner,
-    backward_shift_apply,
-    forward_shift_apply,
     rodrigues_vector,
     verify_difference_equation,
     verify_shift_relations,
 )
+from mipoly.multi import system
 from mipoly.polynomials import interpolate
 from mipoly.ratfunc import RationalFunction
 from mipoly.series import q_pochhammer
@@ -131,14 +130,15 @@ def test_base_orthogonality_small():
 
 
 def test_shift_operators_lower_and_raise():
+    # the base shifts are the deformed ones with no label deleted
     for p in ALL:
-        up = p.shifted(1)
+        up, base = p.shifted(1), system(p, ())
         for n in range(1, 4):
             for x in range(5):
                 fn = lambda y: p.poly_value(n, y)
-                assert forward_shift_apply(p, fn, x) == p.energy(n) * up.poly_value(n - 1, x)
+                assert base.forward_apply(fn, x) == p.energy(n) * up.poly_value(n - 1, x)
                 gn = lambda y: up.poly_value(n - 1, y)
-                assert backward_shift_apply(p, gn, x) == p.poly_value(n, x)
+                assert base.backward_apply(gn, x) == p.poly_value(n, x)
 
 
 def test_rodrigues_vector_matches_polynomials():
@@ -273,6 +273,108 @@ def test_difference_equation_and_shifts_reports():
         assert rep.passed, rep.failures()[:3]
         rep = verify_shift_relations(p, 4, 10)
         assert rep.passed, rep.failures()[:3]
+
+
+def fraction_difference_checks(p, n_max, x_max):
+    """verify_difference_equation's (name, passed, witness) list, with the
+    difference equation written out in Fractions."""
+    out = []
+    for n in range(n_max + 1):
+        e = p.energy(n)
+        vals = [p.poly_eval(n, x) for x in range(-1, x_max + 2)]
+        for x in range(x_max + 1):
+            lhs = p.B(x) * (vals[x + 1] - vals[x + 2]) + p.D(x) * (vals[x + 1] - vals[x])
+            ok = lhs == e * vals[x + 1]
+            out.append((f"n={n},x={x}", ok, "" if ok else f"residual={lhs - e * vals[x + 1]}"))
+        for w in (F(2, 3), F(5, 7), F(3, 2)):
+            val = lambda k: p.poly_value_w(n, p.step_w(w, k))
+            lhs = p.B_w(w) * (val(0) - val(1)) + p.D_w(w) * (val(0) - val(-1))
+            out.append((f"n={n},w={w}", lhs == e * val(0), ""))
+    mono = all(p.energy(n) < p.energy(n + 1) for n in range(n_max + 1))
+    out.append(("spectrum increasing, E_0 = 0", mono and p.energy(0) == 0, ""))
+    return out
+
+
+def fraction_forward(p, f, x):
+    """(F f)(x) = B(0) (f(x) - f(x+1)) / varphi(x), in Fractions."""
+    return p.B(0) * (f(x) - f(x + 1)) / p.varphi(x)
+
+
+def fraction_backward(p, f, x):
+    """(G f)(x) = (B(x) varphi(x) f(x) - D(x) varphi(x-1) f(x-1)) / B(0), in
+    Fractions; D(0) = 0 drops f(-1) at x = 0."""
+    val = p.B(x) * p.varphi(x) * f(x)
+    if x >= 1:
+        val -= p.D(x) * p.varphi(x - 1) * f(x - 1)
+    return val / p.B(0)
+
+
+def fraction_shift_checks(p, n_max, x_max):
+    """verify_shift_relations' (name, passed, witness) list, with the shifts
+    and shape invariance written out in Fractions."""
+    up, out = p.shifted(1), []
+    for n in range(1, n_max + 1):
+        e, pn, qn = p.energy(n), (lambda y: p.poly_eval(n, y)), (lambda y: up.poly_eval(n - 1, y))
+        for x in range(x_max + 1):
+            out.append((f"forward n={n},x={x}", fraction_forward(p, pn, x) == e * qn(x), ""))
+            out.append((f"backward n={n},x={x}", fraction_backward(p, qn, x) == pn(x), ""))
+    for n in range(n_max + 1):
+        rod = rodrigues_vector(p, n, x_max)
+        out.append((f"product formula n={n}", all(rod[x] == p.poly_eval(n, x) for x in range(x_max + 1)), ""))
+    kappa, e1 = p.kappa, p.energy(1)
+    for x in range(x_max + 1):
+        diag = p.B(x) + p.D(x + 1) == kappa * (up.B(x) + up.D(x)) + e1
+        offd = p.B(x + 1) * p.D(x + 1) == kappa**2 * up.B(x) * up.D(x + 1)
+        out.append((f"shape-invariance diagonal x={x}", diag, ""))
+        out.append((f"shape-invariance squared off-diagonal x={x}", offd, ""))
+    return out
+
+
+def spoilt_family(p, how):
+    """A family equal to p but for one potential value, 1/7 too large: how =
+    ("B", x0) or ("D", x0).  It is an instance of a subclass, so its moves
+    (shifted, twisted) build the sound class."""
+    name, x0 = how
+
+    class Spoilt(type(p)):
+        __slots__ = ()
+
+    def spoilt(self, x, _f=getattr(type(p), name)):
+        return _f(self, x) + F(1, 7) if x == x0 else _f(self, x)
+
+    setattr(Spoilt, name, spoilt)
+    return Spoilt(*p._key())
+
+
+ORACLE_FAMILIES = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Meixner(1, F(1, 2)),
+        lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2)),
+        lambda: LittleQLaguerre(F(1, 32), F(1, 2)),
+    ],
+    ids=["M", "lqJ", "lqL"],
+)
+
+
+@pytest.mark.parametrize("how", [None, ("B", 3), ("B", 0), ("D", 3)], ids=["sound", "B(3)", "B(0)", "D(3)"])
+@ORACLE_FAMILIES
+def test_base_pair_checks_match_their_fraction_form(make, how):
+    # the difference equation, the shifts and shape invariance are decided
+    # on pairs; the Fraction forms written out here must give every check
+    # the same (name, passed, witness), for the sound family and for one
+    # whose B or D is wrong at one lattice point
+    p = make() if how is None else spoilt_family(make(), how)
+    failures = 0
+    for suite, oracle in (
+        (verify_difference_equation, fraction_difference_checks),
+        (verify_shift_relations, fraction_shift_checks),
+    ):
+        got = [(c.name, c.passed, c.witness) for c in suite(p, 3, 12).checks]
+        expected = oracle(p, 3, 12)
+        assert got == expected
+        failures += sum(not passed for _, passed, _ in expected)
+    assert (failures == 0) == (how is None)
 
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=12))

@@ -461,11 +461,10 @@ def test_a_point_with_no_divisor_raises_though_both_sides_vanish(monkeypatch):
 
     monkeypatch.setattr(multi, "_SYSTEMS", {})
     s = system(Meixner(1, F(1, 2)), (1, 2))
-    eigen, shifts = multi._eigen_coefficients(s), multi._shift_coefficients(s)
+    eigen, shifts = multi._operator_tables(s)
     zero_eigen = LatticeFunction(lambda x: [0] * 4 if x == 3 else eigen(x))
     zero_forward = LatticeFunction(lambda x: ([0] * 3, shifts(x)[1]) if x == 3 else shifts(x))
-    monkeypatch.setattr(multi, "_eigen_coefficients", lambda sys: zero_eigen)
-    monkeypatch.setattr(multi, "_shift_coefficients", lambda sys: zero_forward)
+    monkeypatch.setattr(multi, "_operator_tables", lambda sys: (zero_eigen, zero_forward))
     for suite in (verify_eigen_equation, verify_shape_invariance):
         assert suite(s.p, s.labels, 2, 2).passed
         with pytest.raises(ZeroDivisionError):

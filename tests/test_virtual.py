@@ -110,3 +110,61 @@ def test_index_gating():
         from mipoly.multi import _validate_labels
 
         _validate_labels(QL, (9,))
+
+
+def fraction_linear_checks(p, x_max):
+    """verify_linear_relation's (name, passed, witness) list, with the
+    product and sum identities written out in Fractions."""
+    al, ap, tw = p.alpha(), p.alpha_prime(), p.twisted()
+    out = [("alpha > 0", al > 0, ""), ("alpha' < 0", ap < 0, ""), ("alpha' = tE_0", ap == p.virtual_energy(0), "")]
+    for x in range(x_max + 1):
+        out.append((f"product identity x={x}", al**2 * tw.B(x) * tw.D(x + 1) == p.B(x) * p.D(x + 1), ""))
+        out.append((f"sum identity x={x}", al * (tw.B(x) + tw.D(x)) + ap == p.B(x) + p.D(x), ""))
+        out.append((f"B'(x) > 0 x={x}", tw.B(x) > 0, ""))
+        out.append((f"D'(x) sign x={x}", tw.D(x) > 0 if x >= 1 else tw.D(x) == 0, ""))
+        out.append((f"nu recurrence x={x}", p.nu(x + 1) * al * tw.B(x) == p.nu(x) * p.B(x), ""))
+    for w in (F(3, 5), F(7, 4)):
+        w1 = p.step_w(w, 1)
+        out.append((f"product identity w={w}", al**2 * tw.B_w(w) * tw.D_w(w1) == p.B_w(w) * p.D_w(w1), ""))
+        out.append((f"sum identity w={w}", al * (tw.B_w(w) + tw.D_w(w)) + ap == p.B_w(w) + p.D_w(w), ""))
+    for v in index_set(p, 4):
+        out.append((f"energy cross-route v={v}", al * tw.energy(v) + ap == p.virtual_energy(v), ""))
+    return out
+
+
+def spoilt_family(p, how):
+    """A family equal to p but for one potential value, 1/7 too large: how =
+    ("B", x0) or ("D", x0).  It is an instance of a subclass, so its moves
+    (twisted among them) build the sound class."""
+    name, x0 = how
+
+    class Spoilt(type(p)):
+        __slots__ = ()
+
+    def spoilt(self, x, _f=getattr(type(p), name)):
+        return _f(self, x) + F(1, 7) if x == x0 else _f(self, x)
+
+    setattr(Spoilt, name, spoilt)
+    return Spoilt(*p._key())
+
+
+@pytest.mark.parametrize("how", [None, ("B", 3), ("B", 0), ("D", 3)], ids=["sound", "B(3)", "B(0)", "D(3)"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Meixner(1, F(1, 2)),
+        lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2)),
+        lambda: LittleQLaguerre(F(1, 32), F(1, 2)),
+    ],
+    ids=["M", "lqJ", "lqL"],
+)
+def test_linear_relation_pair_checks_match_their_fraction_form(make, how):
+    # the product and sum identities are one comparison of two forms on
+    # pairs; the Fraction form written out here must give every check the
+    # same (name, passed, witness), for the sound family and for one whose
+    # B or D is wrong at one lattice point
+    p = make() if how is None else spoilt_family(make(), how)
+    got = [(c.name, c.passed, c.witness) for c in verify_linear_relation(p, 12).checks]
+    expected = fraction_linear_checks(p, 12)
+    assert got == expected
+    assert all(passed for _, passed, _ in expected) == (how is None)
