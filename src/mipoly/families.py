@@ -4,8 +4,8 @@ Two exactly solvable birth-and-death type systems are implemented: M (a
 two-parameter system with linear potentials, eta(x) = x) and lqJ, little
 q-Jacobi (a q-lattice system with eta(x) = 1 - q^x).  lqL, little
 q-Laguerre, is lqJ at b = 0 (Koekoek-Lesky-Swarttouw 2010, sections 14.12
-and 14.20) and is built as that subclass, with only its tag, repr, key and
-parameter names its own.  Each system consists of
+and 14.20) and is built as that subclass, with only its tag and parameter
+names its own.  Each system consists of
 
   - potentials B(x) > 0 (x >= 0) and D(x) > 0 (x >= 1), D(0) = 0,
   - an increasing spectrum E_n with E_0 = 0,
@@ -27,10 +27,15 @@ symbolic (a RationalFunction, entering the pairs as (c, 1)), which is how
 exact c -> 1 limits are taken downstream; no ordering comparisons happen
 outside validation for that reason.
 
-Parameter shifts: `shifted(u)` applies u steps of the forward-shift direction
-delta; `twisted()` applies the involution used to build virtual states;
+A family is its declared parameter tuple `param_names`: the constructor
+takes exactly those, by position or by name, and runs the family's
+`_validate`; identity, hash and repr are read off them.  Parameter shifts:
+`shifted(u)` applies u steps of the forward-shift direction delta;
+`twisted()` applies the involution used to build virtual states;
 `tilde_shifted(u)` applies the companion direction delta-tilde satisfying
-twist(lambda) + u*delta = twist(lambda + u*delta-tilde).
+twist(lambda) + u*delta = twist(lambda + u*delta-tilde).  Every move goes
+through `_at`, which builds the declared class at the moved parameters
+without validation (a twisted family is out of range by design).
 
 Each system has one lattice variable w, x for M and q^x for lqJ, in which
 `B_w`, `D_w` and `poly_value_w` are rational (M's are B, D and poly_value).
@@ -121,15 +126,46 @@ def memo(fn):
 
 
 class _BaseFamily:
-    """Shared machinery; concrete systems fill in the closed forms."""
+    """Shared machinery; concrete systems fill in the closed forms.
+
+    A family is its declared parameters `param_names`: construction, identity
+    (`_key`, equality, hash), repr and every parameter move (`_at`) are read
+    off them here, and each family states only its `_validate` and its
+    closed forms."""
 
     __slots__ = ("_cache",)
     tag = "?"
 
+    def __init__(self, *values, **named):
+        """The family at exactly its parameters, by position or by name;
+        its `_validate` raises ValueError outside the family's range."""
+        names = self.param_names
+        if len(values) > len(names) or set(named) != set(names[len(values) :]):
+            raise TypeError(f"{type(self).__name__} takes exactly the parameters {', '.join(names)}")
+        self._set({**dict(zip(names, values)), **named})
+        self._validate()
+
+    def _set(self, values: dict) -> None:
+        self._cache = {}
+        for name, v in values.items():
+            setattr(self, name, _exact(v))
+
+    def _at(self, **moved) -> "_BaseFamily":
+        """The declared family (`FAMILIES[tag]`, also for a subclass) at these
+        parameters moved, the rest kept, unvalidated: every parameter move
+        goes through here."""
+        p = object.__new__(FAMILIES[self.tag])
+        p._set({name: moved.get(name, getattr(self, name)) for name in p.param_names})
+        return p
+
     # -- identity ---------------------------------------------------------------
 
     def _key(self) -> tuple:
-        raise NotImplementedError
+        return tuple(getattr(self, name) for name in self.param_names)
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)}" for name in self.param_names)
+        return f"{FAMILIES[self.tag].__name__}({values})"
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self._key() == other._key()
@@ -233,26 +269,17 @@ class Meixner(_BaseFamily):
     symbolic work, in which case validation is skipped.
     """
 
-    __slots__ = ("beta", "c")
+    __slots__ = param_names = ("beta", "c")
     tag = "M"
-    param_names = ("beta", "c")
     limit_end = -1  # the lattice variable x -> infinity: the top coefficients
 
-    def __init__(self, beta, c, validate: bool = True):
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "beta", _exact(beta))
-        object.__setattr__(self, "c", _exact(c))
-        if validate and not isinstance(self.c, RationalFunction):
-            if not self.beta > 0:
-                raise ValueError("requires beta > 0")
-            if not 0 < self.c < 1:
-                raise ValueError("requires 0 < c < 1")
-
-    def _key(self):
-        return (self.beta, self.c)
-
-    def __repr__(self):
-        return f"Meixner(beta={self.beta}, c={self.c})"
+    def _validate(self):
+        if isinstance(self.c, RationalFunction):
+            return  # a symbolic c admits no ordering comparison
+        if not self.beta > 0:
+            raise ValueError("requires beta > 0")
+        if not 0 < self.c < 1:
+            raise ValueError("requires 0 < c < 1")
 
     @property
     def kappa(self):
@@ -335,13 +362,13 @@ class Meixner(_BaseFamily):
 
     @memo
     def shifted(self, u: int) -> "Meixner":
-        return Meixner(self.beta + u, self.c, validate=False)
+        return self._at(beta=self.beta + u)
 
     tilde_shifted = shifted  # delta-tilde = delta for M
 
     @memo
     def twisted(self) -> "Meixner":
-        return Meixner(self.beta, 1 / self.c, validate=False)
+        return self._at(c=1 / self.c)
 
     def alpha(self):
         """alpha > 0 of the linear relation between twisted and original
@@ -451,37 +478,20 @@ class LittleQJacobi(_QFamily):
     values unchanged.
     """
 
-    __slots__ = ("a", "b", "q")
+    __slots__ = param_names = ("a", "b", "q")
     tag = "lqJ"
-    param_names = ("a", "b", "q")
 
-    def __init__(self, a, b, q, validate: bool = True):
-        object.__setattr__(self, "_cache", {})
-        object.__setattr__(self, "a", _exact(a))
-        object.__setattr__(self, "b", _exact(b))
-        object.__setattr__(self, "q", _exact(q))
-        if validate:
-            if not 0 < self.q < 1:
-                raise ValueError("requires 0 < q < 1")
-            if not 0 < self.a < 1 / self.q:
-                raise ValueError("requires 0 < a < 1/q")
-            if not self.b < 1 / self.q:
-                raise ValueError("requires b < 1/q")
-            if self.b > 0:
-                k = self._q_exponent(self.a / self.b)  # a/b = q^k exactly, or no k does
-                if k >= 1 and self.q**k == self.a / self.b:
-                    raise ValueError(f"degenerate parameters: a = b q^{k} collapses virtual-state degrees")
-
-    def _key(self):
-        return (self.a, self.b, self.q)
-
-    def __repr__(self):
-        return f"LittleQJacobi(a={self.a}, b={self.b}, q={self.q})"
-
-    def _at(self, a, b) -> "LittleQJacobi":
-        """This family's class at parameters (a, b) and the same q; every
-        parameter move goes through here."""
-        return LittleQJacobi(a, b, self.q, validate=False)
+    def _validate(self):
+        if not 0 < self.q < 1:
+            raise ValueError("requires 0 < q < 1")
+        if not 0 < self.a < 1 / self.q:
+            raise ValueError("requires 0 < a < 1/q")
+        if not self.b < 1 / self.q:
+            raise ValueError("requires b < 1/q")
+        if self.b > 0:
+            k = self._q_exponent(self.a / self.b)  # a/b = q^k exactly, or no k does
+            if k >= 1 and self.q**k == self.a / self.b:
+                raise ValueError(f"degenerate parameters: a = b q^{k} collapses virtual-state degrees")
 
     def B_w(self, w):
         if not self.b:
@@ -614,42 +624,31 @@ class LittleQJacobi(_QFamily):
 
     @memo
     def shifted(self, u: int) -> "LittleQJacobi":
-        return self._at(self.a * self.q**u, self.b * self.q**u)
+        return self._at(a=self.a * self.q**u, b=self.b * self.q**u)
 
     @memo
     def tilde_shifted(self, u: int) -> "LittleQJacobi":
-        return self._at(self.a * self.q**-u, self.b * self.q**u)
+        return self._at(a=self.a * self.q**-u, b=self.b * self.q**u)
 
     @memo
     def twisted(self) -> "LittleQJacobi":
-        return self._at(1 / self.a, self.b)
+        return self._at(a=1 / self.a)
 
 
 class LittleQLaguerre(LittleQJacobi):
     """System lqL, little q-Laguerre: lqJ at b = 0 (Koekoek-Lesky-Swarttouw
     2010, sections 14.12 and 14.20), so B(x) = a q^-x and D(x) = q^-x - 1.
 
-    Every closed form is lqJ's.  What is its own is its identity: the tag,
-    the repr, the key (a, q) and the parameter names.  Equality is
-    type-strict, so it never equals the lqJ at b = 0 and keeps its own
-    `system` cache entries.
+    Every closed form is lqJ's.  What is its own is its identity: the tag
+    and the parameter names (a, q), with b = 0 fixed on the class, so every
+    move keeps it.  Equality is type-strict, so it never equals the lqJ at
+    b = 0 and keeps its own `system` cache entries.
     """
 
     __slots__ = ()
     tag = "lqL"
     param_names = ("a", "q")
-
-    def __init__(self, a, q, validate: bool = True):
-        super().__init__(a, 0, q, validate)
-
-    def _key(self):
-        return (self.a, self.q)
-
-    def __repr__(self):
-        return f"LittleQLaguerre(a={self.a}, q={self.q})"
-
-    def _at(self, a, b) -> "LittleQLaguerre":
-        return LittleQLaguerre(a, self.q, validate=False)  # every move keeps b = 0
+    b = Fraction(0)
 
     # Inherited, but bound in this class's own __dict__ as well: bench/tracer.py
     # looks dn_sq up there, class by class, to span it.

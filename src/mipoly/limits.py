@@ -18,12 +18,15 @@ q_k = 1 - 2^-k.  Convergence is first order: the deviation behaves like
 C (1 - q) with C growing with the degree, so at q = 1 - 2^-14 the raw
 deviation sits near 1e-4 and no parameter choice pushes it to 1e-6.  The
 tolerance is therefore imposed on the iterated Richardson extrapolation of
-the values at q_{k-2}, q_{k-1}, q_k, which cancels the first- and
-second-order terms and converges like (1 - q)^3, while the raw deviations
-must halve from one q_k to the next (ratios within [2/5, 3/5]) to certify
-the claimed O(1-q) rate rather than accidental smallness.
+the values at q_{k-2}, q_{k-1}, q_k (`_richardson`), which cancels the
+first- and second-order terms and converges like (1 - q)^3, while the raw
+deviations must halve from one q_k to the next (ratios within [2/5, 3/5])
+to certify the claimed O(1-q) rate rather than accidental smallness.
 `verify_q_limits` checks P_n for n <= 4 and xi_v for v <= 3: the
-extrapolated error at k = 14 within 1e-6, the ratios over k = 11..14.
+extrapolated error at k = 14 within 1e-6, the ratios over k = 11..14, from
+one family per q_k and one rescaled polynomial per degree and q_k.
+`q_limit_errors` and `q_limit_extrapolated_error` compute the same two
+numbers for one degree on their own.
 Multi-indexed q-system polynomials have no in-scope continuum target; for
 them the rescaled coefficients themselves are required to stabilize
 (Cauchy behaviour with the same geometric rate): `q_limit_numeric` checks
@@ -46,7 +49,7 @@ from .virtual import xi_poly
 
 def _symbolic_meixner(alpha: Fraction) -> Meixner:
     t = RationalFunction.variable()
-    return Meixner(Fraction(alpha) + 1, t, validate=False)
+    return Meixner(Fraction(alpha) + 1, t)
 
 
 def _limit_coefficients(poly: Polynomial) -> Polynomial:
@@ -132,12 +135,6 @@ def _q_family(p_family: str, alpha: int, beta: int | None, k: int):
     raise ValueError(f"unknown q system {p_family!r}")
 
 
-def _q_families(p_family: str, alpha: int, beta: int | None, ks) -> dict:
-    """One family per q_k, k in ks, keyed by k: the polynomials of every
-    degree at that q_k then share the family's cache."""
-    return {k: _q_family(p_family, alpha, beta, k) for k in ks}
-
-
 def _q_lhs(p_family: str, fam, labels: tuple, n: int, deforming: bool) -> Polynomial:
     """The rescaled polynomial of `fam` (at q = 1 - 2^-k), as an exact
     eta-polynomial.
@@ -176,8 +173,24 @@ def q_limit_errors(
 ) -> list[Fraction]:
     """Exact coefficient-wise distances to the continuum target at each
     q = 1 - 2^-k.  p_family is "lqJ" or "lqL"; deforming switches to xi_v."""
-    families = _q_families(p_family, alpha, beta, ks)
-    return _q_limit_deviations(p_family, alpha, beta, n, ks, None, deforming, families)[0]
+    fams = [_q_family(p_family, alpha, beta, k) for k in ks]
+    target = _q_target(p_family, alpha, beta, n, deforming)
+    return [_coeff_distance(_q_lhs(p_family, fam, (), n, deforming), target) for fam in fams]
+
+
+def _richardson(polys: Sequence[Polynomial]) -> Polynomial:
+    """The iterated Richardson extrapolation h -> 0 of three polynomials at
+    h, h/2 and h/4, h = 1 - q.
+
+    Each coefficient deviates from its limit by a power series in h, so the
+    tableau R[i][j] = (2^j R[i+1][j-1] - R[i][j-1]) / (2^j - 1), j = 1, 2,
+    cancels the h and h^2 terms coefficient-wise, leaving O(h^3)."""
+    d = max(len(p.coeffs) for p in polys)
+    cols = [[Fraction(p.coefficient(m)) for m in range(d)] for p in polys]
+    for j in (1, 2):
+        w = Fraction(2**j)
+        cols = [[(w * hi[m] - lo[m]) / (w - 1) for m in range(d)] for lo, hi in zip(cols, cols[1:])]
+    return Polynomial(cols[0])
 
 
 def q_limit_extrapolated_error(
@@ -188,40 +201,12 @@ def q_limit_extrapolated_error(
     k: int,
     deforming: bool = False,
 ) -> Fraction:
-    """Exact distance of the iterated Richardson extrapolation from the
-    continuum target, using the polynomials at k - 2, k - 1, k.
-
-    Each coefficient deviates from its limit by a power series in h = 1 - q,
-    and the steps halve h, so the standard tableau R[i][j] =
-    (2^j R[i+1][j-1] - R[i][j-1]) / (2^j - 1), j = 1, 2, cancels the h and
-    h^2 terms coefficient-wise, leaving an O(h^3) deviation that the
-    tolerance check is applied to."""
-    families = _q_families(p_family, alpha, beta, range(k - 2, k + 1))
-    return _q_limit_deviations(p_family, alpha, beta, n, (), k, deforming, families)[1]
-
-
-def _q_limit_deviations(p_family, alpha, beta, n, ks, k, deforming, families) -> tuple:
-    """(q_limit_errors at ks, q_limit_extrapolated_error at k, or None when
-    k is None) from one target and one rescaled polynomial per distinct q_k
-    of ks and the window k - 2..k, each built on `families[q_k]`."""
-    target = _q_target(p_family, alpha, beta, n, deforming)
-    window = () if k is None else range(k - 2, k + 1)
-    polys = {
-        kk: _q_lhs(p_family, families[kk], (), n, deforming) for kk in dict.fromkeys((*ks, *window))
-    }
-    errs = [_coeff_distance(polys[kk], target) for kk in ks]
-    if k is None:
-        return errs, None
-    d = max(max(len(polys[kk].coeffs) for kk in window), len(target.coeffs))
-    cols = [[Fraction(polys[kk].coefficient(j)) for j in range(d)] for kk in window]
-    for j in (1, 2):
-        w = Fraction(2**j)
-        cols = [
-            [(w * hi[m] - lo[m]) / (w - 1) for m in range(d)]
-            for lo, hi in zip(cols, cols[1:])
-        ]
-    est = cols[0]
-    return errs, max(abs(est[j] - Fraction(target.coefficient(j))) for j in range(d))
+    """Exact distance of `_richardson` of the polynomials at k - 2, k - 1, k
+    from the continuum target: an O(h^3) deviation that the tolerance check
+    is applied to."""
+    fams = [_q_family(p_family, alpha, beta, kk) for kk in range(k - 2, k + 1)]
+    est = _richardson([_q_lhs(p_family, fam, (), n, deforming) for fam in fams])
+    return _coeff_distance(est, _q_target(p_family, alpha, beta, n, deforming))
 
 
 def q_limit_numeric(p_family: str, alpha: int, beta: int | None = None) -> Report:
@@ -240,8 +225,7 @@ def q_limit_numeric(p_family: str, alpha: int, beta: int | None = None) -> Repor
         + ",D=[1],n=1]",
         "q -> 1 limit behaviour of one rescaled polynomial",
     )
-    families = _q_families(p_family, alpha, beta, range(4, 13))
-    polys = [_q_lhs(p_family, fam, (1,), 1, False) for fam in families.values()]
+    polys = [_q_lhs(p_family, _q_family(p_family, alpha, beta, k), (1,), 1, False) for k in range(4, 13)]
     diffs = [_coeff_distance(a, b) for a, b in zip(polys, polys[1:])]
     rep.add(
         "coefficient distances strictly decreasing",
@@ -263,20 +247,23 @@ def verify_q_limits(p_family: str, alpha: int, beta: int | None = None) -> Repor
     extrapolated error within 1e-6 at k = 14 and raw error ratios between
     consecutive q_k, k = 11..14, within [2/5, 3/5] (halving rate).
 
-    The call builds one family per q_k and hands them down, so every degree
-    at that q_k shares the family's cache, and each rescaled polynomial is
-    built once: 4 families and 32 polynomials for the 8 degrees."""
+    The call builds one family per q_k, so every degree at that q_k shares
+    the family's cache, and each rescaled polynomial once, for both the
+    errors and the extrapolation: 4 families and 32 polynomials for the 8
+    degrees."""
     rep = Report(
         f"limits.{p_family}[alpha={alpha}" + (f",beta={beta}" if beta is not None else "") + "]",
         "q -> 1 limits with certified linear convergence rate",
     )
     tol, lo, hi = Fraction(1, 10**6), Fraction(2, 5), Fraction(3, 5)
-    ks = range(11, 15)
-    families = _q_families(p_family, alpha, beta, ks)
+    families = [_q_family(p_family, alpha, beta, k) for k in range(11, 15)]
     jobs = [(n, False) for n in range(5)] + [(v, True) for v in range(1, 4)]
     for idx, deforming in jobs:
         label = f"{'deforming v' if deforming else 'eigen n'}={idx}"
-        errs, ext = _q_limit_deviations(p_family, alpha, beta, idx, ks, 14, deforming, families)
+        target = _q_target(p_family, alpha, beta, idx, deforming)
+        polys = [_q_lhs(p_family, fam, (), idx, deforming) for fam in families]
+        errs = [_coeff_distance(poly, target) for poly in polys]
+        ext = _coeff_distance(_richardson(polys[1:]), target)
         final_ok = ext <= tol
         rep.add(
             f"{label}: |extrapolated error| <= 1e-06 at k=14",

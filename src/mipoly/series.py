@@ -14,7 +14,9 @@ nested Horner (`nested_sum`).  Infinite q-products and non-integer rational
 powers cannot be rational, so they come back as `Interval`: a pair of
 Fraction endpoints provably bracketing the true value, of width at most
 `DEFAULT_EPS` = 10^-30, the one enclosure precision of the library (the
-CLI rounds enclosures outward to the same denominator).  Downstream
+CLI rounds enclosures outward to the same denominator).  A rational power
+is also within `DEFAULT_EPS` relative to its value, so its lower endpoint
+stays positive however small it is (a mass (1 - c)^beta at large beta).  Downstream
 "certified" comparisons are interval overlaps, never float heuristics.
 """
 
@@ -239,10 +241,13 @@ def _iroot_floor(n: int, r: int) -> int:
 def rational_power(base: Fraction, exponent: Fraction) -> Interval:
     """base ** exponent for base > 0 and rational exponent, as an enclosure.
 
-    Integer exponents are exact.  Otherwise base**p is computed exactly and
-    its r-th root bracketed by scaled integer floor-roots: with y = u * S**r,
-    k = floor(y ** (1/r)) gives u^(1/r) in [k/S, (k+1)/S], width
-    1/S <= DEFAULT_EPS.
+    Integer exponents are exact.  Otherwise u = base**p is computed exactly
+    and its r-th root bracketed by scaled integer floor-roots: with y = u *
+    S**r, k = floor(y ** (1/r)) gives u^(1/r) in [k/S, (k+1)/S].  S is the
+    least power of 2 >= 1/DEFAULT_EPS times 2^-e, with 2^e <= u^(1/r) read
+    from the bit lengths of u and e <= 0, so the width 1/S is at most
+    DEFAULT_EPS times the value and at most DEFAULT_EPS, and the lower
+    endpoint is positive however small the value.
     """
     base, exponent = Fraction(base), Fraction(exponent)
     if base <= 0:
@@ -251,7 +256,8 @@ def rational_power(base: Fraction, exponent: Fraction) -> Interval:
     u = base**p
     if r == 1:
         return Interval.exact(u)
-    scale = 1 << (DEFAULT_EPS.denominator - 1).bit_length()  # least power of 2 >= 1/DEFAULT_EPS
+    e = min(0, (u.numerator.bit_length() - u.denominator.bit_length() - 1) // r)  # 2^(e r) <= u
+    scale = 1 << ((DEFAULT_EPS.denominator - 1).bit_length() - e)
     y = u * scale**r
     f = y.numerator // y.denominator
     k = _iroot_floor(f, r)

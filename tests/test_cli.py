@@ -215,6 +215,22 @@ def test_construction_defect_is_a_failing_check(capsys, monkeypatch):
     assert "normalization mismatch" in failed["witnesses"][0]["witness"]
 
 
+def test_large_beta_builds_every_multi_report(capsys):
+    # (1 - c)^beta < 2^-100 here: its enclosure once had lower endpoint 0 and
+    # the orthogonality divisor failed construction; only the node counts of
+    # the known false failure may fail
+    code, out, err = _run(
+        capsys, "verify", "--family", "M", "--params", "201/2,1/2", "--deletions", "1,2", "--suite", "multi",
+    )
+    doc = json.loads(out)
+    witnesses = [w["name"] for s in doc["suites"] for w in s["witnesses"]]
+    assert doc["summary"]["suites"] == 5 and "construction" not in witnesses
+    status = {s["id"].split("[")[0]: s["status"] for s in doc["suites"]}
+    assert status["multi.orthogonality"] == "pass"
+    assert all("node count" in name for name in witnesses), witnesses
+    assert code in (0, 1) and err == ""
+
+
 def _args(**flags):
     args = dict(family="M", params="1,1/2", deletions="1", nmax=3, xmax=12,
                 rtol="1/100000000000000000000", suite="base", format="json", out=None)

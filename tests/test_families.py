@@ -226,7 +226,7 @@ def test_lqL_parameter_moves_stay_lqL():
     ql = LittleQLaguerre(F(1, 32), F(1, 2))
     for moved, a in ((ql.shifted(1), F(1, 64)), (ql.twisted(), 32), (ql.tilde_shifted(2), F(1, 8))):
         assert type(moved) is LittleQLaguerre
-        assert moved == LittleQLaguerre(a, F(1, 2), validate=False)
+        assert (moved.a, moved.b, moved.q) == (a, 0, F(1, 2))
         assert repr(moved) == f"LittleQLaguerre(a={a}, q=1/2)"
 
 
@@ -265,6 +265,41 @@ def test_lqL_never_equals_lqJ():
     ql, qj = LittleQLaguerre(F(1, 32), F(1, 2)), LittleQJacobi(F(1, 32), 0, F(1, 2))
     assert ql != qj and qj != ql
     assert ql == LittleQLaguerre(F(1, 32), F(1, 2))
+
+
+def test_families_construct_by_name_or_position():
+    assert Meixner(beta=1, c=F(1, 2)) == Meixner(1, c=F(1, 2)) == M
+    assert LittleQJacobi(a=F(1, 32), b=F(1, 3), q=F(1, 2)) == QJ
+    assert LittleQLaguerre(q=F(1, 2), a=F(1, 32)) == QL
+    assert QL.b == 0 and LittleQLaguerre(F(1, 32), F(1, 2)).shifted(2).b == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Meixner(1, F(1, 2), validate=False),
+        lambda: Meixner(1, c=F(1, 2), beta=1),  # beta twice
+        lambda: Meixner(1),
+        lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2), validate=True),
+        lambda: LittleQLaguerre(F(1, 32), 0, F(1, 2)),  # lqL has no b
+        lambda: LittleQLaguerre(F(1, 32), F(1, 2), b=0),
+    ],
+)
+def test_families_take_exactly_their_parameters(make):
+    with pytest.raises(TypeError, match="takes exactly the parameters"):
+        make()
+
+
+@pytest.mark.parametrize("p", [M, QJ, QL], ids=repr)
+def test_a_subclass_moves_build_the_declared_family(p):
+    class Sub(type(p)):
+        __slots__ = ()
+
+    s = Sub(*p._key())
+    assert repr(s) == repr(p)
+    for move, args in (("shifted", (1,)), ("twisted", ()), ("tilde_shifted", (2,))):
+        moved = getattr(s, move)(*args)
+        assert type(moved) is type(p) and moved == getattr(p, move)(*args)
 
 
 def test_difference_equation_and_shifts_reports():
@@ -397,7 +432,7 @@ def interpolated_series(p, n):
     [
         M,
         M2,
-        Meixner(F(3, 2), RationalFunction.variable(), validate=False),  # symbolic c
+        Meixner(F(3, 2), RationalFunction.variable()),  # symbolic c
         QJ,
         LittleQJacobi(F(1, 32), 0, F(1, 2)),
         QJN,

@@ -102,3 +102,14 @@ def test_q_limit_values_are_pinned():
             q_limit_extrapolated_error("lqJ", 4, 5, n, 14, deforming),
         ]
         assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == digest
+
+
+def test_richardson_is_exact_for_coefficients_quadratic_in_h():
+    # each coefficient c0 + c1 h + c2 h^2 at h, h/2, h/4 extrapolates to c0
+    limit, first, second = (F(3), F(-2, 7), F(0)), (F(5), F(1, 3), F(-9)), (F(-4, 11), F(2), F(7, 5))
+    h = F(1, 1024)
+    polys = [
+        Polynomial(tuple(c0 + c1 * g + c2 * g * g for c0, c1, c2 in zip(limit, first, second)))
+        for g in (h, h / 2, h / 4)
+    ]
+    assert limits._richardson(polys) == Polynomial(limit)

@@ -680,7 +680,7 @@ def test_orthogonality_witness_names_term_cap():
 def test_orthogonality_on_symbolic_parameters_names_the_norm():
     # the closed-form target is read before the certificate, so a symbolic c
     # stops at dn_sq with its own message rather than inside the certificate
-    p = Meixner(F(3, 2), RationalFunction.variable(), validate=False)
+    p = Meixner(F(3, 2), RationalFunction.variable())
     with pytest.raises(TypeError, match="dn_sq is not defined for symbolic parameters"):
         orthogonality_sum(p, (1,), 0, 0)
 

@@ -119,6 +119,15 @@ def test_rational_power_exact_cases():
     assert enc.width <= DEFAULT_EPS
 
 
+@pytest.mark.parametrize("base, exponent", [(F(1, 2), F(201, 2)), (F(1, 3), F(1001, 3)), (F(7), F(5, 2))], ids=str)
+def test_rational_power_is_relatively_tight_for_any_value(base, exponent):
+    # (1/2)^(201/2) < 2^-100 once had lower endpoint 0
+    enc = rational_power(base, exponent)
+    r = exponent.denominator
+    assert 0 < enc.lo and enc.width <= DEFAULT_EPS * enc.lo and enc.width <= DEFAULT_EPS
+    assert enc.lo**r <= base**exponent.numerator <= enc.hi**r
+
+
 def test_rational_power_squares_back():
     enc = rational_power(F(1, 2), F(5, 2))
     sq = enc * enc

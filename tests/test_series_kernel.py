@@ -102,7 +102,7 @@ def xi_terms_reference(p, v, x):
     ]
 
 
-SYMBOLIC_M = Meixner(F(5, 2), RationalFunction.variable(), validate=False)
+SYMBOLIC_M = Meixner(F(5, 2), RationalFunction.variable())
 FAMILIES = [
     Meixner(1, F(1, 2)),
     Meixner(F(5, 2), F(1, 3)),
@@ -155,7 +155,7 @@ def test_symbolic_xi_series_terms_match_the_fraction_loop():
     "make",
     [
         lambda: Meixner(1, F(1, 2)),
-        lambda: Meixner(F(3, 2), RationalFunction.variable(), validate=False),
+        lambda: Meixner(F(3, 2), RationalFunction.variable()),
         lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2)),
         lambda: LittleQJacobi(F(1, 32), F(-1, 2), F(1, 2)),
     ],
