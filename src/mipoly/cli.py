@@ -86,12 +86,10 @@ def _enclosure(v: Interval) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _scalar(v) -> str | dict:
-    """An exact scalar as its "p/q" string, or a certified enclosure of
+def _scalar(v: Interval) -> str | dict:
+    """An enclosure of zero width as its exact "p/q" string, or one of
     positive width as its outward-rounded endpoints {"lo": ..., "hi": ...};
     JSON writes the object and CSV writes "lo..hi"."""
-    if not isinstance(v, Interval):
-        return str(v)
     if v.lo == v.hi:
         return str(v.lo)
     lo, hi = _enclosure(v)

@@ -14,7 +14,10 @@ names its own.  Each system consists of
         B(x) (P_n(x) - P_n(x+1)) + D(x) (P_n(x) - P_n(x-1)) = E_n P_n(x),
   - a ground-state square phi0_sq with phi0_sq(0) = 1 and the zero-mode
     recurrence phi0_sq(x+1)/phi0_sq(x) = B(x)/D(x+1),
-  - orthogonality sum_x phi0_sq(x) P_n(x) P_m(x) = delta_nm / d_n^2.
+  - orthogonality sum_x phi0_sq(x) P_n(x) P_m(x) = delta_nm / d_n^2, where
+    d_n^2 is a rational multiple of the family's one transcendental number,
+    its mass d_0^2 = 1 / sum_x phi0_sq(x): `dn_sq(0)` encloses it once and
+    every `dn_sq(n)` scales that enclosure.
 
 Polynomial values are evaluated by terminating hypergeometric sums, exact in
 the coefficient field and fraction-free: `poly_value_w` writes each step
@@ -351,14 +354,14 @@ class Meixner(_BaseFamily):
         return (1 - 1 / self.c) ** n / pochhammer(self.beta, n)
 
     @memo
-    def dn_sq(self, n: int):
-        """1 / (norm of P_n)^2; exact Fraction for integer beta, else Interval."""
+    def dn_sq(self, n: int) -> Interval:
+        """1 / (norm of P_n)^2 = (beta)_n c^n / n! times the mass d_0^2 =
+        (1 - c)^beta, enclosed once; lo == hi for integer beta."""
+        if n:
+            return pochhammer(self.beta, n) * self.c**n / pochhammer(Fraction(1), n) * self.dn_sq(0)
         if isinstance(self.c, RationalFunction):
             raise TypeError("dn_sq is not defined for symbolic parameters")
-        pref = pochhammer(self.beta, n) * self.c**n / pochhammer(Fraction(1), n)
-        if self.beta.denominator == 1:
-            return pref * (1 - self.c) ** int(self.beta)
-        return pref * rational_power(1 - self.c, self.beta)
+        return rational_power(1 - self.c, self.beta)
 
     @memo
     def shifted(self, u: int) -> "Meixner":
@@ -608,19 +611,18 @@ class LittleQJacobi(_QFamily):
 
     @memo
     def dn_sq(self, n: int) -> Interval:
+        """1 / (norm of P_n)^2: a rational prefactor times the mass d_0^2 =
+        (aq;q)_inf / (abq^2;q)_inf, enclosed once (the divisor is [1, 1] at
+        b = 0)."""
         a, b, q = self.a, self.b, self.q
-        pref = a**n * q ** (n * n) / (q_pochhammer(q, q, n) * q_pochhammer(a * q, q, n))
-        inf = q_pochhammer(a * q, q, None)
-        if b:
-            pref = (
-                pref
-                * q_pochhammer(b * q, q, n)
-                * q_pochhammer(a * b * q, q, n)
-                * (1 - a * b * q ** (2 * n + 1))
-                / (1 - a * b * q)
-            )
-            inf = inf / q_pochhammer(a * b * q**2, q, None)
-        return pref * inf
+        if not n:
+            return q_pochhammer(a * q, q, None) / q_pochhammer(a * b * q**2, q, None)
+        pref = (
+            a**n * q ** (n * n) * q_pochhammer(b * q, q, n) * q_pochhammer(a * b * q, q, n)
+            * (1 - a * b * q ** (2 * n + 1))
+            / (q_pochhammer(q, q, n) * q_pochhammer(a * q, q, n) * (1 - a * b * q))
+        )
+        return pref * self.dn_sq(0)
 
     @memo
     def shifted(self, u: int) -> "LittleQJacobi":

@@ -50,7 +50,7 @@ from .families import _BaseFamily, _eigen_identity, _eigen_residual, _operator, 
 from .polynomials import Polynomial, interpolate
 from .ratfunc import RationalFunction
 from .report import Report
-from .series import Interval, as_interval, pair, pair_equal, pair_product, pair_value
+from .series import Interval, pair, pair_equal, pair_product, pair_value
 from .virtual import xi_poly
 
 
@@ -234,9 +234,10 @@ class MultiIndexedSystem:
     @memo
     def norm_target(self, n: int) -> Interval:
         """1 / (d_n^2 dt^2_{D,n}), the enclosure of the diagonal orthogonality
-        sum (n, n); for the q families d_n^2 is an Interval whose endpoints
-        carry long denominators, so it is built once."""
-        return 1 / (as_interval(self.p.dn_sq(n)) * self.dt_sq(n))
+        sum (n, n).  d_n^2 is the family's enclosed mass times a rational, so
+        always an Interval; its endpoints carry long denominators, so the
+        target is built once."""
+        return 1 / (self.p.dn_sq(n) * self.dt_sq(n))
 
     @memo
     def shifted_system(self) -> "MultiIndexedSystem":

@@ -10,14 +10,15 @@ by one cross-multiplication (`pair_equal`), brought over one denominator
 (`pair_common`), and reduced once (`pair_value`).  Products work unchanged on
 pairs over any ring, (Polynomial, int) pairs included.  Terminating
 hypergeometric sums fold their step factors t_{k+1}/t_k, each one pair, by
-nested Horner (`nested_sum`).  Infinite q-products and non-integer rational
-powers cannot be rational, so they come back as `Interval`: a pair of
-Fraction endpoints provably bracketing the true value, of width at most
-`DEFAULT_EPS` = 10^-30, the one enclosure precision of the library (the
-CLI rounds enclosures outward to the same denominator).  A rational power
-is also within `DEFAULT_EPS` relative to its value, so its lower endpoint
-stays positive however small it is (a mass (1 - c)^beta at large beta).  Downstream
-"certified" comparisons are interval overlaps, never float heuristics.
+nested Horner (`nested_sum`).  Infinite q-products and rational powers come
+back as `Interval`: a pair of Fraction endpoints provably bracketing the true
+value, of width at most `DEFAULT_EPS` = 10^-30, the one enclosure precision
+of the library (the CLI rounds enclosures outward to the same denominator).
+A rational power is always an `Interval`, exact (lo == hi) for an integer
+exponent and otherwise within `DEFAULT_EPS` relative to its value, so its
+lower endpoint stays positive however small it is (a mass (1 - c)^beta at
+large beta).  Downstream "certified" comparisons are interval overlaps,
+never float heuristics.
 """
 
 from __future__ import annotations
@@ -218,36 +219,31 @@ def as_interval(v) -> Interval:
 
 
 def _iroot_floor(n: int, r: int) -> int:
-    """floor(n ** (1/r)) for n >= 0, r >= 1, by integer Newton."""
+    """floor(n ** (1/r)) for n >= 0, r >= 1, by bisection over the root's
+    bits: n < 2^L gives a root below 2^(L//r + 1), so L//r + 1 steps, each
+    one r-th power."""
     if n < 0 or r < 1:
         raise ValueError("iroot needs n >= 0, r >= 1")
-    if n == 0:
-        return 0
-    if r == 1:
-        return n
-    x = 1 << (n.bit_length() // r + 1)
-    while True:
-        y = ((r - 1) * x + n // x ** (r - 1)) // r
-        if y >= x:
-            break
-        x = y
-    while x**r > n:
-        x -= 1
-    while (x + 1) ** r <= n:
-        x += 1
-    return x
+    k = 0
+    for bit in reversed(range(n.bit_length() // r + 1)):
+        if (k | 1 << bit) ** r <= n:
+            k |= 1 << bit
+    return k
 
 
 def rational_power(base: Fraction, exponent: Fraction) -> Interval:
-    """base ** exponent for base > 0 and rational exponent, as an enclosure.
+    """base ** exponent for base > 0 and rational exponent p/r, always as an
+    Interval.
 
-    Integer exponents are exact.  Otherwise u = base**p is computed exactly
-    and its r-th root bracketed by scaled integer floor-roots: with y = u *
-    S**r, k = floor(y ** (1/r)) gives u^(1/r) in [k/S, (k+1)/S].  S is the
-    least power of 2 >= 1/DEFAULT_EPS times 2^-e, with 2^e <= u^(1/r) read
-    from the bit lengths of u and e <= 0, so the width 1/S is at most
-    DEFAULT_EPS times the value and at most DEFAULT_EPS, and the lower
-    endpoint is positive however small the value.
+    An integer exponent gives the exact value, lo == hi.  Otherwise u =
+    base**p is computed exactly and its r-th root bracketed by scaled
+    integer floor-roots: with y = u * S**r, k = floor(y ** (1/r)) gives
+    u^(1/r) in [k/S, (k+1)/S].  S is the least power of 2 >= 1/DEFAULT_EPS
+    times 2^-e, with 2^e <= u^(1/r) read from the bit lengths of u and
+    e <= 0, so the width 1/S is at most DEFAULT_EPS times the value and at
+    most DEFAULT_EPS, and the lower endpoint is positive however small the
+    value.  y has about 100 r bits, so the bisection in `_iroot_floor`
+    takes about 100 steps for any r.
     """
     base, exponent = Fraction(base), Fraction(exponent)
     if base <= 0:

@@ -231,6 +231,12 @@ def test_large_beta_builds_every_multi_report(capsys):
     assert code in (0, 1) and err == ""
 
 
+def test_small_beta_multi_passes(capsys):
+    # beta = 1/1000 puts a 1000th root into the mass (1 - c)^beta
+    code, out, err = _run(capsys, "verify", "--params", "1/1000,1/2", "--deletions", "1", "--suite", "multi")
+    assert code == 0 and err == ""
+
+
 def _args(**flags):
     args = dict(family="M", params="1,1/2", deletions="1", nmax=3, xmax=12,
                 rtol="1/100000000000000000000", suite="base", format="json", out=None)

@@ -35,7 +35,8 @@ def test_meixner_frozen_values():
     assert M.poly(1).coeffs == (F(1), F(-1))
     assert M.poly_value(1, 2) == -1
     assert [M.energy(n) for n in range(4)] == [0, F(1, 2), 1, F(3, 2)]
-    assert M.dn_sq(0) == F(1, 2) and M.dn_sq(1) == F(1, 4)
+    assert (M.dn_sq(0).lo, M.dn_sq(0).hi) == (F(1, 2), F(1, 2))  # integer beta: exact, still an Interval
+    assert (M.dn_sq(1).lo, M.dn_sq(1).hi) == (F(1, 4), F(1, 4))
     assert M.eta(7) == 7 and M.kappa == 1
 
 
@@ -127,6 +128,43 @@ def test_base_orthogonality_small():
                     assert t.lo - tol <= s <= t.hi + tol
                 else:
                     assert abs(s) < tol
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Meixner(F(5, 2), F(1, 3)),
+        lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2)),
+        lambda: LittleQLaguerre(F(1, 32), F(1, 2)),
+    ],
+    ids=["M", "lqJ", "lqL"],
+)
+def test_norms_enclose_the_mass_once(make, monkeypatch):
+    # d_n^2 is a rational times the mass d_0^2: dn_sq(0..5) on a fresh family
+    # makes the rational_power and infinite q_pochhammer calls of dn_sq(0) alone
+    import mipoly.families as families
+
+    calls = []
+    power, qpoch = families.rational_power, families.q_pochhammer
+
+    def counted_power(base, exponent):
+        calls.append("rational_power")
+        return power(base, exponent)
+
+    def counted_qpoch(a, q, k):
+        if k is None:
+            calls.append("q_pochhammer")
+        return qpoch(a, q, k)
+
+    monkeypatch.setattr(families, "rational_power", counted_power)
+    monkeypatch.setattr(families, "q_pochhammer", counted_qpoch)
+    make().dn_sq(0)
+    alone = list(calls)
+    calls.clear()
+    p = make()
+    for n in range(6):
+        p.dn_sq(n)
+    assert alone and calls == alone
 
 
 def test_shift_operators_lower_and_raise():

@@ -573,7 +573,7 @@ def test_orthogonality_target_is_a_memo_of_the_system(monkeypatch):
     init = Interval.__init__
     monkeypatch.setattr(Interval, "__init__", lambda self, lo, hi: built.append(1) or init(self, lo, hi))
     first = orthogonality_sum(p, (1,), 1, 1)
-    assert first.passed and dn_sq == [1]
+    assert first.passed and dn_sq == [1, 0]  # d_1^2 scales the mass d_0^2
     dn_sq.clear(), built.clear()
     again = orthogonality_sum(p, (1,), 1, 1)
     assert again.target is first.target and again.describe() == first.describe()

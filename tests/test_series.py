@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mipoly.series import (
@@ -105,6 +105,7 @@ def test_interval_division_through_zero_rejected():
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=1, max_value=6))
+@example(2 ** (101 * 1000 - 1), 1000)  # the radicand rational_power builds for (1/2)^(1/1000)
 @settings(max_examples=80, deadline=None)
 def test_iroot_floor(n, r):
     t = _iroot_floor(n, r)
