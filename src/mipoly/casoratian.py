@@ -134,12 +134,9 @@ def _bareiss(m: Sequence[Sequence], div=operator.floordiv):
 
 
 def casoratian(fs: Sequence[GridFunction], x: int):
-    """W[f_1..f_n](x); exact field scalar, 1 for the empty list."""
-    n = len(fs)
-    if n == 0:
-        return 1
-    rows = [[f(x + j) for f in fs] for j in range(n)]
-    return exact_det(rows)
+    """W[f_1..f_n](x); exact field scalar, 1 for the empty list (the empty
+    determinant)."""
+    return exact_det([[f(x + j) for f in fs] for j in range(len(fs))])
 
 
 def _random_coefficients(rng: random.Random, degree: int) -> list[int]:
@@ -152,9 +149,8 @@ def _random_coefficients(rng: random.Random, degree: int) -> list[int]:
 def _window_det(rows: Sequence[Sequence], o: int):
     """W[f_1..f_m](x + o) from a table whose row j holds f_1..f_m at x + j:
     the determinant of rows o..o+m-1, by `exact_det`; 1 for no functions,
-    as in `casoratian`."""
-    m = len(rows[0])
-    return exact_det(rows[o : o + m]) if m else 1
+    the empty determinant."""
+    return exact_det(rows[o : o + len(rows[0])])
 
 
 def verify_identities() -> Report:

@@ -475,10 +475,9 @@ class _QFamily(_BaseFamily):
 class LittleQJacobi(_QFamily):
     """System lqJ: B(x) = a (q^-x - b q), D(x) = q^-x - 1.
 
-    Valid ranges 0 < q < 1, 0 < a < 1/q, b < 1/q, excluding the degenerate
+    Valid ranges 0 < q < 1, 0 < a < 1, b < 1/q, excluding the degenerate
     lines a = b q^k, k >= 1, where virtual-state degrees collapse.  b = 0 is
-    lqL; every closed form skips its b factors there, which leaves the
-    values unchanged.
+    lqL, where every b factor of the closed forms is 1.
     """
 
     __slots__ = param_names = ("a", "b", "q")
@@ -487,8 +486,8 @@ class LittleQJacobi(_QFamily):
     def _validate(self):
         if not 0 < self.q < 1:
             raise ValueError("requires 0 < q < 1")
-        if not 0 < self.a < 1 / self.q:
-            raise ValueError("requires 0 < a < 1/q")
+        if not 0 < self.a < 1:
+            raise ValueError("requires 0 < a < 1")
         if not self.b < 1 / self.q:
             raise ValueError("requires b < 1/q")
         if self.b > 0:
@@ -497,26 +496,18 @@ class LittleQJacobi(_QFamily):
                 raise ValueError(f"degenerate parameters: a = b q^{k} collapses virtual-state degrees")
 
     def B_w(self, w):
-        if not self.b:
-            return self.a / w
         return self.a * (1 / w - self.b * self.q)
 
     @memo
     def energy(self, n: int):
-        e = self.q**-n - 1
-        if self.b:
-            e = e * (1 - self.a * self.b * self.q ** (n + 1))
-        return e
+        return (self.q**-n - 1) * (1 - self.a * self.b * self.q ** (n + 1))
 
     def alpha_prime(self):
         return -(1 - self.a) * (1 - self.b * self.q)
 
     @memo
     def virtual_energy(self, v: int):
-        e = self.a * self.q**-v - 1
-        if self.b:
-            e = e * (1 - self.b * self.q ** (v + 1))
-        return e
+        return (self.a * self.q**-v - 1) * (1 - self.b * self.q ** (v + 1))
 
     def poly_value_w(self, n: int, w):
         """Terminating 3phi1-type sum as a function of w = q^x.
@@ -525,8 +516,7 @@ class LittleQJacobi(_QFamily):
         q^k a) * (1 - ab q^(n+1+k)) / (1 - b q^(k+1)).  Over q = Q/R,
         a = an/ad, b = bn/bd and w = wn/wd that is (R^(n-k) - Q^(n-k))
         (wn R^k - wd Q^k) R^(k+1) ad / (Q^n wd an (R^(k+1) - Q^(k+1))) times
-        (ad bd R^(n+1+k) - an bn Q^(n+1+k)) / (ad R^n (bd R^(k+1) - bn Q^(k+1)));
-        at b = 0 the second factor is 1 and is skipped.
+        (ad bd R^(n+1+k) - an bn Q^(n+1+k)) / (ad R^n (bd R^(k+1) - bn Q^(k+1))).
         """
         (an, ad), (bn, bd), (qn, qd), (wn, wd) = pair(self.a), pair(self.b), pair(self.q), pair(w)
         Q = [qn**i for i in range(2 * n + 1)]
@@ -535,10 +525,8 @@ class LittleQJacobi(_QFamily):
         steps = []
         for k in range(n):
             num = (R[n - k] - Q[n - k]) * (wn * R[k] - wd * Q[k]) * R[k + 1] * ad
-            den = den0 * (R[k + 1] - Q[k + 1])
-            if bn:
-                num *= ad * bd * R[n + 1 + k] - an * bn * Q[n + 1 + k]
-                den *= ad * R[n] * (bd * R[k + 1] - bn * Q[k + 1])
+            num *= ad * bd * R[n + 1 + k] - an * bn * Q[n + 1 + k]
+            den = den0 * (R[k + 1] - Q[k + 1]) * ad * R[n] * (bd * R[k + 1] - bn * Q[k + 1])
             steps.append((num, den))
         return nested_sum(steps, self._unit())
 
@@ -550,7 +538,7 @@ class LittleQJacobi(_QFamily):
         times (q^(v-k+1); q)_k (b q^(v-k+1); q)_k (a q^(x-v))^k / ((a q^-k; q)_k
         (b q^(v-k+1+x); q)_k (q; q)_k), so step k multiplies by (1 - q^(v-k))
         (1 - b q^(v-k)) a q^(x-v) / ((1 - a q^(-k-1)) (1 - b q^(v+x-k))
-        (1 - q^(k+1))).  The b factors are 1 at b = 0 and are skipped.
+        (1 - q^(k+1))).
         """
         a, b, (qn, qd) = pair(self.a), pair(self.b), pair(self.q)
 
@@ -566,19 +554,14 @@ class LittleQJacobi(_QFamily):
 
         top, bottom = [pair(self._unit())], []
         for j in range(v):
-            top.append(one_minus(a, j - v))
-            if b[0]:
-                top.append(one_minus(b, x + 1 + j))
-                bottom.append(one_minus(b, 1 + j))
+            top += one_minus(a, j - v), one_minus(b, x + 1 + j)
+            bottom.append(one_minus(b, 1 + j))
         first = pair_quotient(pair_product(*top), pair_product(*bottom))
         one, aq = (1, 1), times_q(a, x - v)
         steps = []
         for k in range(v):
-            top = [one_minus(one, v - k), aq]
-            bottom = [one_minus(a, -k - 1), one_minus(one, k + 1)]
-            if b[0]:
-                top.append(one_minus(b, v - k))
-                bottom.append(one_minus(b, v + x - k))
+            top = [one_minus(one, v - k), aq, one_minus(b, v - k)]
+            bottom = [one_minus(a, -k - 1), one_minus(one, k + 1), one_minus(b, v + x - k)]
             steps.append(pair_quotient(pair_product(*top), pair_product(*bottom)))
         return first, steps
 
@@ -586,17 +569,15 @@ class LittleQJacobi(_QFamily):
         """t_{k+1}/t_k of the series with (1 - q^k/w)(w/a) = (eta(k) - eta(x))/a
         taken out."""
         a, b, q = self.a, self.b, self.q
-        r = (q ** (k - n) - 1) / ((1 - q ** (k + 1)) * q**k * a)
-        if b:
-            r = r * (1 - a * b * q ** (n + 1 + k)) / (1 - b * q ** (k + 1))
-        return r
+        return (
+            (q ** (k - n) - 1) * (1 - a * b * q ** (n + 1 + k))
+            / ((1 - q ** (k + 1)) * q**k * a * (1 - b * q ** (k + 1)))
+        )
 
     def leading_coefficient(self, n: int):
         a, b, q = self.a, self.b, self.q
         c = (-a) ** -n * q ** (-n * n)
-        if b:
-            c = c * q_pochhammer(a * b * q ** (n + 1), q, n) / q_pochhammer(b * q, q, n)
-        return c
+        return c * q_pochhammer(a * b * q ** (n + 1), q, n) / q_pochhammer(b * q, q, n)
 
     def leading_factors(self, labels, n: int) -> tuple:
         a, bq, q = self.a, self.b * self.q, self.q

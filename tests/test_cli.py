@@ -73,6 +73,16 @@ def test_invalid_parameters_exit_2(capsys):
     assert code == 2
 
 
+def test_q_family_with_a_at_least_1_exits_2(capsys):
+    # alpha' = tE_0 = -(1 - a)(1 - bq) is negative only for a < 1, so a >= 1
+    # is refused as a configuration, not reported as a failing check
+    for family, params in (("lqJ", "15/8,-1/2,1/2"), ("lqL", "1,1/2")):
+        code, out, err = _run(capsys, "verify", "--family", family, "--params", params, "--deletions", "")
+        assert (code, out, err) == (2, "", "error: requires 0 < a < 1\n")
+    with pytest.raises(ValueError, match="requires 0 < a < 1$"):
+        mipoly.LittleQJacobi(1, 0, F(1, 2))
+
+
 def test_deletions_validated(capsys):
     code, _, err = _run(capsys, "verify", "--family", "lqL", "--params", "1/32,1/2",
                         "--deletions", "7", "--suite", "base")
