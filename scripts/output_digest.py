@@ -15,9 +15,10 @@ refactor that must not change output can be checked with
 
     python3 scripts/output_digest.py            # in each tree, then compare
 
-The committed tree's total is kept in scripts/output_digest.total, and CI
-fails when the printed total differs from it; a change that alters output
-on purpose updates that file.
+The committed tree's whole listing, every job line and the total, is kept in
+scripts/output_digest.total, and CI diffs the printed listing against it.  A
+change that alters output on purpose updates that file, and its diff shows
+exactly which jobs the change alters.
 
 The job lists are read from bench/workloads.py of the same tree; the code
 under test is the tree's own src/.  Standard library only.

@@ -41,7 +41,8 @@ through `_at`, which builds the declared class at the moved parameters
 without validation (a twisted family is out of range by design).
 
 Each system has one lattice variable w, x for M and q^x for lqJ, in which
-`B_w`, `D_w` and `poly_value_w` are rational (M's are B, D and poly_value).
+`B_w`, `D_w`, `varphi_w` and `poly_value_w` are rational (M's are B, D,
+varphi and poly_value).
 The shift x -> x+k is affine in it: `eta_affine(k)` = (alpha_k, beta_k) with
 eta(x+k) = alpha_k + beta_k w, which gives `step_w(w, k)`, the w of x+k.
 `limit_end` is the end of a coefficient list in w that holds the value at
@@ -56,9 +57,15 @@ So is the lattice operator H = A^dagger A + const of (B, D), on the pairs
 of the `series` kernel: eigen-equation and shift tables (`_operator`; at
 Xi = 1 the family's own) and the comparison of two factorized forms
 (`_same_form`) that decides shape invariance and the twist's linear relation.
+The family's own identities run that code once, at w the symbolic lattice
+variable (`_at_w`, `_for_all_x`).  There every value is rational in w, with
+denominators that are powers of w and nonzero constants, none zero at a
+lattice point w(x) = x or q^x: an identity in Q(w) holds at every lattice x,
+and a false one has a nonzero residual, zero at finitely many w(x).
 
 Caching follows one rule.  A derived value that an object computes from its
-own parameters -- here P_n, d_n^2 and the moved families, in `multi` C_D,
+own parameters -- here P_n, d_n^2, the moved families and the own operator
+at a point, in `multi` C_D,
 Xi_D, P_{D,n}, the weight and the orthogonality certificate, in `chain` the
 level tables of a label-prefix system -- is a function under `memo`, kept
 in the object's `_cache` under the function's name and positional
@@ -77,6 +84,7 @@ families built apart share their constructions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable
 from fractions import Fraction
@@ -94,7 +102,6 @@ from .series import (
     pair_product,
     pair_quotient,
     pair_sum,
-    pair_value,
     pochhammer,
     q_pochhammer,
     rational_power,
@@ -251,7 +258,13 @@ class _BaseFamily:
         """The lattice variable at x + k, given its value w at x."""
         a0, b0 = self.eta_affine(0)
         ak, bk = self.eta_affine(k)
-        return (ak + bk * w - a0) / b0
+        return (ak - a0 + bk * w) / b0
+
+    @memo
+    def _own_operator(self, w) -> tuple:
+        """`_operator` of the family's own operator (Xi = 1) at the x where w
+        is its lattice variable; every base identity at that x reads it."""
+        return _operator(*_at_w(self, w, self.B_w, self.D_w, self.varphi_w), self.B(0))
 
     # -- twisted potentials; each family defines the memoised moves twisted(),
     # -- shifted(u) and tilde_shifted(u)
@@ -344,7 +357,7 @@ class Meixner(_BaseFamily):
 
     # The lattice variable is x itself.  B and D keep their own class-dict
     # entries too: bench/tracer.py counts calls to them there, by name.
-    B_w, D_w, poly_value_w = B, D, poly_value
+    B_w, D_w, poly_value_w, varphi_w = B, D, poly_value, varphi
 
     def term_ratio(self, n: int, k: int):
         """t_{k+1}/t_k of the series with its (k - x) factor taken out."""
@@ -427,6 +440,9 @@ class _QFamily(_BaseFamily):
     @memo
     def varphi(self, x: int):
         return self.q**x
+
+    def varphi_w(self, w):
+        return w
 
     @memo
     def varphi_M(self, m: int, x: int):
@@ -660,28 +676,21 @@ def _eigen_identity(eigen, u, k) -> Callable[[int], bool]:
     return holds
 
 
-def _eigen_residual(eigen, u, k, x: int):
-    """((A + k C) u(x) - P u(x+1) - Q u(x-1)) / C: `_eigen_identity`'s
-    residual at x as a scalar, a failing point's witness."""
-    a, c, p, q = eigen(x)
-    return pair_value((a + k * c) * u(x) - p * u(x + 1) - q * u(x - 1), c)
-
-
 def _shift(shifts, f, x: int, forward: bool) -> tuple:
     """(F f)(x) = (f0 f(x) - f1 f(x+1)) / fc if forward, else (G f)(x) = (g0
     f(x) - g1 f(x-1)) / gc, an unreduced pair from `_operator`'s triples and
-    f of pairs; D(0) = 0 drops f(-1) at x = 0, and a zero divisor raises ZeroDivisionError."""
+    f of pairs (g1 holds D(0) = 0 at x = 0); a zero divisor raises ZeroDivisionError."""
     (c0, c1, c), (a, ad) = shifts(x)[0 if forward else 1], f(x)
     if not c:
         raise ZeroDivisionError("shift divisor vanishes")
-    b, bd = f(x + 1) if forward else f(x - 1) if x else (0, 1)
+    b, bd = f(x + 1 if forward else x - 1)
     return c0 * a * bd - c1 * b * ad, c * ad * bd
 
 
-def _operator(p: _BaseFamily, tilde: _BaseFamily, xi=lambda x: 1, xi_up=lambda x: 1) -> tuple:
-    """(eigen, shifts): per-x tables of the operator with denominators Xi =
-    xi, Xi' = xi_up at lambda + delta (both 1 for the family's own operator,
-    `_operator(p, p)`) and B~ the B of `tilde` (lambda + M tilde-delta),
+def _operator(B, D, varphi, b0, xi=lambda x: 1, xi_up=lambda x: 1) -> tuple:
+    """(eigen, shifts): per-x tables of the operator of B~ = B (at lambda + M
+    tilde-delta), D and varphi, b0 = B~(0), with denominators Xi = xi and Xi'
+    = xi_up at lambda + delta (both 1 for the family's own operator),
         H u(x) = B~(x) (Xi(x)/Xi(x+1)) [(Xi'(x+1)/Xi'(x)) u(x) - u(x+1)]
                + D(x) (Xi(x+1)/Xi(x)) [(Xi'(x-1)/Xi'(x)) u(x) - u(x-1)];
     times C = Xi(x) Xi(x+1) Xi'(x), (H - E_n) u at x is (A - E_n C) u(x) -
@@ -693,17 +702,18 @@ def _operator(p: _BaseFamily, tilde: _BaseFamily, xi=lambda x: 1, xi_up=lambda x
         f0, f1, fc = B~(0) Xi'(x+1), B~(0) Xi'(x), varphi(x) Xi(x+1),
         g0, g1, gc = B~(x) Xi(x) varphi(x), D(x) Xi(x+1) varphi(x-1), B~(0) Xi'(x).
     Each entry is int numerators over one common denominator.  At Xi = Xi'
-    = 1 eigen(x) is (B + D, 1, B, D), the base difference equation."""
-    b0 = pair(tilde.B(0))
+    = 1 eigen(x) is (B + D, 1, B, D), the base difference equation.  x is a
+    lattice point, or an offset from the symbolic point (`_at_w`)."""
+    b0 = pair(b0)
 
     def point(x):
         xi0, xi1, up0, up1 = pair(xi(x)), pair(xi(x + 1)), pair(xi_up(x)), pair(xi_up(x + 1))
-        bt, d, phi = pair(tilde.B(x)), pair(p.D(x)), pair(p.varphi(x))
+        bt, d, phi = pair(B(x)), pair(D(x)), pair(varphi(x))
         b, dd = pair_product(bt, xi0, xi0), pair_product(d, xi1, xi1)
         a = pair_sum(pair_product(b, up1), pair_product(dd, pair(xi_up(x - 1))))
         eigen = pair_common(a, pair_product(xi0, xi1, up0), pair_product(b, up0), pair_product(dd, up0))
         forward = pair_common(pair_product(b0, up1), pair_product(b0, up0), pair_product(phi, xi1))
-        g1 = pair_product(d, xi1, pair(p.varphi(x - 1)))
+        g1 = pair_product(d, xi1, pair(varphi(x - 1)))
         return eigen, (forward, pair_common(pair_product(bt, xi0, phi), g1, pair_product(b0, up0)))
 
     tables = LatticeFunction(point)
@@ -768,52 +778,51 @@ def rodrigues_vector(p: _BaseFamily, n: int, x_max: int) -> list:
 # -- verification -------------------------------------------------------------------
 
 
-def verify_difference_equation(p: _BaseFamily, n_max: int, x_max: int) -> Report:
-    """Check B(x)(P_n(x)-P_n(x+1)) + D(x)(P_n(x)-P_n(x-1)) = E_n P_n(x).
+def _at_w(p: _BaseFamily, w, *fs) -> list:
+    """Each f of p's lattice variable, at x + k as a function of k, for the x at w."""
+    return [lambda k, f=f: f(p.step_w(w, k)) for f in fs]
 
-    Exact on the lattice window 0..x_max, on pairs (`_operator`), which
-    already pins down the identity as rational functions (both sides have
-    degree <= n+2 in the lattice variable); a failing point carries its
-    residual as the witness.  Three off-lattice values of the lattice
-    variable w exercise the continuation directly.
-    """
+
+def _for_all_x(rep: Report, name: str, p: _BaseFamily, holds) -> None:
+    """Add the check `name`: holds(w) at every x's lattice variable w, decided
+    once at the symbolic w; a failure names the first x where it fails."""
+    ok, (a0, b0) = holds(RationalFunction.variable()), p.eta_affine(0)  # eta(x) = a0 + b0 w
+    rep.add(name, ok, "" if ok else f"x={next(x for x in itertools.count() if not holds((p.eta(x) - a0) / b0))}")
+
+
+def verify_difference_equation(p: _BaseFamily, n_max: int, x_max: int) -> Report:
+    """B(x)(P_n(x)-P_n(x+1)) + D(x)(P_n(x)-P_n(x-1)) = E_n P_n(x) for every
+    x, one identity per n (`_for_all_x`) on pairs (`_operator`); x_max is unused."""
     rep = Report(f"base.difference-equation[{p!r}]", "difference equation for P_n")
-    eigen = _operator(p, p)[0]
     for n in range(n_max + 1):
-        e = p.energy(n)
-        u = lambda y, n=n: p.poly_eval(n, y)
-        holds = _eigen_identity(eigen, u, -e)
-        for x in range(x_max + 1):
-            ok = holds(x)
-            rep.add(f"n={n},x={x}", ok, "" if ok else f"residual={_eigen_residual(eigen, u, -e, x)}")
-        for w in (Fraction(2, 3), Fraction(5, 7), Fraction(3, 2)):
-            val = lambda k: p.poly_value_w(n, p.step_w(w, k))
-            lhs = p.B_w(w) * (val(0) - val(1)) + p.D_w(w) * (val(0) - val(-1))
-            rep.add(f"n={n},w={w}", lhs == e * val(0))
+        pn = functools.partial(p.poly_value_w, n)
+        holds = lambda w, pn=pn, e=p.energy(n): _eigen_identity(p._own_operator(w)[0], *_at_w(p, w, pn), -e)(0)
+        _for_all_x(rep, f"n={n} for all x", p, holds)
     mono = all(p.energy(n) < p.energy(n + 1) for n in range(n_max + 1))
     rep.add("spectrum increasing, E_0 = 0", mono and p.energy(0) == 0)
     return rep
 
 
 def verify_shift_relations(p: _BaseFamily, n_max: int, x_max: int) -> Report:
-    """Forward/backward shift relations on pairs (`_operator`), the product
-    (Rodrigues) formula, and shape invariance as one comparison of two forms
-    (`_same_shape`)."""
+    """Forward/backward shift relations on pairs (`_operator`) and shape
+    invariance as one comparison of two forms (`_same_shape`), each for
+    every x (`_for_all_x`); the product (Rodrigues) formula on 0..x_max."""
     rep = Report(f"base.shift-relations[{p!r}]", "shift operators, product formula, shape invariance")
-    up, shifts = p.shifted(1), _operator(p, p)[1]
+    up = p.shifted(1)
+
+    def shift_holds(f, g, e, forward, w):  # F f = e g if forward, else G f = e g
+        f, g = _at_w(p, w, f, g)
+        return pair_equal(_shift(p._own_operator(w)[1], _pairs(f), 0, forward), _pairs(g, e)(0))
+
     for n in range(1, n_max + 1):
-        e = pair(p.energy(n))
-        pn = lambda y, n=n: pair(p.poly_eval(n, y))
-        qn = lambda y, n=n: pair(up.poly_eval(n - 1, y))
-        for x in range(x_max + 1):
-            rep.add(f"forward n={n},x={x}", pair_equal(_shift(shifts, pn, x, True), pair_product(e, qn(x))))
-            rep.add(f"backward n={n},x={x}", pair_equal(_shift(shifts, qn, x, False), pn(x)))
+        pn, qn = functools.partial(p.poly_value_w, n), functools.partial(up.poly_value_w, n - 1)
+        _for_all_x(rep, f"forward n={n} for all x", p, functools.partial(shift_holds, pn, qn, p.energy(n), True))
+        _for_all_x(rep, f"backward n={n} for all x", p, functools.partial(shift_holds, qn, pn, 1, False))
     for n in range(n_max + 1):
         rod = rodrigues_vector(p, n, x_max)
         ok = all(rod[x] == p.poly_eval(n, x) for x in range(x_max + 1))
         rep.add(f"product formula n={n}", ok)
-    diag, offd = _same_shape(p, p.B, p.D, up.B, up.D)
-    for x in range(x_max + 1):
-        rep.add(f"shape-invariance diagonal x={x}", diag(x))
-        rep.add(f"shape-invariance squared off-diagonal x={x}", offd(x))
+    shape = lambda w: _same_shape(p, *_at_w(p, w, p.B_w, p.D_w, up.B_w, up.D_w))
+    _for_all_x(rep, "shape-invariance diagonal for all x", p, lambda w: shape(w)[0](0))
+    _for_all_x(rep, "shape-invariance squared off-diagonal for all x", p, lambda w: shape(w)[1](0))
     return rep

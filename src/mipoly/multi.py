@@ -46,7 +46,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .casoratian import LatticeFunction, casoratian
-from .families import _BaseFamily, _eigen_identity, _eigen_residual, _operator, _same_shape, _shift, memo
+from .families import _BaseFamily, _eigen_identity, _operator, _same_shape, _shift, memo
 from .polynomials import Polynomial, interpolate
 from .ratfunc import RationalFunction
 from .report import Report
@@ -271,10 +271,10 @@ class MultiIndexedSystem:
     # -- operators ----------------------------------------------------------------------
 
     def eigen_residual(self, n: int, x: int):
-        """Residual of the similarity-transformed eigen-equation at x for u =
-        P_{D,n}: `families._eigen_residual` on the system's eigen table."""
-        u = lambda y: self.multi_poly_at(n, y)
-        return _eigen_residual(_operator_tables(self)[0], u, -self.p.energy(n), x)
+        """((A - E_n C) u(x) - P u(x+1) - Q u(x-1)) / C, the eigen-equation's
+        residual at x for u = P_{D,n}, on the system's eigen table (A, C, P, Q)."""
+        u, (a, c, p, q) = (lambda y: self.multi_poly_at(n, y)), _operator_tables(self)[0](x)
+        return pair_value((a - self.p.energy(n) * c) * u(x) - p * u(x + 1) - q * u(x - 1), c)
 
     def forward_apply(self, f, x: int):
         """Forward shift: lowers n by one and moves parameters to lambda+delta."""
@@ -352,7 +352,8 @@ def verify_multi_structure(p: _BaseFamily, labels: Sequence[int], n_max: int, x_
 @memo
 def _operator_tables(sys: MultiIndexedSystem) -> tuple:
     """(eigen, shifts): `families._operator` of the system, shared by every n."""
-    return _operator(sys.p, sys.p.tilde_shifted(sys.M), sys.Xi_at, sys.shifted_system().Xi_at)
+    p, tilde = sys.p, sys.p.tilde_shifted(sys.M)
+    return _operator(tilde.B, p.D, p.varphi, tilde.B(0), sys.Xi_at, sys.shifted_system().Xi_at)
 
 
 def verify_eigen_equation(p: _BaseFamily, labels: Sequence[int], n_max: int, x_max: int) -> Report:

@@ -8,7 +8,10 @@ potentials satisfy, for constants alpha > 0 and alpha' < 0 and for all x,
 
 where B', D' are the potentials at twisted parameters: A^dagger A of (B, D)
 is alpha A'^dagger A' + alpha' of (B', D'), and `verify_linear_relation`
-compares the two forms on the lattice (`families._same_form`).  So the
+compares the two forms (`families._same_form`) once, in the lattice variable
+w: B, D, B', D' are rational in w with denominators that are powers of w and
+nonzero constants, none zero at a lattice point, so forms equal in Q(w) are
+equal at every x.  So the
 twisted eigenpolynomials xi_v(x) = P_v(x; twisted parameters) solve the
 original difference equation with negative energies tE_v = alpha E'_v +
 alpha' (closed forms on the family: p.alpha(), p.alpha_prime(),
@@ -30,9 +33,7 @@ explicitly needs it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .families import _BaseFamily, _adag_a, _pairs, _same_form
+from .families import _BaseFamily, _adag_a, _at_w, _for_all_x, _pairs, _same_form
 from .polynomials import Polynomial
 from .report import Report
 from .series import pair_product, pair_value
@@ -92,26 +93,26 @@ def positivity_certificate(p: _BaseFamily, v: int, x_max: int) -> Report:
 
 def verify_linear_relation(p: _BaseFamily, x_max: int) -> Report:
     """The two potential identities tying twisted to original parameters (one
-    comparison of two forms on the lattice), positivity of B', D', the nu
-    gauge recurrence, and the virtual energy cross-route tE_v = alpha E'_v + alpha'."""
+    comparison of two forms, for every x: `families._for_all_x`), positivity
+    of B', D' and the nu gauge recurrence on 0..x_max, and the virtual energy
+    cross-route tE_v = alpha E'_v + alpha'."""
     rep = Report(f"virtual.linear-relation[{p!r}]", "linear relation between twisted and original potentials")
     al, ap = p.alpha(), p.alpha_prime()
     tw = p.twisted()
     rep.add("alpha > 0", al > 0)
     rep.add("alpha' < 0", ap < 0)
     rep.add("alpha' = tE_0", ap == p.virtual_energy(0))
-    H = _adag_a(_pairs(p.B), _pairs(p.D), 0)
-    sum_ok, prod_ok = _same_form(H, _adag_a(_pairs(tw.B, al), _pairs(tw.D, al), ap))
+
+    def forms(w):
+        B, D, B_tw, D_tw = _at_w(p, w, p.B_w, p.D_w, tw.B_w, tw.D_w)
+        return _same_form(_adag_a(_pairs(B), _pairs(D), 0), _adag_a(_pairs(B_tw, al), _pairs(D_tw, al), ap))
+
+    _for_all_x(rep, "product identity for all x", p, lambda w: forms(w)[1](0))
+    _for_all_x(rep, "sum identity for all x", p, lambda w: forms(w)[0](0))
     for x in range(x_max + 1):
-        rep.add(f"product identity x={x}", prod_ok(x))
-        rep.add(f"sum identity x={x}", sum_ok(x))
         rep.add(f"B'(x) > 0 x={x}", tw.B(x) > 0)
         rep.add(f"D'(x) sign x={x}", tw.D(x) > 0 if x >= 1 else tw.D(x) == 0)
         rep.add(f"nu recurrence x={x}", p.nu(x + 1) * al * tw.B(x) == p.nu(x) * p.B(x))
-    for w in (Fraction(3, 5), Fraction(7, 4)):
-        w1 = p.step_w(w, 1)
-        rep.add(f"product identity w={w}", al**2 * tw.B_w(w) * tw.D_w(w1) == p.B_w(w) * p.D_w(w1))
-        rep.add(f"sum identity w={w}", al * (tw.B_w(w) + tw.D_w(w)) + ap == p.B_w(w) + p.D_w(w))
     for vv in index_set(p, 4):
         cross = al * tw.energy(vv) + ap == p.virtual_energy(vv)
         rep.add(f"energy cross-route v={vv}", cross)

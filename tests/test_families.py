@@ -20,7 +20,7 @@ from mipoly.multi import system
 from mipoly.polynomials import interpolate
 from mipoly.ratfunc import RationalFunction
 from mipoly.series import q_pochhammer
-from mipoly.virtual import xi_poly
+from mipoly.virtual import verify_linear_relation, xi_poly
 
 M = Meixner(1, F(1, 2))
 M2 = Meixner(F(5, 2), F(1, 3))
@@ -349,20 +349,17 @@ def test_difference_equation_and_shifts_reports():
 
 
 def fraction_difference_checks(p, n_max, x_max):
-    """verify_difference_equation's (name, passed, witness) list, with the
-    difference equation written out in Fractions."""
+    """verify_difference_equation's checks as (name, passed, witness) rows,
+    one per x of each identity (`for_all_x` folds them), with the difference
+    equation written out in Fractions."""
     out = []
     for n in range(n_max + 1):
         e = p.energy(n)
-        vals = [p.poly_eval(n, x) for x in range(-1, x_max + 2)]
+        vals = [p.poly_value(n, x) for x in range(-1, x_max + 2)]
         for x in range(x_max + 1):
             lhs = p.B(x) * (vals[x + 1] - vals[x + 2]) + p.D(x) * (vals[x + 1] - vals[x])
             ok = lhs == e * vals[x + 1]
             out.append((f"n={n},x={x}", ok, "" if ok else f"residual={lhs - e * vals[x + 1]}"))
-        for w in (F(2, 3), F(5, 7), F(3, 2)):
-            val = lambda k: p.poly_value_w(n, p.step_w(w, k))
-            lhs = p.B_w(w) * (val(0) - val(1)) + p.D_w(w) * (val(0) - val(-1))
-            out.append((f"n={n},w={w}", lhs == e * val(0), ""))
     mono = all(p.energy(n) < p.energy(n + 1) for n in range(n_max + 1))
     out.append(("spectrum increasing, E_0 = 0", mono and p.energy(0) == 0, ""))
     return out
@@ -383,11 +380,12 @@ def fraction_backward(p, f, x):
 
 
 def fraction_shift_checks(p, n_max, x_max):
-    """verify_shift_relations' (name, passed, witness) list, with the shifts
-    and shape invariance written out in Fractions."""
+    """verify_shift_relations' checks as (name, passed, witness) rows, one
+    per x of each identity (`for_all_x` folds them), with the shifts and
+    shape invariance written out in Fractions."""
     up, out = p.shifted(1), []
     for n in range(1, n_max + 1):
-        e, pn, qn = p.energy(n), (lambda y: p.poly_eval(n, y)), (lambda y: up.poly_eval(n - 1, y))
+        e, pn, qn = p.energy(n), (lambda y: p.poly_value(n, y)), (lambda y: up.poly_value(n - 1, y))
         for x in range(x_max + 1):
             out.append((f"forward n={n},x={x}", fraction_forward(p, pn, x) == e * qn(x), ""))
             out.append((f"backward n={n},x={x}", fraction_backward(p, qn, x) == pn(x), ""))
@@ -403,20 +401,62 @@ def fraction_shift_checks(p, n_max, x_max):
     return out
 
 
-def spoilt_family(p, how):
-    """A family equal to p but for one potential value, 1/7 too large: how =
-    ("B", x0) or ("D", x0).  It is an instance of a subclass, so its moves
-    (shifted, twisted) build the sound class."""
-    name, x0 = how
+def for_all_x(rows):
+    """Fold the per-x rows "<identity>,x=<x>" or "<identity> x=<x>" of each
+    identity into its one check "<identity> for all x", as the suites report
+    it: passed at every x, its witness the first failing x.  Other rows stay."""
+    out = {}
+    for name, passed, witness in rows:
+        if "x=" in name:
+            head, x = name.rsplit("x=", 1)
+            name, witness = head.rstrip(", ") + " for all x", f"x={x}"
+            if name in out and not out[name][0]:
+                continue  # an earlier x failed already
+        if passed:
+            witness = ""
+        out[name] = passed, witness
+    return [(name, *check) for name, check in out.items()]
+
+
+def spoilt_family(p, name, extra):
+    """A family equal to p but for extra(w), a function of the lattice
+    variable, added to B_w, D_w or poly_value_w (name "B", "D" or "P"); for
+    M, whose B, D and poly_value are the same functions, to those as well.
+    It is an instance of a subclass, so its moves (shifted, twisted) build
+    the sound class."""
+    short = {"B": "B", "D": "D", "P": "poly_value"}[name]
+    original = getattr(type(p), short + "_w")
+
+    def spoilt(self, *args, _f=original):
+        return _f(self, *args) + extra(args[-1])
 
     class Spoilt(type(p)):
         __slots__ = ()
 
-    def spoilt(self, x, _f=getattr(type(p), name)):
-        return _f(self, x) + F(1, 7) if x == x0 else _f(self, x)
-
-    setattr(Spoilt, name, spoilt)
+    setattr(Spoilt, short + "_w", spoilt)
+    if getattr(type(p), short) is original:
+        setattr(Spoilt, short, spoilt)
     return Spoilt(*p._key())
+
+
+def lattice_w(p, x):
+    """The lattice variable w at x: eta(x) = alpha_0 + beta_0 w."""
+    a0, b0 = p.eta_affine(0)
+    return (p.eta(x) - a0) / b0
+
+
+def bump(p, x0):
+    """The polynomial in w that is 1/7 at w(x0) and 0 at the other w(x),
+    x in -1..14: at the lattice points it is wrong at x0 and from x = 15 on."""
+    nodes = [lattice_w(p, x) for x in range(-1, 15) if x != x0]
+
+    def extra(w):
+        out = F(1, 7)
+        for v in nodes:
+            out = out * (w - v) / (lattice_w(p, x0) - v)
+        return out
+
+    return extra
 
 
 ORACLE_FAMILIES = pytest.mark.parametrize(
@@ -430,24 +470,56 @@ ORACLE_FAMILIES = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("how", [None, ("B", 3), ("B", 0), ("D", 3)], ids=["sound", "B(3)", "B(0)", "D(3)"])
+@pytest.mark.parametrize(
+    "how", [None, ("B", 3), ("B", 0), ("D", 3), ("P", 8)], ids=["sound", "B(3)", "B(0)", "D(3)", "P(8)"]
+)
 @ORACLE_FAMILIES
 def test_base_pair_checks_match_their_fraction_form(make, how):
-    # the difference equation, the shifts and shape invariance are decided
-    # on pairs; the Fraction forms written out here must give every check
-    # the same (name, passed, witness), for the sound family and for one
-    # whose B or D is wrong at one lattice point
-    p = make() if how is None else spoilt_family(make(), how)
+    # the difference equation, the shifts and shape invariance are each
+    # decided once for every x; each passes exactly when its Fraction form
+    # written out here holds at every x in 0..15, and names its first
+    # failing x, for the sound family and for one whose B, D or P_n is off
+    # by a `bump` at x0 (P_n at x0 = 8, past the points 1..7 at which `poly`
+    # checks its Newton form against the series for n <= 3).  The window
+    # reaches x = 15, where the bump is nonzero again: an identity may not
+    # read x0 on 0..12 (the off-diagonal reads B(x+1), never B(0); and
+    # P_2(2) = P_2(3) for M hides D(3) from n = 2), yet fail for all x.
+    p = make() if how is None else spoilt_family(make(), how[0], bump(make(), how[1]))
     failures = 0
     for suite, oracle in (
         (verify_difference_equation, fraction_difference_checks),
         (verify_shift_relations, fraction_shift_checks),
     ):
-        got = [(c.name, c.passed, c.witness) for c in suite(p, 3, 12).checks]
-        expected = oracle(p, 3, 12)
+        got = [(c.name, c.passed, c.witness) for c in suite(p, 3, 15).checks]
+        expected = for_all_x(oracle(p, 3, 15))
         assert got == expected
         failures += sum(not passed for _, passed, _ in expected)
     assert (failures == 0) == (how is None)
+
+
+@pytest.mark.parametrize("name", ["B", "D"])
+@ORACLE_FAMILIES
+def test_a_potential_wrong_only_past_the_window_fails_for_all_x(make, name):
+    # B_w or D_w off by (1/7) prod_{j=-1}^{14} (w - w(j)): every lattice
+    # value up to x = 14 is the sound one, so the Fraction forms hold on
+    # 0..12, yet the identities decided for every x fail, each first at an
+    # x >= 14, and nothing else fails
+    p = make()
+    nodes = [lattice_w(p, j) for j in range(-1, 15)]
+
+    def extra(w):
+        out = F(1, 7)
+        for v in nodes:
+            out = out * (w - v)
+        return out
+
+    p = spoilt_family(p, name, extra)
+    assert all(passed for _, passed, _ in fraction_difference_checks(p, 3, 12) + fraction_shift_checks(p, 3, 12))
+    base = verify_difference_equation(p, 3, 12).failures() + verify_shift_relations(p, 3, 12).failures()
+    virtual = verify_linear_relation(p, 12).failures()
+    assert base and {c.name for c in virtual} == {"product identity for all x", "sum identity for all x"}
+    for c in base + virtual:
+        assert c.name.endswith(" for all x") and int(c.witness.removeprefix("x=")) >= 14, (c.name, c.witness)
 
 
 @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=12))
@@ -530,7 +602,8 @@ def test_poly_rejects_a_wrong_term_ratio(monkeypatch):
 )
 def test_lattice_variable(p):
     # eta(x + k) = alpha_k + beta_k w(x) in the one lattice variable w, and
-    # B, D, P_n and the weight ratio read in w agree with the lattice values
+    # B, D, varphi, P_n and the weight ratio read in w agree with the
+    # lattice values
     a0, b0 = p.eta_affine(0)
     w = lambda x: (p.eta(x) - a0) / b0
     for x in range(-2, 11):
@@ -539,6 +612,7 @@ def test_lattice_variable(p):
             assert p.eta(x + k) == ak + bk * w(x), (x, k)
             assert p.step_w(w(x), k) == w(x + k), (x, k)
         assert p.B_w(w(x)) == p.B(x) and p.D_w(w(x)) == p.D(x), x
+        assert p.varphi_w(w(x)) == p.varphi(x), x
         for n in range(5):
             assert p.poly_value_w(n, w(x)) == p.poly_value(n, x), (n, x)
         if x >= 0:

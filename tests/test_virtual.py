@@ -113,8 +113,9 @@ def test_index_gating():
 
 
 def fraction_linear_checks(p, x_max):
-    """verify_linear_relation's (name, passed, witness) list, with the
-    product and sum identities written out in Fractions."""
+    """verify_linear_relation's checks as (name, passed, witness) rows, the
+    product and sum identities one per x (`for_all_x` folds them), with
+    those identities written out in Fractions."""
     al, ap, tw = p.alpha(), p.alpha_prime(), p.twisted()
     out = [("alpha > 0", al > 0, ""), ("alpha' < 0", ap < 0, ""), ("alpha' = tE_0", ap == p.virtual_energy(0), "")]
     for x in range(x_max + 1):
@@ -123,28 +124,55 @@ def fraction_linear_checks(p, x_max):
         out.append((f"B'(x) > 0 x={x}", tw.B(x) > 0, ""))
         out.append((f"D'(x) sign x={x}", tw.D(x) > 0 if x >= 1 else tw.D(x) == 0, ""))
         out.append((f"nu recurrence x={x}", p.nu(x + 1) * al * tw.B(x) == p.nu(x) * p.B(x), ""))
-    for w in (F(3, 5), F(7, 4)):
-        w1 = p.step_w(w, 1)
-        out.append((f"product identity w={w}", al**2 * tw.B_w(w) * tw.D_w(w1) == p.B_w(w) * p.D_w(w1), ""))
-        out.append((f"sum identity w={w}", al * (tw.B_w(w) + tw.D_w(w)) + ap == p.B_w(w) + p.D_w(w), ""))
     for v in index_set(p, 4):
         out.append((f"energy cross-route v={v}", al * tw.energy(v) + ap == p.virtual_energy(v), ""))
     return out
 
 
-def spoilt_family(p, how):
-    """A family equal to p but for one potential value, 1/7 too large: how =
-    ("B", x0) or ("D", x0).  It is an instance of a subclass, so its moves
-    (twisted among them) build the sound class."""
-    name, x0 = how
+IDENTITIES = ("product identity", "sum identity")
+
+
+def for_all_x(rows):
+    """Fold the per-x rows "<identity> x=<x>" of the product and sum
+    identities into their one check "<identity> for all x", in the place of
+    the first, as the suite reports it: passed at every x, its witness the
+    first failing x.  Other rows stay."""
+    out = {}
+    for name, passed, witness in rows:
+        head, _, x = name.rpartition(" x=")
+        if head in IDENTITIES:
+            name, witness = f"{head} for all x", f"x={x}"
+            if name in out and not out[name][0]:
+                continue  # an earlier x failed already
+            if passed:
+                witness = ""
+        out[name] = passed, witness
+    return [(name, *check) for name, check in out.items()]
+
+
+def spoilt_family(p, name, x0):
+    """A family equal to p but for B_w or D_w (name "B" or "D"), 1/7 too
+    large at w(x0) and exact at the other w(x), x in -1..14, by a polynomial
+    in the lattice variable w; for M, whose B and D are B_w and D_w, in those
+    as well.  It is an instance of a subclass, so its moves (twisted among
+    them) build the sound class."""
+    a0, b0 = p.eta_affine(0)
+    lattice_w = lambda x: (p.eta(x) - a0) / b0  # eta(x) = a0 + b0 w
+    nodes = [lattice_w(x) for x in range(-1, 15) if x != x0]
+    original = getattr(type(p), name + "_w")
+
+    def spoilt(self, w, _f=original):
+        out = F(1, 7)
+        for v in nodes:
+            out = out * (w - v) / (lattice_w(x0) - v)
+        return _f(self, w) + out
 
     class Spoilt(type(p)):
         __slots__ = ()
 
-    def spoilt(self, x, _f=getattr(type(p), name)):
-        return _f(self, x) + F(1, 7) if x == x0 else _f(self, x)
-
-    setattr(Spoilt, name, spoilt)
+    setattr(Spoilt, name + "_w", spoilt)
+    if getattr(type(p), name) is original:
+        setattr(Spoilt, name, spoilt)
     return Spoilt(*p._key())
 
 
@@ -159,12 +187,13 @@ def spoilt_family(p, how):
     ids=["M", "lqJ", "lqL"],
 )
 def test_linear_relation_pair_checks_match_their_fraction_form(make, how):
-    # the product and sum identities are one comparison of two forms on
-    # pairs; the Fraction form written out here must give every check the
-    # same (name, passed, witness), for the sound family and for one whose
-    # B or D is wrong at one lattice point
-    p = make() if how is None else spoilt_family(make(), how)
+    # the product and sum identities are one comparison of two forms, each
+    # decided once for every x; each passes exactly when its Fraction form
+    # written out here holds at every x in 0..12, and names its first
+    # failing x, for the sound family and for one whose B or D is wrong at
+    # one lattice point
+    p = make() if how is None else spoilt_family(make(), *how)
     got = [(c.name, c.passed, c.witness) for c in verify_linear_relation(p, 12).checks]
-    expected = fraction_linear_checks(p, 12)
+    expected = for_all_x(fraction_linear_checks(p, 12))
     assert got == expected
     assert all(passed for _, passed, _ in expected) == (how is None)
