@@ -14,7 +14,8 @@ the step potentials
     Dhat_s(x) = alpha D'(x)     w_{s-1}(x+1)/w_{s-1}(x) * w_s(x-1)/w_s(x)
 
 and their ground-state-adapted standard form (B'/D' are the base potentials
-at twisted parameters).  This module verifies, exactly, every identity the
+at twisted parameters), all tables of `multi._deformed_potentials`, as the
+system's B_D, D_D are.  This module verifies, exactly, every identity the
 construction rests on:
 
   - the two eigen-identities for w'_{s,v} and w''_{s,n} (cleared of
@@ -82,7 +83,7 @@ from fractions import Fraction
 
 from .casoratian import LatticeFunction
 from .families import _BaseFamily, _a_adag, _adag_a, _eigen_identity, _same_form, memo
-from .multi import MultiIndexedSystem, _validate_labels, system
+from .multi import MultiIndexedSystem, _deformed_potentials, _validate_labels, system
 from .report import Report
 from .series import pair, pair_common, pair_equal, pair_product, pair_quotient
 from .virtual import index_set
@@ -128,10 +129,10 @@ def _base_tables(base: MultiIndexedSystem) -> tuple:
     pair tables of the base potentials B(x), D(x), on the base system
     `system(p, ())` and its stored family."""
     p = base.p
-    a = p.alpha()
+    a, tw = p.alpha(), p.twisted()
     return (
-        LatticeFunction(lambda x: a * p.Bprime(x)),
-        LatticeFunction(lambda x: a * p.Dprime(x)),
+        LatticeFunction(lambda x: a * tw.B(x)),
+        LatticeFunction(lambda x: a * tw.D(x)),
         LatticeFunction(lambda x: pair(p.B(x))),
         LatticeFunction(lambda x: pair(p.D(x))),
     )
@@ -142,7 +143,8 @@ class _Level:
     labels d_1..d_s of the system it is built on.
 
     - `B_std`, `D_std` (every s) and `Bhat`, `Dhat` (s >= 1): the potentials,
-      as unreduced pairs.
+      as unreduced pairs, for (k, u, v) = (s, w_s, w''_{s,0}) and (s-1,
+      w_{s-1}, w_s).
     - `Et`: the tilde-energy Et_{d_s} of the state deleted at step s; 0 at
       s = 0.
     - `H`: the Hamiltonian H_s in the form the deletion step leaves it, as
@@ -170,7 +172,7 @@ class _Level:
         p, s = prefix.p, prefix.M
         aB, aD, B, D = _base_tables(system(p, ()))
         w1 = prefix.w_grid
-        self.B_std, self.D_std = _potentials(aB, aD, s, w1, prefix.wpp_grid(0))
+        self.B_std, self.D_std = _deformed_potentials(aB, aD, s, w1, prefix.wpp_grid(0))
         if s == 0:
             ap = pair(p.alpha_prime())
             self.Bhat = self.Dhat = None
@@ -183,7 +185,7 @@ class _Level:
 
         else:
             w0 = system(p, prefix.labels[:-1]).w_grid
-            self.Bhat, self.Dhat = _potentials(aB, aD, s - 1, w0, w1)
+            self.Bhat, self.Dhat = _deformed_potentials(aB, aD, s - 1, w0, w1)
             self.Et = p.virtual_energy(prefix.labels[-1])
             self.H = _a_adag(self.Bhat, self.Dhat, self.Et)
 
@@ -223,22 +225,6 @@ def _contiguity_coefficients(prefix: MultiIndexedSystem, v: int) -> LatticeFunct
         return pair_common(b, d, pair(w2(x)))
 
     return LatticeFunction(contiguity)
-
-
-def _potentials(aB, aD, k: int, u: LatticeFunction, v: LatticeFunction) -> tuple:
-    """The pair tables of aB'(x+k) u(x) v(x+1) / (u(x+1) v(x)) and
-    aD'(x) u(x+1) v(x-1) / (u(x) v(x)): Bhat_s, Dhat_s for (k, u, v) =
-    (s-1, w_{s-1}, w_s), and B_std, D_std for (s, w_s, w''_{s,0})."""
-
-    def B(x):
-        top = pair_product(pair(aB(x + k)), pair(u(x)), pair(v(x + 1)))
-        return pair_quotient(top, pair_product(pair(u(x + 1)), pair(v(x))))
-
-    def D(x):
-        top = pair_product(pair(aD(x)), pair(u(x + 1)), pair(v(x - 1)))
-        return pair_quotient(top, pair_product(pair(u(x)), pair(v(x))))
-
-    return LatticeFunction(B), LatticeFunction(D)
 
 
 class ChainState:
@@ -430,17 +416,17 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
 
     # final level: match the closed-form multi-indexed system
     final, lv = prefix[M], levels[M]
+    B_D, D_D = final.potentials()
     _check(
         rep,
         "final potentials match denominator form",
         xs_lattice,
-        lambda x: pair_equal(lv.B_std(x), pair(final.B_D(x)))
-        and pair_equal(lv.D_std(x), pair(final.D_D(x))),
+        lambda x: pair_equal(lv.B_std(x), B_D(x)) and pair_equal(lv.D_std(x), D_D(x)),
     )
     phi0p, wM, alpha = p.twisted(), final.w_grid, p.alpha()
     prod_b0 = 1
     for j in range(M):
-        prod_b0 = prod_b0 * alpha * p.tilde_shifted(j).Bprime(0)
+        prod_b0 = prod_b0 * alpha * p.tilde_shifted(j).twisted().B(0)
     kappa_pow = p.kappa ** (M * (M - 1) // 2)
 
     def eigenvector_factor(x):

@@ -266,17 +266,6 @@ class _BaseFamily:
         is its lattice variable; every base identity at that x reads it."""
         return _operator(*_at_w(self, w, self.B_w, self.D_w, self.varphi_w), self.B(0))
 
-    # -- twisted potentials; each family defines the memoised moves twisted(),
-    # -- shifted(u) and tilde_shifted(u)
-
-    def Bprime(self, x):
-        """B(x) at twisted parameters."""
-        return self.twisted().B(x)
-
-    def Dprime(self, x):
-        """D(x) at twisted parameters (equals D for every system here)."""
-        return self.twisted().D(x)
-
 
 class Meixner(_BaseFamily):
     """System M: B(x) = c (x + beta), D(x) = x, eta(x) = x, kappa = 1.
@@ -790,9 +779,9 @@ def _for_all_x(rep: Report, name: str, p: _BaseFamily, holds) -> None:
     rep.add(name, ok, "" if ok else f"x={next(x for x in itertools.count() if not holds((p.eta(x) - a0) / b0))}")
 
 
-def verify_difference_equation(p: _BaseFamily, n_max: int, x_max: int) -> Report:
+def verify_difference_equation(p: _BaseFamily, n_max: int) -> Report:
     """B(x)(P_n(x)-P_n(x+1)) + D(x)(P_n(x)-P_n(x-1)) = E_n P_n(x) for every
-    x, one identity per n (`_for_all_x`) on pairs (`_operator`); x_max is unused."""
+    x, one identity per n (`_for_all_x`) on pairs (`_operator`)."""
     rep = Report(f"base.difference-equation[{p!r}]", "difference equation for P_n")
     for n in range(n_max + 1):
         pn = functools.partial(p.poly_value_w, n)

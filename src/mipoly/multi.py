@@ -17,8 +17,12 @@ Xi_D and P_{D,n} at every x (`MultiIndexedSystem._normalised_poly`).
 
 The deformed potentials, weight function, shift operators, eigenvalue
 equation and orthogonality all live here, each as an exact verification
-routine.  Orthogonality sums over the infinite lattice are certified: a
-geometric term-ratio bound with exact rational certificates caps the tail.
+routine.  The potentials have one coding, `_deformed_potentials`: a
+system's (B_D, D_D) are its pair tables on Xi_D (`potentials`), and
+`B_D`, `D_D` are Fraction views of them; the deletion chain forms its
+level potentials with the same function on Casoratian grids.
+Orthogonality sums over the infinite lattice are certified: a geometric
+term-ratio bound with exact rational certificates caps the tail.
 There is one certificate for every family.  It writes the term ratio in the
 family's lattice variable w (x for M, q^x for the q families), where
 eta(x + k) = alpha_k + beta_k w: each polynomial in eta becomes an int
@@ -50,7 +54,7 @@ from .families import _BaseFamily, _eigen_identity, _operator, _same_shape, _shi
 from .polynomials import Polynomial, interpolate
 from .ratfunc import RationalFunction
 from .report import Report
-from .series import Interval, pair, pair_equal, pair_product, pair_value
+from .series import Interval, pair, pair_equal, pair_product, pair_quotient, pair_value
 from .virtual import xi_poly
 
 
@@ -126,22 +130,22 @@ class MultiIndexedSystem:
 
     @memo
     def C_D(self):
-        al = self.p.alpha()
+        al, tw = self.p.alpha(), self.p.twisted()
         te = [self.p.virtual_energy(d) for d in self.labels]
         out = 1 / self.p.varphi_M(self.M, 0)
         for j in range(self.M):
             for k in range(j + 1, self.M):
-                out = out * (te[j] - te[k]) / (al * self.p.Bprime(j))
+                out = out * (te[j] - te[k]) / (al * tw.B(j))
         return out
 
     @memo
     def dt_sq(self, n: int):
         """tilde-d^2_{D,n}, the norm deformation factor; positive rational."""
-        al = self.p.alpha()
+        al, tw = self.p.alpha(), self.p.twisted()
         en = self.p.energy(n)
         out = self.p.varphi_M(self.M, 0) / self.p.varphi_M(self.M + 1, 0)
         for j, d in enumerate(self.labels):
-            out = out * (en - self.p.virtual_energy(d)) / (al * self.p.Bprime(j))
+            out = out * (en - self.p.virtual_energy(d)) / (al * tw.B(j))
         return out
 
     def C_Dn(self, n: int):
@@ -245,22 +249,17 @@ class MultiIndexedSystem:
         return system(self.p.shifted(1), self.labels)
 
     @memo
-    def B_D(self, x: int):
-        up = self.shifted_system()
-        return (
-            self.p.tilde_shifted(self.M).B(x)
-            * self.Xi_at(x)
-            / self.Xi_at(x + 1)
-            * up.Xi_at(x + 1)
-            / up.Xi_at(x)
-        )
+    def potentials(self) -> tuple:
+        """(B_D, D_D) as pair tables: `_deformed_potentials` of B~ (B at
+        lambda + M tilde-delta), D, Xi_D and Xi_D at lambda + delta."""
+        tilde, up = self.p.tilde_shifted(self.M), self.shifted_system()
+        return _deformed_potentials(tilde.B, self.p.D, 0, self.Xi_at, up.Xi_at)
 
-    @memo
+    def B_D(self, x: int):
+        return pair_value(*self.potentials()[0](x))
+
     def D_D(self, x: int):
-        up = self.shifted_system()
-        return (
-            self.p.D(x) * self.Xi_at(x + 1) / self.Xi_at(x) * up.Xi_at(x - 1) / up.Xi_at(x)
-        )
+        return pair_value(*self.potentials()[1](x))
 
     @memo
     def weight(self, x: int):
@@ -283,6 +282,23 @@ class MultiIndexedSystem:
     def backward_apply(self, f, x: int):
         """Backward shift acting on level-(lambda+delta) polynomials."""
         return pair_value(*_shift(_operator_tables(self)[1], lambda y: pair(f(y)), x, False))
+
+
+def _deformed_potentials(B, D, k: int, u: LatticeFunction, v: LatticeFunction) -> tuple:
+    """The pair tables of B(x+k) u(x) v(x+1) / (u(x+1) v(x)) and D(x) u(x+1)
+    v(x-1) / (u(x) v(x)): a system's B_D, D_D (`potentials`) and a chain
+    level's potentials on its Casoratian grids (`chain._Level`).  A zero
+    divisor raises ZeroDivisionError."""
+
+    def B_table(x):
+        top = pair_product(pair(B(x + k)), pair(u(x)), pair(v(x + 1)))
+        return pair_quotient(top, pair_product(pair(u(x + 1)), pair(v(x))))
+
+    def D_table(x):
+        top = pair_product(pair(D(x)), pair(u(x + 1)), pair(v(x - 1)))
+        return pair_quotient(top, pair_product(pair(u(x)), pair(v(x))))
+
+    return LatticeFunction(B_table), LatticeFunction(D_table)
 
 
 def count_sign_changes(values: Sequence) -> int:

@@ -156,22 +156,25 @@ def test_corrupted_w1_fails_the_diagonals_of_the_factorizations_that_read_it(mon
 
 
 def test_chain_verify_computes_shared_coefficients_once(monkeypatch):
-    # the level tables share B', D' and the tilde-energies across companion
-    # columns, checks and n; at most a few evaluations per (s, x) remain
+    # the level tables share B', D' (B, D of the twisted family) and the
+    # tilde-energies across companion columns, checks and n; at most a few
+    # evaluations per (s, x) remain
     from mipoly import multi
-    from mipoly.families import _BaseFamily
 
-    calls = {"Bprime": 0, "Dprime": 0, "virtual_energy": 0}
+    calls = {"B": 0, "D": 0, "virtual_energy": 0}
 
     def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+        def wrapper(self, *args):
+            # B', D': a twisted M family has c > 1; the chain's and the closed
+            # forms' reads, not the twisted ground state's own recurrence
+            if self.c > 1 and sys._getframe(1).f_globals["__name__"] in ("mipoly.chain", "mipoly.multi"):
+                calls[name] += 1
+            return fn(self, *args)
 
         return wrapper
 
-    monkeypatch.setattr(_BaseFamily, "Bprime", counting("Bprime", _BaseFamily.Bprime))
-    monkeypatch.setattr(_BaseFamily, "Dprime", counting("Dprime", _BaseFamily.Dprime))
+    monkeypatch.setattr(Meixner, "B", counting("B", Meixner.B))
+    monkeypatch.setattr(Meixner, "D", counting("D", Meixner.D))
     virtual_energy = Meixner.virtual_energy
 
     def chain_virtual_energy(*args):
@@ -183,14 +186,14 @@ def test_chain_verify_computes_shared_coefficients_once(monkeypatch):
     monkeypatch.setattr(Meixner, "virtual_energy", chain_virtual_energy)
     monkeypatch.setattr(multi, "_SYSTEMS", {})  # cold: the chain builds its prefix systems
     assert chain_verify(Meixner(1, F(1, 2)), (1, 2, 3), n_max=3, x_max=12).passed
-    assert calls["Bprime"] < 200
-    assert calls["Dprime"] < 100
+    assert calls["B"] < 200
+    assert calls["D"] < 100
     assert calls["virtual_energy"] < 20
 
 
 def test_warm_chain_verify_reads_the_final_potentials_back(monkeypatch):
-    # B_D and D_D are memo methods of the system: a repeated request does not
-    # evaluate their bodies (each begins with shifted_system()) again
+    # the potentials table is a memo of the system: a repeated request does
+    # not form it (its body calls shifted_system()) again
     from mipoly.multi import MultiIndexedSystem
 
     original = MultiIndexedSystem.shifted_system
@@ -201,6 +204,35 @@ def test_warm_chain_verify_reads_the_final_potentials_back(monkeypatch):
         calls.clear()
         assert chain_verify(p, (1, 2), n_max=2, x_max=8).passed
         assert calls == [], p
+
+
+@pytest.mark.parametrize("p", [M, QJ, QL], ids=repr)
+def test_chain_levels_form_their_potentials_in_multi(monkeypatch, p):
+    # Bhat, Dhat and B_std, D_std of every level, and the final system's
+    # B_D, D_D, are the tables of the one multi function
+    from mipoly import chain, multi
+
+    assert chain._deformed_potentials is multi._deformed_potentials
+    original, made = multi._deformed_potentials, {}
+
+    def recording(B, D, k, u, v):
+        made[k, id(u), id(v)] = tables = original(B, D, k, u, v)
+        return tables
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    monkeypatch.setattr(chain, "_deformed_potentials", recording)
+    monkeypatch.setattr(multi, "_deformed_potentials", recording)
+    order = (1, 2)
+    assert chain_verify(p, order, n_max=1, x_max=4).passed
+    for s in range(len(order) + 1):
+        pre, lv = system(p, order[:s]), _level(system(p, order[:s]))
+        assert (lv.B_std, lv.D_std) == made[s, id(pre.w_grid), id(pre.wpp_grid(0))]
+        if s:
+            w0 = system(p, order[: s - 1]).w_grid
+            assert (lv.Bhat, lv.Dhat) == made[s - 1, id(w0), id(pre.w_grid)]
+    final = system(p, order)
+    assert final.potentials() == made[0, id(final.Xi_at), id(final.shifted_system().Xi_at)]
+    assert len(made) == 2 * len(order) + 2
 
 
 def _checks(rep):

@@ -283,6 +283,21 @@ def test_xmax_ceiling(capsys, monkeypatch):
     assert cli.build_config(_args(xmax=cli.XMAX_CEILING))["x_max"] == cli.XMAX_CEILING
 
 
+def test_beta_ceiling(capsys, monkeypatch):
+    # M's mass (1 - c)^beta is formed exactly: beta = 10^100 once ran out of
+    # memory there; the ceiling refuses it before anything is built
+    import mipoly.cli as cli
+
+    with pytest.raises(cli.ConfigError, match="ceiling"):
+        cli.build_config(_args(params="1e100,1/2", suite="multi"))
+    err = _refused(capsys, monkeypatch, "verify", "--params", "1e100,1/2", "--deletions", "1,2", "--suite", "multi")
+    assert err == f"error: beta's numerator or denominator exceeds the ceiling {cli.BETA_CEILING}\n"
+    assert "ceiling" in _refused(capsys, monkeypatch, "tabulate", "--params", f"1/{cli.BETA_CEILING + 1},1/2")
+    # every beta in use is admitted, 10^4 and 1/10^4 included
+    for beta in ("1", "1/2", "5/2", "201/2", "1/1000", "10000", "1/10000"):
+        assert cli.build_config(_args(params=f"{beta},1/2"))["p"].beta == F(beta)
+
+
 def test_label_ceiling(capsys, monkeypatch):
     import mipoly.cli as cli
 
@@ -368,13 +383,16 @@ def test_tabulate_prints_weights_past_the_int_digit_limit(capsys, family, params
 
 
 def test_config_echo_prints_a_long_parameter(capsys):
+    # c = 1/(2 10^4301): its denominator is parsed and printed past the
+    # default 4 300 digits (beta that long is refused by its ceiling)
     limit = _int_digit_limit()
+    c = "1/2" + "0" * 4301
     code, out, err = _run(
-        capsys, "verify", "--params", "1e4301,1/2", "--deletions", "", "--suite", "casoratian",
+        capsys, "verify", "--params", f"1,{c}", "--deletions", "", "--suite", "casoratian",
     )
     assert code == 0, err
     assert _int_digit_limit() == limit
-    assert json.loads(out)["config"]["parameters"]["beta"] == "1" + "0" * 4301
+    assert json.loads(out)["config"]["parameters"]["c"] == c
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -342,7 +342,7 @@ def test_a_subclass_moves_build_the_declared_family(p):
 
 def test_difference_equation_and_shifts_reports():
     for p in ALL:
-        rep = verify_difference_equation(p, 4, 10)
+        rep = verify_difference_equation(p, 4)
         assert rep.passed, rep.failures()[:3]
         rep = verify_shift_relations(p, 4, 10)
         assert rep.passed, rep.failures()[:3]
@@ -486,11 +486,11 @@ def test_base_pair_checks_match_their_fraction_form(make, how):
     # P_2(2) = P_2(3) for M hides D(3) from n = 2), yet fail for all x.
     p = make() if how is None else spoilt_family(make(), how[0], bump(make(), how[1]))
     failures = 0
-    for suite, oracle in (
-        (verify_difference_equation, fraction_difference_checks),
-        (verify_shift_relations, fraction_shift_checks),
+    for rep, oracle in (
+        (verify_difference_equation(p, 3), fraction_difference_checks),
+        (verify_shift_relations(p, 3, 15), fraction_shift_checks),
     ):
-        got = [(c.name, c.passed, c.witness) for c in suite(p, 3, 15).checks]
+        got = [(c.name, c.passed, c.witness) for c in rep.checks]
         expected = for_all_x(oracle(p, 3, 15))
         assert got == expected
         failures += sum(not passed for _, passed, _ in expected)
@@ -515,7 +515,7 @@ def test_a_potential_wrong_only_past_the_window_fails_for_all_x(make, name):
 
     p = spoilt_family(p, name, extra)
     assert all(passed for _, passed, _ in fraction_difference_checks(p, 3, 12) + fraction_shift_checks(p, 3, 12))
-    base = verify_difference_equation(p, 3, 12).failures() + verify_shift_relations(p, 3, 12).failures()
+    base = verify_difference_equation(p, 3).failures() + verify_shift_relations(p, 3, 12).failures()
     virtual = verify_linear_relation(p, 12).failures()
     assert base and {c.name for c in virtual} == {"product identity for all x", "sum identity for all x"}
     for c in base + virtual:

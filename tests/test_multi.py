@@ -54,18 +54,35 @@ def test_dt_sq_is_memoised(monkeypatch):
     # tilde-d^2_{D,n} again and again; after the first call it is a lookup
     calls = []
 
-    def counting(name):
+    def counting(name, family):
         original = getattr(Meixner, name)
-        return lambda *args: calls.append(name) or original(*args)
+        return lambda self, *args: (self == family and calls.append(name)) or original(self, *args)
 
-    for name in ("virtual_energy", "Bprime"):
-        monkeypatch.setattr(Meixner, name, counting(name))
+    monkeypatch.setattr(Meixner, "virtual_energy", counting("virtual_energy", M))
+    monkeypatch.setattr(Meixner, "B", counting("B", M.twisted()))  # B' = B of the twisted family
     s = MultiIndexedSystem(M, (1, 2, 3))
     first = [s.dt_sq(n) for n in range(3)]
-    assert "virtual_energy" in calls and "Bprime" in calls
+    assert "virtual_energy" in calls and "B" in calls
     calls.clear()
     assert [s.dt_sq(n) for n in range(3)] == first
     assert calls == []
+
+
+@pytest.mark.parametrize("p, labels", [(M, (1, 2)), (QJ, (1, 2, 3)), (QL, (1, 3))], ids=str)
+def test_potentials_table_is_the_fraction_formula(p, labels):
+    # the oracle: B_D, D_D formed per x in Fraction arithmetic,
+    # B~(x) Xi(x) Xi'(x+1) / (Xi(x+1) Xi'(x)) and D(x) Xi(x+1) Xi'(x-1) / (Xi(x) Xi'(x)),
+    # Xi' the denominator at lambda + delta
+    s = system(p, labels)
+    tilde, xi, xi_up = p.tilde_shifted(s.M), s.Xi(), s.shifted_system().Xi()
+    at = lambda poly, x: poly(p.eta(x))
+    B_table, D_table = s.potentials()
+    for x in range(13):
+        b = tilde.B(x) * at(xi, x) / at(xi, x + 1) * at(xi_up, x + 1) / at(xi_up, x)
+        d = p.D(x) * at(xi, x + 1) / at(xi, x) * at(xi_up, x - 1) / at(xi_up, x)
+        assert B_table(x)[1] > 0 and D_table(x)[1] > 0
+        assert F(*B_table(x)) == b == s.B_D(x)
+        assert F(*D_table(x)) == d == s.D_D(x)
 
 
 def off_window_mismatches(s, n_max, points=20):
