@@ -13,7 +13,8 @@ limits) go through Bareiss elimination with the field's division.
 Three identities drive all later constructions, so they get a randomized
 exact verifier here, `verify_identities`, which checks each of them on
 100 random instances of n <= 4 integer-polynomial grids (fixed seed
-20240901).  The grids are tabulated once per trial, in ints, at the
+20240901), and reports each as one check that names its first failing
+trial.  The grids are tabulated once per trial, in ints, at the
 n + 2 points the identities read, and every Casoratian is the
 determinant of a window of rows of that table:
 
@@ -155,7 +156,8 @@ def _window_det(rows: Sequence[Sequence], o: int):
 
 def verify_identities() -> Report:
     """Exact check of the three Casoratian identities on 100 random
-    instances (seed 20240901) of n <= 4 grids.
+    instances (seed 20240901) of n <= 4 grids: one check per identity, whose
+    witness names its first failing trial, with that trial's n and x.
 
     Grid functions are random integer polynomials of degree <= 3, evaluated
     in ints; x ranges over a small window including negative points.  Every
@@ -168,7 +170,7 @@ def verify_identities() -> Report:
     equality.
     """
     rng = random.Random(20240901)
-    rep = Report("casoratian.identities", "determinant identities for shifted grids")
+    outcomes = []  # (trial, n, x, gauge, nesting, minors)
     for trial in range(100):
         n = rng.randint(1, 4)
         coeffs = [_random_coefficients(rng, rng.randint(0, 3)) for _ in range(n)]
@@ -185,18 +187,19 @@ def verify_identities() -> Report:
         for row in table[:n]:
             gauge *= row[n]
         ok1 = _window_det(scaled, 0) == gauge * w[0]
-        rep.add(f"trial {trial} gauge n={n}", ok1, "" if ok1 else f"x={x}")
 
         with_g = [row[: n + 1] for row in table]
         with_h = [row[:n] + row[n + 1 :] for row in table]
         lhs = _window_det([[_window_det(with_g, o), _window_det(with_h, o)] for o in (0, 1)], 0)
         rhs = w[1] * _window_det(table, 0)
-        rep.add(f"trial {trial} nesting n={n}", lhs == rhs, "" if lhs == rhs else f"x={x}")
 
         minors = [[row[:k] + row[k + 1 : n] for row in table] for k in range(n)]
         lhs4 = _window_det([[_window_det(minor, o) for minor in minors] for o in range(n)], 0)
         rhs4 = 1 if n % 4 in (0, 1) else -1
         for k in range(n - 1):
             rhs4 *= w[k]
-        rep.add(f"trial {trial} minors n={n}", lhs4 == rhs4, "" if lhs4 == rhs4 else f"x={x}")
+        outcomes.append((trial, n, x, ok1, lhs == rhs, lhs4 == rhs4))
+    rep = Report("casoratian.identities", "determinant identities for shifted grids")
+    for k, name in enumerate(("gauge", "nesting", "minors"), 3):
+        rep.every(name, outcomes, operator.itemgetter(k), lambda o: "trial {}, n={}, x={}".format(*o[:3]))
     return rep

@@ -275,18 +275,12 @@ def chain_build(p: _BaseFamily, order: Sequence[int]) -> list[ChainState]:
     ]
 
 
-def _check(rep: Report, name: str, xs, holds: Callable[[int], bool]) -> None:
-    """One check over the points xs; a failure names the first failing x."""
-    bad = next((x for x in xs if not holds(x)), None)
-    rep.add(name, bad is None, f"x={bad}")
-
-
 def _same_hamiltonian(rep: Report, name: str, xs, H: tuple, K: tuple) -> None:
     """The checks `name product` and `name diagonal`: two forms H, K of one
     Hamiltonian have the same off-diagonal product and the same diagonal."""
     diag, off = _same_form(H, K)
-    _check(rep, f"{name} product", xs, off)
-    _check(rep, f"{name} diagonal", xs, diag)
+    rep.every(f"{name} product", xs, off)
+    rep.every(f"{name} diagonal", xs, diag)
 
 
 def _contiguity(contiguity: LatticeFunction, upper, lower, k) -> Callable[[int], bool]:
@@ -351,10 +345,10 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         vs = [v for v in pool if v not in order[:s]][: _EXTRA_VIRTUAL + 1]
         for v in vs:
             holds = _eigen_identity(lv.eigen, system(p, order[:s] + (v,)).w_grid, lv.Et - te[v])
-            _check(rep, f"virtual eigen-identity s={s},v={v}", xs_any, holds)
+            rep.every(f"virtual eigen-identity s={s},v={v}", xs_any, holds)
         for n in range(n_max + 1):
             holds = _eigen_identity(lv.eigen, pre.wpp_grid(n), lv.Et - energies[n])
-            _check(rep, f"eigen eigen-identity s={s},n={n}", xs_any, holds)
+            rep.every(f"eigen eigen-identity s={s},n={n}", xs_any, holds)
 
     # nesting rule and contiguity identities between levels
     for s in range(M):
@@ -363,33 +357,33 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         vs = [v for v in pool if v not in order[: s + 1]][:_EXTRA_VIRTUAL]
         for n in range(n_max + 1):
             upper, lower = up.wpp_grid(n), lo.wpp_grid(n)
-            _check(rep, f"nesting (eigen) s={s},n={n}", xs_any, _nesting(ws, ws1, upper, lower))
+            rep.every(f"nesting (eigen) s={s},n={n}", xs_any, _nesting(ws, ws1, upper, lower))
             holds = _contiguity(contiguity, upper, lower, removed[s] - energies[n])
-            _check(rep, f"contiguity (eigen) s={s},n={n}", xs_any, holds)
+            rep.every(f"contiguity (eigen) s={s},n={n}", xs_any, holds)
         for v in vs:
             upper, lower = system(p, order[: s + 1] + (v,)).w_grid, system(p, order[:s] + (v,)).w_grid
-            _check(rep, f"nesting (virtual) s={s},v={v}", xs_any, _nesting(ws, ws1, upper, lower))
+            rep.every(f"nesting (virtual) s={s},v={v}", xs_any, _nesting(ws, ws1, upper, lower))
             holds = _contiguity(contiguity, upper, lower, removed[s] - te[v])
-            _check(rep, f"contiguity (virtual) s={s},v={v}", xs_any, holds)
+            rep.every(f"contiguity (virtual) s={s},v={v}", xs_any, holds)
 
     # definite signs and potential positivity at every level
     for s in range(1, M + 1):
         gsign = signs[s]  # the sign of w''_{s,0}
         sigma = -gsign if s % 2 else gsign  # the sign of w_s
         ws, g, lv = prefix[s].w_grid, prefix[s].wpp_grid(0), levels[s]
-        _check(rep, f"w_{s} definite sign", xs_lattice, lambda x: sigma * ws(x) > 0)
+        rep.every(f"w_{s} definite sign", xs_lattice, lambda x: sigma * ws(x) > 0)
         vs = [v for v in pool if v not in order[:s]][:_EXTRA_VIRTUAL]
         for v in vs:
             tau = sigma
             for e in removed[:s]:
                 tau *= _sgn(e - te[v])
             wps = system(p, order[:s] + (v,)).w_grid
-            _check(rep, f"w'_{s},{v} definite sign", xs_lattice, lambda x: tau * wps(x) > 0)
-        _check(rep, f"w''_{s},0 definite sign", xs_lattice, lambda x: gsign * g(x) > 0)
+            rep.every(f"w'_{s},{v} definite sign", xs_lattice, lambda x: tau * wps(x) > 0)
+        rep.every(f"w''_{s},0 definite sign", xs_lattice, lambda x: gsign * g(x) > 0)
         potentials = (("Bhat", "Dhat", lv.Bhat, lv.Dhat), ("B_std", "D_std", lv.B_std, lv.D_std))
         for b, d, Bs, Ds in potentials:
-            _check(rep, f"{b}_{s} > 0", xs_lattice, lambda x: Bs(x)[0] > 0)
-            _check(rep, f"{d}_{s} sign", xs_lattice, lambda x: Ds(x)[0] > 0 if x else Ds(x)[0] == 0)
+            rep.every(f"{b}_{s} > 0", xs_lattice, lambda x: Bs(x)[0] > 0)
+            rep.every(f"{d}_{s} sign", xs_lattice, lambda x: Ds(x)[0] > 0 if x else Ds(x)[0] == 0)
 
     # H_s = A_{s+1}^dagger A_{s+1} + Et_{d_{s+1}}: each level re-factorizes into the next
     for s in range(M):
@@ -400,8 +394,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
     # standard form: H_s = A^dagger A of (B_std, D_std), anchored at s = 0 by the potentials
     aB, _, B, D = _base_tables(prefix[0])
     lv = levels[0]
-    _check(
-        rep,
+    rep.every(
         "standard form s=0 is the base system",
         xs_lattice,
         lambda x: pair_equal(lv.B_std(x), B(x)) and pair_equal(lv.D_std(x), D(x)),
@@ -417,8 +410,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
     # final level: match the closed-form multi-indexed system
     final, lv = prefix[M], levels[M]
     B_D, D_D = final.potentials()
-    _check(
-        rep,
+    rep.every(
         "final potentials match denominator form",
         xs_lattice,
         lambda x: pair_equal(lv.B_std(x), B_D(x)) and pair_equal(lv.D_std(x), D_D(x)),
@@ -442,8 +434,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             norm_prod = norm_prod * (energies[n] - e)
         rep.add(f"norm bookkeeping n={n}", const_sq == norm_prod)
         g = final.wpp_grid(n)
-        _check(
-            rep,
+        rep.every(
             f"squared eigenvector match n={n}",
             xs_lattice,
             lambda x: pair_equal(

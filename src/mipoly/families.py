@@ -774,9 +774,10 @@ def _at_w(p: _BaseFamily, w, *fs) -> list:
 
 def _for_all_x(rep: Report, name: str, p: _BaseFamily, holds) -> None:
     """Add the check `name`: holds(w) at every x's lattice variable w, decided
-    once at the symbolic w; a failure names the first x where it fails."""
+    once at the symbolic w; only a failure walks the lattice (`Report.every`)
+    for the first x where it fails."""
     ok, (a0, b0) = holds(RationalFunction.variable()), p.eta_affine(0)  # eta(x) = a0 + b0 w
-    rep.add(name, ok, "" if ok else f"x={next(x for x in itertools.count() if not holds((p.eta(x) - a0) / b0))}")
+    rep.every(name, () if ok else itertools.count(), lambda x: holds((p.eta(x) - a0) / b0))
 
 
 def verify_difference_equation(p: _BaseFamily, n_max: int) -> Report:
@@ -809,8 +810,7 @@ def verify_shift_relations(p: _BaseFamily, n_max: int, x_max: int) -> Report:
         _for_all_x(rep, f"backward n={n} for all x", p, functools.partial(shift_holds, qn, pn, 1, False))
     for n in range(n_max + 1):
         rod = rodrigues_vector(p, n, x_max)
-        ok = all(rod[x] == p.poly_eval(n, x) for x in range(x_max + 1))
-        rep.add(f"product formula n={n}", ok)
+        rep.every(f"product formula n={n}", range(x_max + 1), lambda x: rod[x] == p.poly_eval(n, x))
     shape = lambda w: _same_shape(p, *_at_w(p, w, p.B_w, p.D_w, up.B_w, up.D_w))
     _for_all_x(rep, "shape-invariance diagonal for all x", p, lambda w: shape(w)[0](0))
     _for_all_x(rep, "shape-invariance squared off-diagonal for all x", p, lambda w: shape(w)[1](0))

@@ -17,7 +17,8 @@ Xi_D and P_{D,n} at every x (`MultiIndexedSystem._normalised_poly`).
 
 The deformed potentials, weight function, shift operators, eigenvalue
 equation and orthogonality all live here, each as an exact verification
-routine.  The potentials have one coding, `_deformed_potentials`: a
+routine.  A statement decided on the window 0..x_max is one check, which
+names its first failing x (`Report.every`).  The potentials have one coding, `_deformed_potentials`: a
 system's (B_D, D_D) are its pair tables on Xi_D (`potentials`), and
 `B_D`, `D_D` are Fraction views of them; the deletion chain forms its
 level potentials with the same function on Casoratian grids.
@@ -344,8 +345,7 @@ def verify_multi_structure(p: _BaseFamily, labels: Sequence[int], n_max: int, x_
     xi = sys.Xi()
     rep.add("Xi degree", xi.degree == sys.ell)
     rep.add("Xi(0) = 1", sys.Xi_at(0) == 1)
-    pos = all(sys.Xi_at(x) > 0 for x in range(x_max + 1))
-    rep.add(f"Xi > 0 on 0..{x_max}", pos)
+    rep.every(f"Xi > 0 on 0..{x_max}", range(x_max + 1), lambda x: sys.Xi_at(x) > 0)
     _, c_xi, _ = sys.leading_coefficients(0)
     rep.add("Xi leading coefficient", xi.leading_coefficient == c_xi)
     for n in range(n_max + 1):
@@ -373,18 +373,17 @@ def _operator_tables(sys: MultiIndexedSystem) -> tuple:
 
 
 def verify_eigen_equation(p: _BaseFamily, labels: Sequence[int], n_max: int, x_max: int) -> Report:
-    """Exact zero residual of the deformed difference equation, on pairs; a
-    failing point carries its residual as the witness."""
+    """Exact zero residual of the deformed difference equation on pairs, one
+    check per n on 0..x_max; a failure names its first x and residual."""
     sys = system(p, labels)
     rep = Report(f"multi.eigen-equation[{sys!r}]", "similarity-transformed eigenvalue equation")
     eigen = _operator_tables(sys)[0]
+    for x in range(x_max + 1):
+        if not eigen(x)[1]:
+            raise ZeroDivisionError(f"eigen-equation divisor C vanishes at x={x}")
     for n in range(n_max + 1):
         holds = _eigen_identity(eigen, lambda y, n=n: sys.multi_poly_at(n, y), -sys.p.energy(n))
-        for x in range(x_max + 1):
-            if not eigen(x)[1]:
-                raise ZeroDivisionError(f"eigen-equation divisor C vanishes at x={x}")
-            ok = holds(x)
-            rep.add(f"n={n},x={x}", ok, "" if ok else f"residual={sys.eigen_residual(n, x)}")
+        rep.every(f"n={n}", range(x_max + 1), holds, lambda x: f"x={x}, residual={sys.eigen_residual(n, x)}")
     return rep
 
 
@@ -392,28 +391,26 @@ def verify_shape_invariance(p: _BaseFamily, labels: Sequence[int], n_max: int, x
     """Forward/backward shift relations between levels lambda and
     lambda+delta and their round trip, on pairs; positivity of the deformed
     potentials, and the square-root-free operator shape-invariance
-    identities."""
+    identities; each one check on 0..x_max."""
     sys = system(p, labels)
     rep = Report(f"multi.shape-invariance[{sys!r}]", "deformed shift operators and potentials")
     up_sys = sys.shifted_system()
     shifts = _operator_tables(sys)[1]
+    xs = range(x_max + 1)
     for n in range(1, n_max + 1):
         e_pair = pair(sys.p.energy(n))
         p_pair = lambda y, n=n: pair(sys.multi_poly_at(n, y))
         q_pair = lambda y, n=n: pair(up_sys.multi_poly_at(n - 1, y))
         fwd = LatticeFunction(lambda y, f=p_pair: _shift(shifts, f, y, True))  # F P_{D,n}
-        for x in range(x_max + 1):
-            rep.add(f"forward n={n},x={x}", pair_equal(fwd(x), pair_product(e_pair, q_pair(x))))
-            rep.add(f"backward n={n},x={x}", pair_equal(_shift(shifts, q_pair, x, False), p_pair(x)))
-            roundtrip = _shift(shifts, fwd, x, False)
-            rep.add(f"roundtrip n={n},x={x}", pair_equal(roundtrip, pair_product(e_pair, p_pair(x))))
-    for x in range(x_max + 1):
-        rep.add(f"B_D > 0 x={x}", sys.B_D(x) > 0)
-        rep.add(f"D_D sign x={x}", sys.D_D(x) > 0 if x >= 1 else sys.D_D(x) == 0)
+        rep.every(f"forward n={n}", xs, lambda x: pair_equal(fwd(x), pair_product(e_pair, q_pair(x))))
+        rep.every(f"backward n={n}", xs, lambda x: pair_equal(_shift(shifts, q_pair, x, False), p_pair(x)))
+        roundtrip = lambda x: pair_equal(_shift(shifts, fwd, x, False), pair_product(e_pair, p_pair(x)))
+        rep.every(f"roundtrip n={n}", xs, roundtrip)
+    rep.every("B_D > 0", xs, lambda x: sys.B_D(x) > 0)
+    rep.every("D_D sign", xs, lambda x: sys.D_D(x) > 0 if x >= 1 else sys.D_D(x) == 0)
     diag, offd = _same_shape(sys.p, sys.B_D, sys.D_D, up_sys.B_D, up_sys.D_D)
-    for x in range(x_max + 1):
-        rep.add(f"operator shape-invariance diagonal x={x}", diag(x))
-        rep.add(f"operator shape-invariance off-diagonal x={x}", offd(x))
+    rep.every("operator shape-invariance diagonal", xs, diag)
+    rep.every("operator shape-invariance off-diagonal", xs, offd)
     return rep
 
 

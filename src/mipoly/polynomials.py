@@ -107,18 +107,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scalar_div(self, s) -> "Polynomial":
         return Polynomial(c / s for c in self.coeffs)
 

@@ -1,7 +1,9 @@
 """Structured results for identity verification runs.
 
 Every verify_* routine returns a Report: a named batch of individual checks,
-each carrying a witness string (the offending instance) when it fails.
+each carrying a witness string (the offending instance) when it fails.  A
+check is one statement, however many points decide it (`Report.every`): its
+witness names the first failing point, and `checked` counts statements.
 Reports serialize to plain dicts for the CLI's JSON output; serialization is
 deterministic because insertion order is preserved end to end.
 """
@@ -34,6 +36,13 @@ class Report:
 
     def add(self, name: str, passed: bool, witness: str = "") -> None:
         self.checks.append(Check(name, bool(passed), witness if not passed else ""))
+
+    def every(self, name: str, points, holds, witness=lambda x: f"x={x}") -> None:
+        """Add the one check `name`: holds(x) for every x in points (none of
+        them None; true for no points); a failure's witness is witness(x) at
+        the first failing x."""
+        bad = next((x for x in points if not holds(x)), None)
+        self.add(name, bad is None, "" if bad is None else witness(bad))
 
     @property
     def passed(self) -> bool:

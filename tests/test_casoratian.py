@@ -5,13 +5,13 @@ import random
 import sys
 from fractions import Fraction as F
 
+from conftest import fold
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipoly.casoratian import LatticeFunction, casoratian, exact_det, verify_identities
 from mipoly.polynomials import Polynomial
 from mipoly.ratfunc import RationalFunction
-from mipoly.report import Report
 
 # Half the entries are zero, so pivots vanish (row swaps) and whole matrices go singular;
 # ints and Fractions mix within one matrix.
@@ -176,10 +176,11 @@ def _random_poly_grid(rng, degree):
 
 def _reference_identities():
     """The identity suite read through closures: LatticeFunction grids of
-    Polynomials and `casoratian(fs, x)` at every point, with the same draws,
-    checks and witnesses as `verify_identities`."""
+    Polynomials and `casoratian(fs, x)` at every point, with the same draws
+    and checks as `verify_identities`, written out one row per trial and
+    folded to the suite's (name, passed, witness) rows."""
     rng = random.Random(20240901)
-    rep = Report("casoratian.identities", "determinant identities for shifted grids")
+    rows = []
     for trial in range(100):
         n = rng.randint(1, 4)
         fs = [_random_poly_grid(rng, rng.randint(0, 3)) for _ in range(n)]
@@ -187,19 +188,19 @@ def _reference_identities():
         h = _random_poly_grid(rng, rng.randint(0, 2))
         x = rng.randint(-3, 5)
         w = LatticeFunction(lambda y: casoratian(fs, y))
+        where = f"trial {trial}, n={n}, x={x}"
 
         scaled = [lambda y, f=f: g(y) * f(y) for f in fs]
         gauge = 1
         for k in range(n):
             gauge *= g(x + k)
-        ok1 = casoratian(scaled, x) == gauge * w(x)
-        rep.add(f"trial {trial} gauge n={n}", ok1, "" if ok1 else f"x={x}")
+        rows.append(("gauge", casoratian(scaled, x) == gauge * w(x), where))
 
         wg = lambda y: casoratian(fs + [g], y)
         wh = lambda y: casoratian(fs + [h], y)
         lhs = casoratian([wg, wh], x)
         rhs = w(x + 1) * casoratian(fs + [g, h], x)
-        rep.add(f"trial {trial} nesting n={n}", lhs == rhs, "" if lhs == rhs else f"x={x}")
+        rows.append(("nesting", lhs == rhs, where))
 
         minors = [
             (lambda y, k=k: casoratian([f for j, f in enumerate(fs) if j != k], y))
@@ -209,8 +210,8 @@ def _reference_identities():
         rhs4 = 1 if n % 4 in (0, 1) else -1
         for k in range(n - 1):
             rhs4 *= w(x + k)
-        rep.add(f"trial {trial} minors n={n}", lhs4 == rhs4, "" if lhs4 == rhs4 else f"x={x}")
-    return rep
+        rows.append(("minors", lhs4 == rhs4, where))
+    return fold(rows)
 
 
 def _outcomes(rep):
@@ -219,7 +220,7 @@ def _outcomes(rep):
 
 def test_identity_suite_defaults():
     rep = verify_identities()
-    assert rep.passed and len(rep.checks) == 300
+    assert rep.passed and [c.name for c in rep.checks] == ["gauge", "nesting", "minors"]
 
 
 def test_identity_suite_catches_a_wrong_determinant(monkeypatch):
@@ -232,16 +233,16 @@ def test_identity_suite_catches_a_wrong_determinant(monkeypatch):
     monkeypatch.setattr(module, "exact_det", off_by_one)
     rep = verify_identities()
     assert not rep.passed
-    assert len(rep.checks) == 300
-    # the closure reference fails alike, and so does every kind of identity
+    assert len(rep.checks) == 3
+    # the closure reference fails alike, at the same first trials, and
+    # every kind of identity fails
     reference = _reference_identities()
-    assert _outcomes(rep) == _outcomes(reference)
-    for r in (rep, reference):
-        assert {c.name.split()[2] for c in r.failures()} == {"gauge", "nesting", "minors"}
+    assert _outcomes(rep) == reference
+    assert {c.name for c in rep.failures()} == {"gauge", "nesting", "minors"}
 
 
 def test_identity_suite_matches_the_closure_reference():
-    assert _outcomes(verify_identities()) == _outcomes(_reference_identities())
+    assert _outcomes(verify_identities()) == _reference_identities()
 
 
 def test_package_attribute_is_the_module():

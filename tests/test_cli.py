@@ -165,6 +165,23 @@ def test_out_file(tmp_path, capsys):
     assert doc["summary"]["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "family, params, deletions",
+    [("M", "1,1/2", "1,2"), ("lqJ", "1/32,1/3,1/2", "1,2,3"), ("lqL", "1/32,1/2", "1,3")],
+)
+def test_checked_counts_statements_not_lattice_points(capsys, family, params, deletions):
+    # each check is one statement however many points decide it, so every
+    # report's `checked`, and the summary's total, is the same at every --xmax
+    counts = set()
+    for x_max in ("4", "12", "40"):
+        _, out, _ = _run(
+            capsys, "verify", "--family", family, "--params", params, "--deletions", deletions, "--xmax", x_max,
+        )
+        doc = json.loads(out)
+        counts.add((tuple((s["id"], s["checked"]) for s in doc["suites"]), doc["summary"]["checks"]))
+    assert len(counts) == 1, counts
+
+
 def test_verify_failure_exit_code_possible():
     # exit code 1 is reserved for identity failures; valid configurations all
     # pass, so drive the summary logic directly with a doctored report

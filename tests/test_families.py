@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import fold
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -350,7 +351,7 @@ def test_difference_equation_and_shifts_reports():
 
 def fraction_difference_checks(p, n_max, x_max):
     """verify_difference_equation's checks as (name, passed, witness) rows,
-    one per x of each identity (`for_all_x` folds them), with the difference
+    one per x of each identity (`fold` folds them), with the difference
     equation written out in Fractions."""
     out = []
     for n in range(n_max + 1):
@@ -358,8 +359,7 @@ def fraction_difference_checks(p, n_max, x_max):
         vals = [p.poly_value(n, x) for x in range(-1, x_max + 2)]
         for x in range(x_max + 1):
             lhs = p.B(x) * (vals[x + 1] - vals[x + 2]) + p.D(x) * (vals[x + 1] - vals[x])
-            ok = lhs == e * vals[x + 1]
-            out.append((f"n={n},x={x}", ok, "" if ok else f"residual={lhs - e * vals[x + 1]}"))
+            out.append((f"n={n} for all x", lhs == e * vals[x + 1], f"x={x}"))
     mono = all(p.energy(n) < p.energy(n + 1) for n in range(n_max + 1))
     out.append(("spectrum increasing, E_0 = 0", mono and p.energy(0) == 0, ""))
     return out
@@ -381,41 +381,24 @@ def fraction_backward(p, f, x):
 
 def fraction_shift_checks(p, n_max, x_max):
     """verify_shift_relations' checks as (name, passed, witness) rows, one
-    per x of each identity (`for_all_x` folds them), with the shifts and
-    shape invariance written out in Fractions."""
+    per x of each identity (`fold` folds them), with the shifts, the product
+    formula and shape invariance written out in Fractions."""
     up, out = p.shifted(1), []
     for n in range(1, n_max + 1):
         e, pn, qn = p.energy(n), (lambda y: p.poly_value(n, y)), (lambda y: up.poly_value(n - 1, y))
         for x in range(x_max + 1):
-            out.append((f"forward n={n},x={x}", fraction_forward(p, pn, x) == e * qn(x), ""))
-            out.append((f"backward n={n},x={x}", fraction_backward(p, qn, x) == pn(x), ""))
+            out.append((f"forward n={n} for all x", fraction_forward(p, pn, x) == e * qn(x), f"x={x}"))
+            out.append((f"backward n={n} for all x", fraction_backward(p, qn, x) == pn(x), f"x={x}"))
     for n in range(n_max + 1):
         rod = rodrigues_vector(p, n, x_max)
-        out.append((f"product formula n={n}", all(rod[x] == p.poly_eval(n, x) for x in range(x_max + 1)), ""))
+        out += [(f"product formula n={n}", rod[x] == p.poly_eval(n, x), f"x={x}") for x in range(x_max + 1)]
     kappa, e1 = p.kappa, p.energy(1)
     for x in range(x_max + 1):
         diag = p.B(x) + p.D(x + 1) == kappa * (up.B(x) + up.D(x)) + e1
         offd = p.B(x + 1) * p.D(x + 1) == kappa**2 * up.B(x) * up.D(x + 1)
-        out.append((f"shape-invariance diagonal x={x}", diag, ""))
-        out.append((f"shape-invariance squared off-diagonal x={x}", offd, ""))
+        out.append(("shape-invariance diagonal for all x", diag, f"x={x}"))
+        out.append(("shape-invariance squared off-diagonal for all x", offd, f"x={x}"))
     return out
-
-
-def for_all_x(rows):
-    """Fold the per-x rows "<identity>,x=<x>" or "<identity> x=<x>" of each
-    identity into its one check "<identity> for all x", as the suites report
-    it: passed at every x, its witness the first failing x.  Other rows stay."""
-    out = {}
-    for name, passed, witness in rows:
-        if "x=" in name:
-            head, x = name.rsplit("x=", 1)
-            name, witness = head.rstrip(", ") + " for all x", f"x={x}"
-            if name in out and not out[name][0]:
-                continue  # an earlier x failed already
-        if passed:
-            witness = ""
-        out[name] = passed, witness
-    return [(name, *check) for name, check in out.items()]
 
 
 def spoilt_family(p, name, extra):
@@ -491,7 +474,7 @@ def test_base_pair_checks_match_their_fraction_form(make, how):
         (verify_shift_relations(p, 3, 15), fraction_shift_checks),
     ):
         got = [(c.name, c.passed, c.witness) for c in rep.checks]
-        expected = for_all_x(oracle(p, 3, 15))
+        expected = fold(oracle(p, 3, 15))
         assert got == expected
         failures += sum(not passed for _, passed, _ in expected)
     assert (failures == 0) == (how is None)

@@ -108,13 +108,8 @@ def test_homogeneous_horner(cs, x):
 
 
 def test_pow_scale_scalar_div():
-    p = Polynomial((1, 1))
-    assert p**3 == Polynomial((1, 3, 3, 1))
-    assert p**0 == Polynomial((1,))
     assert Polynomial((1, 2, 4)).scale_argument(F(1, 2)) == Polynomial((1, 1, 1))
     assert Polynomial((2, 4)).scalar_div(2) == Polynomial((1, 2))
-    with pytest.raises(ValueError):
-        Polynomial((1,)) ** -1
 
 
 @given(st.lists(rationals, min_size=1, max_size=5, unique=True), st.data())

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import fold
 
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner
 from mipoly.virtual import (
@@ -113,41 +114,22 @@ def test_index_gating():
 
 
 def fraction_linear_checks(p, x_max):
-    """verify_linear_relation's checks as (name, passed, witness) rows, the
-    product and sum identities one per x (`for_all_x` folds them), with
-    those identities written out in Fractions."""
+    """verify_linear_relation's checks as (name, passed, witness) rows, one
+    per x of each identity and sign (`fold` folds them), with the identities
+    written out in Fractions."""
     al, ap, tw = p.alpha(), p.alpha_prime(), p.twisted()
     out = [("alpha > 0", al > 0, ""), ("alpha' < 0", ap < 0, ""), ("alpha' = tE_0", ap == p.virtual_energy(0), "")]
     for x in range(x_max + 1):
-        out.append((f"product identity x={x}", al**2 * tw.B(x) * tw.D(x + 1) == p.B(x) * p.D(x + 1), ""))
-        out.append((f"sum identity x={x}", al * (tw.B(x) + tw.D(x)) + ap == p.B(x) + p.D(x), ""))
-        out.append((f"B'(x) > 0 x={x}", tw.B(x) > 0, ""))
-        out.append((f"D'(x) sign x={x}", tw.D(x) > 0 if x >= 1 else tw.D(x) == 0, ""))
-        out.append((f"nu recurrence x={x}", p.nu(x + 1) * al * tw.B(x) == p.nu(x) * p.B(x), ""))
+        out += [
+            ("product identity for all x", al**2 * tw.B(x) * tw.D(x + 1) == p.B(x) * p.D(x + 1), f"x={x}"),
+            ("sum identity for all x", al * (tw.B(x) + tw.D(x)) + ap == p.B(x) + p.D(x), f"x={x}"),
+            ("B'(x) > 0", tw.B(x) > 0, f"x={x}"),
+            ("D'(x) sign", tw.D(x) > 0 if x >= 1 else tw.D(x) == 0, f"x={x}"),
+            ("nu recurrence", p.nu(x + 1) * al * tw.B(x) == p.nu(x) * p.B(x), f"x={x}"),
+        ]
     for v in index_set(p, 4):
         out.append((f"energy cross-route v={v}", al * tw.energy(v) + ap == p.virtual_energy(v), ""))
     return out
-
-
-IDENTITIES = ("product identity", "sum identity")
-
-
-def for_all_x(rows):
-    """Fold the per-x rows "<identity> x=<x>" of the product and sum
-    identities into their one check "<identity> for all x", in the place of
-    the first, as the suite reports it: passed at every x, its witness the
-    first failing x.  Other rows stay."""
-    out = {}
-    for name, passed, witness in rows:
-        head, _, x = name.rpartition(" x=")
-        if head in IDENTITIES:
-            name, witness = f"{head} for all x", f"x={x}"
-            if name in out and not out[name][0]:
-                continue  # an earlier x failed already
-            if passed:
-                witness = ""
-        out[name] = passed, witness
-    return [(name, *check) for name, check in out.items()]
 
 
 def spoilt_family(p, name, x0):
@@ -188,12 +170,13 @@ def spoilt_family(p, name, x0):
 )
 def test_linear_relation_pair_checks_match_their_fraction_form(make, how):
     # the product and sum identities are one comparison of two forms, each
-    # decided once for every x; each passes exactly when its Fraction form
-    # written out here holds at every x in 0..12, and names its first
+    # decided once for every x, and the B', D' signs and the nu recurrence
+    # are one check each on 0..12; each passes exactly when its Fraction
+    # form written out here holds at every x in 0..12, and names its first
     # failing x, for the sound family and for one whose B or D is wrong at
     # one lattice point
     p = make() if how is None else spoilt_family(make(), *how)
     got = [(c.name, c.passed, c.witness) for c in verify_linear_relation(p, 12).checks]
-    expected = for_all_x(fraction_linear_checks(p, 12))
+    expected = fold(fraction_linear_checks(p, 12))
     assert got == expected
     assert all(passed for _, passed, _ in expected) == (how is None)
