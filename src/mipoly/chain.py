@@ -23,8 +23,8 @@ construction rests on:
   - the Casoratian nesting rule linking levels s and s+1,
   - the two three-term contiguity identities between levels,
   - definite-sign statements for w_s, w'_{s,v}, w''_{s,0} with the exact
-    sign predicted by the energy-ordering factor, and the resulting
-    positivity of all step potentials,
+    sign predicted by the energy-ordering factor `sign_closed`, and the
+    resulting positivity of all step potentials,
   - the two factorizations of each level's Hamiltonian, H_s = A_s A_s^dagger
     + Et_{d_s} = A_{s+1}^dagger A_{s+1} + Et_{d_{s+1}}, where level 0 is the
     base system H_0 = A^dagger A, and H_s = A^dagger A of the standard-form
@@ -32,7 +32,6 @@ construction rests on:
     themselves).  Each form is a (diagonal, off-diagonal product) pair of
     lattice functions, and one comparison of two forms (`families._same_form`),
     the `product` and `diagonal` checks, serves every level,
-  - the sign-factor recursion against its closed form,
   - at s = M, agreement with the closed-form multi-indexed system:
     potentials, squared eigenvectors (with the exact normalization
     constant), and independence of the deletion order under each adjacent
@@ -109,17 +108,6 @@ def sign_closed(te: Sequence) -> int:
     for i in range(s):
         for j in range(i + 1, s):
             out *= _sgn(te[i] - te[j])
-    return out
-
-
-def sign_recursive(te: Sequence) -> int:
-    """The same sign as a product of one factor per deletion step."""
-    out = 1
-    for t, et in enumerate(te):
-        step = -1
-        for i in range(t):
-            step *= _sgn(te[i] - et)
-        out *= step
     return out
 
 
@@ -337,7 +325,6 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
     energies = [p.energy(n) for n in range(n_max + 1)]
     te = {v: p.virtual_energy(v) for v in {*pool, *order}}  # the tilde-energies
     removed = [te[d] for d in order]
-    signs = [sign_closed(removed[:s]) for s in range(M + 1)]
     levels = [_level(pre) for pre in prefix]
 
     # eigen-identities at every level, for virtual companions and eigen companions
@@ -368,7 +355,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
 
     # definite signs and potential positivity at every level
     for s in range(1, M + 1):
-        gsign = signs[s]  # the sign of w''_{s,0}
+        gsign = sign_closed(removed[:s])  # the sign of w''_{s,0}
         sigma = -gsign if s % 2 else gsign  # the sign of w_s
         ws, g, lv = prefix[s].w_grid, prefix[s].wpp_grid(0), levels[s]
         rep.every(f"w_{s} definite sign", xs_lattice, lambda x: sigma * ws(x) > 0)
@@ -402,10 +389,6 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
     for s in range(1, M + 1):
         lv = levels[s]
         _same_hamiltonian(rep, f"standard form s={s}", xs_lattice, _adag_a(lv.B_std, lv.D_std, 0), lv.H)
-
-    # sign factor: recursion vs closed form
-    ok = all(sign_recursive(removed[:s]) == signs[s] for s in range(M + 1))
-    rep.add("sign factor recursion = closed form", ok and (M == 0 or signs[1] == -1))
 
     # final level: match the closed-form multi-indexed system
     final, lv = prefix[M], levels[M]

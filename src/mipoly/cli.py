@@ -146,29 +146,21 @@ def build_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"nmax {args.nmax} exceeds the ceiling {NMAX_CEILING}")
     if args.xmax > XMAX_CEILING:
         raise ConfigError(f"xmax {args.xmax} exceeds the ceiling {XMAX_CEILING}")
-    echo = {
-        "family": family,
-        "parameters": {name: str(v) for name, v in zip(names, values)},
-        "deletions": list(deletions),
-        "n_max": args.nmax,
-        "x_max": args.xmax,
-    }
-    rel_tol = None
-    if hasattr(args, "rtol"):  # a verify flag: tabulate sums no orthogonality
-        rel_tol = _fraction(args.rtol)
-        if not rel_tol > 0:
-            raise ConfigError("rtol must be positive")
-        echo["rel_tol"] = str(rel_tol)
     return {
         "family": family,
         "p": p,
         "deletions": deletions,
         "n_max": args.nmax,
         "x_max": args.xmax,
-        "rel_tol": rel_tol,
         "suites": suites,
         "format": args.format,
-        "echo": echo,
+        "echo": {
+            "family": family,
+            "parameters": {name: str(v) for name, v in zip(names, values)},
+            "deletions": list(deletions),
+            "n_max": args.nmax,
+            "x_max": args.xmax,
+        },
     }
 
 
@@ -177,7 +169,7 @@ def build_config(args: argparse.Namespace) -> dict:
 
 def _suite_reports(cfg: dict, suite: str) -> list[Report]:
     p, deletions = cfg["p"], cfg["deletions"]
-    n_max, x_max, rel_tol = cfg["n_max"], cfg["x_max"], cfg["rel_tol"]
+    n_max, x_max = cfg["n_max"], cfg["x_max"]
     if suite == "base":
         return [
             verify_difference_equation(p, n_max),
@@ -198,7 +190,7 @@ def _suite_reports(cfg: dict, suite: str) -> list[Report]:
             verify_eigen_equation(p, deletions, n_max, x_max),
             verify_shape_invariance(p, deletions, min(n_max, 3), min(x_max, 12)),
             verify_special_identities(p, deletions, min(n_max, 3)),
-            verify_orthogonality(p, deletions, rel_tol),
+            verify_orthogonality(p, deletions),
         ]
     if suite == "limits":
         if cfg["family"] == "M":
@@ -342,11 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     verify = commands.add_parser("verify", help="run verification suites")
     _add_common_flags(verify)
     verify.add_argument("--suite", default=",".join(SUITES), help=f"comma-separated: {', '.join(SUITES)}")
-    verify.add_argument(
-        "--rtol",
-        default="1/100000000000000000000",
-        help="certified relative tolerance for orthogonality sums (default 1/10^20)",
-    )
     _add_common_flags(commands.add_parser("tabulate", help="emit exact system data"))
     args = parser.parse_args(argv)
     # Exact values outgrow CPython's int-to-str limit (4 300 digits by

@@ -9,10 +9,10 @@ names its own.  Each system consists of
 
   - potentials B(x) > 0 (x >= 0) and D(x) > 0 (x >= 1), D(0) = 0,
   - an increasing spectrum E_n with E_0 = 0,
-  - eigenpolynomials P_n of degree n in eta(x), normalized to P_n(0) = 1,
+  - eigenpolynomials P_n of degree n in eta(x), normalized to 1 at x = 0,
     satisfying for all x
         B(x) (P_n(x) - P_n(x+1)) + D(x) (P_n(x) - P_n(x-1)) = E_n P_n(x),
-  - a ground-state square phi0_sq with phi0_sq(0) = 1 and the zero-mode
+  - a ground-state square phi0_sq, 1 at x = 0, with the zero-mode
     recurrence phi0_sq(x+1)/phi0_sq(x) = B(x)/D(x+1),
   - orthogonality sum_x phi0_sq(x) P_n(x) P_m(x) = delta_nm / d_n^2, where
     d_n^2 is a rational multiple of the family's one transcendental number,
@@ -190,7 +190,7 @@ class _BaseFamily:
     def phi0_sq(self, x: int):
         """Square of the ground-state amplitude, from the zero-mode recurrence.
 
-        phi0_sq(0) = 1 and phi0_sq(x+1) = phi0_sq(x) * B(x) / D(x+1); this is
+        phi0_sq is 1 at x = 0 and phi0_sq(x+1) = phi0_sq(x) * B(x) / D(x+1); this is
         exactly the statement that the Hamiltonian annihilates the ground
         state, so closed product forms are checked against it in tests rather
         than trusted here.
@@ -782,9 +782,10 @@ def _for_all_x(rep: Report, name: str, p: _BaseFamily, holds) -> None:
 
 def verify_difference_equation(p: _BaseFamily, n_max: int) -> Report:
     """B(x)(P_n(x)-P_n(x+1)) + D(x)(P_n(x)-P_n(x-1)) = E_n P_n(x) for every
-    x, one identity per n (`_for_all_x`) on pairs (`_operator`)."""
+    x, one identity per n >= 1 (`_for_all_x`) on pairs (`_operator`).  At
+    n = 0, P_0 = 1 reduces it to E_0 = 0, the spectrum row's statement."""
     rep = Report(f"base.difference-equation[{p!r}]", "difference equation for P_n")
-    for n in range(n_max + 1):
+    for n in range(1, n_max + 1):
         pn = functools.partial(p.poly_value_w, n)
         holds = lambda w, pn=pn, e=p.energy(n): _eigen_identity(p._own_operator(w)[0], *_at_w(p, w, pn), -e)(0)
         _for_all_x(rep, f"n={n} for all x", p, holds)

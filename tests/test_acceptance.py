@@ -129,7 +129,7 @@ def test_criterion_09_orthogonality():
     ok = res.passed and res.target.midpoint == 2 and abs(res.partial_sum - 2) <= res.tail_bound
     for p, labels in MATRIX:
         for n, m in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
-            r = orthogonality_sum(p, labels, n, m, rel_tol=F(1, 10**20))
+            r = orthogonality_sum(p, labels, n, m)
             ok = ok and r.passed
     elapsed = time.time() - start
     _report(

@@ -17,7 +17,6 @@ from mipoly.chain import (
     chain_build,
     chain_verify,
     sign_closed,
-    sign_recursive,
 )
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner, _eigen_identity
 from mipoly.multi import system
@@ -53,6 +52,18 @@ def test_intermediate_potentials_positive():
             for x in range(1, 10):
                 assert st.B(x) > 0 and st.D(x) > 0
             assert st.B(0) > 0 and st.D(0) == 0
+
+
+def sign_recursive(te):
+    """The sign of `sign_closed` as a product of one factor per deletion
+    step: -1 times the signs of te[i] - te[t] over the earlier steps i."""
+    out = 1
+    for t, et in enumerate(te):
+        step = -1
+        for i in range(t):
+            step *= 1 if te[i] > et else -1
+        out *= step
+    return out
 
 
 def test_sign_closed_form_matches_recursion():

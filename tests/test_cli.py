@@ -194,7 +194,6 @@ def test_verify_failure_exit_code_possible():
         deletions = "1"
         nmax = 1
         xmax = 4
-        rtol = "1/100000000000000000000"
         suite = "casoratian"
         format = "json"
         out = None
@@ -242,6 +241,39 @@ def test_construction_defect_is_a_failing_check(capsys, monkeypatch):
     assert "normalization mismatch" in failed["witnesses"][0]["witness"]
 
 
+def _double_C_D(monkeypatch, multi):
+    original = multi.MultiIndexedSystem.C_D
+    monkeypatch.setattr(multi.MultiIndexedSystem, "C_D", lambda self: 2 * original(self))
+
+
+def _constant_quotients(monkeypatch, multi):
+    from mipoly.polynomials import Polynomial
+
+    monkeypatch.setattr(multi, "interpolate", lambda points: Polynomial((1,)))
+
+
+@pytest.mark.parametrize(
+    "spoil, witness",
+    [(_double_C_D, "normalization mismatch"), (_constant_quotients, "denominator degree 0 != 2")],
+    ids=["C_D doubled", "degree too low"],
+)
+def test_construction_decides_what_no_structure_row_rereads(monkeypatch, spoil, witness):
+    # the multi reports have no degree or unit-normalization rows:
+    # construction proves both or raises, and either defect makes the
+    # whole multi suite one failing `construction` check
+    import mipoly.cli as cli
+    from mipoly import multi
+
+    spoil(monkeypatch, multi)
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    code, text = cli.run_verify(cli.build_config(_args(deletions="1,2", suite="multi")))
+    doc = json.loads(text)
+    assert code == 1 and doc["summary"]["checks"] == 1
+    (suite,) = doc["suites"]
+    assert suite["checked"] == 1 and [w["name"] for w in suite["witnesses"]] == ["construction"]
+    assert witness in suite["witnesses"][0]["witness"]
+
+
 def test_large_beta_builds_every_multi_report(capsys):
     # (1 - c)^beta < 2^-100 here: its enclosure once had lower endpoint 0 and
     # the orthogonality divisor failed construction; only the node counts of
@@ -266,7 +298,7 @@ def test_small_beta_multi_passes(capsys):
 
 def _args(**flags):
     args = dict(family="M", params="1,1/2", deletions="1", nmax=3, xmax=12,
-                rtol="1/100000000000000000000", suite="base", format="json", out=None)
+                suite="base", format="json", out=None)
     args.update(flags)
     return argparse.Namespace(**args)
 
@@ -357,12 +389,21 @@ def test_tabulate_takes_no_suite_flag(capsys):
 
 
 def test_tabulate_takes_no_rtol_flag(capsys):
-    # tabulate sums no orthogonality, so --rtol is a verify flag only
+    # the orthogonality tolerance is a constant of the library, not a flag
     with pytest.raises(SystemExit) as exited:
         main(["tabulate", "--rtol", "1/2"])
     assert exited.value.code == 2
     assert "unrecognized arguments: --rtol 1/2" in capsys.readouterr().err
     code, out, _ = _run(capsys, "tabulate", "--nmax", "0", "--xmax", "0")
+    assert code == 0 and "rel_tol" not in json.loads(out)["config"]
+
+
+def test_verify_takes_no_rtol_flag(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", "--rtol", "1/2"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --rtol 1/2" in capsys.readouterr().err
+    code, out, _ = _run(capsys, "verify", "--suite", "casoratian", "--nmax", "0", "--xmax", "0")
     assert code == 0 and "rel_tol" not in json.loads(out)["config"]
 
 

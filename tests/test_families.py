@@ -352,9 +352,10 @@ def test_difference_equation_and_shifts_reports():
 def fraction_difference_checks(p, n_max, x_max):
     """verify_difference_equation's checks as (name, passed, witness) rows,
     one per x of each identity (`fold` folds them), with the difference
-    equation written out in Fractions."""
+    equation written out in Fractions.  There is no n = 0 row: P_0 = 1
+    reduces it to E_0 = 0, which the spectrum row states."""
     out = []
-    for n in range(n_max + 1):
+    for n in range(1, n_max + 1):
         e = p.energy(n)
         vals = [p.poly_value(n, x) for x in range(-1, x_max + 2)]
         for x in range(x_max + 1):

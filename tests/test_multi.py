@@ -150,6 +150,9 @@ def test_construction_failures_name_their_route():
     def flat_w(s):
         s.w_grid = LatticeFunction(lambda x: s.C_D() * M.varphi_M(2, x))
 
+    def low_w(s):  # the quotient 1 + eta: 1 at x = 0, one degree short
+        s.w_grid = LatticeFunction(lambda x: (1 + M.eta(x)) * s.C_D() * M.varphi_M(2, x))
+
     def bump(grid, x):
         grid.cache[x] = grid(x) + 1
 
@@ -158,6 +161,7 @@ def test_construction_failures_name_their_route():
     spoil_cd = lambda s: s._cache.update({("C_D",): 2 * s.C_D()})
     fails(Xi, spoil_cd, mismatch.format("C_D", "W[xi...]"))
     fails(Xi, flat_w, "denominator degree 0 != 2 (degenerate labels?)")
+    fails(Xi, low_w, "denominator degree 1 != 2 (degenerate labels?)")
     spoil_cdn = lambda s: s._cache.update({("dt_sq", 1): 2 * s.dt_sq(1)})
     fails(P1, spoil_cdn, mismatch.format("C_Dn", "W[xi..,nu P_n]"))
     # a grid value spoilt past the window (x = 0..2 for Xi, 0..3 for P_D,1)
@@ -338,11 +342,9 @@ def fraction_shape_checks(s, n_max, x_max):
     for n in range(1, n_max + 1):
         en = p.energy(n)
         pn, qn = (lambda y: s.multi_poly_at(n, y)), (lambda y: up.multi_poly_at(n - 1, y))
-        fwd = [fraction_forward(s, pn, x) for x in range(x_max + 2)]
         for x in range(x_max + 1):
-            out.append((f"forward n={n}", fwd[x] == en * qn(x), f"x={x}"))
+            out.append((f"forward n={n}", fraction_forward(s, pn, x) == en * qn(x), f"x={x}"))
             out.append((f"backward n={n}", fraction_backward(s, qn, x) == pn(x), f"x={x}"))
-            out.append((f"roundtrip n={n}", fraction_backward(s, lambda y: fwd[y], x) == en * pn(x), f"x={x}"))
     for x in range(x_max + 1):
         out.append(("B_D > 0", s.B_D(x) > 0, f"x={x}"))
         out.append(("D_D sign", s.D_D(x) > 0 if x >= 1 else s.D_D(x) == 0, f"x={x}"))
@@ -352,6 +354,18 @@ def fraction_shape_checks(s, n_max, x_max):
         offd = s.B_D(x + 1) * s.D_D(x + 1) == kappa**2 * up.B_D(x) * up.D_D(x + 1)
         out.append(("operator shape-invariance diagonal", diag, f"x={x}"))
         out.append(("operator shape-invariance off-diagonal", offd, f"x={x}"))
+    return out
+
+
+def fraction_roundtrip_failures(s, n_max, x_max):
+    """The levels n at which the round trip G F P_{D,n} = E_n P_{D,n},
+    written out in Fractions, fails somewhere on 0..x_max."""
+    out = set()
+    for n in range(1, n_max + 1):
+        pn = lambda y: s.multi_poly_at(n, y)
+        fwd = [fraction_forward(s, pn, x) for x in range(x_max + 1)]
+        if any(fraction_backward(s, lambda y: fwd[y], x) != s.p.energy(n) * pn(x) for x in range(x_max + 1)):
+            out.add(n)
     return out
 
 
@@ -405,7 +419,9 @@ def test_pair_checks_match_their_fraction_form(monkeypatch, make, labels, how):
     # check per statement on 0..x_max; the Fraction form written out here,
     # point by point and folded, must give every check the same (name,
     # passed, witness), for the exact system and with one value spoilt at
-    # x = 3
+    # x = 3.  The round trip G F P_{D,n} = E_n P_{D,n} has no row, since
+    # forward and backward at n imply it on the window: its Fraction form
+    # fails only where one of them fails.
     s = spoilt_system(monkeypatch, make, labels, how)
     routes = (
         (verify_eigen_equation, fraction_eigen_checks, 4, 12),
@@ -418,6 +434,9 @@ def test_pair_checks_match_their_fraction_form(monkeypatch, make, labels, how):
         assert got == expected
         failures += sum(not passed for _, passed, _ in expected)
     assert (failures == 0) == (how == "exact")
+    failed = {name for name, passed, _ in got if not passed}  # the shape-invariance checks
+    for n in fraction_roundtrip_failures(s, 3, 12):
+        assert {f"forward n={n}", f"backward n={n}"} & failed, n
 
 
 @pytest.mark.parametrize("how", SPOILS, ids=str)
@@ -611,16 +630,22 @@ def test_orthogonality_exact_frozen_case():
     assert abs(res.partial_sum - 2) <= res.tail_bound
 
 
-def test_orthogonality_off_diagonal():
+def test_orthogonality_off_diagonal(monkeypatch):
+    from mipoly import multi
+
     res = orthogonality_sum(M, (1,), 0, 1)
     assert res.passed
     assert res.target.midpoint == 0
-    res = orthogonality_sum(QL, (1, 2), 0, 1, rel_tol=F(1, 10**12))
+    monkeypatch.setattr(multi, "_REL_TOL", F(1, 10**12))
+    res = orthogonality_sum(QL, (1, 2), 0, 1)
     assert res.passed
 
 
-def test_orthogonality_diagonal_q():
-    res = orthogonality_sum(QJ, (1,), 1, 1, rel_tol=F(1, 10**12))
+def test_orthogonality_diagonal_q(monkeypatch):
+    from mipoly import multi
+
+    monkeypatch.setattr(multi, "_REL_TOL", F(1, 10**12))
+    res = orthogonality_sum(QJ, (1,), 1, 1)
     assert res.passed
 
 
@@ -628,14 +653,16 @@ def test_orthogonality_reads_the_target_width_once(monkeypatch):
     # the target's width is subtracted from the budget before the sum: near
     # q = 1 its endpoints carry very long denominators, so it is read once
     # per call, not once per term
+    from mipoly import multi
     from mipoly.series import Interval
 
+    monkeypatch.setattr(multi, "_REL_TOL", F(1, 10**12))
     reads = []
     width = Interval.width.fget
     monkeypatch.setattr(Interval, "width", property(lambda self: reads.append(1) or width(self)))
     for p, labels, n, m in ((QJ, (1,), 1, 1), (M, (1,), 0, 1)):
         reads.clear()
-        res = orthogonality_sum(p, labels, n, m, rel_tol=F(1, 10**12))
+        res = orthogonality_sum(p, labels, n, m)
         assert res.passed and res.terms > res.ratio_start + 1  # the loop ran several terms
         assert len(reads) == 1
 
@@ -682,10 +709,14 @@ def test_non_integral_labels_are_rejected(labels):
             call()
 
 
-def test_orthogonality_witness_names_term_cap():
-    # rel_tol far below what 2000 tail terms reach: the tail bound (about
+def test_orthogonality_witness_names_term_cap(monkeypatch):
+    # a tolerance far below what 2000 tail terms reach: the tail bound (about
     # 1e-599) underflows a float, so the witness must not print 0.000e+00
-    res = orthogonality_sum(M, (1,), 0, 0, rel_tol=F(1, 10**1000))
+    from mipoly import multi
+
+    with monkeypatch.context() as patched:
+        patched.setattr(multi, "_REL_TOL", F(1, 10**1000))
+        res = orthogonality_sum(M, (1,), 0, 0)
     assert not res.passed and res.capped
     assert res.terms == res.ratio_start + 2001 == 2002
     text = res.describe()
