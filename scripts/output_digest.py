@@ -6,6 +6,7 @@ Runs, in this process and through `mipoly.cli.main`, every job of
   - `verify --format csv` over the acceptance matrix,
   - `multi-ladder` (`verify --suite multi`), each distinct job once,
   - `verify --format csv --suite base,virtual` over the ladder points,
+  - `verify --suite chain` over the ladder points, chains of up to four labels,
   - `tabulate-ladder`, in JSON and in CSV,
 
 and prints one line per job, the sha256 of its stdout, stderr and exit code
@@ -45,16 +46,15 @@ def job_argvs() -> list[tuple[str, ...]]:
     matrix = distinct(wl.jobs("verify-matrix", 0))
     ladder = distinct(wl.jobs("multi-ladder", 0))
     tabulate = distinct(wl.jobs("tabulate-ladder", 0))
-    ladder_points = distinct(
-        wl.Job("verify", f, p, d, ("--format", "csv", "--suite", "base,virtual"))
-        for f, p in wl.LADDER_POINTS
-        for d in wl.MULTI_LADDER
+    ladder_points = lambda flags: distinct(
+        wl.Job("verify", f, p, d, flags) for f, p in wl.LADDER_POINTS for d in wl.MULTI_LADDER
     )
     return [
         *matrix,
         *(argv + ("--format", "csv") for argv in matrix),
         *ladder,
-        *ladder_points,
+        *ladder_points(("--format", "csv", "--suite", "base,virtual")),
+        *ladder_points(("--suite", "chain")),
         *tabulate,
         *(argv + ("--format", "csv") for argv in tabulate),
     ]

@@ -18,8 +18,15 @@ at twisted parameters), all tables of `multi._deformed_potentials`, as the
 system's B_D, D_D are.  This module verifies, exactly, every identity the
 construction rests on:
 
-  - the two eigen-identities for w'_{s,v} and w''_{s,n} (cleared of
-    denominators, so they hold at negative lattice points too),
+  - the eigen-identities of each level's Hamiltonian in its standard form,
+    A^dagger A of the standard-form potentials, for the companion columns
+    w'_{s,v} and w''_{s,n}: `families._operator`, the one lattice operator,
+    of B~(x) = alpha B'(x+s) and alpha D' at Xi = w_s, Xi' = w''_{s,0},
+    cleared of denominators, so they hold at negative lattice points too.
+    Level 0 is the same call at w_0 = 1 and w''_{0,0} = nu.  There is no
+    n = 0 row: with u = Xi' and E_0 = 0 the identity holds for any values,
+    and that w''_{s,0} is the ground state of A_s A_s^dagger + Et_{d_s} is
+    the `standard form s` checks below,
   - the Casoratian nesting rule linking levels s and s+1,
   - the two three-term contiguity identities between levels,
   - definite-sign statements for w_s, w'_{s,v}, w''_{s,0} with the exact
@@ -81,7 +88,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .casoratian import LatticeFunction
-from .families import _BaseFamily, _a_adag, _adag_a, _eigen_identity, _same_form, memo
+from .families import _BaseFamily, _a_adag, _adag_a, _eigen_identity, _operator, _same_form, memo
 from .multi import MultiIndexedSystem, _deformed_potentials, _validate_labels, system
 from .report import Report
 from .series import pair, pair_common, pair_equal, pair_product, pair_quotient
@@ -138,20 +145,20 @@ class _Level:
     - `H`: the Hamiltonian H_s in the form the deletion step leaves it, as
       a (diagonal, off-diagonal) pair of functions: A_s A_s^dagger + Et of
       (Bhat, Dhat), and at s = 0 the base system, A^dagger A of (B, D).
-    - `eigen(x) = (A, C, P, Q)`: the level-s eigen-identity for a companion
-      column u of energy eps reads (A + (Et - eps) C) u(x)
-      = P u(x+1) + Q u(x-1), checked by `families._eigen_identity`.  Cleared
-      of all Casoratian denominators, it holds at any integer x; multiplied
-      out for s >= 1 it is
-        [aB'(x+s-1) w_{s-1}(x) w_s(x+1)^2 + aD'(x+1) w_{s-1}(x+2) w_s(x)^2
-          + (Et_{d_s} - eps) w_{s-1}(x+1) w_s(x) w_s(x+1)] * u(x)
-        = [aB'(x+s) w_s(x)^2 u(x+1) + aD'(x) w_s(x+1)^2 u(x-1)] * w_{s-1}(x+1),
-      and for s = 0 the bracket collapses to aB'(x) + aD'(x) + alpha' - eps.
+    - `eigen(x) = (A, C, P, Q)`: the eigen table of H_s in its standard
+      form, A^dagger A of (B_std, D_std): `families._operator` of B~(x) =
+      aB'(x+s) and aD' at Xi = w_s, Xi' = w''_{s,0}, so a companion column u
+      of energy eps satisfies (A - eps C) u(x) = P u(x+1) + Q u(x-1),
+      checked by `families._eigen_identity`.  Its off-diagonals are
+      aB'(x+s) w_s(x)/w_s(x+1) and aD'(x) w_s(x+1)/w_s(x), those of
+      A_s A_s^dagger, and its diagonal is B_std(x) + D_std(x), which the
+      `standard form s` checks equate with Bhat(x) + Dhat(x+1) + Et.
+      Cleared of all Casoratian denominators, it holds at any integer x.
+      s = 0 is the same call at w_0 = 1 and w''_{0,0} = nu.  The shift
+      triples `_operator` also builds are not read.
 
-    The identity is homogeneous in its coefficients, so `eigen` holds the
-    int numerators of its coefficients over one common positive
-    denominator, which is dropped.  The tables read only stored systems and
-    their families, never a caller's family object.
+    The tables read only stored systems and their families, never a
+    caller's family object.
     """
 
     __slots__ = ("B_std", "D_std", "Bhat", "Dhat", "Et", "H", "eigen")
@@ -159,36 +166,18 @@ class _Level:
     def __init__(self, prefix: MultiIndexedSystem):
         p, s = prefix.p, prefix.M
         aB, aD, B, D = _base_tables(system(p, ()))
-        w1 = prefix.w_grid
-        self.B_std, self.D_std = _deformed_potentials(aB, aD, s, w1, prefix.wpp_grid(0))
+        w1, g = prefix.w_grid, prefix.wpp_grid(0)
+        self.B_std, self.D_std = _deformed_potentials(aB, aD, s, w1, g)
+        self.eigen = _operator(lambda x: aB(x + s), aD, p.varphi, aB(s), w1, g)[0]
         if s == 0:
-            ap = pair(p.alpha_prime())
             self.Bhat = self.Dhat = None
             self.Et = 0
             self.H = _adag_a(B, D, 0)
-
-            def eigen(x):
-                b, d, a, c = pair_common(pair(aB(x)), pair(aD(x)), ap, (1, 1))
-                return b + d + a, c, b, d
-
         else:
             w0 = system(p, prefix.labels[:-1]).w_grid
             self.Bhat, self.Dhat = _deformed_potentials(aB, aD, s - 1, w0, w1)
             self.Et = p.virtual_energy(prefix.labels[-1])
             self.H = _a_adag(self.Bhat, self.Dhat, self.Et)
-
-            def eigen(x):
-                w0x1, w1x, w1x1 = pair(w0(x + 1)), pair(w1(x)), pair(w1(x + 1))
-                a1, a2, c, p, q = pair_common(
-                    pair_product(pair(aB(x + s - 1)), pair(w0(x)), w1x1, w1x1),
-                    pair_product(pair(aD(x + 1)), pair(w0(x + 2)), w1x, w1x),
-                    pair_product(w0x1, w1x, w1x1),
-                    pair_product(pair(aB(x + s)), w1x, w1x, w0x1),
-                    pair_product(pair(aD(x)), w1x1, w1x1, w0x1),
-                )
-                return a1 + a2, c, p, q
-
-        self.eigen = LatticeFunction(eigen)
 
 
 @memo
@@ -331,10 +320,10 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
     for s, (pre, lv) in enumerate(zip(prefix, levels)):
         vs = [v for v in pool if v not in order[:s]][: _EXTRA_VIRTUAL + 1]
         for v in vs:
-            holds = _eigen_identity(lv.eigen, system(p, order[:s] + (v,)).w_grid, lv.Et - te[v])
+            holds = _eigen_identity(lv.eigen, system(p, order[:s] + (v,)).w_grid, -te[v])
             rep.every(f"virtual eigen-identity s={s},v={v}", xs_any, holds)
-        for n in range(n_max + 1):
-            holds = _eigen_identity(lv.eigen, pre.wpp_grid(n), lv.Et - energies[n])
+        for n in range(1, n_max + 1):  # n = 0: u = w''_{s,0} = Xi' and E_0 = 0 hold it for any values
+            holds = _eigen_identity(lv.eigen, pre.wpp_grid(n), -energies[n])
             rep.every(f"eigen eigen-identity s={s},n={n}", xs_any, holds)
 
     # nesting rule and contiguity identities between levels
@@ -404,12 +393,12 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         prod_b0 = prod_b0 * alpha * p.tilde_shifted(j).twisted().B(0)
     kappa_pow = p.kappa ** (M * (M - 1) // 2)
 
-    def eigenvector_factor(x):
+    def squared_vector_factor(x):
         # prod_j aB'(x+j) phi0'(x) / (w_M(x) w_M(x+1)), shared by every n
         top = pair_product(*[pair(aB(x + j)) for j in range(M)], pair(phi0p.phi0_sq(x)))
         return pair_quotient(top, pair_product(pair(wM(x)), pair(wM(x + 1))))
 
-    factor = LatticeFunction(eigenvector_factor)
+    factor = LatticeFunction(squared_vector_factor)
     for n in range(n_max + 1):
         const_sq = kappa_pow * (final.C_Dn(n) / final.C_D()) ** 2 * prod_b0
         norm_prod = final.dt_sq(n)

@@ -692,7 +692,12 @@ def _operator(B, D, varphi, b0, xi=lambda x: 1, xi_up=lambda x: 1) -> tuple:
         g0, g1, gc = B~(x) Xi(x) varphi(x), D(x) Xi(x+1) varphi(x-1), B~(0) Xi'(x).
     Each entry is int numerators over one common denominator.  At Xi = Xi'
     = 1 eigen(x) is (B + D, 1, B, D), the base difference equation.  x is a
-    lattice point, or an offset from the symbolic point (`_at_w`)."""
+    lattice point, or an offset from the symbolic point (`_at_w`).
+
+    Callers: the family's own operator (`_own_operator`), each multi-indexed
+    system (`multi._operator_tables`), and each level s of a deletion chain
+    (`chain._Level`), whose standard form is this operator of alpha B'(x+s)
+    and alpha D' at Xi = w_s, Xi' = w''_{s,0}; the chain reads eigen only."""
     b0 = pair(b0)
 
     def point(x):

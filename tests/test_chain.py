@@ -137,15 +137,12 @@ def test_corrupted_casoratian_fails_exactly_the_checks_that_read_it(monkeypatch)
 
 
 def test_corrupted_w1_fails_the_diagonals_of_the_factorizations_that_read_it(monkeypatch):
-    # w_1 off by one at x = 3: the eigen-identities of levels 1 and 2 and of
-    # the v = 1 column at level 0 (w'_{0,1} is the grid w_1), every nesting
-    # and contiguity identity, and the diagonal of each factorization check
-    # that reads Bhat_1 or Bhat_2; w_1 cancels from every off-diagonal
-    # product Bhat_s(x) Dhat_s(x+1), so no product check fails.
-    def level(s, virtual, witness):
-        names = [f"virtual eigen-identity s={s},v={v}" for v in virtual]
-        return [(name, witness) for name in names + [f"eigen eigen-identity s={s},n={n}" for n in range(3)]]
-
+    # w_1 off by one at x = 3: the eigen-identities of level 1 (its standard
+    # form reads w_1 as Xi) and of the v = 1 column at level 0 (w'_{0,1} is
+    # the grid w_1), every nesting and contiguity identity, and the diagonal
+    # of each factorization check that reads Bhat_1 or Bhat_2; level 2's
+    # eigen table reads w_2 and w''_{2,0} only, and w_1 cancels from every
+    # off-diagonal product Bhat_s(x) Dhat_s(x+1), so no product check fails.
     def between(s, virtual, contiguity_x):
         out = []
         for kind, idx in [("eigen", f"n={n}") for n in range(3)] + [("virtual", f"v={v}") for v in virtual]:
@@ -158,11 +155,11 @@ def test_corrupted_w1_fails_the_diagonals_of_the_factorizations_that_read_it(mon
         ("standard form s=1 diagonal", "x=2"),
         ("standard form s=2 diagonal", "x=1"),
     ]
+    expected = [("virtual eigen-identity s=0,v=1", "x=2")]
+    expected += [(f"virtual eigen-identity s=1,v={v}", "x=2") for v in (2, 3, 4)]
+    expected += [(f"eigen eigen-identity s=1,n={n}", "x=2") for n in (1, 2)]
+    expected += between(0, (2, 3), "x=3") + between(1, (3, 4), "x=2") + factorizations
     for p, failures in zip((M, QJ), _failures_with_corrupted_grid(monkeypatch, lambda p: system(p, (1,)).w_grid)):
-        top = (3, 4, 5) if p is M else (3, 4)  # the lqJ point admits labels up to 4
-        expected = [("virtual eigen-identity s=0,v=1", "x=2")]
-        expected += level(1, (2, 3, 4), "x=2") + level(2, top, "x=1")
-        expected += between(0, (2, 3), "x=3") + between(1, (3, 4), "x=2") + factorizations
         assert [(c.name, c.witness) for c in failures] == expected, p
 
 
@@ -393,7 +390,9 @@ def test_fraction_free_identities_match_their_fraction_form(p, order):
     # the predicates compare int numerators and denominators by cross-
     # multiplication; here each identity is written out in Fractions, and
     # both forms must give the same verdict at every level, companion and x,
-    # for the exact columns (all hold) and for two corruptions at x = 3
+    # for the exact columns (all hold) and for two corruptions at x = 3; the
+    # chain checks each level's eigen-identity in its standard form, and the
+    # exact columns also satisfy it in the hat form the deletion step leaves
     prefix = [system(p, order[:s]) for s in range(len(order) + 1)]
     aB, aD, _, _ = _base_tables(prefix[0])
     xs, pool = range(-2, 13), index_set(p, max(order) + 3)
@@ -409,6 +408,19 @@ def test_fraction_free_identities_match_their_fraction_form(p, order):
         return [v for v in pool if v not in order[:s]][:count]
 
     def eigen_fraction(s, u, k, x):
+        # H_s in standard form: the operator of aB'(x+s), aD' at Xi = w_s,
+        # Xi' = w''_{s,0}, cleared of C = w_s(x) w_s(x+1) w''_{s,0}(x)
+        ws, g = w(s), prefix[s].wpp_grid(0)
+        lhs = (
+            aB(x + s) * ws(x) ** 2 * g(x + 1)
+            + aD(x) * ws(x + 1) ** 2 * g(x - 1)
+            + k * ws(x) * ws(x + 1) * g(x)
+        ) * u(x)
+        return lhs == (aB(x + s) * ws(x) ** 2 * u(x + 1) + aD(x) * ws(x + 1) ** 2 * u(x - 1)) * g(x)
+
+    def hat_fraction(s, u, k, x):
+        # H_s = A_s A_s^dagger + Et_{d_s} as the deletion step leaves it, the
+        # paper's form; at s = 0 the base system H_0 = A^dagger A
         if s == 0:
             lhs = (aB(x) + aD(x) + alpha_prime + k) * u(x)
             return lhs == aB(x) * u(x + 1) + aD(x) * u(x - 1)
@@ -439,10 +451,12 @@ def test_fraction_free_identities_match_their_fraction_form(p, order):
             columns += [(prefix[s].wpp_grid(n), p.energy(n)) for n in range(4)]
             for col, e in columns:
                 u = _corrupted(col, how)
-                holds = _eigen_identity(_level(prefix[s]).eigen, u, ets - e)
+                holds = _eigen_identity(_level(prefix[s]).eigen, u, -e)
                 for x in xs:
                     seen.append(holds(x))
-                    assert seen[-1] == eigen_fraction(s, u, ets - e, x), ("eigen", s, x)
+                    assert seen[-1] == eigen_fraction(s, u, -e, x), ("eigen", s, x)
+                    if name == "exact":
+                        assert hat_fraction(s, u, ets - e, x), ("hat", s, x)
             if s == len(order):
                 continue
             # (level s + 1 column, level s column, energy) of each companion
