@@ -36,6 +36,7 @@ from math import lcm
 
 from .polynomials import horner
 from .report import Report
+from .series import pair
 
 GridFunction = Callable[[int], object]
 
@@ -46,13 +47,16 @@ class LatticeFunction:
     Casoratian columns revisit the same lattice points constantly; caching
     keeps repeated determinant evaluation linear in fresh points.  Purity of
     the wrapped function is assumed, which keeps results reproducible.
+    The values are kept in `cache`, and `pair(x)`, the value as a
+    `series.pair`, in `pairs`, filled on its first read from self(x).
     """
 
-    __slots__ = ("fn", "cache")
+    __slots__ = ("fn", "cache", "pairs")
 
     def __init__(self, fn: GridFunction):
         self.fn = fn
         self.cache: dict[int, object] = {}
+        self.pairs: dict[int, tuple] = {}
 
     def __call__(self, x: int):
         try:
@@ -60,6 +64,16 @@ class LatticeFunction:
         except KeyError:
             pass
         value = self.cache[x] = self.fn(x)
+        return value
+
+    def pair(self, x: int) -> tuple:
+        """`series.pair(self(x))`, kept per x: the fraction-free checks read
+        a grid value as a pair many times."""
+        try:
+            return self.pairs[x]
+        except KeyError:
+            pass
+        value = self.pairs[x] = pair(self(x))
         return value
 
 

@@ -77,7 +77,10 @@ on every call, and a check only combines table entries with its own column.
 
 The arithmetic is the fraction-free pair coding of the lattice operator in
 `families`: grid values are read as int numerator and positive denominator
-(`pair`), and no Fraction is built and no gcd taken per operation.  Every
+(`pair`), and no Fraction is built and no gcd taken per operation.  A grid
+keeps its values' pairs (`LatticeFunction.pair`), so the eigen-identities,
+nesting and contiguity checks, which read each value at x - 1, x and x + 1
+of many columns, split each Fraction once per grid and point.  Every
 denominator is a product of positive ones (`pair_quotient` moves a
 divisor's sign to the numerator), so a sign check reads the numerator.
 """
@@ -154,8 +157,7 @@ class _Level:
       A_s A_s^dagger, and its diagonal is B_std(x) + D_std(x), which the
       `standard form s` checks equate with Bhat(x) + Dhat(x+1) + Et.
       Cleared of all Casoratian denominators, it holds at any integer x.
-      s = 0 is the same call at w_0 = 1 and w''_{0,0} = nu.  The shift
-      triples `_operator` also builds are not read.
+      s = 0 is the same call at w_0 = 1 and w''_{0,0} = nu.
 
     The tables read only stored systems and their families, never a
     caller's family object.
@@ -197,9 +199,9 @@ def _contiguity_coefficients(prefix: MultiIndexedSystem, v: int) -> LatticeFunct
     w1, w2 = prefix.w_grid, system(p, prefix.labels + (v,)).w_grid
 
     def contiguity(x):
-        b = pair_product(pair(aB(x + s)), pair(w1(x)))
-        d = pair_product(pair(aD(x)), pair(w1(x + 1)))
-        return pair_common(b, d, pair(w2(x)))
+        b = pair_product(aB.pair(x + s), w1.pair(x))
+        d = pair_product(aD.pair(x), w1.pair(x + 1))
+        return pair_common(b, d, w2.pair(x))
 
     return LatticeFunction(contiguity)
 
@@ -262,25 +264,27 @@ def _same_hamiltonian(rep: Report, name: str, xs, H: tuple, K: tuple) -> None:
 
 def _contiguity(contiguity: LatticeFunction, upper, lower, k) -> Callable[[int], bool]:
     """aB'(x+s) w_s(x) upper(x) = aD'(x) w_s(x+1) upper(x-1)
-       + (Et_{d_{s+1}} - eps) w_{s+1}(x) lower(x), with k = Et_{d_{s+1}} - eps."""
+       + (Et_{d_{s+1}} - eps) w_{s+1}(x) lower(x), with k = Et_{d_{s+1}} - eps
+    and upper, lower lattice functions of pairs."""
 
     kn, kd = pair(k)
 
     def holds(x):
         b, d, w2 = contiguity(x)
-        (un, ud), (u0n, u0d), (ln, ld) = pair(upper(x)), pair(upper(x - 1)), pair(lower(x))
+        (un, ud), (u0n, u0d), (ln, ld) = upper(x), upper(x - 1), lower(x)
         return b * un * u0d * kd * ld == (d * u0n * kd * ld + kn * w2 * ln * u0d) * ud
 
     return holds
 
 
 def _nesting(ws, ws1, upper, lower) -> Callable[[int], bool]:
-    """w_s(x+1) upper(x) = w_{s+1}(x) lower(x+1) - w_{s+1}(x+1) lower(x)."""
+    """w_s(x+1) upper(x) = w_{s+1}(x) lower(x+1) - w_{s+1}(x+1) lower(x), all
+    four lattice functions of pairs."""
 
     def holds(x):
-        an, ad = pair_product(pair(ws(x + 1)), pair(upper(x)))
-        bn, bd = pair_product(pair(ws1(x)), pair(lower(x + 1)))
-        cn, cd = pair_product(pair(ws1(x + 1)), pair(lower(x)))
+        an, ad = pair_product(ws(x + 1), upper(x))
+        bn, bd = pair_product(ws1(x), lower(x + 1))
+        cn, cd = pair_product(ws1(x + 1), lower(x))
         return an * bd * cd == (bn * cd - cn * bd) * ad
 
     return holds
@@ -320,24 +324,24 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
     for s, (pre, lv) in enumerate(zip(prefix, levels)):
         vs = [v for v in pool if v not in order[:s]][: _EXTRA_VIRTUAL + 1]
         for v in vs:
-            holds = _eigen_identity(lv.eigen, system(p, order[:s] + (v,)).w_grid, -te[v])
+            holds = _eigen_identity(lv.eigen, system(p, order[:s] + (v,)).w_grid.pair, -te[v])
             rep.every(f"virtual eigen-identity s={s},v={v}", xs_any, holds)
         for n in range(1, n_max + 1):  # n = 0: u = w''_{s,0} = Xi' and E_0 = 0 hold it for any values
-            holds = _eigen_identity(lv.eigen, pre.wpp_grid(n), -energies[n])
+            holds = _eigen_identity(lv.eigen, pre.wpp_grid(n).pair, -energies[n])
             rep.every(f"eigen eigen-identity s={s},n={n}", xs_any, holds)
 
     # nesting rule and contiguity identities between levels
     for s in range(M):
         lo, up = prefix[s], prefix[s + 1]
-        ws, ws1, contiguity = lo.w_grid, up.w_grid, _contiguity_coefficients(lo, order[s])
+        ws, ws1, contiguity = lo.w_grid.pair, up.w_grid.pair, _contiguity_coefficients(lo, order[s])
         vs = [v for v in pool if v not in order[: s + 1]][:_EXTRA_VIRTUAL]
         for n in range(n_max + 1):
-            upper, lower = up.wpp_grid(n), lo.wpp_grid(n)
+            upper, lower = up.wpp_grid(n).pair, lo.wpp_grid(n).pair
             rep.every(f"nesting (eigen) s={s},n={n}", xs_any, _nesting(ws, ws1, upper, lower))
             holds = _contiguity(contiguity, upper, lower, removed[s] - energies[n])
             rep.every(f"contiguity (eigen) s={s},n={n}", xs_any, holds)
         for v in vs:
-            upper, lower = system(p, order[: s + 1] + (v,)).w_grid, system(p, order[:s] + (v,)).w_grid
+            upper, lower = system(p, order[: s + 1] + (v,)).w_grid.pair, system(p, order[:s] + (v,)).w_grid.pair
             rep.every(f"nesting (virtual) s={s},v={v}", xs_any, _nesting(ws, ws1, upper, lower))
             holds = _contiguity(contiguity, upper, lower, removed[s] - te[v])
             rep.every(f"contiguity (virtual) s={s},v={v}", xs_any, holds)
@@ -347,15 +351,15 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         gsign = sign_closed(removed[:s])  # the sign of w''_{s,0}
         sigma = -gsign if s % 2 else gsign  # the sign of w_s
         ws, g, lv = prefix[s].w_grid, prefix[s].wpp_grid(0), levels[s]
-        rep.every(f"w_{s} definite sign", xs_lattice, lambda x: sigma * ws(x) > 0)
+        rep.every(f"w_{s} definite sign", xs_lattice, lambda x: sigma * ws.pair(x)[0] > 0)
         vs = [v for v in pool if v not in order[:s]][:_EXTRA_VIRTUAL]
         for v in vs:
             tau = sigma
             for e in removed[:s]:
                 tau *= _sgn(e - te[v])
             wps = system(p, order[:s] + (v,)).w_grid
-            rep.every(f"w'_{s},{v} definite sign", xs_lattice, lambda x: tau * wps(x) > 0)
-        rep.every(f"w''_{s},0 definite sign", xs_lattice, lambda x: gsign * g(x) > 0)
+            rep.every(f"w'_{s},{v} definite sign", xs_lattice, lambda x: tau * wps.pair(x)[0] > 0)
+        rep.every(f"w''_{s},0 definite sign", xs_lattice, lambda x: gsign * g.pair(x)[0] > 0)
         potentials = (("Bhat", "Dhat", lv.Bhat, lv.Dhat), ("B_std", "D_std", lv.B_std, lv.D_std))
         for b, d, Bs, Ds in potentials:
             rep.every(f"{b}_{s} > 0", xs_lattice, lambda x: Bs(x)[0] > 0)
@@ -395,8 +399,8 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
 
     def squared_vector_factor(x):
         # prod_j aB'(x+j) phi0'(x) / (w_M(x) w_M(x+1)), shared by every n
-        top = pair_product(*[pair(aB(x + j)) for j in range(M)], pair(phi0p.phi0_sq(x)))
-        return pair_quotient(top, pair_product(pair(wM(x)), pair(wM(x + 1))))
+        top = pair_product(*[aB.pair(x + j) for j in range(M)], pair(phi0p.phi0_sq(x)))
+        return pair_quotient(top, pair_product(wM.pair(x), wM.pair(x + 1)))
 
     factor = LatticeFunction(squared_vector_factor)
     for n in range(n_max + 1):
@@ -410,7 +414,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             f"squared eigenvector match n={n}",
             xs_lattice,
             lambda x: pair_equal(
-                pair_product(factor(x), pair(g(x)), pair(g(x))),
+                pair_product(factor(x), g.pair(x), g.pair(x)),
                 pair_product(
                     pair(const_sq),
                     pair(final.weight(x)),

@@ -76,7 +76,8 @@ on the family, the Casoratian columns xi_d(eta(x)) and nu(x) P_n(eta(x))
 that every system on the family reads.  Each is computed once per family
 and point.  A lattice function that is handed
 around as an object of its own (a Casoratian grid, a chain level's
-potentials) is a `casoratian.LatticeFunction` instead.  `multi._SYSTEMS` is
+potentials) is a `casoratian.LatticeFunction` instead, which keeps its
+values and, filled on first read, their pairs.  `multi._SYSTEMS` is
 the one store across objects: it keys systems by value, so that equal
 families built apart share their constructions.
 """
@@ -653,13 +654,13 @@ def _eigen_identity(eigen, u, k) -> Callable[[int], bool]:
     """(A + k C) u(x) == P u(x+1) + Q u(x-1) for the table eigen(x) =
     (A, C, P, Q), the int numerators of the coefficients over one common
     denominator (dropped: the identity is homogeneous in them), an exact
-    scalar k and a lattice function u, by one cross-multiplication."""
+    scalar k and a lattice function u of pairs, by one cross-multiplication."""
 
     kn, kd = pair(k)
 
     def holds(x):
         a, c, p, q = eigen(x)
-        (un, ud), (u1n, u1d), (u0n, u0d) = pair(u(x)), pair(u(x + 1)), pair(u(x - 1))
+        (un, ud), (u1n, u1d), (u0n, u0d) = u(x), u(x + 1), u(x - 1)
         return (a * kd + kn * c) * un * u1d * u0d == (p * u1n * u0d + q * u0n * u1d) * kd * ud
 
     return holds
@@ -697,21 +698,24 @@ def _operator(B, D, varphi, b0, xi=lambda x: 1, xi_up=lambda x: 1) -> tuple:
     Callers: the family's own operator (`_own_operator`), each multi-indexed
     system (`multi._operator_tables`), and each level s of a deletion chain
     (`chain._Level`), whose standard form is this operator of alpha B'(x+s)
-    and alpha D' at Xi = w_s, Xi' = w''_{s,0}; the chain reads eigen only."""
+    and alpha D' at Xi = w_s, Xi' = w''_{s,0}.  Each table is filled on
+    read, so the chain, which reads eigen only, builds no shift triple."""
     b0 = pair(b0)
 
-    def point(x):
-        xi0, xi1, up0, up1 = pair(xi(x)), pair(xi(x + 1)), pair(xi_up(x)), pair(xi_up(x + 1))
-        bt, d, phi = pair(B(x)), pair(D(x)), pair(varphi(x))
-        b, dd = pair_product(bt, xi0, xi0), pair_product(d, xi1, xi1)
-        a = pair_sum(pair_product(b, up1), pair_product(dd, pair(xi_up(x - 1))))
-        eigen = pair_common(a, pair_product(xi0, xi1, up0), pair_product(b, up0), pair_product(dd, up0))
-        forward = pair_common(pair_product(b0, up1), pair_product(b0, up0), pair_product(phi, xi1))
-        g1 = pair_product(d, xi1, pair(varphi(x - 1)))
-        return eigen, (forward, pair_common(pair_product(bt, xi0, phi), g1, pair_product(b0, up0)))
+    def eigen(x):
+        xi0, xi1, up0 = pair(xi(x)), pair(xi(x + 1)), pair(xi_up(x))
+        b, dd = pair_product(pair(B(x)), xi0, xi0), pair_product(pair(D(x)), xi1, xi1)
+        a = pair_sum(pair_product(b, pair(xi_up(x + 1))), pair_product(dd, pair(xi_up(x - 1))))
+        return pair_common(a, pair_product(xi0, xi1, up0), pair_product(b, up0), pair_product(dd, up0))
 
-    tables = LatticeFunction(point)
-    return LatticeFunction(lambda x: tables(x)[0]), LatticeFunction(lambda x: tables(x)[1])
+    def shifts(x):
+        xi0, xi1, up0, up1 = pair(xi(x)), pair(xi(x + 1)), pair(xi_up(x)), pair(xi_up(x + 1))
+        phi = pair(varphi(x))
+        forward = pair_common(pair_product(b0, up1), pair_product(b0, up0), pair_product(phi, xi1))
+        g1 = pair_product(pair(D(x)), xi1, pair(varphi(x - 1)))
+        return forward, pair_common(pair_product(pair(B(x)), xi0, phi), g1, pair_product(b0, up0))
+
+    return LatticeFunction(eigen), LatticeFunction(shifts)
 
 
 def _adag_a(B, D, e) -> tuple:
@@ -792,7 +796,10 @@ def verify_difference_equation(p: _BaseFamily, n_max: int) -> Report:
     rep = Report(f"base.difference-equation[{p!r}]", "difference equation for P_n")
     for n in range(1, n_max + 1):
         pn = functools.partial(p.poly_value_w, n)
-        holds = lambda w, pn=pn, e=p.energy(n): _eigen_identity(p._own_operator(w)[0], *_at_w(p, w, pn), -e)(0)
+
+        def holds(w, pn=pn, e=p.energy(n)):
+            return _eigen_identity(p._own_operator(w)[0], _pairs(*_at_w(p, w, pn)), -e)(0)
+
         _for_all_x(rep, f"n={n} for all x", p, holds)
     mono = all(p.energy(n) < p.energy(n + 1) for n in range(n_max + 1))
     rep.add("spectrum increasing, E_0 = 0", mono and p.energy(0) == 0)

@@ -383,7 +383,7 @@ def verify_eigen_equation(p: _BaseFamily, labels: Sequence[int], n_max: int, x_m
         if not eigen(x)[1]:
             raise ZeroDivisionError(f"eigen-equation divisor C vanishes at x={x}")
     for n in range(n_max + 1):
-        holds = _eigen_identity(eigen, lambda y, n=n: sys.multi_poly_at(n, y), -sys.p.energy(n))
+        holds = _eigen_identity(eigen, lambda y, n=n: pair(sys.multi_poly_at(n, y)), -sys.p.energy(n))
         rep.every(f"n={n}", range(x_max + 1), holds, lambda x: f"x={x}, residual={sys.eigen_residual(n, x)}")
     return rep
 
@@ -593,6 +593,13 @@ def orthogonality_sum(p: _BaseFamily, labels: Sequence[int], n: int, m: int) -> 
     enclosure and their combined width is below _REL_TOL relative to the
     diagonal scale.  For n != m the target is exactly zero and the scale is
     the larger of the two diagonal targets.
+
+    Past x_star each term t bounds the tail after it by |t| k, k = r/(1-r).
+    The slack's denominator is long (thousands of bits for the q families),
+    so the test |t| k <= slack is one int comparison, |num t| K <= S den t,
+    with K = num(k) den(slack) and S = num(slack) den(k) formed once: k and
+    every denominator are positive, so it is exact, and a negative slack
+    never converges.  The terms and the partial sum stay reduced Fractions.
     """
     sys = system(p, labels)
     diag = sys.norm_target
@@ -605,17 +612,18 @@ def orthogonality_sum(p: _BaseFamily, labels: Sequence[int], n: int, m: int) -> 
     x_star, r = sys.ratio_certificate(n, m)
     term = lambda x: sys.weight(x) * sys.multi_poly_at(n, x) * sys.multi_poly_at(m, x)
     slack = _REL_TOL * scale - target.width  # the tail may use what the target leaves
+    k = r / (1 - r)
+    K, S = k.numerator * slack.denominator, slack.numerator * k.denominator
     partial = sum((term(x) for x in range(x_star)), Fraction(0))
     x = x_star
     while True:
         t = term(x)
         partial += t
-        # x >= x_star, so |term(y)| <= r^(y-x) |t| for y > x: geometric tail.
-        tail = abs(t) * r / (1 - r)
         x += 1
-        converged = tail <= slack
+        converged = abs(t.numerator) * K <= S * t.denominator
         if converged or x > x_star + _TERM_CAP:
             break
+    tail = abs(t) * k
     enclosure = Interval(partial - tail, partial + tail)
     passed = enclosure.overlaps(target) and converged
     return OrthogonalityResult(n, m, partial, tail, target, x, x_star, r, passed, not converged)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mipoly.casoratian import LatticeFunction, casoratian, exact_det, verify_identities
 from mipoly.polynomials import Polynomial
 from mipoly.ratfunc import RationalFunction
+from mipoly.series import pair
 
 # Half the entries are zero, so pivots vanish (row swaps) and whole matrices go singular;
 # ints and Fractions mix within one matrix.
@@ -111,6 +112,21 @@ def test_lattice_function_memoizes():
     f = LatticeFunction(lambda x: calls.append(x) or x * x)
     assert f(3) == 9 and f(3) == 9
     assert calls == [3]
+
+
+def test_lattice_function_pair_view():
+    # the pair view is series.pair of the value, kept per x: fn runs once per
+    # x across value and pair reads, whichever comes first
+    calls = []
+    f = LatticeFunction(lambda x: calls.append(x) or F(x, 3))
+    assert f.pair(3) == pair(f(3)) == (1, 1) and f.pair(3) is f.pair(3)
+    assert f(6) == 2 and f.pair(6) == (2, 1) and f.pair(-2) == (-2, 3) and f(-2) == F(-2, 3)
+    assert calls == [3, 6, -2]
+    # a value written to the cache before the first pair read is the one
+    # the pair view returns (the chain's corruption tests rely on it)
+    f.cache[4] = F(5, 7)
+    assert f.pair(4) == (5, 7) and calls == [3, 6, -2]
+    assert LatticeFunction(lambda x: x).pair(2) == (2, 1)
 
 
 def test_lattice_function_hit_is_one_lookup():

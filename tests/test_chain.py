@@ -20,6 +20,7 @@ from mipoly.chain import (
 )
 from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner, _eigen_identity
 from mipoly.multi import system
+from mipoly.series import pair
 from mipoly.virtual import index_set
 
 M = Meixner(1, F(1, 2))
@@ -385,6 +386,11 @@ def _corrupted(u, how):
     return lambda x: how(u(x)) if x == 3 else u(x)
 
 
+def _pairs(u):
+    """u's values as pairs, as the predicates read their columns."""
+    return lambda x: pair(u(x))
+
+
 @pytest.mark.parametrize("p, order", [(M, (1, 2, 3)), (QJ, (1, 2, 3)), (QL, (1, 3))], ids=repr)
 def test_fraction_free_identities_match_their_fraction_form(p, order):
     # the predicates compare int numerators and denominators by cross-
@@ -451,7 +457,7 @@ def test_fraction_free_identities_match_their_fraction_form(p, order):
             columns += [(prefix[s].wpp_grid(n), p.energy(n)) for n in range(4)]
             for col, e in columns:
                 u = _corrupted(col, how)
-                holds = _eigen_identity(_level(prefix[s]).eigen, u, -e)
+                holds = _eigen_identity(_level(prefix[s]).eigen, _pairs(u), -e)
                 for x in xs:
                     seen.append(holds(x))
                     assert seen[-1] == eigen_fraction(s, u, -e, x), ("eigen", s, x)
@@ -466,11 +472,11 @@ def test_fraction_free_identities_match_their_fraction_form(p, order):
             contiguity = _contiguity_coefficients(prefix[s], order[s])
             for up, lo, e in pairs:
                 for upper, lower in ((_corrupted(up, how), lo), (up, _corrupted(lo, how))):
-                    holds = _nesting(w(s), w(s + 1), upper, lower)
+                    holds = _nesting(*map(_pairs, (w(s), w(s + 1), upper, lower)))
                     for x in xs:
                         seen.append(holds(x))
                         assert seen[-1] == nesting_fraction(s, upper, lower, x), ("nesting", s, x)
-                    holds = _contiguity(contiguity, upper, lower, k_next - e)
+                    holds = _contiguity(contiguity, _pairs(upper), _pairs(lower), k_next - e)
                     for x in xs:
                         seen.append(holds(x))
                         expected = contiguity_fraction(s, upper, lower, k_next - e, x)

@@ -728,6 +728,77 @@ def test_orthogonality_witness_names_term_cap(monkeypatch):
     assert f"sum of {ok.terms} terms, tail <= {float(ok.tail_bound):.3e}," in ok.describe()
 
 
+def _orthogonality_reference(p, labels, n, m):
+    """orthogonality_sum as a plain Fraction loop: the tail |t| r / (1 - r)
+    of each term is built and compared with the slack as Fractions."""
+    from mipoly import multi
+    from mipoly.series import Interval
+
+    sys = system(p, labels)
+    if n == m:
+        target = sys.norm_target(n)
+        scale = abs(target.midpoint)
+    else:
+        target = Interval.exact(0)
+        scale = max(abs(sys.norm_target(n).midpoint), abs(sys.norm_target(m).midpoint))
+    x_star, r = sys.ratio_certificate(n, m)
+    term = lambda x: sys.weight(x) * sys.multi_poly_at(n, x) * sys.multi_poly_at(m, x)
+    slack = multi._REL_TOL * scale - target.width
+    partial = sum((term(x) for x in range(x_star)), F(0))
+    x = x_star
+    while True:
+        t = term(x)
+        partial += t
+        tail = abs(t) * r / (1 - r)
+        x += 1
+        converged = tail <= slack
+        if converged or x > x_star + multi._TERM_CAP:
+            break
+    passed = Interval(partial - tail, partial + tail).overlaps(target) and converged
+    return multi.OrthogonalityResult(n, m, partial, tail, target, x, x_star, r, passed, not converged)
+
+
+ACCEPTANCE = [
+    (p, labels)
+    for p in (M, M2, QJ, LittleQJacobi(F(1, 32), F(-1, 2), F(1, 2)), QL)
+    for labels in ((1,), (2,), (1, 2), (1, 3), (2, 4), (1, 2, 3))
+]
+
+
+def _same_result(res, ref):
+    fields = ("partial_sum", "tail_bound", "terms", "ratio_start", "ratio_bound", "passed", "capped")
+    assert [getattr(res, f) for f in fields] == [getattr(ref, f) for f in fields]
+    assert res.describe() == ref.describe()
+
+
+@pytest.mark.parametrize("p, labels", ACCEPTANCE, ids=repr)
+def test_orthogonality_sum_equals_the_fraction_loop(p, labels):
+    # the tail test is one int comparison per term; every field and the
+    # witness line must be those of the plain Fraction loop
+    for n, m in ((0, 0), (1, 1), (0, 1)):
+        res = orthogonality_sum(p, labels, n, m)
+        assert res.passed
+        _same_result(res, _orthogonality_reference(p, labels, n, m))
+
+
+def test_orthogonality_sum_equals_the_fraction_loop_at_the_edges(monkeypatch):
+    # a long sum that reaches the term cap, and a negative slack, which no
+    # tail meets: with no tolerance the diagonal target's width exceeds it.
+    # There the cap is 50 terms: the lqL terms' denominators grow like 2^(x^2/2)
+    # bits (about 322 000 bits at x = 800), so 2000 of them take minutes
+    from mipoly import multi
+
+    capped = orthogonality_sum(Meixner(1, F(49, 50)), (1,), 0, 0)
+    assert capped.capped and not capped.passed
+    _same_result(capped, _orthogonality_reference(Meixner(1, F(49, 50)), (1,), 0, 0))
+    monkeypatch.setattr(multi, "_REL_TOL", F(0))
+    monkeypatch.setattr(multi, "_TERM_CAP", 50)
+    assert system(QL, (1,)).norm_target(0).width > 0  # so the slack is negative
+    res = orthogonality_sum(QL, (1,), 0, 0)
+    assert res.capped and not res.passed
+    _same_result(res, _orthogonality_reference(QL, (1,), 0, 0))
+
+
 def test_orthogonality_on_symbolic_parameters_names_the_norm():
     # the closed-form target is read before the certificate, so a symbolic c
     # stops at dn_sq with its own message rather than inside the certificate
