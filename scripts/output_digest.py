@@ -21,6 +21,21 @@ scripts/output_digest.total, and CI diffs the printed listing against it.  A
 change that alters output on purpose updates that file, and its diff shows
 exactly which jobs the change alters.
 
+With --verdicts it prints, instead, what each `verify` job decided: a line
+per job (its arguments and exit code), then one line per suite of the job,
+from the Reports in this process,
+
+    <id>  <status>  checked=<n>  names=<8 hex>  <witnesses>
+
+where names is a short sha256 of the suite's sorted check names and the
+witnesses are the failing checks as "name [witness]", joined by "; ".  A job
+in CSV runs the same suites as in JSON, so each `verify` configuration is
+listed once.  The committed listing is scripts/output_verdicts.txt, which CI
+diffs too: a change that renames, drops or adds rows, or moves a status or
+a witness, shows there as exactly those suites' lines.
+
+    python3 scripts/output_digest.py --verdicts
+
 The job lists are read from bench/workloads.py of the same tree; the code
 under test is the tree's own src/.  Standard library only.
 """
@@ -39,6 +54,7 @@ sys.dont_write_bytecode = True  # leave bench/ as it is: no __pycache__ there
 
 import workloads as wl  # noqa: E402
 from mipoly.cli import main as cli_main  # noqa: E402
+from mipoly.report import Report  # noqa: E402
 
 
 def job_argvs() -> list[tuple[str, ...]]:
@@ -71,7 +87,39 @@ def run(argv: list[str]) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
+def verdicts(argv: tuple[str, ...]) -> list[str]:
+    """The job's line and one line per suite report the run serialised."""
+    reports, to_dict = [], Report.to_dict
+
+    def recording(rep):
+        reports.append(rep)
+        return to_dict(rep)
+
+    Report.to_dict = recording
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli_main(list(argv))
+    finally:
+        Report.to_dict = to_dict
+    lines = [f"{' '.join(argv)}  (exit {code})"]
+    for rep in reports:
+        names = hashlib.sha256("\n".join(sorted(c.name for c in rep.checks)).encode()).hexdigest()[:8]
+        witnesses = "; ".join(c.name + (f" [{c.witness}]" if c.witness else "") for c in rep.failures())
+        status = "pass" if rep.passed else "fail"
+        lines.append(f"  {rep.suite}  {status}  checked={len(rep.checks)}  names={names}  {witnesses}".rstrip())
+    return lines
+
+
+def main(args: list[str]) -> int:
+    if args == ["--verdicts"]:
+        csv = ("--format", "csv")
+        jobs = [argv for argv in job_argvs() if argv[0] == "verify"]
+        for argv in dict.fromkeys(tuple(a for a in argv if a not in csv) for argv in jobs):
+            print("\n".join(verdicts(argv)), flush=True)
+        return 0
+    if args:
+        sys.stderr.write("usage: output_digest.py [--verdicts]\n")
+        return 2
     total = hashlib.sha256()
     for argv in job_argvs():
         digest = run(argv)
@@ -82,4 +130,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
