@@ -171,10 +171,7 @@ def _suite_reports(cfg: dict, suite: str) -> list[Report]:
     p, deletions = cfg["p"], cfg["deletions"]
     n_max, x_max = cfg["n_max"], cfg["x_max"]
     if suite == "base":
-        return [
-            verify_difference_equation(p, n_max),
-            verify_shift_relations(p, n_max, x_max),
-        ]
+        return [verify_difference_equation(p, n_max), verify_shift_relations(p, n_max)]
     if suite == "virtual":
         reports = [verify_linear_relation(p, x_max)]
         for v in index_set(p, 8):

@@ -61,7 +61,9 @@ The family's own identities run that code once, at w the symbolic lattice
 variable (`_at_w`, `_for_all_x`).  There every value is rational in w, with
 denominators that are powers of w and nonzero constants, none zero at a
 lattice point w(x) = x or q^x: an identity in Q(w) holds at every lattice x,
-and a false one has a nonzero residual, zero at finitely many w(x).
+and a false one has a nonzero residual, zero at finitely many w(x).  The
+product formula runs at w too (`rodrigues_vector`, which shows its divisors
+nonzero at every lattice x), so no base identity reads a window of x.
 
 Caching follows one rule.  A derived value that an object computes from its
 own parameters -- here P_n, d_n^2, the moved families and the own operator
@@ -71,7 +73,7 @@ level tables of a label-prefix system -- is a function under `memo`, kept
 in the object's `_cache` under the function's name and positional
 arguments.  So are the exact lattice values a family is read at again and
 again: the q families' eta, B, D, varphi and varphi_M, every family's
-energies, virtual energies and poly_eval, and, as memos that `multi` keeps
+energies and virtual energies, and, as memos that `multi` keeps
 on the family, the Casoratian columns xi_d(eta(x)) and nu(x) P_n(eta(x))
 that every system on the family reads.  Each is computed once per family
 and point.  A lattice function that is handed
@@ -247,11 +249,6 @@ class _BaseFamily:
             if isinstance(v, RationalFunction):
                 return v**0
         return Fraction(1)
-
-    @memo
-    def poly_eval(self, n: int, x: int):
-        """P_n at lattice point x (any integer), via the eta-polynomial."""
-        return self.poly(n)(self.eta(x))
 
     # -- the lattice variable ------------------------------------------------------
 
@@ -755,22 +752,26 @@ def _same_shape(p: _BaseFamily, B, D, B_up, D_up) -> tuple:
 # -- the product formula ------------------------------------------------------------
 
 
-def rodrigues_vector(p: _BaseFamily, n: int, x_max: int) -> list:
-    """P_n(x) for x = 0..x_max from the universal product formula.
+def _rho(lo: _BaseFamily, w):  # phi0_sq(x; lo + delta) / phi0_sq(x; lo) at the w of x
+    return lo.B_w(w) * lo.varphi_w(w) ** 2 / lo.B(0)
 
-    Applies the operator g(x) |-> g(x)/varphi(x) - g(x-1)/varphi(x-1) n times
-    to phi0_sq at parameters shifted n steps, then divides by phi0_sq.  On the
-    semi-infinite lattice the g(-1) term at x = 0 is dropped (matrix
-    convention; the natural continuation of phi0_sq vanishes at x = -1).
-    """
-    shifted = p.shifted(n)
-    g = [shifted.phi0_sq(x) for x in range(x_max + n + 1)]
-    for _ in range(n):
-        g = [
-            g[x] / p.varphi(x) - (g[x - 1] / p.varphi(x - 1) if x >= 1 else 0)
-            for x in range(len(g) - 1)
-        ]
-    return [g[x] / p.phi0_sq(x) for x in range(x_max + 1)]
+
+def rodrigues_vector(p: _BaseFamily, n: int, w):
+    """P_n at the lattice variable w (symbolic, or a lattice value) by the
+    product formula P_n = g_n / phi0_sq, g_0 = phi0_sq(.; lambda + n delta) and
+    g_{k+1}(x) = g_k(x)/varphi(x) - g_k(x-1)/varphi(x-1), g_k(-1) = 0.  At mu =
+    lambda + (n-k) delta, r_k = g_k / phi0_sq(.; mu) has r_0 = 1 and r_{k+1}(x)
+    = `_rho`(x; mu - delta) [r_k(x)/varphi(x) - r_k(x-1) D(x; mu) / (B(x-1; mu)
+    varphi(x-1))], run on a stencil: x, x-1, ..., x-n, one offset fewer a step.
+    r_n = P_n in Q(w) holds at each lattice x >= 0: D(0; mu) = 0 drops r_k(-1)
+    at x = 0, and each divisor B(y; mu) has y >= x - (n-k), so it is c (y + beta
+    + n-k) > 0 for M, and a q power times 1 - b q^(y+n-k+1) != 0 for lqJ."""
+    ws, r = [p.step_w(w, -i) for i in range(n + 1)], [p._unit()] * (n + 1)
+    for k in range(n):
+        mu, lo = p.shifted(n - k), p.shifted(n - k - 1)
+        r = [_rho(lo, v) * (r0 / p.varphi_w(v) - r1 * mu.D_w(v) / (mu.B_w(u) * p.varphi_w(u)))
+             for r0, r1, v, u in zip(r, r[1:], ws, ws[1:])]
+    return r[0]
 
 
 # -- verification -------------------------------------------------------------------
@@ -806,24 +807,29 @@ def verify_difference_equation(p: _BaseFamily, n_max: int) -> Report:
     return rep
 
 
-def verify_shift_relations(p: _BaseFamily, n_max: int, x_max: int) -> Report:
-    """Forward/backward shift relations on pairs (`_operator`) and shape
-    invariance as one comparison of two forms (`_same_shape`), each for
-    every x (`_for_all_x`); the product (Rodrigues) formula on 0..x_max."""
+def verify_shift_relations(p: _BaseFamily, n_max: int) -> Report:
+    """Forward/backward shifts on pairs (`_operator`), the product formula
+    (`rodrigues_vector`, with its `_rho`) and shape invariance (`_same_shape`),
+    each for every x (`_for_all_x`), n >= 1 (at n = 0 the formula is 1 = 1)."""
     rep = Report(f"base.shift-relations[{p!r}]", "shift operators, product formula, shape invariance")
-    up = p.shifted(1)
+    up, w0 = p.shifted(1), -Fraction(p.eta_affine(0)[0]) / p.eta_affine(0)[1]  # w at x = 0, eta(0) = 0
 
     def shift_holds(f, g, e, forward, w):  # F f = e g if forward, else G f = e g
         f, g = _at_w(p, w, f, g)
         return pair_equal(_shift(p._own_operator(w)[1], _pairs(f), 0, forward), _pairs(g, e)(0))
 
+    def product_holds(n, w):  # rho(0) = 1, rho(x+1)/rho(x) = B(x; mu) D(x+1; lo) / (D(x+1; mu) B(x; lo))
+        for j in range(1, n + 1):
+            mu, lo, w1 = p.shifted(j), p.shifted(j - 1), p.step_w(w, 1)
+            if _rho(lo, w0) != 1 or _rho(lo, w) * mu.B_w(w) * lo.D_w(w1) != _rho(lo, w1) * mu.D_w(w1) * lo.B_w(w):
+                return False
+        return rodrigues_vector(p, n, w) == p.poly_value_w(n, w)
+
     for n in range(1, n_max + 1):
         pn, qn = functools.partial(p.poly_value_w, n), functools.partial(up.poly_value_w, n - 1)
         _for_all_x(rep, f"forward n={n} for all x", p, functools.partial(shift_holds, pn, qn, p.energy(n), True))
         _for_all_x(rep, f"backward n={n} for all x", p, functools.partial(shift_holds, qn, pn, 1, False))
-    for n in range(n_max + 1):
-        rod = rodrigues_vector(p, n, x_max)
-        rep.every(f"product formula n={n}", range(x_max + 1), lambda x: rod[x] == p.poly_eval(n, x))
+        _for_all_x(rep, f"product formula n={n} for all x", p, functools.partial(product_holds, n))
     shape = lambda w: _same_shape(p, *_at_w(p, w, p.B_w, p.D_w, up.B_w, up.D_w))
     _for_all_x(rep, "shape-invariance diagonal for all x", p, lambda w: shape(w)[0](0))
     _for_all_x(rep, "shape-invariance squared off-diagonal for all x", p, lambda w: shape(w)[1](0))

@@ -102,7 +102,8 @@ def _xi_column(p: _BaseFamily, d: int) -> LatticeFunction:
 def _nu_p_column(p: _BaseFamily, n: int) -> LatticeFunction:
     """nu(x) P_n(eta(x)), the last column of W[xi.., nu P_n]; a memo of the
     family, so every system on it reads the one column."""
-    return LatticeFunction(lambda x: p.nu(x) * p.poly_eval(n, x))
+    poly = p.poly(n)
+    return LatticeFunction(lambda x: p.nu(x) * poly(p.eta(x)))
 
 
 class MultiIndexedSystem:

@@ -7,6 +7,7 @@ from conftest import fold
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mipoly import families
 from mipoly.families import (
     FAMILIES,
     _QFamily,
@@ -180,11 +181,14 @@ def test_shift_operators_lower_and_raise():
                 assert base.backward_apply(gn, x) == p.poly_value(n, x)
 
 
-def test_rodrigues_vector_matches_polynomials():
-    for p in (M, QL):
-        for n in range(4):
-            vec = rodrigues_vector(p, n, 6)
-            assert vec == [p.poly_value(n, x) for x in range(7)]
+@pytest.mark.parametrize("p", [M, QJ, QL], ids=repr)
+def test_rodrigues_vector_at_a_lattice_w_matches_the_fraction_product_formula(p):
+    # the stencil at a lattice value of w is the product formula at that x,
+    # x = 0 included, where the r_k(-1) term carries D(0) = 0
+    for n in range(7):
+        oracle = fraction_rodrigues(p, n, 15)
+        assert oracle == [p.poly_value(n, x) for x in range(16)]
+        assert [rodrigues_vector(p, n, lattice_w(p, x)) for x in range(16)] == oracle
 
 
 def test_validation_messages():
@@ -345,7 +349,7 @@ def test_difference_equation_and_shifts_reports():
     for p in ALL:
         rep = verify_difference_equation(p, 4)
         assert rep.passed, rep.failures()[:3]
-        rep = verify_shift_relations(p, 4, 10)
+        rep = verify_shift_relations(p, 4)
         assert rep.passed, rep.failures()[:3]
 
 
@@ -380,6 +384,20 @@ def fraction_backward(p, f, x):
     return val / p.B(0)
 
 
+def fraction_rodrigues(p, n, x_max):
+    """P_n(x) for x = 0..x_max from the product formula, in Fractions: the
+    operator g(x) |-> g(x)/varphi(x) - g(x-1)/varphi(x-1), its g(-1) term
+    dropped at x = 0, applied n times to phi0_sq at parameters shifted n
+    steps, then divided by phi0_sq at p's parameters.  Both ground states are
+    those of the moved families, p.shifted(n) and p.shifted(0), as every
+    ground state `rodrigues_vector` reads is (a `spoilt_family`'s moves are
+    the sound family)."""
+    g = [p.shifted(n).phi0_sq(x) for x in range(x_max + n + 1)]
+    for _ in range(n):
+        g = [g[x] / p.varphi(x) - (g[x - 1] / p.varphi(x - 1) if x >= 1 else 0) for x in range(len(g) - 1)]
+    return [g[x] / p.shifted(0).phi0_sq(x) for x in range(x_max + 1)]
+
+
 def fraction_shift_checks(p, n_max, x_max):
     """verify_shift_relations' checks as (name, passed, witness) rows, one
     per x of each identity (`fold` folds them), with the shifts, the product
@@ -387,12 +405,11 @@ def fraction_shift_checks(p, n_max, x_max):
     up, out = p.shifted(1), []
     for n in range(1, n_max + 1):
         e, pn, qn = p.energy(n), (lambda y: p.poly_value(n, y)), (lambda y: up.poly_value(n - 1, y))
+        rod = fraction_rodrigues(p, n, x_max)
         for x in range(x_max + 1):
             out.append((f"forward n={n} for all x", fraction_forward(p, pn, x) == e * qn(x), f"x={x}"))
             out.append((f"backward n={n} for all x", fraction_backward(p, qn, x) == pn(x), f"x={x}"))
-    for n in range(n_max + 1):
-        rod = rodrigues_vector(p, n, x_max)
-        out += [(f"product formula n={n}", rod[x] == p.poly_eval(n, x), f"x={x}") for x in range(x_max + 1)]
+            out.append((f"product formula n={n} for all x", rod[x] == pn(x), f"x={x}"))
     kappa, e1 = p.kappa, p.energy(1)
     for x in range(x_max + 1):
         diag = p.B(x) + p.D(x + 1) == kappa * (up.B(x) + up.D(x)) + e1
@@ -459,26 +476,43 @@ ORACLE_FAMILIES = pytest.mark.parametrize(
 )
 @ORACLE_FAMILIES
 def test_base_pair_checks_match_their_fraction_form(make, how):
-    # the difference equation, the shifts and shape invariance are each
-    # decided once for every x; each passes exactly when its Fraction form
-    # written out here holds at every x in 0..15, and names its first
-    # failing x, for the sound family and for one whose B, D or P_n is off
-    # by a `bump` at x0 (P_n at x0 = 8, past the points 1..7 at which `poly`
-    # checks its Newton form against the series for n <= 3).  The window
-    # reaches x = 15, where the bump is nonzero again: an identity may not
-    # read x0 on 0..12 (the off-diagonal reads B(x+1), never B(0); and
-    # P_2(2) = P_2(3) for M hides D(3) from n = 2), yet fail for all x.
+    # the difference equation, the shifts, the product formula and shape
+    # invariance are each decided once for every x; each passes exactly when
+    # its Fraction form written out here holds at every x in 0..15, and names
+    # its first failing x, for the sound family and for one whose B, D or P_n
+    # is off by a `bump` at x0 (P_n at x0 = 8, past the points 1..7 at which
+    # `poly` checks its Newton form against the series for n <= 3).  The
+    # window reaches x = 15, where the bump is nonzero again: an identity may
+    # not read x0 on 0..12 (the off-diagonal reads B(x+1), never B(0); and
+    # P_2(2) = P_2(3) for M hides D(3) from n = 2), yet fail for all x.  The
+    # product formula reads B and D only of p.shifted(j), j >= 0, which a
+    # spoilt family builds sound, so of these bumps only P's fails it.
     p = make() if how is None else spoilt_family(make(), how[0], bump(make(), how[1]))
     failures = 0
     for rep, oracle in (
         (verify_difference_equation(p, 3), fraction_difference_checks),
-        (verify_shift_relations(p, 3, 15), fraction_shift_checks),
+        (verify_shift_relations(p, 3), fraction_shift_checks),
     ):
         got = [(c.name, c.passed, c.witness) for c in rep.checks]
         expected = fold(oracle(p, 3, 15))
         assert got == expected
         failures += sum(not passed for _, passed, _ in expected)
     assert (failures == 0) == (how is None)
+
+
+@pytest.mark.parametrize("how, witness", [("bump", "x=2"), ("doubled", "x=0")])
+@ORACLE_FAMILIES
+def test_a_wrong_rho_fails_every_product_formula_row(make, how, witness, monkeypatch):
+    # rho's closed form off by a `bump` at x0 = 3 breaks the recurrence
+    # rho(x+1)/rho(x) first at x = 2; doubled it keeps the recurrence but
+    # breaks rho(0) = 1, at every x.  Every product formula row reads rho at
+    # lambda, so each fails, and no other row reads rho.
+    p, rho = make(), families._rho
+    extra = bump(p, 3)
+    spoilt = {"bump": lambda lo, w: rho(lo, w) + extra(w), "doubled": lambda lo, w: 2 * rho(lo, w)}[how]
+    monkeypatch.setattr(families, "_rho", spoilt)
+    failures = [(c.name, c.witness) for c in verify_shift_relations(p, 3).failures()]
+    assert failures == [(f"product formula n={n} for all x", witness) for n in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("name", ["B", "D"])
@@ -499,7 +533,7 @@ def test_a_potential_wrong_only_past_the_window_fails_for_all_x(make, name):
 
     p = spoilt_family(p, name, extra)
     assert all(passed for _, passed, _ in fraction_difference_checks(p, 3, 12) + fraction_shift_checks(p, 3, 12))
-    base = verify_difference_equation(p, 3).failures() + verify_shift_relations(p, 3, 12).failures()
+    base = verify_difference_equation(p, 3).failures() + verify_shift_relations(p, 3).failures()
     virtual = verify_linear_relation(p, 12).failures()
     assert base and {c.name for c in virtual} == {"product identity for all x", "sum identity for all x"}
     for c in base + virtual:
