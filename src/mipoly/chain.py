@@ -27,8 +27,10 @@ construction rests on:
     n = 0 row: with u = Xi' and E_0 = 0 the identity holds for any values,
     and that w''_{s,0} is the ground state of A_s A_s^dagger + Et_{d_s} is
     the `standard form s` checks below,
-  - the Casoratian nesting rule linking levels s and s+1,
-  - the two three-term contiguity identities between levels,
+  - the Casoratian nesting rule and the contiguity identity between levels
+    s and s+1, the forward and backward shifts of the deletion step (a
+    discrete Darboux transformation), checked as the parameter shifts are
+    (`families._shift_identity` on `_step_shifts`), also at negative x,
   - definite-sign statements for w_s, w'_{s,v}, w''_{s,0} with the exact
     sign predicted by the energy-ordering factor `sign_closed`, and the
     resulting positivity of all step potentials,
@@ -66,8 +68,9 @@ system's `_cache` (the one cache rule):
   - `_level` of the prefix system d_1..d_s: the step potentials of level s
     and the coefficients that the eigen-identity checks of all companion
     columns share;
-  - `_contiguity_coefficients` of the same prefix system, keyed by the next
-    label d_{s+1}: the coefficients of the contiguity identities.
+  - `_step_shifts` of the same prefix system, keyed by the next label
+    d_{s+1}: the forward (nesting) and backward (contiguity) triples of the
+    deletion step to level s + 1.
 
 So every order that shares a prefix shares its levels (every order shares
 level 0), a repeated request finds them built, and each table entry is
@@ -91,7 +94,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .casoratian import LatticeFunction
-from .families import _BaseFamily, _a_adag, _adag_a, _eigen_identity, _operator, _same_form, memo
+from .families import _BaseFamily, _a_adag, _adag_a, _eigen_identity, _operator, _same_form, _shift_identity, memo
 from .multi import MultiIndexedSystem, _deformed_potentials, _validate_labels, system
 from .report import Report
 from .series import pair, pair_common, pair_equal, pair_product, pair_quotient
@@ -189,21 +192,24 @@ def _level(prefix: MultiIndexedSystem) -> _Level:
 
 
 @memo
-def _contiguity_coefficients(prefix: MultiIndexedSystem, v: int) -> LatticeFunction:
-    """The table (aB'(x+s) w_s(x), aD'(x) w_s(x+1), w_{s+1}(x)) from level s
-    of the prefix to level s + 1 with the next label v: the coefficients of
-    the contiguity identity, over one common positive denominator (dropped,
-    the identity being homogeneous in them)."""
+def _step_shifts(prefix: MultiIndexedSystem, v: int) -> LatticeFunction:
+    """The shift table of the deletion step from level s of the prefix to
+    level s + 1 with the next label v, in `families._operator`'s format: the
+    triples (-w_{s+1}(x+1), -w_{s+1}(x), w_s(x+1)) and (aB'(x+s) w_s(x),
+    aD'(x) w_s(x+1), w_{s+1}(x)), each over one common positive denominator.
+    For a level s + 1 column u and its level s companion l of energy eps,
+    F l = u is the nesting rule and G u = (Et_{d_{s+1}} - eps) l contiguity."""
     p, s = prefix.p, prefix.M
     aB, aD, _, _ = _base_tables(system(p, ()))
     w1, w2 = prefix.w_grid, system(p, prefix.labels + (v,)).w_grid
 
-    def contiguity(x):
-        b = pair_product(aB.pair(x + s), w1.pair(x))
-        d = pair_product(aD.pair(x), w1.pair(x + 1))
-        return pair_common(b, d, w2.pair(x))
+    def shifts(x):
+        (a, ad), (b, bd) = w2.pair(x + 1), w2.pair(x)
+        forward = pair_common((-a, ad), (-b, bd), w1.pair(x + 1))
+        g0 = pair_product(aB.pair(x + s), w1.pair(x))
+        return forward, pair_common(g0, pair_product(aD.pair(x), w1.pair(x + 1)), (b, bd))
 
-    return LatticeFunction(contiguity)
+    return LatticeFunction(shifts)
 
 
 class ChainState:
@@ -262,34 +268,6 @@ def _same_hamiltonian(rep: Report, name: str, xs, H: tuple, K: tuple) -> None:
     rep.every(f"{name} diagonal", xs, diag)
 
 
-def _contiguity(contiguity: LatticeFunction, upper, lower, k) -> Callable[[int], bool]:
-    """aB'(x+s) w_s(x) upper(x) = aD'(x) w_s(x+1) upper(x-1)
-       + (Et_{d_{s+1}} - eps) w_{s+1}(x) lower(x), with k = Et_{d_{s+1}} - eps
-    and upper, lower lattice functions of pairs."""
-
-    kn, kd = pair(k)
-
-    def holds(x):
-        b, d, w2 = contiguity(x)
-        (un, ud), (u0n, u0d), (ln, ld) = upper(x), upper(x - 1), lower(x)
-        return b * un * u0d * kd * ld == (d * u0n * kd * ld + kn * w2 * ln * u0d) * ud
-
-    return holds
-
-
-def _nesting(ws, ws1, upper, lower) -> Callable[[int], bool]:
-    """w_s(x+1) upper(x) = w_{s+1}(x) lower(x+1) - w_{s+1}(x+1) lower(x), all
-    four lattice functions of pairs."""
-
-    def holds(x):
-        an, ad = pair_product(ws(x + 1), upper(x))
-        bn, bd = pair_product(ws1(x), lower(x + 1))
-        cn, cd = pair_product(ws1(x + 1), lower(x))
-        return an * bd * cd == (bn * cd - cn * bd) * ad
-
-    return holds
-
-
 # Virtual-state companions checked per level beyond the chain's own labels.
 _EXTRA_VIRTUAL = 2
 
@@ -299,9 +277,9 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
 
     Every check is an exact comparison at each point of its range, and
     every check runs on every call.  What the checks at one level s and
-    point x share (the eigen-identity and contiguity coefficients, the step
-    potentials) is read from the level tables of the prefix systems, so it
-    is computed once per (prefix, x), not once per companion column, order
+    point x share (the eigen-identity coefficients, the step's shifts, the
+    step potentials) is read from the level tables of the prefix systems, so
+    it is computed once per (prefix, x), not once per companion column, order
     or request.  A failing check names its first failing x.
     """
     prefix = _prefix_systems(p, order)
@@ -320,31 +298,29 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
     removed = [te[d] for d in order]
     levels = [_level(pre) for pre in prefix]
 
+    def wp(s, v):  # the grid w'_{s,v}
+        return system(p, order[:s] + (v,)).w_grid
+
     # eigen-identities at every level, for virtual companions and eigen companions
     for s, (pre, lv) in enumerate(zip(prefix, levels)):
         vs = [v for v in pool if v not in order[:s]][: _EXTRA_VIRTUAL + 1]
         for v in vs:
-            holds = _eigen_identity(lv.eigen, system(p, order[:s] + (v,)).w_grid.pair, -te[v])
+            holds = _eigen_identity(lv.eigen, wp(s, v).pair, -te[v])
             rep.every(f"virtual eigen-identity s={s},v={v}", xs_any, holds)
         for n in range(1, n_max + 1):  # n = 0: u = w''_{s,0} = Xi' and E_0 = 0 hold it for any values
             holds = _eigen_identity(lv.eigen, pre.wpp_grid(n).pair, -energies[n])
             rep.every(f"eigen eigen-identity s={s},n={n}", xs_any, holds)
 
-    # nesting rule and contiguity identities between levels
+    # each deletion step's shifts between levels: nesting forward, contiguity backward
     for s in range(M):
-        lo, up = prefix[s], prefix[s + 1]
-        ws, ws1, contiguity = lo.w_grid.pair, up.w_grid.pair, _contiguity_coefficients(lo, order[s])
+        lo, up, shifts = prefix[s], prefix[s + 1], _step_shifts(prefix[s], order[s])
         vs = [v for v in pool if v not in order[: s + 1]][:_EXTRA_VIRTUAL]
-        for n in range(n_max + 1):
-            upper, lower = up.wpp_grid(n).pair, lo.wpp_grid(n).pair
-            rep.every(f"nesting (eigen) s={s},n={n}", xs_any, _nesting(ws, ws1, upper, lower))
-            holds = _contiguity(contiguity, upper, lower, removed[s] - energies[n])
-            rep.every(f"contiguity (eigen) s={s},n={n}", xs_any, holds)
-        for v in vs:
-            upper, lower = system(p, order[: s + 1] + (v,)).w_grid.pair, system(p, order[:s] + (v,)).w_grid.pair
-            rep.every(f"nesting (virtual) s={s},v={v}", xs_any, _nesting(ws, ws1, upper, lower))
-            holds = _contiguity(contiguity, upper, lower, removed[s] - te[v])
-            rep.every(f"contiguity (virtual) s={s},v={v}", xs_any, holds)
+        companions = [(f"(eigen) s={s},n={n}", up.wpp_grid(n), lo.wpp_grid(n), energies[n]) for n in range(n_max + 1)]
+        companions += [(f"(virtual) s={s},v={v}", wp(s + 1, v), wp(s, v), te[v]) for v in vs]
+        for name, upper, lower, e in companions:
+            rep.every(f"nesting {name}", xs_any, _shift_identity(shifts, lower.pair, upper.pair, 1, True))
+            holds = _shift_identity(shifts, upper.pair, lower.pair, removed[s] - e, False)
+            rep.every(f"contiguity {name}", xs_any, holds)
 
     # definite signs and potential positivity at every level
     for s in range(1, M + 1):
@@ -357,7 +333,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
             tau = sigma
             for e in removed[:s]:
                 tau *= _sgn(e - te[v])
-            wps = system(p, order[:s] + (v,)).w_grid
+            wps = wp(s, v)
             rep.every(f"w'_{s},{v} definite sign", xs_lattice, lambda x: tau * wps.pair(x)[0] > 0)
         rep.every(f"w''_{s},0 definite sign", xs_lattice, lambda x: gsign * g.pair(x)[0] > 0)
         potentials = (("Bhat", "Dhat", lv.Bhat, lv.Dhat), ("B_std", "D_std", lv.B_std, lv.D_std))

@@ -55,10 +55,12 @@ and the leading-coefficient factors leading_factors(labels, n).
 
 So is the lattice operator H = A^dagger A + const of (B, D), on the pairs
 of the `series` kernel: eigen-equation and shift tables (`_operator`; at
-Xi = 1 the family's own) and the comparison of two factorized forms
-(`_same_form`) that decides shape invariance and the twist's linear relation.
-The family's own identities run that code once, at w the symbolic lattice
-variable (`_at_w`, `_for_all_x`).  There every value is rational in w, with
+Xi = 1 the family's own), the one check of every eigen-identity and of
+every shift-type identity in the package (`_eigen_identity`,
+`_shift_identity`), and the comparison of two factorized forms
+(`_same_form`) that decides shape invariance and the twist's linear
+relation.  The family's own identities run that code once, at w the
+symbolic lattice variable (`_at_w`, `_for_all_x`).  There every value is rational in w, with
 denominators that are powers of w and nonzero constants, none zero at a
 lattice point w(x) = x or q^x: an identity in Q(w) holds at every lattice x,
 and a false one has a nonzero residual, zero at finitely many w(x).  The
@@ -651,12 +653,15 @@ def _eigen_identity(eigen, u, k) -> Callable[[int], bool]:
     """(A + k C) u(x) == P u(x+1) + Q u(x-1) for the table eigen(x) =
     (A, C, P, Q), the int numerators of the coefficients over one common
     denominator (dropped: the identity is homogeneous in them), an exact
-    scalar k and a lattice function u of pairs, by one cross-multiplication."""
+    scalar k and a lattice function u of pairs, by one cross-multiplication;
+    it raises ZeroDivisionError only where every coefficient at x is 0."""
 
     kn, kd = pair(k)
 
     def holds(x):
         a, c, p, q = eigen(x)
+        if not (a or c or p or q):
+            raise ZeroDivisionError("every eigen-identity coefficient vanishes")
         (un, ud), (u1n, u1d), (u0n, u0d) = u(x), u(x + 1), u(x - 1)
         return (a * kd + kn * c) * un * u1d * u0d == (p * u1n * u0d + q * u0n * u1d) * kd * ud
 
@@ -666,12 +671,21 @@ def _eigen_identity(eigen, u, k) -> Callable[[int], bool]:
 def _shift(shifts, f, x: int, forward: bool) -> tuple:
     """(F f)(x) = (f0 f(x) - f1 f(x+1)) / fc if forward, else (G f)(x) = (g0
     f(x) - g1 f(x-1)) / gc, an unreduced pair from `_operator`'s triples and
-    f of pairs (g1 holds D(0) = 0 at x = 0); a zero divisor raises ZeroDivisionError."""
+    f of pairs (g1 holds D(0) = 0 at x = 0), over 0 if the divisor is 0.
+    Only where every coefficient vanishes does it raise ZeroDivisionError."""
     (c0, c1, c), (a, ad) = shifts(x)[0 if forward else 1], f(x)
-    if not c:
-        raise ZeroDivisionError("shift divisor vanishes")
+    if not (c0 or c1 or c):
+        raise ZeroDivisionError("every shift coefficient vanishes")
     b, bd = f(x + 1 if forward else x - 1)
     return c0 * a * bd - c1 * b * ad, c * ad * bd
+
+
+def _shift_identity(shifts, f, g, k, forward: bool) -> Callable[[int], bool]:
+    """(F f)(x) == k g(x) if forward, else (G f)(x) == k g(x), cleared of the
+    divisor, for `_shift` triples, an exact scalar k and f, g of pairs: the
+    parameter shifts and a deletion step's nesting and contiguity (`chain`)."""
+    k = pair(k)
+    return lambda x: pair_equal(_shift(shifts, f, x, forward), pair_product(k, g(x)))
 
 
 def _operator(B, D, varphi, b0, xi=lambda x: 1, xi_up=lambda x: 1) -> tuple:
@@ -785,7 +799,10 @@ def _at_w(p: _BaseFamily, w, *fs) -> list:
 def _for_all_x(rep: Report, name: str, p: _BaseFamily, holds) -> None:
     """Add the check `name`: holds(w) at every x's lattice variable w, decided
     once at the symbolic w; only a failure walks the lattice (`Report.every`)
-    for the first x where it fails."""
+    for the first x where it fails.  A symbolic parameter would be read as w."""
+    for param in p.param_names:
+        if isinstance(getattr(p, param), RationalFunction):
+            raise TypeError(f"{name} is not defined for symbolic parameters: {param} is symbolic")
     ok, (a0, b0) = holds(RationalFunction.variable()), p.eta_affine(0)  # eta(x) = a0 + b0 w
     rep.every(name, () if ok else itertools.count(), lambda x: holds((p.eta(x) - a0) / b0))
 
@@ -808,21 +825,20 @@ def verify_difference_equation(p: _BaseFamily, n_max: int) -> Report:
 
 
 def verify_shift_relations(p: _BaseFamily, n_max: int) -> Report:
-    """Forward/backward shifts on pairs (`_operator`), the product formula
-    (`rodrigues_vector`, with its `_rho`) and shape invariance (`_same_shape`),
-    each for every x (`_for_all_x`), n >= 1 (at n = 0 the formula is 1 = 1)."""
+    """Forward/backward shifts on pairs (`_shift_identity`), the product
+    formula (`rodrigues_vector`, row n deciding `_rho` at the shift n) and
+    shape invariance (`_same_shape`), each for every x (`_for_all_x`), n >= 1."""
     rep = Report(f"base.shift-relations[{p!r}]", "shift operators, product formula, shape invariance")
     up, w0 = p.shifted(1), -Fraction(p.eta_affine(0)[0]) / p.eta_affine(0)[1]  # w at x = 0, eta(0) = 0
 
     def shift_holds(f, g, e, forward, w):  # F f = e g if forward, else G f = e g
-        f, g = _at_w(p, w, f, g)
-        return pair_equal(_shift(p._own_operator(w)[1], _pairs(f), 0, forward), _pairs(g, e)(0))
+        return _shift_identity(p._own_operator(w)[1], *map(_pairs, _at_w(p, w, f, g)), e, forward)(0)
 
-    def product_holds(n, w):  # rho(0) = 1, rho(x+1)/rho(x) = B(x; mu) D(x+1; lo) / (D(x+1; mu) B(x; lo))
-        for j in range(1, n + 1):
-            mu, lo, w1 = p.shifted(j), p.shifted(j - 1), p.step_w(w, 1)
-            if _rho(lo, w0) != 1 or _rho(lo, w) * mu.B_w(w) * lo.D_w(w1) != _rho(lo, w1) * mu.D_w(w1) * lo.B_w(w):
-                return False
+    def product_holds(n, w):  # rho at the shift n; rows 1..n-1 decide the shifts before
+        # rho(0) = 1, rho(x+1)/rho(x) = B(x; mu) D(x+1; lo) / (D(x+1; mu) B(x; lo))
+        mu, lo, w1 = p.shifted(n), p.shifted(n - 1), p.step_w(w, 1)
+        if _rho(lo, w0) != 1 or _rho(lo, w) * mu.B_w(w) * lo.D_w(w1) != _rho(lo, w1) * mu.D_w(w1) * lo.B_w(w):
+            return False
         return rodrigues_vector(p, n, w) == p.poly_value_w(n, w)
 
     for n in range(1, n_max + 1):

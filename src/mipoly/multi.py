@@ -43,8 +43,9 @@ The Casoratian columns xi_d(eta(x)) and nu(x) P_n(eta(x)) are memos of the
 family, read by every system on it.  The deformed operator is the
 `families` lattice operator at Xi = Xi_D, its tables kept on the system
 for every n (`_operator_tables`), and its checks are the `families`
-predicates; a vanishing divisor raises ZeroDivisionError.  `eigen_residual`,
-`forward_apply` and `backward_apply` are scalar views of the same tables.
+predicates, cleared of the divisor (a zero of Xi_D is the `Xi > 0` row's
+failure).  `eigen_residual`, `forward_apply` and `backward_apply` are scalar
+views of the same tables, which raise ZeroDivisionError on a zero divisor.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .casoratian import LatticeFunction, casoratian
-from .families import _BaseFamily, _eigen_identity, _operator, _same_shape, _shift, memo
+from .families import _BaseFamily, _eigen_identity, _operator, _same_shape, _shift, _shift_identity, memo
 from .polynomials import Polynomial, interpolate
 from .ratfunc import RationalFunction
 from .report import Report
-from .series import Interval, pair, pair_equal, pair_product, pair_quotient, pair_value
+from .series import Interval, pair, pair_product, pair_quotient, pair_value
 from .virtual import xi_poly
 
 
@@ -380,9 +381,6 @@ def verify_eigen_equation(p: _BaseFamily, labels: Sequence[int], n_max: int, x_m
     sys = system(p, labels)
     rep = Report(f"multi.eigen-equation[{sys!r}]", "similarity-transformed eigenvalue equation")
     eigen = _operator_tables(sys)[0]
-    for x in range(x_max + 1):
-        if not eigen(x)[1]:
-            raise ZeroDivisionError(f"eigen-equation divisor C vanishes at x={x}")
     for n in range(n_max + 1):
         holds = _eigen_identity(eigen, lambda y, n=n: pair(sys.multi_poly_at(n, y)), -sys.p.energy(n))
         rep.every(f"n={n}", range(x_max + 1), holds, lambda x: f"x={x}, residual={sys.eigen_residual(n, x)}")
@@ -402,13 +400,10 @@ def verify_shape_invariance(p: _BaseFamily, labels: Sequence[int], n_max: int, x
     shifts = _operator_tables(sys)[1]
     xs = range(x_max + 1)
     for n in range(1, n_max + 1):
-        e_pair = pair(sys.p.energy(n))
         p_pair = lambda y, n=n: pair(sys.multi_poly_at(n, y))
         q_pair = lambda y, n=n: pair(up_sys.multi_poly_at(n - 1, y))
-        forward = lambda x: pair_equal(_shift(shifts, p_pair, x, True), pair_product(e_pair, q_pair(x)))
-        backward = lambda x: pair_equal(_shift(shifts, q_pair, x, False), p_pair(x))
-        rep.every(f"forward n={n}", xs, forward)
-        rep.every(f"backward n={n}", xs, backward)
+        rep.every(f"forward n={n}", xs, _shift_identity(shifts, p_pair, q_pair, sys.p.energy(n), True))
+        rep.every(f"backward n={n}", xs, _shift_identity(shifts, q_pair, p_pair, 1, False))
     rep.every("B_D > 0", xs, lambda x: sys.B_D(x) > 0)
     rep.every("D_D sign", xs, lambda x: sys.D_D(x) > 0 if x >= 1 else sys.D_D(x) == 0)
     diag, offd = _same_shape(sys.p, sys.B_D, sys.D_D, up_sys.B_D, up_sys.D_D)

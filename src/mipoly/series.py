@@ -89,8 +89,8 @@ def pair_sum(*pairs) -> tuple:
 
 
 def pair_equal(a, b) -> bool:
-    """Equality of two pairs with nonzero denominators, by one
-    cross-multiplication."""
+    """Equality of two pairs, b's denominator nonzero, by one
+    cross-multiplication; a zero denominator of a compares a cleared form."""
     return a[0] * b[1] == b[0] * a[1]
 
 

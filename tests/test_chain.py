@@ -7,18 +7,17 @@ from itertools import permutations
 
 import pytest
 
+from mipoly.casoratian import LatticeFunction
 from mipoly.chain import (
     ChainState,
     _base_tables,
-    _contiguity,
-    _contiguity_coefficients,
     _level,
-    _nesting,
+    _step_shifts,
     chain_build,
     chain_verify,
     sign_closed,
 )
-from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner, _eigen_identity
+from mipoly.families import LittleQJacobi, LittleQLaguerre, Meixner, _eigen_identity, _shift_identity
 from mipoly.multi import system
 from mipoly.series import pair
 from mipoly.virtual import index_set
@@ -398,7 +397,9 @@ def test_fraction_free_identities_match_their_fraction_form(p, order):
     # both forms must give the same verdict at every level, companion and x,
     # for the exact columns (all hold) and for two corruptions at x = 3; the
     # chain checks each level's eigen-identity in its standard form, and the
-    # exact columns also satisfy it in the hat form the deletion step leaves
+    # exact columns also satisfy it in the hat form the deletion step leaves;
+    # nesting and contiguity are the forward and backward shifts of the
+    # step's table, checked by the predicate of the parameter shifts
     prefix = [system(p, order[:s]) for s in range(len(order) + 1)]
     aB, aD, _, _ = _base_tables(prefix[0])
     xs, pool = range(-2, 13), index_set(p, max(order) + 3)
@@ -469,17 +470,49 @@ def test_fraction_free_identities_match_their_fraction_form(p, order):
             k_next = p.virtual_energy(order[s])
             pairs = [(wp(s + 1, v), wp(s, v), p.virtual_energy(v)) for v in virtual(s + 1, 2)]
             pairs += [(prefix[s + 1].wpp_grid(n), prefix[s].wpp_grid(n), p.energy(n)) for n in range(4)]
-            contiguity = _contiguity_coefficients(prefix[s], order[s])
+            shifts = _step_shifts(prefix[s], order[s])
             for up, lo, e in pairs:
                 for upper, lower in ((_corrupted(up, how), lo), (up, _corrupted(lo, how))):
-                    holds = _nesting(*map(_pairs, (w(s), w(s + 1), upper, lower)))
+                    holds = _shift_identity(shifts, _pairs(lower), _pairs(upper), 1, True)
                     for x in xs:
                         seen.append(holds(x))
                         assert seen[-1] == nesting_fraction(s, upper, lower, x), ("nesting", s, x)
-                    holds = _contiguity(contiguity, _pairs(upper), _pairs(lower), k_next - e)
+                    holds = _shift_identity(shifts, _pairs(upper), _pairs(lower), k_next - e, False)
                     for x in xs:
                         seen.append(holds(x))
                         expected = contiguity_fraction(s, upper, lower, k_next - e, x)
                         assert seen[-1] == expected, ("contiguity", s, x)
     assert all(verdicts["exact"])
     assert not all(verdicts["plus 1/7"]) and not all(verdicts["negated"])
+
+
+def test_a_zero_step_divisor_off_the_lattice_is_checked_not_raised():
+    # every order of M 1,1/2 that starts with label 1 has w_1(-2) = 0, the
+    # divisor of the s = 0 backward (contiguity) triple at x = -2; the other
+    # two coefficients do not vanish, so the cleared identity still says
+    # something, and every row is decided
+    p = Meixner(1, F(1, 2))
+    g0, g1, gc = _step_shifts(system(p, ()), 1)(-2)[1]
+    assert system(p, (1,)).w_grid(-2) == 0 and gc == 0 and g0 and g1
+    rep = chain_verify(p, (1, 3))
+    assert rep.passed and "contiguity (eigen) s=0,n=0" in [c.name for c in rep.checks]
+
+
+@pytest.mark.parametrize("forward", [True, False], ids=["nesting", "contiguity"])
+def test_an_all_zero_step_triple_raises(monkeypatch, forward):
+    # where every coefficient of a step's triple vanishes, at x = 3, the
+    # identity is vacuous: the chain raises there instead of passing 0 == 0
+    from mipoly import chain, multi
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    original = chain._step_shifts
+
+    def zeroed(prefix, v):
+        table = original(prefix, v)
+        zero = lambda x: ((0, 0, 0), table(x)[1]) if forward else (table(x)[0], (0, 0, 0))
+        return LatticeFunction(lambda x: zero(x) if x == 3 else table(x))
+
+    monkeypatch.setattr(chain, "_step_shifts", zeroed)
+    assert chain_verify(M, (1, 2), n_max=1, x_max=2).passed
+    with pytest.raises(ZeroDivisionError, match="every shift coefficient vanishes"):
+        chain_verify(M, (1, 2), n_max=1, x_max=3)

@@ -14,6 +14,7 @@ from mipoly.families import (
     LittleQJacobi,
     LittleQLaguerre,
     Meixner,
+    _shift_identity,
     rodrigues_vector,
     verify_difference_equation,
     verify_shift_relations,
@@ -21,7 +22,7 @@ from mipoly.families import (
 from mipoly.multi import system
 from mipoly.polynomials import interpolate
 from mipoly.ratfunc import RationalFunction
-from mipoly.series import q_pochhammer
+from mipoly.series import pair, q_pochhammer
 from mipoly.virtual import verify_linear_relation, xi_poly
 
 M = Meixner(1, F(1, 2))
@@ -505,14 +506,31 @@ def test_base_pair_checks_match_their_fraction_form(make, how):
 def test_a_wrong_rho_fails_every_product_formula_row(make, how, witness, monkeypatch):
     # rho's closed form off by a `bump` at x0 = 3 breaks the recurrence
     # rho(x+1)/rho(x) first at x = 2; doubled it keeps the recurrence but
-    # breaks rho(0) = 1, at every x.  Every product formula row reads rho at
-    # lambda, so each fails, and no other row reads rho.
+    # breaks rho(0) = 1, at every x.  Row n decides rho at the shift n, so
+    # each row fails, and no other row reads rho.
     p, rho = make(), families._rho
     extra = bump(p, 3)
     spoilt = {"bump": lambda lo, w: rho(lo, w) + extra(w), "doubled": lambda lo, w: 2 * rho(lo, w)}[how]
     monkeypatch.setattr(families, "_rho", spoilt)
     failures = [(c.name, c.witness) for c in verify_shift_relations(p, 3).failures()]
     assert failures == [(f"product formula n={n} for all x", witness) for n in (1, 2, 3)]
+
+
+@ORACLE_FAMILIES
+def test_the_product_formula_decides_each_shifts_rho_once(make, monkeypatch):
+    # row n decides rho's closed form at the shift it adds, from lambda +
+    # (n-1) delta; rows 1..n-1 decide the others that rodrigues_vector reads.
+    # So rho(0) = 1, read at the lattice w of x = 0, is decided once per shift
+    p, rho, decided = make(), families._rho, []
+
+    def recording(lo, w):
+        if not isinstance(w, RationalFunction):  # the stencil reads rho at the symbolic w
+            decided.append(lo)
+        return rho(lo, w)
+
+    monkeypatch.setattr(families, "_rho", recording)
+    assert verify_shift_relations(p, 5).passed
+    assert decided == [p.shifted(j) for j in range(5)]
 
 
 @pytest.mark.parametrize("name", ["B", "D"])
@@ -636,3 +654,23 @@ def test_lattice_variable(p):
         if x >= 0:
             ratio = p.B_w(w(x)) / p.D_w(p.step_w(w(x), 1))
             assert ratio == p.phi0_sq(x + 1) / p.phi0_sq(x), x
+
+
+@pytest.mark.parametrize("suite", [verify_difference_equation, verify_shift_relations])
+def test_a_symbolic_parameter_is_refused_not_read_as_w(suite):
+    # RationalFunction is univariate: decided at the symbolic w, a symbolic c
+    # would be the same variable, so each row would hold only on c = w
+    with pytest.raises(TypeError, match="not defined for symbolic parameters: c is symbolic"):
+        suite(Meixner(F(5, 2), RationalFunction.variable()), 2)
+
+
+def test_the_shift_predicate_decides_the_cleared_form_at_a_zero_divisor():
+    # with fc = 0, F f = k g states f0 f(x) = f1 f(x+1): decided, not raised;
+    # only an all-zero triple, which states nothing, raises
+    f = lambda x: pair(F(x + 1, 3))
+    table = lambda x: ((x + 2, x + 1, 0), (1, 1, 0)) if x < 5 else ((0, 0, 0), (0, 0, 0))
+    assert all(_shift_identity(table, f, f, 7, True)(x) for x in range(5))  # (x+2)(x+1) = (x+1)(x+2)
+    assert not any(_shift_identity(table, f, f, 7, False)(x) for x in range(5))  # f(x) != f(x-1)
+    for forward in (True, False):
+        with pytest.raises(ZeroDivisionError, match="every shift coefficient vanishes"):
+            _shift_identity(table, f, f, 7, forward)(5)

@@ -477,7 +477,9 @@ def test_the_deformed_operator_holds_over_q_of_c():
 
 def test_a_vanishing_divisor_raises_as_in_the_fraction_form(monkeypatch):
     # with Xi_D(3) = 0, or Xi_D(3) = Xi_D(4) = 0, the Fraction form divides
-    # by zero; the pair route raises on the same vanishing divisor
+    # by zero; the pair route raises too: the eigen suite from its failing
+    # row's residual (or where every coefficient vanishes, x = 3 of the
+    # second), the shape suite from the B_D table
     from mipoly import multi
 
     for zeros in ((3,), (3, 4)):
