@@ -79,10 +79,12 @@ def _enclosure(v: Interval) -> tuple[Fraction, Fraction]:
     """Outward-round enclosure endpoints to the denominator of DEFAULT_EPS,
     the enclosure precision.
 
-    The certified endpoints are exact rationals whose numerators can run to
-    thousands of digits (partial products of infinite q-products); widening
-    the enclosure outward preserves the containment guarantee while keeping
-    the serialized report readable and byte-deterministic.
+    The certified endpoints are exact rationals with more digits than the
+    precision asks for: an infinite q-product keeps 256 significant bits, a
+    rational power's denominator grows as its value shrinks, and `dn_sq`
+    multiplies either by a rational prefactor.  Widening the enclosure
+    outward preserves the containment guarantee while keeping the
+    serialized report short and byte-deterministic.
     """
     lo = Fraction(v.lo.numerator * _ENCLOSURE_DEN // v.lo.denominator, _ENCLOSURE_DEN)
     hi = Fraction(-((-v.hi.numerator * _ENCLOSURE_DEN) // v.hi.denominator), _ENCLOSURE_DEN)

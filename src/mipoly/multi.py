@@ -45,7 +45,9 @@ family, read by every system on it.  The deformed operator is the
 for every n (`_operator_tables`), and its checks are the `families`
 predicates, cleared of the divisor (a zero of Xi_D is the `Xi > 0` row's
 failure).  `eigen_residual`, `forward_apply` and `backward_apply` are scalar
-views of the same tables, which raise ZeroDivisionError on a zero divisor.
+views of the same tables, which raise ZeroDivisionError on a zero divisor;
+so an eigen row that fails where its divisor C vanishes says so in its
+witness instead of reading the residual.
 """
 
 from __future__ import annotations
@@ -245,8 +247,7 @@ class MultiIndexedSystem:
     def norm_target(self, n: int) -> Interval:
         """1 / (d_n^2 dt^2_{D,n}), the enclosure of the diagonal orthogonality
         sum (n, n).  d_n^2 is the family's enclosed mass times a rational, so
-        always an Interval; its endpoints carry long denominators, so the
-        target is built once."""
+        always an Interval, built once per system and n."""
         return 1 / (self.p.dn_sq(n) * self.dt_sq(n))
 
     @memo
@@ -377,13 +378,19 @@ def _operator_tables(sys: MultiIndexedSystem) -> tuple:
 
 def verify_eigen_equation(p: _BaseFamily, labels: Sequence[int], n_max: int, x_max: int) -> Report:
     """Exact zero residual of the deformed difference equation on pairs, one
-    check per n on 0..x_max; a failure names its first x and residual."""
+    check per n on 0..x_max; a failure names its first x and residual, or
+    says that C = Xi_D(x) Xi_D(x+1) Xi_D'(x) vanishes there, where the
+    residual, divided by C, has no value."""
     sys = system(p, labels)
     rep = Report(f"multi.eigen-equation[{sys!r}]", "similarity-transformed eigenvalue equation")
     eigen = _operator_tables(sys)[0]
+
+    def witness(n, x):
+        return f"x={x}, C=0" if not eigen(x)[1] else f"x={x}, residual={sys.eigen_residual(n, x)}"
+
     for n in range(n_max + 1):
         holds = _eigen_identity(eigen, lambda y, n=n: pair(sys.multi_poly_at(n, y)), -sys.p.energy(n))
-        rep.every(f"n={n}", range(x_max + 1), holds, lambda x: f"x={x}, residual={sys.eigen_residual(n, x)}")
+        rep.every(f"n={n}", range(x_max + 1), holds, lambda x, n=n: witness(n, x))
     return rep
 
 
@@ -591,11 +598,12 @@ def orthogonality_sum(p: _BaseFamily, labels: Sequence[int], n: int, m: int) -> 
     the larger of the two diagonal targets.
 
     Past x_star each term t bounds the tail after it by |t| k, k = r/(1-r).
-    The slack's denominator is long (thousands of bits for the q families),
-    so the test |t| k <= slack is one int comparison, |num t| K <= S den t,
+    The test |t| k <= slack is one int comparison, |num t| K <= S den t,
     with K = num(k) den(slack) and S = num(slack) den(k) formed once: k and
     every denominator are positive, so it is exact, and a negative slack
-    never converges.  The terms and the partial sum stay reduced Fractions.
+    never converges.  The slack's denominator is short (a few hundred bits
+    for the q families, whose mass keeps 256 significant bits), as are the
+    scale's.  The terms and the partial sum stay reduced Fractions.
     """
     sys = system(p, labels)
     diag = sys.norm_target

@@ -12,8 +12,12 @@ pairs over any ring, (Polynomial, int) pairs included.  Terminating
 hypergeometric sums fold their step factors t_{k+1}/t_k, each one pair, by
 nested Horner (`nested_sum`).  Infinite q-products and rational powers come
 back as `Interval`: a pair of Fraction endpoints provably bracketing the true
-value, of width at most `DEFAULT_EPS` = 10^-30, the one enclosure precision
-of the library (the CLI rounds enclosures outward to the same denominator).
+value, to `DEFAULT_EPS` = 10^-30, the one enclosure precision of the library
+(the CLI rounds enclosures outward to the same denominator).  An infinite
+q-product runs on intervals of fixed size, rounded outward at every step to
+`_BITS` = 256 significant bits on a grid no finer than 2^-256, so its cost
+per factor and the size of its endpoints do not grow as q nears 1; its width
+is within 2 DEFAULT_EPS plus a stated rounding bound far below it.
 A rational power is always an `Interval`, exact (lo == hi) for an integer
 exponent and otherwise within `DEFAULT_EPS` relative to its value, so its
 lower endpoint stays positive however small it is (a mass (1 - c)^beta at
@@ -26,6 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 DEFAULT_EPS = Fraction(1, 10**30)
+
+# The significant bits an infinite q-product's endpoints keep (`_outward`).
+_BITS = 256
 
 
 def pochhammer(a, k: int):
@@ -121,6 +128,24 @@ def nested_sum(steps, one):
     return pair_value(n, d)
 
 
+def _outward(lo: int, hi: int, d: int, e: int) -> tuple:
+    """[lo/d, hi/d] 2^e, for lo <= hi, d > 0 and e <= 0, rounded outward to
+    (lo', hi', e'): lo is floored and hi ceiled on the grid 2^e', each moving
+    by less than 2^e'.  e' keeps at most _BITS significant bits of the larger
+    endpoint, held within [-_BITS, 0]: no grid finer than 2^-_BITS, so a
+    denominator never passes 2^_BITS, and none coarser than 1.  So each
+    endpoint moves by less than 2^(1-_BITS) times the larger of
+    max(|lo|, |hi|)/d 2^e and 1/2.  A divisor d > 1 is first divided out
+    with _BITS bits to spare, and the floor of a floor is one floor."""
+    if d > 1:
+        k = _BITS + d.bit_length()
+        lo, hi, e = (lo << k) // d, -(-(hi << k) // d), e - k
+    f = min(max(e + max(-lo, hi).bit_length() - _BITS, -_BITS), 0)
+    if f < e:
+        return lo << e - f, hi << e - f, f
+    return lo >> f - e, -(-hi >> f - e), f
+
+
 def q_pochhammer(a, q, k: int | None):
     """(a; q)_k = prod_{j<k} (1 - a q^j); k=None means the infinite product.
 
@@ -128,9 +153,15 @@ def q_pochhammer(a, q, k: int | None):
     0 < q < 1 and returns an Interval: with T = |a| q^N / (1-q) < 1 the tail
     prod_{j>=N}(1 - a q^j) lies in [1-T, 1/(1-T)] because
     prod(1-u_j) >= 1 - sum|u_j| and prod(1+|u_j|) <= exp(T) <= 1/(1-T),
-    so |(a;q)_inf - P_N| <= |P_N| T/(1-T), driven below DEFAULT_EPS.  P_N and
-    a q^N are kept as unreduced int numerators and denominators, so the
-    loop takes no gcd; the endpoints are the same reduced Fractions.
+    so |(a;q)_inf - P_N| <= |P_N| T/(1-T), driven below DEFAULT_EPS.
+
+    P_n and a q^n are carried as intervals of int mantissas over a power of
+    two, rounded outward at every step by `_outward`, so a step costs the
+    same at any q and the loop takes no gcd.  The stopping test reads the
+    upper bounds of |P_n| and |a q^n|, and the endpoints come back rounded
+    outward the same way.  Over N steps the roundings widen the enclosure
+    by less than 2^(8-_BITS) U^2 (N + 1 + |a|) / (1-q)^2, U = prod_j
+    (1 + |a| q^j), so its width stays below 2 DEFAULT_EPS plus that.
     """
     if k is not None:
         if k < 0:
@@ -143,24 +174,24 @@ def q_pochhammer(a, q, k: int | None):
     a, q = Fraction(a), Fraction(q)
     if not 0 < q < 1:
         raise ValueError("infinite q-product needs 0 < q < 1")
-    pn, pd = 1, 1  # P_n = pn / pd
-    an, ad = a.numerator, a.denominator  # a q^n = an / ad
     qn, qd = q.numerator, q.denominator
     en, ed = DEFAULT_EPS.numerator, DEFAULT_EPS.denominator
-    n = 0
-    while True:
-        tn, td = abs(an) * qd, ad * (qd - qn)  # T = |a q^n| / (1 - q) = tn / td
-        # T <= 1/2 and |P_n| T / (1 - T) <= eps = DEFAULT_EPS = en / ed
-        if 2 * tn <= td and abs(pn) * tn * ed <= en * pd * (td - tn):
-            partial, t = Fraction(pn, pd), Fraction(tn, td)
-            lo = partial * (1 - t)
-            hi = partial / (1 - t)
-            return Interval(min(lo, hi), max(lo, hi))
-        pn, pd = pn * (ad - an), pd * ad
-        an, ad = an * qn, ad * qd
-        n += 1
-        if n > 100_000:
-            raise ValueError("infinite q-product failed to converge")
+    p_lo, p_hi, p_e = 1, 1, 0  # P_n in [p_lo, p_hi] 2^p_e
+    a_lo, a_hi, a_e = _outward(a.numerator, a.numerator, a.denominator, 0)  # a q^n likewise
+    for _ in range(100_001):
+        t, c = max(-a_lo, a_hi) * qd, (qd - qn) << -a_e  # T = t / c >= |a q^n| / (1 - q)
+        # T <= 1/2 and max|P_n| T / (1 - T) <= DEFAULT_EPS = en / ed
+        if 2 * t <= c and max(-p_lo, p_hi) * t * ed <= en * (c - t) << -p_e:
+            k = c - t  # the tail lies in [k/c, c/k] = [1 - T, 1/(1 - T)]
+            kk, cc = k * k, c * c
+            ends = p_lo * kk, p_lo * cc, p_hi * kk, p_hi * cc
+            lo, hi, e = _outward(min(ends), max(ends), c * k, p_e)
+            return Interval(Fraction(lo, 1 << -e), Fraction(hi, 1 << -e))
+        f_lo, f_hi = (1 << -a_e) - a_hi, (1 << -a_e) - a_lo  # 1 - a q^n
+        ends = p_lo * f_lo, p_lo * f_hi, p_hi * f_lo, p_hi * f_hi
+        p_lo, p_hi, p_e = _outward(min(ends), max(ends), 1, p_e + a_e)
+        a_lo, a_hi, a_e = _outward(a_lo * qn, a_hi * qn, qd, a_e)
+    raise ValueError("infinite q-product failed to converge")
 
 
 class Interval:

@@ -475,23 +475,48 @@ def test_the_deformed_operator_holds_over_q_of_c():
                 assert s.backward_apply(qn, x) == pn(x)
 
 
-def test_a_vanishing_divisor_raises_as_in_the_fraction_form(monkeypatch):
-    # with Xi_D(3) = 0, or Xi_D(3) = Xi_D(4) = 0, the Fraction form divides
-    # by zero; the pair route raises too: the eigen suite from its failing
-    # row's residual (or where every coefficient vanishes, x = 3 of the
-    # second), the shape suite from the B_D table
+def xi_with_zeros(monkeypatch, zeros):
+    """A fresh M `1,1/2` {1,2} system whose Xi_D vanishes at the x in zeros."""
     from mipoly import multi
 
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    s = system(Meixner(1, F(1, 2)), (1, 2))
+    xi = s.Xi_at
+    monkeypatch.setattr(s, "Xi_at", lambda x: 0 if x in zeros else xi(x))
+    return s
+
+
+def test_a_vanishing_divisor_raises_as_in_the_fraction_form(monkeypatch):
+    # with Xi_D(3) = 0, or Xi_D(3) = Xi_D(4) = 0, the Fraction form divides
+    # by zero; the pair route raises too where it has no statement to make:
+    # the shape suite from the B_D table, the eigen suite where every
+    # coefficient vanishes (x = 3 of the second).  A zero of C alone is a
+    # failing eigen row (next test)
     for zeros in ((3,), (3, 4)):
-        monkeypatch.setattr(multi, "_SYSTEMS", {})
-        s = system(Meixner(1, F(1, 2)), (1, 2))
-        xi = s.Xi_at
-        monkeypatch.setattr(s, "Xi_at", lambda x, xi=xi, zeros=zeros: 0 if x in zeros else xi(x))
-        for suite, oracle in ((verify_eigen_equation, fraction_eigen_checks), (verify_shape_invariance, fraction_shape_checks)):
+        s = xi_with_zeros(monkeypatch, zeros)
+        for oracle in (fraction_eigen_checks, fraction_shape_checks):
             with pytest.raises(ZeroDivisionError):
                 oracle(s, 2, 6)
-            with pytest.raises(ZeroDivisionError):
-                suite(s.p, s.labels, 2, 6)
+        with pytest.raises(ZeroDivisionError):
+            verify_shape_invariance(s.p, s.labels, 2, 6)
+    with pytest.raises(ZeroDivisionError):
+        verify_eigen_equation(s.p, s.labels, 2, 6)
+
+
+def test_a_zero_of_xi_is_a_failing_eigen_row(monkeypatch):
+    # Xi_D(3) = 0 makes C = Xi_D(x) Xi_D(x+1) Xi_D'(x) vanish at x = 2, where
+    # the cleared identity fails for n >= 1 (P_{D,0} = Xi_D' keeps n = 0); the
+    # witness names that x and says C vanishes, where the residual divides by
+    # C and raised ZeroDivisionError, losing the report
+    s = xi_with_zeros(monkeypatch, (3,))
+    with pytest.raises(ZeroDivisionError):
+        s.eigen_residual(1, 2)
+    rep = verify_eigen_equation(s.p, s.labels, 2, 6)
+    assert [(c.name, c.passed, c.witness) for c in rep.checks] == [
+        ("n=0", True, ""),
+        ("n=1", False, "x=2, C=0"),
+        ("n=2", False, "x=2, C=0"),
+    ]
 
 
 def test_a_point_with_no_divisor_raises_though_both_sides_vanish(monkeypatch):
