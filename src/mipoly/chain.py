@@ -70,13 +70,25 @@ system's `_cache` (the one cache rule):
     columns share;
   - `_step_shifts` of the same prefix system, keyed by the next label
     d_{s+1}: the forward (nesting) and backward (contiguity) triples of the
-    deletion step to level s + 1.
+    deletion step to level s + 1;
+  - `_squared_vector_factor` of the final system d_1..d_M: the factor of
+    the squared eigenvector match that every n shares, whose other side is
+    the final system's own table `orthogonality_terms(n, n)`, w_D P_{D,n}^2;
+  - `_swapped` of the final system, keyed by i: the system of the order with
+    d_i, d_{i+1} swapped, kept out of the `multi.system` store, whose C_D
+    and dt_sq the swap checks read.
 
 So every order that shares a prefix shares its levels (every order shares
 level 0), a repeated request finds them built, and each table entry is
-computed once per (system, x).  `chain_build` and `chain_verify` read the
-order's prefix systems and these tables directly; the checks themselves run
-on every call, and a check only combines table entries with its own column.
+computed once per (system, x).  Each eigen tuple and shift triple is
+divided by its integer content when it is filled (`series.primitive`): the
+identities are homogeneous in them, and a kept entry is read on every
+request.  `chain_build` and `chain_verify` read the order's prefix systems
+and these tables directly; the checks themselves run on every call, and a
+check only combines table entries with its own column.  So do the
+constants of the final level: the norm bookkeeping, the constant of the
+squared eigenvector match and the swap comparisons read the final system's
+C_D and dt_sq on every call.
 
 The arithmetic is the fraction-free pair coding of the lattice operator in
 `families`: grid values are read as int numerator and positive denominator
@@ -97,7 +109,7 @@ from .casoratian import LatticeFunction
 from .families import _BaseFamily, _a_adag, _adag_a, _eigen_identity, _operator, _same_form, _shift_identity, memo
 from .multi import MultiIndexedSystem, _deformed_potentials, _validate_labels, system
 from .report import Report
-from .series import pair, pair_common, pair_equal, pair_product, pair_quotient
+from .series import pair, pair_common, pair_equal, pair_product, pair_quotient, primitive
 from .virtual import index_set
 
 
@@ -196,20 +208,45 @@ def _step_shifts(prefix: MultiIndexedSystem, v: int) -> LatticeFunction:
     """The shift table of the deletion step from level s of the prefix to
     level s + 1 with the next label v, in `families._operator`'s format: the
     triples (-w_{s+1}(x+1), -w_{s+1}(x), w_s(x+1)) and (aB'(x+s) w_s(x),
-    aD'(x) w_s(x+1), w_{s+1}(x)), each over one common positive denominator.
-    For a level s + 1 column u and its level s companion l of energy eps,
-    F l = u is the nesting rule and G u = (Et_{d_{s+1}} - eps) l contiguity."""
+    aD'(x) w_s(x+1), w_{s+1}(x)), each over one common positive denominator
+    and divided by its content (`series.primitive`).  For a level s + 1
+    column u and its level s companion l of energy eps, F l = u is the
+    nesting rule and G u = (Et_{d_{s+1}} - eps) l contiguity."""
     p, s = prefix.p, prefix.M
     aB, aD, _, _ = _base_tables(system(p, ()))
     w1, w2 = prefix.w_grid, system(p, prefix.labels + (v,)).w_grid
 
     def shifts(x):
         (a, ad), (b, bd) = w2.pair(x + 1), w2.pair(x)
-        forward = pair_common((-a, ad), (-b, bd), w1.pair(x + 1))
+        forward = primitive(pair_common((-a, ad), (-b, bd), w1.pair(x + 1)))
         g0 = pair_product(aB.pair(x + s), w1.pair(x))
-        return forward, pair_common(g0, pair_product(aD.pair(x), w1.pair(x + 1)), (b, bd))
+        return forward, primitive(pair_common(g0, pair_product(aD.pair(x), w1.pair(x + 1)), (b, bd)))
 
     return LatticeFunction(shifts)
+
+
+@memo
+def _squared_vector_factor(final: MultiIndexedSystem) -> LatticeFunction:
+    """prod_j aB'(x+j) phi0'(x) / (w_M(x) w_M(x+1)), j < M, on the final
+    system of a chain: the factor of the squared eigenvector match that every
+    n shares, a pair in lowest terms (`series.primitive`)."""
+    p, M, wM = final.p, final.M, final.w_grid
+    aB, phi0p = _base_tables(system(p, ()))[0], p.twisted()
+
+    def factor(x):
+        top = pair_product(*[aB.pair(x + j) for j in range(M)], pair(phi0p.phi0_sq(x)))
+        return primitive(pair_quotient(top, pair_product(wM.pair(x), wM.pair(x + 1))))
+
+    return LatticeFunction(factor)
+
+
+@memo
+def _swapped(final: MultiIndexedSystem, i: int) -> MultiIndexedSystem:
+    """The system of the final order with the labels at i and i + 1 swapped,
+    kept on the final system and out of the `multi.system` store: the swap
+    checks read only its closed forms C_D and dt_sq."""
+    o = final.labels
+    return MultiIndexedSystem(final.p, o[:i] + (o[i + 1], o[i]) + o[i + 2 :])
 
 
 class ChainState:
@@ -348,7 +385,7 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         _same_hamiltonian(rep, f"re-factorization s={s}", xs_lattice, H_up, levels[s].H)
 
     # standard form: H_s = A^dagger A of (B_std, D_std), anchored at s = 0 by the potentials
-    aB, _, B, D = _base_tables(prefix[0])
+    _, _, B, D = _base_tables(prefix[0])
     lv = levels[0]
     rep.every(
         "standard form s=0 is the base system",
@@ -367,46 +404,30 @@ def chain_verify(p: _BaseFamily, order: Sequence[int], n_max: int = 3, x_max: in
         xs_lattice,
         lambda x: pair_equal(lv.B_std(x), B_D(x)) and pair_equal(lv.D_std(x), D_D(x)),
     )
-    phi0p, wM, alpha = p.twisted(), final.w_grid, p.alpha()
+    alpha, factor = p.alpha(), _squared_vector_factor(final)
     prod_b0 = 1
     for j in range(M):
         prod_b0 = prod_b0 * alpha * p.tilde_shifted(j).twisted().B(0)
     kappa_pow = p.kappa ** (M * (M - 1) // 2)
-
-    def squared_vector_factor(x):
-        # prod_j aB'(x+j) phi0'(x) / (w_M(x) w_M(x+1)), shared by every n
-        top = pair_product(*[aB.pair(x + j) for j in range(M)], pair(phi0p.phi0_sq(x)))
-        return pair_quotient(top, pair_product(wM.pair(x), wM.pair(x + 1)))
-
-    factor = LatticeFunction(squared_vector_factor)
     for n in range(n_max + 1):
         const_sq = kappa_pow * (final.C_Dn(n) / final.C_D()) ** 2 * prod_b0
         norm_prod = final.dt_sq(n)
         for e in removed:
             norm_prod = norm_prod * (energies[n] - e)
         rep.add(f"norm bookkeeping n={n}", const_sq == norm_prod)
-        g = final.wpp_grid(n)
+        g, terms, c = final.wpp_grid(n), final.orthogonality_terms(n, n), pair(const_sq)
         rep.every(
             f"squared eigenvector match n={n}",
             xs_lattice,
-            lambda x: pair_equal(
-                pair_product(factor(x), g.pair(x), g.pair(x)),
-                pair_product(
-                    pair(const_sq),
-                    pair(final.weight(x)),
-                    pair(final.multi_poly_at(n, x)),
-                    pair(final.multi_poly_at(n, x)),
-                ),
-            ),
+            lambda x: pair_equal(pair_product(factor(x), g.pair(x), g.pair(x)), pair_product(c, terms.pair(x))),
         )
 
     # order independence under each adjacent swap (module doc): the swapped
     # system's closed forms only, from a system kept out of the store
     for i in range(M - 1):
-        a, b = order[i], order[i + 1]
-        swapped = MultiIndexedSystem(p, order[:i] + (b, a) + order[i + 2 :])
+        swapped = _swapped(final, i)
         rep.add(
-            f"order independence, swap {a},{b}",
+            f"order independence, swap {order[i]},{order[i + 1]}",
             swapped.C_D() == -final.C_D()
             and all(swapped.dt_sq(n) == final.dt_sq(n) for n in range(n_max + 1)),
         )

@@ -108,6 +108,7 @@ from .series import (
     pair_quotient,
     pair_sum,
     pochhammer,
+    primitive,
     q_pochhammer,
     rational_power,
 )
@@ -702,9 +703,11 @@ def _operator(B, D, varphi, b0, xi=lambda x: 1, xi_up=lambda x: 1) -> tuple:
     lowers n by one and moves to lambda + delta, and of its inverse,
         f0, f1, fc = B~(0) Xi'(x+1), B~(0) Xi'(x), varphi(x) Xi(x+1),
         g0, g1, gc = B~(x) Xi(x) varphi(x), D(x) Xi(x+1) varphi(x-1), B~(0) Xi'(x).
-    Each entry is int numerators over one common denominator.  At Xi = Xi'
-    = 1 eigen(x) is (B + D, 1, B, D), the base difference equation.  x is a
-    lattice point, or an offset from the symbolic point (`_at_w`).
+    Each entry is int numerators over one common denominator, divided by
+    their content (`primitive`; entries at the symbolic point stay as they
+    are).  At Xi = Xi' = 1 eigen(x) is (B + D, 1, B, D), the base difference
+    equation, up to that content.  x is a lattice point, or an offset from
+    the symbolic point (`_at_w`).
 
     Callers: the family's own operator (`_own_operator`), each multi-indexed
     system (`multi._operator_tables`), and each level s of a deletion chain
@@ -717,14 +720,14 @@ def _operator(B, D, varphi, b0, xi=lambda x: 1, xi_up=lambda x: 1) -> tuple:
         xi0, xi1, up0 = pair(xi(x)), pair(xi(x + 1)), pair(xi_up(x))
         b, dd = pair_product(pair(B(x)), xi0, xi0), pair_product(pair(D(x)), xi1, xi1)
         a = pair_sum(pair_product(b, pair(xi_up(x + 1))), pair_product(dd, pair(xi_up(x - 1))))
-        return pair_common(a, pair_product(xi0, xi1, up0), pair_product(b, up0), pair_product(dd, up0))
+        return primitive(pair_common(a, pair_product(xi0, xi1, up0), pair_product(b, up0), pair_product(dd, up0)))
 
     def shifts(x):
         xi0, xi1, up0, up1 = pair(xi(x)), pair(xi(x + 1)), pair(xi_up(x)), pair(xi_up(x + 1))
         phi = pair(varphi(x))
-        forward = pair_common(pair_product(b0, up1), pair_product(b0, up0), pair_product(phi, xi1))
+        forward = primitive(pair_common(pair_product(b0, up1), pair_product(b0, up0), pair_product(phi, xi1)))
         g1 = pair_product(pair(D(x)), xi1, pair(varphi(x - 1)))
-        return forward, pair_common(pair_product(pair(B(x)), xi0, phi), g1, pair_product(b0, up0))
+        return forward, primitive(pair_common(pair_product(pair(B(x)), xi0, phi), g1, pair_product(b0, up0)))
 
     return LatticeFunction(eigen), LatticeFunction(shifts)
 

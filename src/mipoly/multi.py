@@ -244,6 +244,13 @@ class MultiIndexedSystem:
         return _ratio_certificate(self, n, m)
 
     @memo
+    def orthogonality_terms(self, n: int, m: int) -> LatticeFunction:
+        """x -> w_D(x) P_{D,n}(x) P_{D,m}(x), the terms of the orthogonality
+        sum (n, m), reduced Fractions; the diagonal ones are also the right
+        side of the deletion chain's squared eigenvector match."""
+        return LatticeFunction(lambda x: self.weight(x) * self.multi_poly_at(n, x) * self.multi_poly_at(m, x))
+
+    @memo
     def norm_target(self, n: int) -> Interval:
         """1 / (d_n^2 dt^2_{D,n}), the enclosure of the diagonal orthogonality
         sum (n, n).  d_n^2 is the family's enclosed mass times a rational, so
@@ -603,7 +610,10 @@ def orthogonality_sum(p: _BaseFamily, labels: Sequence[int], n: int, m: int) -> 
     every denominator are positive, so it is exact, and a negative slack
     never converges.  The slack's denominator is short (a few hundred bits
     for the q families, whose mass keeps 256 significant bits), as are the
-    scale's.  The terms and the partial sum stay reduced Fractions.
+    scale's.  The terms and the partial sum stay reduced Fractions.  The
+    terms are read from the system's kept table `orthogonality_terms(n, m)`,
+    so a repeated request multiplies no weight by a polynomial value again;
+    the certificate, the partial sum and the tail test run on every call.
     """
     sys = system(p, labels)
     diag = sys.norm_target
@@ -614,7 +624,7 @@ def orthogonality_sum(p: _BaseFamily, labels: Sequence[int], n: int, m: int) -> 
         target = Interval.exact(0)
         scale = max(abs(diag(n).midpoint), abs(diag(m).midpoint))
     x_star, r = sys.ratio_certificate(n, m)
-    term = lambda x: sys.weight(x) * sys.multi_poly_at(n, x) * sys.multi_poly_at(m, x)
+    term = sys.orthogonality_terms(n, m)
     slack = _REL_TOL * scale - target.width  # the tail may use what the target leaves
     k = r / (1 - r)
     K, S = k.numerator * slack.denominator, slack.numerator * k.denominator

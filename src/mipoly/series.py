@@ -7,13 +7,15 @@ denominator) `pair`, an int or Fraction by its int parts and a symbolic
 scalar (a RationalFunction) as (v, 1).  Pairs are multiplied, divided and
 added without a gcd (`pair_product`, `pair_quotient`, `pair_sum`), compared
 by one cross-multiplication (`pair_equal`), brought over one denominator
-(`pair_common`), and reduced once (`pair_value`).  Products work unchanged on
-pairs over any ring, (Polynomial, int) pairs included.  Terminating
-hypergeometric sums fold their step factors t_{k+1}/t_k, each one pair, by
-nested Horner (`nested_sum`).  Infinite q-products and rational powers come
-back as `Interval`: a pair of Fraction endpoints provably bracketing the true
-value, to `DEFAULT_EPS` = 10^-30, the one enclosure precision of the library
-(the CLI rounds enclosures outward to the same denominator).  An infinite
+(`pair_common`), and reduced once (`pair_value`); a kept table of such
+numerators, homogeneous in them, is divided by its content (`primitive`).
+Products work unchanged on pairs over any ring, (Polynomial, int) pairs
+included.  Terminating hypergeometric sums fold their step factors
+t_{k+1}/t_k, each one pair, by nested Horner (`nested_sum`).  Infinite
+q-products and rational powers come back as `Interval`: a pair of Fraction
+endpoints provably bracketing the true value, to `DEFAULT_EPS` = 10^-30, the
+one enclosure precision of the library (the CLI rounds enclosures outward to
+the same denominator).  An infinite
 q-product runs on intervals of fixed size, rounded outward at every step to
 `_BITS` = 256 significant bits on a grid no finer than 2^-256, so its cost
 per factor and the size of its endpoints do not grow as q nears 1; its width
@@ -27,6 +29,7 @@ never float heuristics.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 DEFAULT_EPS = Fraction(1, 10**30)
@@ -113,6 +116,17 @@ def pair_common(*pairs) -> list:
     return out
 
 
+def primitive(entries: list) -> list:
+    """The int entries divided by their gcd, for a table whose identities are
+    homogeneous in them (a `pair_common` tuple, or a pair): the gcd is
+    positive, so signs and zeros are kept.  All zero, or with a non-int
+    (symbolic) entry, the entries come back as they are."""
+    if not all(type(e) is int for e in entries):
+        return entries
+    g = math.gcd(*entries)
+    return [e // g for e in entries] if g > 1 else entries
+
+
 def nested_sum(steps, one):
     """1 + s_0 (1 + s_1 (1 + ... (1 + s_{m-1}))) for the step factors
     s_k = t_{k+1}/t_k of a terminating series given as pairs.
@@ -188,8 +202,12 @@ def q_pochhammer(a, q, k: int | None):
             lo, hi, e = _outward(min(ends), max(ends), c * k, p_e)
             return Interval(Fraction(lo, 1 << -e), Fraction(hi, 1 << -e))
         f_lo, f_hi = (1 << -a_e) - a_hi, (1 << -a_e) - a_lo  # 1 - a q^n
-        ends = p_lo * f_lo, p_lo * f_hi, p_hi * f_lo, p_hi * f_hi
-        p_lo, p_hi, p_e = _outward(min(ends), max(ends), 1, p_e + a_e)
+        if p_lo >= 0 and f_lo >= 0:  # both nonnegative: the ends multiply
+            lo, hi = p_lo * f_lo, p_hi * f_hi
+        else:
+            ends = p_lo * f_lo, p_lo * f_hi, p_hi * f_lo, p_hi * f_hi
+            lo, hi = min(ends), max(ends)
+        p_lo, p_hi, p_e = _outward(lo, hi, 1, p_e + a_e)
         a_lo, a_hi, a_e = _outward(a_lo * qn, a_hi * qn, qd, a_e)
     raise ValueError("infinite q-product failed to converge")
 

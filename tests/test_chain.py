@@ -516,3 +516,77 @@ def test_an_all_zero_step_triple_raises(monkeypatch, forward):
     assert chain_verify(M, (1, 2), n_max=1, x_max=2).passed
     with pytest.raises(ZeroDivisionError, match="every shift coefficient vanishes"):
         chain_verify(M, (1, 2), n_max=1, x_max=3)
+
+
+FRESH = {
+    "M": lambda: Meixner(1, F(1, 2)),
+    "lqJ": lambda: LittleQJacobi(F(1, 32), F(1, 3), F(1, 2)),
+    "lqL": lambda: LittleQLaguerre(F(1, 32), F(1, 2)),
+}
+
+
+@pytest.mark.parametrize("labels", [(1,), (1, 2, 3)], ids=str)
+@pytest.mark.parametrize("family", FRESH)
+def test_warm_requests_equal_cold(monkeypatch, family, labels):
+    # a repeated request reads the kept, content-reduced tables (the level
+    # and step tables, the final level's factor and terms, the swapped
+    # systems, the orthogonality terms) and decides the same as the first
+    # request and as a request on a cleared store; the swapped systems are
+    # built once, outside the store
+    from mipoly import chain, multi
+    from mipoly.multi import MultiIndexedSystem, orthogonality_sum
+
+    swapped = []
+    monkeypatch.setattr(chain, "MultiIndexedSystem", lambda *args: swapped.append(args) or MultiIndexedSystem(*args))
+
+    def request():
+        p = FRESH[family]()
+        rep = chain_verify(p, labels, n_max=2, x_max=8)
+        o = orthogonality_sum(p, labels, 1, 1)
+        return rep.to_dict(), _checks(rep), (o.partial_sum, o.tail_bound, o.terms, o.ratio_start, o.passed)
+
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    first = request()
+    assert len(swapped) == len(labels) - 1
+    warm = request()
+    assert len(swapped) == len(labels) - 1
+    assert not any(key[1] in {args[1] for args in swapped} for key in multi._SYSTEMS)
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    assert first == warm == request()
+    assert first[0]["status"] == "pass" and first[2][-1]
+
+
+def _reduced_tables(p, order, x) -> list:
+    """Every level's eigen tuple and every step's two shift triples at x."""
+    prefix = [system(p, order[:s]) for s in range(len(order) + 1)]
+    out = [tuple(_level(pre).eigen(x)) for pre in prefix]
+    for pre, v in zip(prefix, order):
+        out += [tuple(t) for t in _step_shifts(pre, v)(x)]
+    return out
+
+
+@pytest.mark.parametrize("p", [M, QJ, QL], ids=repr)
+def test_level_and_step_tables_are_content_reduced(monkeypatch, p):
+    # each kept tuple is the pair_common tuple divided by its positive
+    # content: content 1 (or all zero), proportional to the unreduced tuple
+    # by cross-multiplication, with the same signs
+    from math import gcd
+
+    from mipoly import chain, families, multi
+
+    order, xs = (1, 2, 3), range(-2, 13)
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    reduced = [_reduced_tables(p, order, x) for x in xs]
+    monkeypatch.setattr(multi, "_SYSTEMS", {})
+    for module in (chain, families):  # the step tables, and the eigen tables of `families._operator`
+        monkeypatch.setattr(module, "primitive", lambda entries: entries)
+    unreduced = [_reduced_tables(p, order, x) for x in xs]
+    sgn = lambda t: [(e > 0) - (e < 0) for e in t]
+    shortened = 0
+    for rs, us in zip(reduced, unreduced):
+        for r, u in zip(rs, us):
+            assert gcd(*r) == 1 or not any(r)
+            assert all(a * d == b * c for a, c in zip(r, u) for b, d in zip(r, u))
+            assert sgn(r) == sgn(u)
+            shortened += r != u
+    assert shortened > len(xs) * len(reduced[0]) // 2
